@@ -22,7 +22,7 @@ import numpy as np
 
 from . import heisenberg, mo, optimal
 from .channels import average_from_entanglement
-from .spins import check_two_j, check_valid_m, dim, two_m_values
+from .spins import InvalidQuantumNumbersError, check_two_j, check_valid_m, dim, two_m_values
 
 KERNEL_KINDS = ("expanded", "exact", "leading")
 
@@ -64,9 +64,11 @@ def step_kernel(two_j: int, theta: float, kind: str = "expanded"
     """Tridiagonal kernel (down, stay, up) over m in descending order.
 
     ``down[i]`` moves weight from m_i to m_i - 1, ``up[i]`` to m_i + 1; the
-    diagonal is fixed by column stochasticity.
+    diagonal is fixed by column stochasticity.  Needs two_j >= 1: a spin-0
+    memory has no direction to lose.
     """
-    check_two_j(two_j)
+    if check_two_j(two_j) == 0:
+        raise InvalidQuantumNumbersError(f"two_j={two_j}: a recycling kernel needs two_j >= 1")
     j = two_j / 2.0
     m = two_m_values(two_j) / 2.0
     if kind == "expanded":
@@ -201,10 +203,18 @@ class PersistenceReport:
 
 def persistence(two_j: int, theta: float, t_max: int | None = None) -> PersistenceReport:
     """Number of memory uses for which the recycled fidelity beats the
-    classical benchmark (strict inequality), plus the j/(1-cos theta) asymptote."""
+    classical benchmark (strict inequality), plus the j/(1-cos theta) asymptote.
+
+    At theta = 0 (mod 2pi) the memory never degrades: the asymptote is inf and
+    the default cap is 100 uses."""
     benchmark = mo.mo_average_fidelity(two_j, theta)
-    asymptote = (two_j / 2.0) / (1.0 - math.cos(theta))
-    cap = t_max if t_max is not None else max(int(4 * asymptote) + 10, 100)
+    one_minus_cos = 1.0 - math.cos(theta)
+    if one_minus_cos > 0.0:
+        asymptote = (two_j / 2.0) / one_minus_cos
+        default_cap = max(int(4 * asymptote) + 10, 100)
+    else:
+        asymptote, default_cap = math.inf, 100
+    cap = t_max if t_max is not None else default_cap
     dist = point_mass(two_j, two_j)
     fvec = _fidelity_vector(two_j, theta)
     steps = 0

@@ -135,26 +135,63 @@ def _povm_outcome_offsets(two_j: int, two_m: int, xi_two_n: int, n_samples: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Outcome rotations h relative to the true g, drawn from the POVM density.
 
-    Rejection sampling: propose h Haar-uniform and accept with probability
-    |<xi| U_h |j,m>|^2; the acceptance weight is the POVM density against the
-    Haar proposal, so accepted samples follow the exact outcome distribution.
+    The density |<xi| U_h |j,m>|^2 against Haar measure depends on h only
+    through its polar Euler angle beta, so the axial angles alpha and gamma
+    are uniform and beta follows |d^j_{xi m}(beta)|^2 sin(beta).  For
+    m = xi = j that law is cos^2(beta/2) = W^(1/(2j+1)) for uniform W;
+    otherwise W goes through the exact inverse CDF of cos(beta) (see
+    ``_cos_beta_quantiles``).  Three uniform draws per sample, no rejection:
+    O(n) time at m = xi = j, O(n*j) otherwise, and O(n) memory for any j.
     """
-    vals, vecs = spins._jy_eigensystem(two_j)
-    row = spins.basis_index(two_j, xi_two_n)
-    col = spins.basis_index(two_j, two_m)
-    chunks = []
-    have = 0
-    while have < n_samples:
-        batch = max(2 * (n_samples - have) * (two_j + 1), 128)
-        q = rotations.haar_quaternions(rng, batch)
-        _, beta, _ = rotations.euler_zyz_from_quaternion(q)
-        phases = np.exp(-1j * np.multiply.outer(beta, vals))
-        amp = np.einsum("k,nk,k->n", vecs[row], phases, vecs.conj()[col])
-        accept = rng.uniform(0.0, 1.0, batch) < np.abs(amp) ** 2
-        q = q[accept]
-        chunks.append(q)
-        have += q.shape[0]
-    return np.concatenate(chunks, axis=0)[:n_samples]
+    alpha = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+    gamma = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+    u = rng.uniform(0.0, 1.0, n_samples)
+    if two_m == xi_two_n == two_j:
+        x = u ** (1.0 / (two_j + 1.0))  # cos^2(beta/2)
+    else:
+        x = 0.5 * (1.0 + _cos_beta_quantiles(two_j, two_m, xi_two_n, u))
+    half = np.arccos(np.sqrt(x))
+    zero = np.zeros(n_samples)
+    qa = np.stack([np.cos(alpha / 2), zero, zero, np.sin(alpha / 2)], axis=1)
+    qb = np.stack([np.cos(half), zero, np.sin(half), zero], axis=1)
+    qc = np.stack([np.cos(gamma / 2), zero, zero, np.sin(gamma / 2)], axis=1)
+    return rotations.quat_multiply(rotations.quat_multiply(qa, qb), qc)
+
+
+_QUANTILE_CHUNK = 1 << 14
+
+
+def _cos_beta_quantiles(two_j: int, two_m: int, xi_two_n: int, u: np.ndarray) -> np.ndarray:
+    """cos(beta) at CDF levels ``u`` of the density |d^j_{xi m}(beta)|^2 sin(beta).
+
+    In x = cos(beta) the density |d^j_{xi m}|^2 is a polynomial of degree 2j:
+    its Chebyshev coefficients are the cosine-series coefficients in beta,
+    the autocorrelation of the amplitude's Jy-eigenbasis weights (frequency =
+    eigenvalue difference).  The CDF is that polynomial's exact integral; it
+    is inverted by bisection to double precision, chunk by chunk, so the
+    working memory is O(chunk) whatever len(u) is.
+    """
+    from numpy.polynomial import chebyshev
+
+    _, vecs = spins._jy_eigensystem(two_j)
+    weights = (vecs[spins.basis_index(two_j, xi_two_n)]
+               * vecs[spins.basis_index(two_j, two_m)].conj())
+    lags = np.correlate(weights, weights, "full")[two_j:].real  # frequencies 0..2j
+    density = np.concatenate([lags[:1], 2.0 * lags[1:]])
+    cdf = chebyshev.chebint(density, lbnd=-1.0)
+    levels = u * chebyshev.chebval(1.0, cdf)
+    out = np.empty_like(levels)
+    for start in range(0, len(levels), _QUANTILE_CHUNK):
+        level = levels[start:start + _QUANTILE_CHUNK]
+        lo = np.full(len(level), -1.0)
+        hi = np.ones(len(level))
+        for _ in range(55):  # final width 2 * 2^-55 is below half an ulp of 1
+            mid = 0.5 * (lo + hi)
+            below = chebyshev.chebval(mid, cdf) < level
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        out[start:start + _QUANTILE_CHUNK] = 0.5 * (lo + hi)
+    return out
 
 
 def mo_mc_oracle(two_j: int, params: MOParams, theta: float, n_samples: int,
@@ -191,17 +228,8 @@ def sample_coherent_povm_outcomes(two_j: int, rng: np.random.Generator,
     The outcome is g. h with h drawn from the POVM density: uniform axial
     angles and cos^2(beta/2) distributed as W^(1/(2j+1)) for uniform W.
     """
-    n = q_g.shape[0]
-    alpha = rng.uniform(0.0, 2.0 * math.pi, n)
-    gamma = rng.uniform(0.0, 2.0 * math.pi, n)
-    x = rng.uniform(0.0, 1.0, n) ** (1.0 / (two_j + 1.0))  # cos^2(beta/2)
-    beta = 2.0 * np.arccos(np.sqrt(x))
-    half = beta / 2.0
-    qa = np.stack([np.cos(alpha / 2), np.zeros(n), np.zeros(n), np.sin(alpha / 2)], axis=1)
-    qb = np.stack([np.cos(half), np.zeros(n), np.sin(half), np.zeros(n)], axis=1)
-    qc = np.stack([np.cos(gamma / 2), np.zeros(n), np.zeros(n), np.sin(gamma / 2)], axis=1)
-    q_h = rotations.quat_multiply(rotations.quat_multiply(qa, qb), qc)
-    return rotations.quat_multiply(q_g, q_h)
+    return rotations.quat_multiply(
+        q_g, _povm_outcome_offsets(two_j, two_j, two_j, q_g.shape[0], rng))
 
 
 def _character_ratio(two_k: int, tau: np.ndarray) -> np.ndarray:

@@ -121,18 +121,53 @@ def coherent_states_batch(two_j: int, quaternions: np.ndarray) -> np.ndarray:
 
 
 def rotated_basis_states_batch(two_j: int, quaternions: np.ndarray, two_m) -> np.ndarray:
-    """(n, 2j+1) array of states U_g |j,m>; ``two_m`` scalar or per-sample array."""
+    """(n, 2j+1) array of states U_g |j,m>; ``two_m`` scalar or per-sample array.
+
+    Two paths, for n quaternions and d = 2j+1:
+
+    * scalar ``two_m == two_j`` (coherent states): the binomial Wigner-d column
+      sqrt(C(2j, j-m')) cos^(j+m')(beta/2) sin^(j-m')(beta/2), evaluated in log
+      space with the half angles read off the quaternion, so it is exact at
+      beta = 0 and pi and never overflows.  O(n*d) time and memory.
+    * any other ``two_m``: the column of exp(-i beta Jy) from the Jy eigenbasis,
+      one (n, d) @ (d, d) BLAS matmul.  O(n*d^2) time, O(n*d) memory.
+
+    Raises InvalidQuantumNumbersError when any ``two_m`` is out of range or
+    of the wrong parity for ``two_j``.
+    """
+    check_two_j(two_j)
+    two_m_arr = np.asarray(two_m)
+    if (two_m_arr.dtype.kind not in "iu" or np.any(np.abs(two_m_arr) > two_j)
+            or np.any((two_j - two_m_arr) % 2)):
+        raise InvalidQuantumNumbersError(f"two_m={two_m!r} invalid for two_j={two_j}")
     alpha, beta, gamma = euler_zyz_from_quaternion(quaternions)
-    vals, vecs = _jy_eigensystem(two_j)
     m = m_values(two_j)
-    two_m_arr = np.broadcast_to(np.asarray(two_m), alpha.shape)
-    cols = (two_j - two_m_arr) // 2
-    # column `col` of exp(-i beta Jy), batched
-    col_vecs = vecs.conj()[cols, :]                       # (n, d)
-    phases = np.exp(-1j * np.multiply.outer(beta, vals))  # (n, d)
-    dcol = np.einsum("ik,nk->ni", vecs, phases * col_vecs)
-    out = np.exp(-1j * np.multiply.outer(alpha, m)) * dcol
-    out *= np.exp(-1j * gamma * (two_m_arr / 2.0))[:, None]
+    if two_m_arr.ndim == 0 and two_m_arr == two_j:
+        w, x, y, z = np.moveaxis(np.asarray(quaternions, dtype=float), -1, 0)
+        cos_half, sin_half = np.hypot(w, z), np.hypot(x, y)
+        norm = np.hypot(cos_half, sin_half)
+        k = np.arange(two_j + 1)  # j - m'
+        lnfact = np.array([_lnfact(i) for i in k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_amp = np.multiply.outer(np.log(sin_half / norm), k)
+            cos_pow = np.multiply.outer(np.log(cos_half / norm), two_j - k)
+        log_amp[:, 0] = 0.0   # sin^0, also at beta = 0
+        cos_pow[:, -1] = 0.0  # cos^0, also at beta = pi
+        log_amp += cos_pow
+        log_amp += 0.5 * (lnfact[-1] - lnfact - lnfact[::-1])
+        # phases exp(-i alpha m') exp(-i gamma j) = exp(-i (alpha + gamma) j) exp(i alpha)^k
+        out = np.empty(log_amp.shape, dtype=complex)
+        out[:, 0] = np.exp(-0.5j * two_j * alpha) * np.exp(-0.5j * two_j * gamma)
+        out[:, 1:] = np.exp(1j * alpha)[:, None]
+        np.cumprod(out, axis=1, out=out)
+        out *= np.exp(log_amp)
+        return out
+    vals, vecs = _jy_eigensystem(two_j)
+    rotated = np.exp(-1j * np.multiply.outer(beta, vals))
+    rotated *= vecs.conj()[(two_j - two_m_arr) // 2]
+    out = rotated @ vecs.T
+    out *= np.exp(-1j * np.multiply.outer(alpha, m))
+    out *= np.exp(-0.5j * gamma * two_m_arr)[:, None]
     return out
 
 

@@ -28,7 +28,7 @@ from spinlearn.memory import (
     tricomi_geometric_asymptote,
 )
 from spinlearn.mo import mo_average_fidelity
-from spinlearn.spins import dim
+from spinlearn.spins import InvalidQuantumNumbersError, dim
 
 
 @given(st.integers(min_value=2, max_value=30),
@@ -296,3 +296,18 @@ def test_distribution_validation():
     bad = MemoryDistribution(two_j=2, weights=np.array([0.7, 0.4, -0.1]))
     with pytest.raises(ValueError):
         bad.validate()
+
+
+@pytest.mark.parametrize("theta", [0.0, 2 * math.pi])
+def test_persistence_at_zero_angle_has_infinite_asymptote(theta):
+    rep = persistence(10, theta)
+    assert rep.asymptote == math.inf
+    assert rep.steps == persistence(10, theta, t_max=100).steps
+    assert 0 <= rep.steps <= 100
+
+
+def test_spin_zero_memory_rejected_by_kernel():
+    with pytest.raises(InvalidQuantumNumbersError, match="two_j"):
+        step_kernel(0, math.pi)
+    with pytest.raises(InvalidQuantumNumbersError, match="two_j"):
+        recycled_fidelity(0, math.pi, 3)

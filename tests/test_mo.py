@@ -252,3 +252,39 @@ def test_anomalous_strategy_dominates_inside_window_only():
     assert anomalous_mo_fidelity(th_out) < mo_fopt_formula(2, th_out, tp_out)
     # leading-order MO error: 2k(2k+1)(1-cos)/3j = 0.02 at j=200, k=1
     assert spin_k_mo_asymptote(400, 2, math.pi) == pytest.approx(0.98, abs=1e-12)
+
+
+@pytest.mark.parametrize("two_j, two_m, xi_two_n", [(3, 1, -1), (4, 0, 0), (20, 18, 20),
+                                                    (40, 40, 40)])
+def test_povm_polar_angle_law_matches_quadrature(two_j, two_m, xi_two_n):
+    # beta must follow |d^j_{xi m}(beta)|^2 sin(beta); compare the first two
+    # moments of cos(beta) with Gauss-Legendre quadrature in cos(beta)
+    from spinlearn.mo import _povm_outcome_offsets
+    from spinlearn.rotations import euler_zyz_from_quaternion
+
+    n = 40000
+    q_h = _povm_outcome_offsets(two_j, two_m, xi_two_n, n, np.random.default_rng(1301))
+    _, beta, _ = euler_zyz_from_quaternion(q_h)
+    nodes, weights = np.polynomial.legendre.leggauss(64)  # exact to degree 127
+    amp = spins.rotation_y_irrep(two_j, np.arccos(nodes))[
+        :, spins.basis_index(two_j, xi_two_n), spins.basis_index(two_j, two_m)]
+    density = weights * np.abs(amp) ** 2
+    assert density.sum() == pytest.approx(2.0 / (two_j + 1), rel=1e-12)
+    for power in (1, 2):
+        sample = np.cos(beta) ** power
+        expected = np.sum(density * nodes**power) / density.sum()
+        assert abs(sample.mean() - expected) < 4.0 * sample.std(ddof=1) / math.sqrt(n)
+
+
+def test_mo_oracle_memory_is_bounded():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        est = mo_mc_oracle(40, MOParams(38, 36, 1.0), math.pi, 5000, 1302)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    closed = average_from_entanglement(mo_element_fidelity(40, 38, 36, math.pi, 1.0), 2)
+    assert est.n_sigma(closed) < 4.0

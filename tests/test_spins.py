@@ -291,3 +291,45 @@ def test_invalid_m_raises():
         coupling_decomposition(2, 3, 1.0)
     with pytest.raises(InvalidQuantumNumbersError):
         coupling_decomposition(2, 1, 1.0)  # parity
+
+
+# quaternions with beta = 0 exactly (first two) and beta = pi exactly (last three)
+_POLE_QUATERNIONS = np.array([
+    [1.0, 0.0, 0.0, 0.0],
+    [math.cos(0.3), 0.0, 0.0, math.sin(0.3)],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [0.0, math.cos(0.2), math.sin(0.2), 0.0],
+])
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 20, 400])
+def test_coherent_column_matches_irrep_batch(two_j):
+    # the dense irrep costs O(d^3) per rotation, so few random rotations at 2j = 400
+    n_random = 3 if two_j == 400 else 200
+    q = np.concatenate([_POLE_QUATERNIONS, haar_quaternions(np.random.default_rng(1201), n_random)])
+    states = spins.rotated_basis_states_batch(two_j, q, two_j)
+    assert np.all(np.isfinite(states))
+    assert np.max(np.abs(states - spins.rotation_irrep_batch(two_j, q)[:, :, 0])) < 1e-12
+
+
+@pytest.mark.parametrize("two_j", [1, 4, 7, 20])
+def test_per_sample_m_matches_irrep_columns(two_j):
+    rng = np.random.default_rng(1202)
+    q = np.concatenate([_POLE_QUATERNIONS, haar_quaternions(rng, 300)])
+    two_ms = rng.choice(two_m_values(two_j), len(q))
+    irrep = spins.rotation_irrep_batch(two_j, q)
+    states = spins.rotated_basis_states_batch(two_j, q, two_ms)
+    expected = irrep[np.arange(len(q)), :, (two_j - two_ms) // 2]
+    assert np.max(np.abs(states - expected)) < 1e-12
+    lowest = spins.rotated_basis_states_batch(two_j, q, -two_j)  # scalar, not coherent
+    assert np.max(np.abs(lowest - irrep[:, :, -1])) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [5, 7, 2, -5])
+def test_rotated_basis_states_batch_rejects_invalid_two_m(bad):
+    q = haar_quaternions(np.random.default_rng(1203), 4)
+    with pytest.raises(InvalidQuantumNumbersError, match="two_m"):
+        spins.rotated_basis_states_batch(3, q, bad)
+    with pytest.raises(InvalidQuantumNumbersError, match="two_m"):
+        spins.rotated_basis_states_batch(3, q, np.array([3, 1, bad, -1]))
