@@ -120,38 +120,31 @@ def heisenberg_unitary(two_j: int, two_k: int, theta: float,
     return HeisenbergGate(two_j=two_j, two_k=two_k, theta=float(theta), angle=angle)
 
 
-def _u_coefficients(two_j: int, two_m: int, angle: float) -> tuple[complex, complex, complex, complex]:
-    """Amplitudes of the gate on |j,m>|up> and |j,m>|down> (qubit target).
+def entanglement_fidelity_coefficients(two_j: int, theta: float, f_override: float | None = None
+                                       ) -> tuple[float, float, float]:
+    """(a0, a1, a2): the entanglement fidelity from memory |j,m>_g is a0 + a1 m + a2 m^2.
 
-    Returns (u_plus, w_plus, u_minus, w_minus):
-      U |j,m>|up>   = u_plus |j,m>|up>  + w_plus |j,m+1>|down>
-      U |j,m>|down> = u_minus |j,m>|down> + w_minus |j,m-1>|up>
-    up to the global phase of the gate.
+    The gate keeps |j,m>|up>, |j,m>|down> with amplitudes u+- = A +- B m, where
+    A = (e (j+1) + j)/(2j+1), B = (e - 1)/(2j+1), e = exp(-i f), and the fidelity
+    is (|u+|^2 + |u-|^2 + 2 Re[exp(i theta) u+ conj(u-)])/4.
     """
+    check_two_j(two_j)
+    f = f_angle(two_j, theta) if f_override is None else f_override
     j = two_j / 2.0
-    m = two_m / 2.0
     n = two_j + 1.0
-    e = np.exp(-1j * angle)
-    u_plus = (e * (j + m + 1.0) + (j - m)) / n
-    w_plus = (e - 1.0) * math.sqrt(max((j - m) * (j + m + 1.0), 0.0)) / n
-    u_minus = (e * (j - m + 1.0) + (j + m)) / n
-    w_minus = (e - 1.0) * math.sqrt(max((j + m) * (j - m + 1.0), 0.0)) / n
-    return u_plus, w_plus, u_minus, w_minus
+    abs_a_sq = ((j + 1.0) ** 2 + j * j + 2.0 * j * (j + 1.0) * math.cos(f)) / (n * n)
+    return (0.5 * abs_a_sq * (1.0 + math.cos(theta)), math.sin(theta) * math.sin(f) / n,
+            (1.0 - math.cos(f)) * (1.0 - math.cos(theta)) / (n * n))
 
 
 def entanglement_fidelity_given_m(two_j: int, two_m: int, theta: float,
                                   f_override: float | None = None) -> float:
-    """Exact entanglement fidelity of the gate with memory state |j,m>_g.
-
-    Evaluates the two-block spectral action in closed form; identical to
-    feeding the explicit channel through the generic entanglement-fidelity
-    computation.
-    """
+    """Exact entanglement fidelity of the gate with memory state |j,m>_g: the
+    quadratic of ``entanglement_fidelity_coefficients`` evaluated at m."""
     check_valid_m(two_j, two_m)
-    angle = f_angle(two_j, theta) if f_override is None else f_override
-    u_plus, _, u_minus, _ = _u_coefficients(two_j, two_m, angle)
-    cross = np.exp(1j * theta) * u_plus * np.conj(u_minus)
-    return float(0.25 * (abs(u_plus) ** 2 + abs(u_minus) ** 2 + 2.0 * cross.real))
+    a0, a1, a2 = entanglement_fidelity_coefficients(two_j, theta, f_override)
+    m = two_m / 2.0
+    return a0 + a1 * m + a2 * m * m
 
 
 def heisenberg_entanglement_fidelity(two_j: int, theta: float,

@@ -2,15 +2,20 @@
 
 Repeated use of the memory degrades it through the complementary channel of
 the memory-target gate, which acts as a tridiagonal Markov kernel on the
-magnetic populations.  Three kernels are provided:
+magnetic populations.  Three kernels are provided, as test oracles:
 
 * ``expanded`` - the closed-form coefficients with the interaction-angle
-  factor expanded to first order in 1/(2j) (primary route);
+  factor expanded to first order in 1/(2j) (the recycling schedule);
 * ``exact``    - the same structure with the exact factor 1 - cos f(theta),
   identical to tracing the gate against a maximally mixed target (and equal
   to ``expanded`` at theta = pi);
 * ``leading``  - the large-j linearization, which the alternating-sum
   distribution solves exactly.
+
+The recycling routines iterate no kernel.  They use the moment closure: the
+fidelity from |j,m> is quadratic in m, and the first two moments of m close
+under the ``expanded`` and ``exact`` kernels, so each use costs O(1) at any j.
+(The ``leading`` kernel truncates at m = -j; its moments do not close.)
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from . import heisenberg, mo, optimal
 from .channels import average_from_entanglement
 from .spins import InvalidQuantumNumbersError, check_two_j, check_valid_m, dim, two_m_values
 
-KERNEL_KINDS = ("expanded", "exact", "leading")
+_SCAN_CHUNK = 4096  # uses per array when scanning for a crossing
 
 
 @dataclass(frozen=True)
@@ -71,12 +76,9 @@ def step_kernel(two_j: int, theta: float, kind: str = "expanded"
         raise InvalidQuantumNumbersError(f"two_j={two_j}: a recycling kernel needs two_j >= 1")
     j = two_j / 2.0
     m = two_m_values(two_j) / 2.0
-    if kind == "expanded":
-        factor = 1.0 - math.cos(theta) - math.sin(theta) ** 2 / (2.0 * j)
-        down = (j + m) * (1.0 + j - m) / (1.0 + 2.0 * j) ** 2 * factor
-        up = (j - m) * (1.0 + j + m) / (1.0 + 2.0 * j) ** 2 * factor
-    elif kind == "exact":
-        factor = 1.0 - math.cos(heisenberg.f_angle(two_j, theta))
+    if kind in ("expanded", "exact"):
+        factor = (_expanded_factor(two_j, theta) if kind == "expanded"
+                  else 1.0 - math.cos(heisenberg.f_angle(two_j, theta)))
         down = (j + m) * (1.0 + j - m) / (1.0 + 2.0 * j) ** 2 * factor
         up = (j - m) * (1.0 + j + m) / (1.0 + 2.0 * j) ** 2 * factor
     elif kind == "leading":
@@ -89,6 +91,37 @@ def step_kernel(two_j: int, theta: float, kind: str = "expanded"
     up = np.where(m < j, up, 0.0)
     stay = 1.0 - down - up
     return down, stay, up
+
+
+def _expanded_factor(two_j: int, theta: float) -> float:
+    """Factor 1 - cos f(theta) of the ``expanded`` kernel, to first order in 1/(2j)."""
+    if check_two_j(two_j) == 0:
+        raise InvalidQuantumNumbersError(f"two_j={two_j}: a recycling kernel needs two_j >= 1")
+    return 1.0 - math.cos(theta) - math.sin(theta) ** 2 / two_j
+
+
+def _moments(two_j: int, factor: float, steps, mean_m, mean_m2):
+    """<m> and <m^2> after ``steps`` kernel steps with this factor: each step
+    multiplies <m> by 1 - 2c and <m^2> - j(j+1)/3 by 1 - 6c, c = factor/(2j+1)^2."""
+    c = factor / (two_j + 1.0) ** 2
+    m2_inf = two_j * (two_j + 2.0) / 12.0
+    if two_j > 1:  # at 2j = 1, m^2 = 1/4 in every state (and 1 - 6c reaches -2)
+        mean_m2 = m2_inf + (mean_m2 - m2_inf) * (1.0 - 6.0 * c) ** steps
+    return mean_m * (1.0 - 2.0 * c) ** steps, mean_m2
+
+
+def _fidelity_from_moments(two_j: int, theta: float, mean_m, mean_m2,
+                           f_override: float | None = None):
+    """Average fidelity from a memory with these moments of m."""
+    a0, a1, a2 = heisenberg.entanglement_fidelity_coefficients(two_j, theta, f_override)
+    return average_from_entanglement(a0 + a1 * mean_m + a2 * mean_m2, 2)
+
+
+def _fixed_schedule(two_j: int, theta: float, steps):
+    """Average fidelity of the use after ``steps`` uses on the fixed schedule."""
+    j = two_j / 2.0
+    moments = _moments(two_j, _expanded_factor(two_j, theta), steps, j, j * j)
+    return _fidelity_from_moments(two_j, theta, *moments)
 
 
 def complementary_step(two_j: int, theta: float, dist: MemoryDistribution,
@@ -129,27 +162,8 @@ def fidelity_given_m_asymptote(two_j: int, two_m: int, theta: float) -> float:
     return 1.0 - (1.0 + 2.0 * j - 2.0 * m) * (1.0 - math.cos(theta)) / (3.0 * j)
 
 
-def _fidelity_vector(two_j: int, theta: float, f_override: float | None = None) -> np.ndarray:
-    """fidelity_given_m over all m at once (descending order)."""
-    angle = heisenberg.f_angle(two_j, theta) if f_override is None else f_override
-    j = two_j / 2.0
-    m = two_m_values(two_j) / 2.0
-    n = two_j + 1.0
-    e = np.exp(-1j * angle)
-    u_plus = (e * (j + m + 1.0) + (j - m)) / n
-    u_minus = (e * (j - m + 1.0) + (j + m)) / n
-    cross = np.exp(1j * theta) * u_plus * np.conj(u_minus)
-    fe = 0.25 * (np.abs(u_plus) ** 2 + np.abs(u_minus) ** 2 + 2.0 * cross.real)
-    return average_from_entanglement(fe, 2)
-
-
-def _mean_fidelity(two_j: int, theta: float, dist: MemoryDistribution,
-                   f_override: float | None = None) -> float:
-    return float(dist.weights @ _fidelity_vector(two_j, theta, f_override))
-
-
 def recycled_fidelity(two_j: int, theta: float, n_uses: int,
-                      kind: str = "expanded", reoptimize_f: bool = False) -> np.ndarray:
+                      reoptimize_f: bool = False) -> np.ndarray:
     """Average fidelity of uses 1..n_uses with the memory recycled in between.
 
     ``reoptimize_f`` re-tunes the interaction angle for the current mixed
@@ -158,40 +172,40 @@ def recycled_fidelity(two_j: int, theta: float, n_uses: int,
     """
     if n_uses < 1:
         raise ValueError("n_uses must be positive")
-    dist = point_mass(two_j, two_j)
-    out = np.empty(n_uses)
     if not reoptimize_f:
-        fvec = _fidelity_vector(two_j, theta)
-        for t in range(n_uses):
-            out[t] = float(dist.weights @ fvec)
-            dist = complementary_step(two_j, theta, dist, kind)
-        return out
+        return _fixed_schedule(two_j, theta, np.arange(n_uses))
+    out = np.empty(n_uses)
+    mean_m, mean_m2 = two_j / 2.0, two_j * two_j / 4.0
+    base = heisenberg.f_angle(two_j, theta)
     for t in range(n_uses):
-        f_t = _reoptimized_angle(two_j, theta, dist)
-        out[t] = _mean_fidelity(two_j, theta, dist, f_t)
-        dist = _step_with_angle(two_j, f_t, dist)
+        f_t, loss = heisenberg._golden_minimize(
+            lambda f: -_fidelity_from_moments(two_j, theta, mean_m, mean_m2, f),
+            base - 0.5, base + 0.5, tol=1e-9)
+        out[t] = -loss
+        mean_m, mean_m2 = _moments(two_j, 1.0 - math.cos(f_t), 1, mean_m, mean_m2)
     return out
 
 
-def _step_with_angle(two_j: int, angle: float, dist: MemoryDistribution) -> MemoryDistribution:
-    j = two_j / 2.0
-    m = two_m_values(two_j) / 2.0
-    factor = 1.0 - math.cos(angle)
-    down = np.where(m > -j, (j + m) * (1.0 + j - m) / (1.0 + 2.0 * j) ** 2 * factor, 0.0)
-    up = np.where(m < j, (j - m) * (1.0 + j + m) / (1.0 + 2.0 * j) ** 2 * factor, 0.0)
-    w = dist.weights
-    out = (1.0 - down - up) * w
-    out[1:] += (down * w)[:-1]
-    out[:-1] += (up * w)[1:]
-    return MemoryDistribution(two_j=two_j, weights=out)
+def _uses_before(two_j: int, theta: float, fails, level: float, cap: int) -> tuple[int, bool]:
+    """Uses of the fixed schedule before the first whose fidelity F has
+    ``fails(F, level)``, looking at most ``cap`` uses ahead, and whether none failed.
 
-
-def _reoptimized_angle(two_j: int, theta: float, dist: MemoryDistribution) -> float:
-    base = heisenberg.f_angle(two_j, theta)
-    lo, hi = base - 0.5, base + 0.5
-    x, _ = heisenberg._golden_minimize(
-        lambda f: -_mean_fidelity(two_j, theta, dist, f), lo, hi, tol=1e-9)
-    return x
+    F after s uses is F_inf + B r1^s + C r2^s with r1 = 1 - 2c, r2 = 1 - 6c and
+    B, C >= 0, so the chunked scan stops once (B + C) rho^s < |F_inf - level|
+    with rho = max(|r1|, |r2|) < 1; with c = 0, F is constant.
+    """
+    c = _expanded_factor(two_j, theta) / (two_j + 1.0) ** 2
+    f_inf = _fixed_schedule(two_j, theta, math.inf)
+    tail = abs(_fixed_schedule(two_j, theta, 0) - f_inf)
+    rho = max(abs(1.0 - 2.0 * c), abs(1.0 - 6.0 * c))
+    for start in range(0, cap, _SCAN_CHUNK):
+        s = np.arange(start, min(start + _SCAN_CHUNK, cap))
+        hit = np.flatnonzero(fails(_fixed_schedule(two_j, theta, s), level))
+        if hit.size:
+            return start + int(hit[0]), False
+        if c == 0.0 or (rho < 1.0 and tail * rho ** int(s[-1]) < abs(f_inf - level)):
+            break
+    return max(cap, 0), True
 
 
 @dataclass(frozen=True)
@@ -215,15 +229,8 @@ def persistence(two_j: int, theta: float, t_max: int | None = None) -> Persisten
     else:
         asymptote, default_cap = math.inf, 100
     cap = t_max if t_max is not None else default_cap
-    dist = point_mass(two_j, two_j)
-    fvec = _fidelity_vector(two_j, theta)
-    steps = 0
-    for t in range(1, cap + 1):
-        if float(dist.weights @ fvec) <= benchmark:
-            return PersistenceReport(steps=t - 1, asymptote=asymptote, capped=False)
-        steps = t
-        dist = complementary_step(two_j, theta, dist)
-    return PersistenceReport(steps=steps, asymptote=asymptote, capped=True)
+    steps, capped = _uses_before(two_j, theta, np.less_equal, benchmark, cap)
+    return PersistenceReport(steps=steps, asymptote=asymptote, capped=capped)
 
 
 def longevity(two_j: int, theta: float, threshold: float,
@@ -231,17 +238,8 @@ def longevity(two_j: int, theta: float, threshold: float,
     """Largest number of uses with fidelity still at or above ``threshold``."""
     if not (1.0 / 3.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (1/3, 1)")
-    j = two_j / 2.0
-    cap = t_max if t_max is not None else int(40 * j * j / max(1.0 - math.cos(theta), 1e-6)) + 10
-    dist = point_mass(two_j, two_j)
-    fvec = _fidelity_vector(two_j, theta)
-    steps = 0
-    for t in range(1, cap + 1):
-        if float(dist.weights @ fvec) < threshold:
-            return t - 1
-        steps = t
-        dist = complementary_step(two_j, theta, dist)
-    return steps
+    cap = t_max if t_max is not None else int(10 * two_j**2 / max(1.0 - math.cos(theta), 1e-6)) + 10
+    return _uses_before(two_j, theta, np.less, threshold, cap)[0]
 
 
 def tricomi_distribution(two_j: int, theta: float, n: int) -> MemoryDistribution:
@@ -277,7 +275,10 @@ def tricomi_distribution(two_j: int, theta: float, n: int) -> MemoryDistribution
                 binom_ik = binom_ik * i // (i - k)
             term = binom_ik * t_terms[i]
             acc += term if (i - k) % 2 == 0 else -term
-        weights[k] = float(acc)
+        try:
+            weights[k] = float(acc)
+        except OverflowError:
+            raise ValueError(f"n={n}: the alternating-sum weights overflow a float") from None
     return MemoryDistribution(two_j=two_j, weights=weights)
 
 
@@ -303,7 +304,9 @@ def thermal_state(two_j: int, gamma: float) -> MemoryDistribution:
 
 def thermal_fidelity(two_j: int, theta: float, gamma: float) -> float:
     """Exact average fidelity of the zero-temperature strategy on a thermal probe."""
-    return _mean_fidelity(two_j, theta, thermal_state(two_j, gamma))
+    weights = thermal_state(two_j, gamma).weights
+    m = two_m_values(two_j) / 2.0
+    return float(_fidelity_from_moments(two_j, theta, weights @ m, weights @ (m * m)))
 
 
 def thermal_fidelity_asymptote(two_j: int, theta: float, gamma: float) -> float:
@@ -313,10 +316,19 @@ def thermal_fidelity_asymptote(two_j: int, theta: float, gamma: float) -> float:
 
 def thermal_advantage_threshold(two_j: int, theta: float) -> float:
     """Temperature parameter gamma* where the thermal strategy meets the
-    classical benchmark; tends to (1/2) ln 3 for large spins."""
+    classical benchmark; tends to (1/2) ln 3 for large spins.
+
+    ``math.inf`` means no finite gamma gives a strict advantage (theta = 0;
+    2j in {1, 2} at theta = pi): not even the aligned memory beats the benchmark.
+    """
     benchmark = mo.mo_average_fidelity(two_j, theta)
 
     def gap(gamma: float) -> float:
         return thermal_fidelity(two_j, theta, gamma) - benchmark
 
-    return optimal._bisect(gap, 1e-3, 8.0, tol=1e-10)
+    hi = 8.0
+    while gap(hi) <= 0.0:
+        if hi > 1e3:  # from gamma ~ 373 on, the weights are exactly the aligned state
+            return math.inf
+        hi *= 2.0
+    return optimal._bisect(gap, 1e-3, hi, tol=1e-10)

@@ -556,10 +556,6 @@ def discrete_xyz_projectors() -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def discrete_xyz_strategy() -> DiscreteXYZ:
-    return DiscreteXYZ()
-
-
 def discrete_xyz_channel() -> KrausChannel:
     """Kraus form of the three-outcome measure-and-flip strategy (j = 1)."""
     kraus = []

@@ -15,7 +15,7 @@ import numpy as np
 _NORM_TOL = 1e-12
 
 
-def _quat_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def quat_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product, broadcasting over leading axes; last axis is (w,x,y,z)."""
     w1, x1, y1, z1 = np.moveaxis(p, -1, 0)
     w2, x2, y2, z2 = np.moveaxis(q, -1, 0)
@@ -30,7 +30,7 @@ def _quat_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     )
 
 
-def _quat_conjugate(q: np.ndarray) -> np.ndarray:
+def quat_conjugate(q: np.ndarray) -> np.ndarray:
     out = np.array(q, dtype=float, copy=True)
     out[..., 1:] *= -1.0
     return out
@@ -124,10 +124,10 @@ class Rotation:
         return np.array([self.w, self.x, self.y, self.z])
 
     def __matmul__(self, other: "Rotation") -> "Rotation":
-        return Rotation.from_quaternion(_quat_multiply(self.quaternion, other.quaternion))
+        return Rotation.from_quaternion(quat_multiply(self.quaternion, other.quaternion))
 
     def inverse(self) -> "Rotation":
-        return Rotation.from_quaternion(_quat_conjugate(self.quaternion), normalize=False)
+        return Rotation.from_quaternion(quat_conjugate(self.quaternion), normalize=False)
 
     def euler_zyz(self) -> tuple[float, float, float]:
         alpha, beta, gamma = euler_zyz_from_quaternion(self.quaternion)
@@ -188,13 +188,9 @@ def conjugated_z_rotation(q_g: np.ndarray, theta) -> np.ndarray:
     """Quaternion(s) of U_g R_z(theta) U_g^-1, the z-rotation dragged by g."""
     qz = z_rotation_quaternion(theta)
     qz = np.broadcast_to(qz, np.broadcast_shapes(q_g.shape, qz.shape))
-    return _quat_multiply(_quat_multiply(q_g, qz), _quat_conjugate(np.broadcast_to(q_g, qz.shape)))
+    return quat_multiply(quat_multiply(q_g, qz), quat_conjugate(np.broadcast_to(q_g, qz.shape)))
 
 
 def relative_rotation_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """SO(3) angle of p^-1 q, batched."""
-    return rotation_angle(_quat_multiply(_quat_conjugate(p), q))
-
-
-quat_multiply = _quat_multiply
-quat_conjugate = _quat_conjugate
+    return rotation_angle(quat_multiply(quat_conjugate(p), q))

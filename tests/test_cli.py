@@ -78,6 +78,13 @@ def test_thermal_rows(tmp_path):
     assert float(rows[0]["advantage"]) < 0 < float(rows[1]["advantage"])
 
 
+def test_thermal_without_advantage_reports_inf(tmp_path):
+    # j = 1 at theta = pi: no finite gamma beats the benchmark
+    out = tmp_path / "thermal.csv"
+    assert run_cli(["thermal", "--two-j", "2", "--theta", "1.0", "--out", str(out)]) == 0
+    assert {r["gamma_star"] for r in _read_csv(out)} == {"inf"}
+
+
 def test_spin_k_rows(tmp_path):
     out = tmp_path / "spink.csv"
     run_cli(["spin-k", "--two-j", "400", "--two-k", "2", "--theta", "1.0",

@@ -1,14 +1,15 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spinlearn import optimal
 from spinlearn.channels import entanglement_fidelity
-from spinlearn.heisenberg import heisenberg_unitary
+from spinlearn.heisenberg import _golden_minimize, f_angle, heisenberg_unitary
 from spinlearn.memory import (
     MemoryDistribution,
     complementary_step,
@@ -311,3 +312,141 @@ def test_spin_zero_memory_rejected_by_kernel():
         step_kernel(0, math.pi)
     with pytest.raises(InvalidQuantumNumbersError, match="two_j"):
         recycled_fidelity(0, math.pi, 3)
+
+
+@pytest.mark.parametrize("two_j,theta", [(1, math.pi), (2, math.pi), (3, 0.0), (20, 0.0),
+                                         (1000, 0.0)])
+def test_thermal_threshold_reports_no_advantage(two_j, theta):
+    # not even the aligned (zero-temperature) memory beats the benchmark here
+    assert thermal_fidelity(two_j, theta, 50.0) <= mo_average_fidelity(two_j, theta)
+    assert thermal_advantage_threshold(two_j, theta) == math.inf
+
+
+def test_thermal_threshold_beyond_gamma_eight():
+    # 2j = 1 just below the angle where the aligned memory stops beating the
+    # benchmark: the threshold lies past the initial bracket [1e-3, 8]
+    theta = 2.50423643
+    gamma_star = thermal_advantage_threshold(1, theta)
+    assert 8.0 < gamma_star < math.inf
+    fm = mo_average_fidelity(1, theta)
+    assert thermal_fidelity(1, theta, 0.99 * gamma_star) < fm
+    assert thermal_fidelity(1, theta, 1.01 * gamma_star) > fm
+
+
+@pytest.mark.parametrize("two_j,n", [(20, 300), (40, 400)])
+def test_tricomi_overflow_is_a_domain_error(two_j, n):
+    with pytest.raises(ValueError, match=f"n={n}"):
+        tricomi_distribution(two_j, math.pi, n)
+
+
+# --- moment closure against the population chain (test oracle) --------------
+
+def _fidelity_vector(two_j, theta, f=None):
+    """Per-m average fidelity from the gate amplitudes u+- (m descending)."""
+    angle = f_angle(two_j, theta) if f is None else f
+    j = two_j / 2.0
+    m = np.arange(two_j, -two_j - 1, -2) / 2.0
+    e = np.exp(-1j * angle)
+    u_plus = (e * (j + m + 1.0) + (j - m)) / (two_j + 1.0)
+    u_minus = (e * (j - m + 1.0) + (j + m)) / (two_j + 1.0)
+    cross = np.exp(1j * theta) * u_plus * np.conj(u_minus)
+    fe = 0.25 * (np.abs(u_plus) ** 2 + np.abs(u_minus) ** 2 + 2.0 * cross.real)
+    return (2.0 * fe + 1.0) / 3.0
+
+
+def _step_with_factor(two_j, factor, w):
+    """One kernel step with the exact structure and interaction factor ``factor``."""
+    j = two_j / 2.0
+    m = np.arange(two_j, -two_j - 1, -2) / 2.0
+    down = (j + m) * (1.0 + j - m) / (1.0 + 2.0 * j) ** 2 * factor
+    up = (j - m) * (1.0 + j + m) / (1.0 + 2.0 * j) ** 2 * factor
+    out = (1.0 - down - up) * w
+    out[1:] += (down * w)[:-1]
+    out[:-1] += (up * w)[1:]
+    return out
+
+
+def _chain_fidelities(two_j, theta, n_uses, reoptimize=False):
+    """Recycled fidelity by pushing the populations through the kernel: the
+    ``expanded`` kernel, or the factor 1 - cos f_t of the re-tuned angle."""
+    w = point_mass(two_j, two_j).weights
+    fvec = _fidelity_vector(two_j, theta)
+    base = f_angle(two_j, theta)
+    out = np.empty(n_uses)
+    for t in range(n_uses):
+        if reoptimize:
+            f_t, loss = _golden_minimize(lambda f: -(w @ _fidelity_vector(two_j, theta, f)),
+                                         base - 0.5, base + 0.5, tol=1e-9)
+            out[t] = -loss
+            w = _step_with_factor(two_j, 1.0 - math.cos(f_t), w)
+        else:
+            out[t] = w @ fvec
+            w = complementary_step(two_j, theta, MemoryDistribution(two_j, w)).weights
+    return out
+
+
+def _chain_uses_before(seq, fails, level):
+    hit = np.flatnonzero(fails(seq, level))
+    return (int(hit[0]), False) if hit.size else (len(seq), True)
+
+
+spins_upto_200 = st.integers(min_value=1, max_value=200)
+angles = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
+
+
+@given(spins_upto_200, angles)
+def test_fidelity_given_m_equals_amplitude_form(two_j, theta):
+    got = [fidelity_given_m(two_j, two_m, theta) for two_m in range(two_j, -two_j - 1, -2)]
+    np.testing.assert_allclose(got, _fidelity_vector(two_j, theta), rtol=0, atol=1e-14)
+
+
+@given(spins_upto_200, angles, st.integers(min_value=1, max_value=60))
+def test_recycled_fidelity_equals_chain(two_j, theta, n_uses):
+    np.testing.assert_allclose(recycled_fidelity(two_j, theta, n_uses),
+                               _chain_fidelities(two_j, theta, n_uses), rtol=1e-12, atol=1e-12)
+
+
+@given(spins_upto_200, angles, st.integers(min_value=1, max_value=12))
+def test_reoptimized_schedule_equals_chain(two_j, theta, n_uses):
+    # the golden search stops at 1e-9 in f, so the schedules agree to 1e-8
+    np.testing.assert_allclose(recycled_fidelity(two_j, theta, n_uses, reoptimize_f=True),
+                               _chain_fidelities(two_j, theta, n_uses, reoptimize=True),
+                               rtol=0, atol=1e-8)
+
+
+@given(spins_upto_200, angles, st.integers(min_value=0, max_value=120),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_persistence_and_longevity_equal_chain(two_j, theta, t_max, frac):
+    seq = _chain_fidelities(two_j, theta, max(t_max, 1))[:t_max]
+    benchmark = mo_average_fidelity(two_j, theta)
+    threshold = float(seq.min() + frac * np.ptp(seq)) if t_max else 0.5
+    assume(1.0 / 3.0 < threshold < 1.0)
+    assume(np.all(np.abs(seq - benchmark) > 1e-10) and np.all(np.abs(seq - threshold) > 1e-10))
+    rep = persistence(two_j, theta, t_max=t_max)
+    assert (rep.steps, rep.capped) == _chain_uses_before(seq, np.less_equal, benchmark)
+    assert longevity(two_j, theta, threshold, t_max=t_max) == \
+        _chain_uses_before(seq, np.less, threshold)[0]
+
+
+def test_longevity_scan_beyond_first_chunk_equals_chain():
+    # default cap 8070 uses: the scan goes past its first chunk of 4096
+    two_j, theta = 6, 0.3
+    cap = longevity(two_j, theta, 0.9)
+    seq = _chain_fidelities(two_j, theta, cap)
+    assert cap > 4096 and _chain_uses_before(seq, np.less, 0.9) == (cap, True)
+    threshold = 0.5 * (seq[5000] + seq[5001])
+    assert longevity(two_j, theta, threshold) == _chain_uses_before(seq, np.less, threshold)[0]
+
+
+def test_longevity_never_crossing_returns_cap_quickly():
+    start = time.perf_counter()
+    assert longevity(10, 0.0, 0.9) == 1_000_000_010  # idle kernel: the fidelity is constant
+    assert longevity(400, 0.5, 0.9) == int(10 * 400**2 / (1.0 - math.cos(0.5))) + 10
+    assert time.perf_counter() - start < 1.0
+
+
+@given(spins_upto_200, angles, st.floats(min_value=0.01, max_value=20.0))
+def test_thermal_fidelity_is_weights_times_fidelity_given_m(two_j, theta, gamma):
+    weights = thermal_state(two_j, gamma).weights
+    per_m = [fidelity_given_m(two_j, two_m, theta) for two_m in range(two_j, -two_j - 1, -2)]
+    assert thermal_fidelity(two_j, theta, gamma) == pytest.approx(float(weights @ per_m), abs=1e-12)
