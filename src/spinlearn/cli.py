@@ -41,8 +41,8 @@ class SweepConfig:
     def validate(self) -> None:
         if not self.two_j_list or not self.thetas:
             raise ValueError("empty parameter grid")
-        if any(tj < 0 for tj in self.two_j_list):
-            raise ValueError("two_j must be non-negative")
+        if any(tj < 1 for tj in self.two_j_list):
+            raise ValueError("two_j must be at least 1: a spin-0 memory carries no direction")
         if any(not (0.0 <= th < 2.0 * math.pi + 1e-12) for th in self.thetas):
             raise ValueError("theta must lie in [0, 2*pi)")
         if self.problem not in (1, 2):
@@ -61,6 +61,12 @@ def _fmt_value(x) -> str:
     return str(x)
 
 
+def _json_value(x):
+    """Non-finite floats as the strings the CSV writer prints ("inf", "-inf",
+    "nan"): strict JSON has no literal for them."""
+    return _fmt_value(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def write_rows(rows: list[dict], fmt: str, out: str | None) -> None:
     """Emit rows in deterministic order as CSV or JSON."""
     if not rows:
@@ -72,7 +78,7 @@ def write_rows(rows: list[dict], fmt: str, out: str | None) -> None:
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         clean = [
-            {f: (float(format(v, ".12g")) if isinstance(v, float) else
+            {f: (_json_value(float(format(v, ".12g"))) if isinstance(v, float) else
                  (int(v) if isinstance(v, (int, np.integer)) and not isinstance(v, bool) else v))
              for f, v in r.items()}
             for r in rows
@@ -319,7 +325,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "n_samples": args.n_samples,
             "all_pass": all_pass,
-            "checks": checks,
+            "checks": [{k: _json_value(v) for k, v in c.items()} for c in checks],
         }
         text = json.dumps(report, indent=2, default=float) + "\n"
         if args.out is None:

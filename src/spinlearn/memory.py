@@ -94,10 +94,19 @@ def step_kernel(two_j: int, theta: float, kind: str = "expanded"
 
 
 def _expanded_factor(two_j: int, theta: float) -> float:
-    """Factor 1 - cos f(theta) of the ``expanded`` kernel, to first order in 1/(2j)."""
+    """Factor 1 - cos f(theta) of the ``expanded`` kernel, to first order in 1/(2j).
+
+    It equals (1 - cos theta)(1 - (1 + cos theta)/(2j)), negative only at 2j = 1
+    with cos theta > 0, where the kernel would have negative rates: rejected.
+    """
     if check_two_j(two_j) == 0:
         raise InvalidQuantumNumbersError(f"two_j={two_j}: a recycling kernel needs two_j >= 1")
-    return 1.0 - math.cos(theta) - math.sin(theta) ** 2 / two_j
+    cos = math.cos(theta)
+    if two_j - 1.0 < cos < 1.0:
+        raise InvalidQuantumNumbersError(
+            f"two_j={two_j}, theta={theta}: the expanded recycling kernel has negative rates "
+            "(cos theta > 0 at two_j = 1)")
+    return 1.0 - cos - math.sin(theta) ** 2 / two_j
 
 
 def _moments(two_j: int, factor: float, steps, mean_m, mean_m2):

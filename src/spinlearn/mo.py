@@ -110,10 +110,13 @@ def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeRep
 
     For j != 1 both problems share the covariant strategy at probe m = j.
     For j = 1, problem 2 switches to the m = 0 probe with a fixed pi flip
-    when theta is within the computed threshold of pi.
+    when theta is within the computed threshold of pi.  Needs two_j >= 1.
     """
     if problem not in (1, 2):
         raise ValueError("problem must be 1 or 2")
+    if spins.check_two_j(two_j) < 1:
+        raise spins.InvalidQuantumNumbersError(
+            f"two_j={two_j}: a spin-0 memory carries no direction")
     theta = float(theta) % (2.0 * math.pi)
     if two_j == 2 and problem == 2 and abs(theta - math.pi) <= j1_mo_threshold():
         return RegimeReport(problem=problem, regime="mo_j1_anomalous", optimal_two_m=0,
@@ -194,42 +197,50 @@ def _cos_beta_quantiles(two_j: int, two_m: int, xi_two_n: int, u: np.ndarray) ->
     return out
 
 
+def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
+                        theta_prime: float, two_k: int, rng: np.random.Generator, n: int,
+                        q_g: np.ndarray | None = None) -> np.ndarray:
+    """Per-sample entanglement fidelity of the measure-and-operate process.
+
+    Draws the training rotation g Haar-uniformly (unless ``q_g`` is given)
+    and the measurement outcome g.h from the covariant POVM density, then
+    scores the conditional rotation by theta' about the estimated axis
+    against the target rotation by theta on a spin-k target: the fidelity
+    |tr(V'^dag V)|^2 / (2k+1)^2 is the squared rotation character of their
+    relative angle.  No closed-form overlap enters; this is the independent
+    check on mo_element_fidelity.
+    """
+    if two_k < 1:
+        raise ValueError("target must be at least a qubit (two_k >= 1)")
+    if n < 1:
+        raise ValueError("n_samples must be positive")
+    check_valid_m(two_j, two_m)
+    check_valid_m(two_j, xi_two_n)
+    if q_g is None:
+        q_g = rotations.haar_quaternions(rng, n)
+    q_ghat = rotations.quat_multiply(q_g, _povm_outcome_offsets(two_j, two_m, xi_two_n, n, rng))
+    v_target = rotations.conjugated_z_rotation(q_g, theta)
+    v_cond = rotations.conjugated_z_rotation(q_ghat, theta_prime)
+    tau = rotations.relative_rotation_angle(v_cond, v_target)
+    return _character_ratio(two_k, tau) ** 2
+
+
+def _average_estimate(fe_samples: np.ndarray, two_k: int) -> FidelityEstimate:
+    """Average-fidelity estimate (d F_e + 1)/(d + 1) from entanglement-fidelity samples."""
+    n = len(fe_samples)
+    d = two_k + 1
+    std = float(np.std(fe_samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return FidelityEstimate(
+        value=min(average_from_entanglement(float(np.mean(fe_samples)), d), 1.0),
+        std_error=d / (d + 1.0) * std, n_samples=n)
+
+
 def mo_mc_oracle(two_j: int, params: MOParams, theta: float, n_samples: int,
                  rng) -> FidelityEstimate:
-    """Monte-Carlo estimate of the covariant MO average fidelity.
-
-    Samples the training rotation Haar-uniformly and the measurement outcome
-    from the covariant POVM density, then scores the conditional rotation
-    against the target through the entangled-state overlap.  No closed-form
-    overlap enters; this is the independent check on mo_element_fidelity.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    rng = np.random.default_rng(rng)
-    check_valid_m(two_j, params.two_m)
-    check_valid_m(two_j, params.xi_two_n)
-    q_g = rotations.haar_quaternions(rng, n_samples)
-    q_h = _povm_outcome_offsets(two_j, params.two_m, params.xi_two_n, n_samples, rng)
-    q_ghat = rotations.quat_multiply(q_g, q_h)
-    v_target = rotations.conjugated_z_rotation(q_g, theta)
-    v_cond = rotations.conjugated_z_rotation(q_ghat, params.theta_prime)
-    tau = rotations.relative_rotation_angle(v_cond, v_target)
-    fe_samples = np.cos(tau / 2.0) ** 2
-    mean = float(np.mean(fe_samples))
-    std = float(np.std(fe_samples, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return FidelityEstimate(value=min(average_from_entanglement(mean, 2), 1.0),
-                            std_error=(2.0 / 3.0) * std, n_samples=n_samples)
-
-
-def sample_coherent_povm_outcomes(two_j: int, rng: np.random.Generator,
-                                  q_g: np.ndarray) -> np.ndarray:
-    """Exact outcome sampling for the coherent-state POVM given true rotations.
-
-    The outcome is g. h with h drawn from the POVM density: uniform axial
-    angles and cos^2(beta/2) distributed as W^(1/(2j+1)) for uniform W.
-    """
-    return rotations.quat_multiply(
-        q_g, _povm_outcome_offsets(two_j, two_j, two_j, q_g.shape[0], rng))
+    """Monte-Carlo estimate of the covariant MO average fidelity (qubit target)."""
+    fe = mo_fidelity_samples(two_j, params.two_m, params.xi_two_n, theta, params.theta_prime,
+                             1, np.random.default_rng(rng), n_samples)
+    return _average_estimate(fe, 1)
 
 
 def _character_ratio(two_k: int, tau: np.ndarray) -> np.ndarray:
@@ -254,29 +265,12 @@ def spin_k_mo_fidelity(two_j: int, two_k: int, theta: float, n_samples: int,
                        rng) -> tuple[FidelityEstimate, float]:
     """Monte-Carlo spin-k MO fidelity and the leading-order asymptote.
 
-    Strategy: coherent-state POVM on the memory, then rotate the spin-k
-    target by theta about the estimated axis.  The per-outcome entanglement
-    fidelity is |tr(V'^dag V)|^2 / (2k+1)^2, evaluated through the rotation
-    character.
+    Strategy: coherent-state POVM on the memory (m = n = j), then rotate the
+    spin-k target by theta about the estimated axis.
     """
-    if two_k < 1:
-        raise ValueError("target must be at least a qubit (two_k >= 1)")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    rng = np.random.default_rng(rng)
-    q_g = rotations.haar_quaternions(rng, n_samples)
-    q_ghat = sample_coherent_povm_outcomes(two_j, rng, q_g)
-    v_target = rotations.conjugated_z_rotation(q_g, theta)
-    v_cond = rotations.conjugated_z_rotation(q_ghat, theta)
-    tau = rotations.relative_rotation_angle(v_cond, v_target)
-    fe_samples = _character_ratio(two_k, tau) ** 2
-    mean = float(np.mean(fe_samples))
-    std = float(np.std(fe_samples, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    d = two_k + 1
-    scale = d / (d + 1.0)
-    est = FidelityEstimate(value=min(average_from_entanglement(mean, d), 1.0),
-                           std_error=scale * std, n_samples=n_samples)
-    return est, spin_k_mo_asymptote(two_j, two_k, theta)
+    fe = mo_fidelity_samples(two_j, two_j, two_j, theta, theta, two_k,
+                             np.random.default_rng(rng), n_samples)
+    return _average_estimate(fe, two_k), spin_k_mo_asymptote(two_j, two_k, theta)
 
 
 def bell_basis() -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Each strategy is simulated as an explicit physical process (unitary plus
 partial trace, or measurement plus conditional operation) on Haar-random
-training rotations and Fubini-Study-random target states.  No closed-form
+training rotations and Fubini-Study-random target states.  The
+measure-and-operate strategy applies a unitary given its sampled outcome, so
+each of its samples is scored by the exact state average (2 F_e + 1)/3 of
+``mo.mo_fidelity_samples`` and draws no target state.  No closed-form
 fidelity enters anywhere, so these estimates independently validate the
 analytic results.
 
@@ -95,21 +98,6 @@ def _kraus_samples(kraus: np.ndarray, two_j: int, two_m: int, theta: float,
     return _conditional_fidelity_channel_output(out, target)
 
 
-def _mo_samples(strategy: MOStrategy, theta: float, rng: np.random.Generator,
-                n: int, q_g: np.ndarray | None = None) -> np.ndarray:
-    two_j = strategy.two_j
-    if q_g is None:
-        q_g = rotations.haar_quaternions(rng, n)
-    psi = sample_pure_states(rng, n, 2)
-    q_h = mo._povm_outcome_offsets(two_j, strategy.two_m, strategy.xi_two_n, n, rng)
-    q_ghat = rotations.quat_multiply(q_g, q_h)
-    v_cond = rotations.su2_from_quaternion(
-        rotations.conjugated_z_rotation(q_ghat, strategy.theta_prime))
-    out = np.einsum("nij,nj->ni", v_cond, psi)
-    target = _target_states_qubit(q_g, theta, psi)
-    return np.abs(np.einsum("ni,ni->n", out, target.conj())) ** 2
-
-
 def _unot_mixture_samples(strategy: UNotMixture, theta: float,
                           rng: np.random.Generator, n: int,
                           q_g: np.ndarray | None = None) -> np.ndarray:
@@ -145,23 +133,6 @@ def _unot_mixture_samples(strategy: UNotMixture, theta: float,
     return fid
 
 
-def _discrete_xyz_samples(theta: float, rng: np.random.Generator, n: int,
-                          q_g: np.ndarray | None = None) -> np.ndarray:
-    if q_g is None:
-        q_g = rotations.haar_quaternions(rng, n)
-    psi = sample_pure_states(rng, n, 2)
-    probe = spins.rotated_basis_states_batch(2, q_g, 0)
-    target = _target_states_qubit(q_g, theta, psi)
-    fid = np.zeros(n)
-    for axis, state in optimal.discrete_xyz_projectors():
-        prob = np.abs(probe @ state.conj()) ** 2
-        flip = -1j * (axis[0] * optimal.PAULI["x"] + axis[1] * optimal.PAULI["y"]
-                      + axis[2] * optimal.PAULI["z"])
-        out = psi @ flip.T
-        fid += prob * np.abs(np.einsum("ni,ni->n", target.conj(), out)) ** 2
-    return fid
-
-
 def _exact_target_samples(strategy: ExactTarget, theta: float,
                           rng: np.random.Generator, n: int) -> np.ndarray:
     q_g = rotations.haar_quaternions(rng, n)
@@ -193,12 +164,16 @@ def _strategy_samples(strategy: StrategyDescriptor, theta: float,
         channel = optimal.case_choi_channel(strategy)
         kraus = np.stack(channel.kraus)
         return _kraus_samples(kraus, strategy.two_j, strategy.two_m, theta, rng, n, q_g=q_g)
+    if isinstance(strategy, DiscreteXYZ):
+        kraus = np.stack(optimal.discrete_xyz_channel().kraus)
+        return _kraus_samples(kraus, 2, 0, theta, rng, n, q_g=q_g)
     if isinstance(strategy, MOStrategy):
-        return _mo_samples(strategy, theta, rng, n, q_g=q_g)
+        # the conditional operation is unitary: its exact state average is (2 F_e + 1)/3
+        fe = mo.mo_fidelity_samples(strategy.two_j, strategy.two_m, strategy.xi_two_n, theta,
+                                    strategy.theta_prime, 1, rng, n, q_g=q_g)
+        return (2.0 * fe + 1.0) / 3.0
     if isinstance(strategy, UNotMixture):
         return _unot_mixture_samples(strategy, theta, rng, n, q_g=q_g)
-    if isinstance(strategy, DiscreteXYZ):
-        return _discrete_xyz_samples(theta, rng, n, q_g=q_g)
     raise TypeError(f"unknown strategy {strategy!r}")
 
 

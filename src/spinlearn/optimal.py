@@ -399,10 +399,14 @@ def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport
     """Optimal average fidelity with a quantum memory, with regime dispatch.
 
     Problem 1 fixes the probe to the aligned coherent state; problem 2 also
-    optimizes the probe.  They differ only for j = 1 near theta = pi.
+    optimizes the probe.  They differ only for j = 1 near theta = pi.  Needs
+    two_j >= 1.
     """
     if problem not in (1, 2):
         raise ValueError("problem must be 1 or 2")
+    if spins.check_two_j(two_j) < 1:
+        raise spins.InvalidQuantumNumbersError(
+            f"two_j={two_j}: a spin-0 memory carries no direction")
     theta = float(theta) % (2.0 * math.pi)
     dist = abs(theta - math.pi)
 

@@ -148,3 +148,40 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "0.708333333333" in proc.stdout
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_non_finite_floats_as_csv_strings(tmp_path):
+    # no finite gamma gives an advantage at 2j = 2, theta = pi: gamma* = inf
+    out = tmp_path / "thermal.json"
+    assert run_cli(["thermal", "--two-j", "2", "--theta", "1.0", "--format", "json",
+                    "--out", str(out)]) == 0
+    rows = _strict_json(open(out).read())
+    assert rows and all(r["gamma_star"] == "inf" for r in rows)
+    assert all(isinstance(r["f_thermal"], float) for r in rows)
+
+
+def test_verify_json_writes_non_finite_floats_as_strings(tmp_path):
+    # one sample per check: zero standard error, so every n_sigma is infinite
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify", "--n-samples", "1", "--seed", "0", "--out", str(out)]) == 1
+    report = _strict_json(open(out).read())
+    assert report["all_pass"] is False
+    assert all(c["n_sigma"] == "inf" and c["pass"] is False for c in report["checks"])
+
+
+def test_recycle_with_negative_kernel_rates_exits_two(capsys):
+    # the expanded kernel at 2j = 1 has negative rates where cos(theta) > 0
+    assert run_cli(["recycle", "--two-j", "1", "--theta", "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert "two_j=1" in err and "theta=" in err
+
+
+def test_spin_zero_memory_exits_two(capsys):
+    assert run_cli(["benchmark", "--two-j", "0", "--theta", "1.0"]) == 2
+    assert "two_j" in capsys.readouterr().err

@@ -307,6 +307,23 @@ def test_persistence_at_zero_angle_has_infinite_asymptote(theta):
     assert 0 <= rep.steps <= 100
 
 
+@pytest.mark.parametrize("theta", [1.0, 0.3, 5.5, 1.5])
+def test_negative_expanded_rates_rejected_at_spin_half(theta):
+    # at 2j = 1 the expanded factor is -(1 - cos theta) cos theta < 0 for cos theta > 0;
+    # the chain grew without bound (recycled_fidelity(1, 1.0, 300) reached 1.4e14)
+    _assert_negative_rates_rejected(
+        1, theta, lambda: recycled_fidelity(1, theta, 300), lambda: step_kernel(1, theta),
+        lambda: persistence(1, theta), lambda: longevity(1, theta, 0.9))
+
+
+@pytest.mark.parametrize("theta", [0.0, 2 * math.pi, 2.0, math.pi, 4.5])
+def test_spin_half_recycling_where_rates_are_non_negative(theta):
+    seq = recycled_fidelity(1, theta, 50)
+    assert np.all((seq >= 1.0 / 3.0 - 1e-12) & (seq <= 1.0 + 1e-12))
+    assert np.all(np.diff(seq) <= 1e-12)  # recycling never helps
+    np.testing.assert_allclose(seq, _chain_fidelities(1, theta, 50), rtol=0, atol=1e-12)
+
+
 def test_spin_zero_memory_rejected_by_kernel():
     with pytest.raises(InvalidQuantumNumbersError, match="two_j"):
         step_kernel(0, math.pi)
@@ -400,8 +417,24 @@ def test_fidelity_given_m_equals_amplitude_form(two_j, theta):
     np.testing.assert_allclose(got, _fidelity_vector(two_j, theta), rtol=0, atol=1e-14)
 
 
+def _negative_expanded_rates(two_j, theta):
+    """The expanded factor (1 - cos)(1 - (1 + cos)/2j) is negative: 2j = 1, cos > 0."""
+    return two_j - 1.0 < math.cos(theta) < 1.0
+
+
+def _assert_negative_rates_rejected(two_j, theta, *calls):
+    for call in calls:
+        with pytest.raises(InvalidQuantumNumbersError, match=f"two_j={two_j}, theta="):
+            call()
+
+
 @given(spins_upto_200, angles, st.integers(min_value=1, max_value=60))
 def test_recycled_fidelity_equals_chain(two_j, theta, n_uses):
+    if _negative_expanded_rates(two_j, theta):
+        _assert_negative_rates_rejected(
+            two_j, theta, lambda: recycled_fidelity(two_j, theta, n_uses),
+            lambda: _chain_fidelities(two_j, theta, n_uses))
+        return
     np.testing.assert_allclose(recycled_fidelity(two_j, theta, n_uses),
                                _chain_fidelities(two_j, theta, n_uses), rtol=1e-12, atol=1e-12)
 
@@ -417,6 +450,12 @@ def test_reoptimized_schedule_equals_chain(two_j, theta, n_uses):
 @given(spins_upto_200, angles, st.integers(min_value=0, max_value=120),
        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
 def test_persistence_and_longevity_equal_chain(two_j, theta, t_max, frac):
+    if _negative_expanded_rates(two_j, theta):
+        _assert_negative_rates_rejected(
+            two_j, theta, lambda: persistence(two_j, theta, t_max=t_max),
+            lambda: longevity(two_j, theta, 0.5, t_max=t_max),
+            lambda: _chain_fidelities(two_j, theta, max(t_max, 1)))
+        return
     seq = _chain_fidelities(two_j, theta, max(t_max, 1))[:t_max]
     benchmark = mo_average_fidelity(two_j, theta)
     threshold = float(seq.min() + frac * np.ptp(seq)) if t_max else 0.5

@@ -7,21 +7,22 @@ from spinlearn import channels, spins
 from spinlearn.channels import average_from_entanglement, choi_from_kraus
 from spinlearn.mo import (
     MOParams,
+    _povm_outcome_offsets,
     anomalous_mo_fidelity,
     gamma_weights,
     j1_mo_threshold,
     mo_average_fidelity,
     mo_element_fidelity,
+    mo_fidelity_samples,
     mo_fopt_formula,
     mo_mc_oracle,
     mo_optimal_fidelity,
     optimal_theta_prime,
-    sample_coherent_povm_outcomes,
     spin_k_mo_asymptote,
     spin_k_mo_fidelity,
     unital_bell_reality_check,
 )
-from spinlearn.rotations import haar_quaternions, quat_conjugate, quat_multiply
+from spinlearn.rotations import haar_quaternions
 from spinlearn.spins import InvalidQuantumNumbersError
 
 
@@ -161,9 +162,7 @@ def test_coherent_povm_outcome_sampler_matches_density():
     two_j = 5
     rng = np.random.default_rng(4)
     n = 200000
-    q_g = haar_quaternions(rng, n)
-    q_hat = sample_coherent_povm_outcomes(two_j, rng, q_g)
-    rel = quat_multiply(quat_conjugate(q_g), q_hat)
+    rel = _povm_outcome_offsets(two_j, two_j, two_j, n, rng)
     from spinlearn.rotations import euler_zyz_from_quaternion
 
     _, beta, _ = euler_zyz_from_quaternion(rel)
@@ -191,6 +190,46 @@ def test_spin_k_mo_against_quadrature():
 
     est, _ = spin_k_mo_fidelity(8, 2, math.pi, 100000, 21)
     assert est.n_sigma(spin_k_mo_quadrature(8, 2, math.pi)) < 4.0
+
+
+@pytest.mark.parametrize("two_j, theta", [(3, math.pi), (8, 2.0), (40, 1.0)])
+def test_mo_oracle_equals_spin_k_mo_at_qubit_target(two_j, theta):
+    # one sampler: the qubit oracle at m = n = j, theta' = theta is spin-k MO at 2k = 1
+    est = mo_mc_oracle(two_j, MOParams(two_j, two_j, theta), theta, 5000, 17)
+    est_k, _ = spin_k_mo_fidelity(two_j, 1, theta, 5000, 17)
+    assert est.value == est_k.value
+    assert est.std_error == est_k.std_error
+
+
+def test_character_ratio_at_qubit_target_is_cos_half_angle():
+    from spinlearn.mo import _character_ratio
+
+    tau = np.concatenate([np.linspace(0.0, 2 * math.pi, 1001), [1e-9, 2 * math.pi - 1e-9]])
+    np.testing.assert_allclose(_character_ratio(1, tau) ** 2, np.cos(tau / 2) ** 2,
+                               rtol=0, atol=1e-15)
+
+
+def test_mo_fidelity_samples_validation():
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidQuantumNumbersError):
+        mo_fidelity_samples(4, 3, 4, 1.0, 1.0, 1, rng, 10)
+    with pytest.raises(InvalidQuantumNumbersError):
+        mo_fidelity_samples(4, 4, 6, 1.0, 1.0, 1, rng, 10)
+    with pytest.raises(ValueError, match="n_samples"):
+        mo_fidelity_samples(4, 4, 4, 1.0, 1.0, 1, rng, 0)
+    with pytest.raises(ValueError, match="two_k"):
+        mo_fidelity_samples(4, 4, 4, 1.0, 1.0, 0, rng, 10)
+    fe = mo_fidelity_samples(4, 2, 0, 1.0, 0.5, 3, rng, 100)
+    assert fe.shape == (100,) and np.all((fe >= 0.0) & (fe <= 1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("problem", [1, 2])
+def test_spin_zero_memory_rejected_by_benchmark(problem):
+    # a spin-0 memory carries no direction: no benchmark to compare with
+    with pytest.raises(InvalidQuantumNumbersError, match="two_j=0"):
+        mo_optimal_fidelity(0, math.pi, problem)
+    with pytest.raises(InvalidQuantumNumbersError, match="two_j=0"):
+        mo_average_fidelity(0, 1.0, problem)
 
 
 def test_spin_k_mo_error_twice_quantum():
@@ -259,7 +298,6 @@ def test_anomalous_strategy_dominates_inside_window_only():
 def test_povm_polar_angle_law_matches_quadrature(two_j, two_m, xi_two_n):
     # beta must follow |d^j_{xi m}(beta)|^2 sin(beta); compare the first two
     # moments of cos(beta) with Gauss-Legendre quadrature in cos(beta)
-    from spinlearn.mo import _povm_outcome_offsets
     from spinlearn.rotations import euler_zyz_from_quaternion
 
     n = 40000

@@ -120,6 +120,21 @@ def test_covariance_of_per_rotation_fidelity(rng):
         assert est.n_sigma(expect) < 4.0
 
 
+@pytest.mark.parametrize("two_j, two_m, xi_two_n, theta", [(3, 3, 3, math.pi),
+                                                            (4, 2, 0, 2.0)])
+def test_covariance_of_per_rotation_mo_fidelity(rng, two_j, two_m, xi_two_n, theta):
+    # the MO strategy is covariant: at any fixed training rotation it attains
+    # the Haar-averaged closed form
+    tp = mo.optimal_theta_prime(two_j, theta)
+    strategy = MOStrategy(two_j=two_j, two_m=two_m, xi_two_n=xi_two_n, theta_prime=tp)
+    expect = average_from_entanglement(
+        mo.mo_element_fidelity(two_j, two_m, xi_two_n, theta, tp), 2)
+    for _ in range(3):
+        g = haar_rotation(rng)
+        est = per_rotation_fidelity(strategy, theta, g.quaternion, 50000, seed=14)
+        assert est.n_sigma(expect) < 4.0
+
+
 def test_partition_merge_is_bit_identical():
     a = mc_average_fidelity(HeisenbergStrategy(two_j=3), 2.0, 4096, seed=42, n_partitions=8)
     b = mc_average_fidelity(HeisenbergStrategy(two_j=3), 2.0, 4096, seed=42, n_partitions=8)

@@ -169,6 +169,15 @@ def test_optimal_fidelity_headline_values():
         assert optimal_average_fidelity(two_j, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("problem", [1, 2])
+def test_spin_zero_memory_rejected(problem):
+    # a spin-0 memory carries no direction (the case-1 formula gave 1/3 < F_MO = 5/9)
+    with pytest.raises(spins.InvalidQuantumNumbersError, match="two_j=0"):
+        optimal_fidelity(0, math.pi, problem)
+    with pytest.raises(spins.InvalidQuantumNumbersError, match="two_j=0"):
+        optimal_average_fidelity(0, 1.0, problem)
+
+
 def test_optimal_fidelity_regimes():
     # j = 1, problem 1 never leaves the stretched-probe branch
     rep = optimal_fidelity(2, math.pi, problem=1)

@@ -1,0 +1,34 @@
+"""The README's CLI commands print byte-for-byte what `tests/golden/*.out` holds.
+
+The goldens were captured before the Monte-Carlo samplers were consolidated;
+a refactor that changes any printed digit fails here.  `verify` is left out:
+its Monte-Carlo estimates are checked by their 4-sigma gates instead.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from spinlearn import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+README_COMMANDS = {
+    "optimal": ["optimal", "--two-j", "3", "--theta", "1.0"],
+    "benchmark": ["benchmark", "--two-j", "3", "--theta", "1.0"],
+    "recycle": ["recycle", "--two-j", "200", "--theta", "1.0", "--n-uses", "60"],
+    "thermal": ["thermal", "--two-j", "1000", "--theta", "1.0", "--gamma", "0.4", "0.7"],
+    "spin-k": ["spin-k", "--two-j", "400", "--two-k", "2", "3", "--theta", "1.0", "--seed", "5"],
+}
+
+
+def test_golden_commands_appear_in_readme():
+    readme = (GOLDEN.parents[1] / "README.md").read_text()
+    for argv in README_COMMANDS.values():
+        assert "spinlearn " + " ".join(argv) in readme
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_command_stdout_is_golden(name, capsys):
+    assert cli.main(README_COMMANDS[name]) == cli.EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()

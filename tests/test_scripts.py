@@ -40,3 +40,16 @@ def test_thermal_threshold_scan_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (row,) = _read_rows(out)
     assert float(row["gamma_star"]) == pytest.approx(0.5891923653710438, abs=1e-9)
+
+
+def test_benchmark_vs_spin_script(tmp_path):
+    out = tmp_path / "benchmark_vs_spin.csv"
+    proc = _run_script("benchmark_vs_spin.py", "--n-samples", "2000", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = _read_rows(out)
+    assert [int(r["two_j"]) for r in rows] == list(range(3, 21))
+    for r in rows:
+        for mc, closed in (("f_quantum_mc", "f_quantum"), ("f_mo_mc", "f_mo")):
+            err = float(r[mc + "_err"])
+            assert err > 0.0
+            assert abs(float(r[mc]) - float(r[closed])) < 4.0 * err, (r["two_j"], mc)
