@@ -7,12 +7,12 @@ element C[(i,a),(j,b)] equals <a| N(|i><j|) |b> for a channel N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-UNITARITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 CHOI_POSITIVITY_TOL = 1e-9
 TRACE_PRESERVATION_TOL = 1e-9
@@ -22,21 +22,12 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
-def is_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    d = a.shape[0]
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(d))) <= tol)
-
-
 def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
 
 
 def is_positive_semidefinite(a: np.ndarray, tol: float = POSITIVITY_TOL) -> bool:
     return is_hermitian(a, tol) and min_eigenvalue(a) >= -tol
-
-
-def is_density_matrix(rho: np.ndarray, tol: float = POSITIVITY_TOL) -> bool:
-    return is_positive_semidefinite(rho, tol) and abs(np.trace(rho) - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -56,6 +47,18 @@ class FidelityEstimate:
     @classmethod
     def exact(cls, value: float) -> "FidelityEstimate":
         return cls(value=float(value), std_error=0.0, n_samples=0)
+
+    @classmethod
+    def from_samples(cls, samples: np.ndarray) -> "FidelityEstimate":
+        """Sample mean (clipped at 1) with the standard error of the mean,
+        sqrt(sum (f - mean)^2 / (n - 1) / n); a single sample has zero error."""
+        n = len(samples)
+        if n < 1:
+            raise ValueError("n_samples must be positive")
+        mean = float(np.mean(samples))
+        m2 = float(np.sum((samples - mean) ** 2))
+        std = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+        return cls(value=min(mean, 1.0), std_error=std, n_samples=n)
 
     def n_sigma(self, reference: float) -> float:
         """|value - reference| in units of the standard error."""

@@ -276,7 +276,9 @@ def tricomi_distribution(two_j: int, theta: float, n: int) -> MemoryDistribution
             power *= inv_q
         t_terms.append(binom * fact * power)
     weights = np.zeros(dim(two_j))
-    for k in range(min(n, two_j) + 1):  # k = j - m
+    # largest k first: its sum is the shortest and the first to overflow when the
+    # weights blow up, so the error comes before the long sums at small k are spent
+    for k in reversed(range(min(n, two_j) + 1)):
         acc = Fraction(0)
         binom_ik = 1  # C(i, k) built up incrementally from i = k
         for i in range(k, n + 1):

@@ -227,12 +227,10 @@ def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
 
 def _average_estimate(fe_samples: np.ndarray, two_k: int) -> FidelityEstimate:
     """Average-fidelity estimate (d F_e + 1)/(d + 1) from entanglement-fidelity samples."""
-    n = len(fe_samples)
+    fe = FidelityEstimate.from_samples(fe_samples)
     d = two_k + 1
-    std = float(np.std(fe_samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return FidelityEstimate(
-        value=min(average_from_entanglement(float(np.mean(fe_samples)), d), 1.0),
-        std_error=d / (d + 1.0) * std, n_samples=n)
+    return FidelityEstimate(value=min(average_from_entanglement(fe.value, d), 1.0),
+                            std_error=d / (d + 1.0) * fe.std_error, n_samples=fe.n_samples)
 
 
 def mo_mc_oracle(two_j: int, params: MOParams, theta: float, n_samples: int,
@@ -271,6 +269,21 @@ def spin_k_mo_fidelity(two_j: int, two_k: int, theta: float, n_samples: int,
     fe = mo_fidelity_samples(two_j, two_j, two_j, theta, theta, two_k,
                              np.random.default_rng(rng), n_samples)
     return _average_estimate(fe, two_k), spin_k_mo_asymptote(two_j, two_k, theta)
+
+
+def spin_k_mo_quadrature(two_j: int, two_k: int, theta: float,
+                         grid: int = 20001) -> float:
+    """Quadrature reference for the spin-k MO fidelity (independent of the
+    Monte-Carlo sampler; the outcome-axis azimuth drops out exactly)."""
+    x = np.linspace(0.0, 1.0, grid)  # cos^2(beta/2) of the estimate offset
+    beta = 2.0 * np.arccos(np.sqrt(np.clip(x, 0.0, 1.0)))
+    density = (two_j + 1) * x**two_j
+    half = theta / 2.0
+    cos_tau_half = np.abs(math.cos(half) ** 2 + math.sin(half) ** 2 * np.cos(beta))
+    tau = 2.0 * np.arccos(np.clip(cos_tau_half, 0.0, 1.0))
+    fe = _character_ratio(two_k, tau) ** 2
+    val = np.trapezoid(fe * density, x)
+    return average_from_entanglement(float(val), two_k + 1)
 
 
 def bell_basis() -> np.ndarray:

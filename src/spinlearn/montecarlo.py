@@ -8,9 +8,6 @@ each of its samples is scored by the exact state average (2 F_e + 1)/3 of
 ``mo.mo_fidelity_samples`` and draws no target state.  No closed-form
 fidelity enters anywhere, so these estimates independently validate the
 analytic results.
-
-Samples may be partitioned into independently seeded sub-streams; the merged
-estimate is bit-identical for a fixed (seed, n_partitions) pair.
 """
 
 from __future__ import annotations
@@ -178,37 +175,17 @@ def _strategy_samples(strategy: StrategyDescriptor, theta: float,
 
 
 def mc_average_fidelity(strategy: StrategyDescriptor, theta: float, n_samples: int,
-                        seed, n_partitions: int = 1) -> FidelityEstimate:
+                        seed) -> FidelityEstimate:
     """Monte-Carlo estimate of the Haar- and state-averaged gate fidelity.
 
-    ``seed`` may be an integer or a numpy SeedSequence/Generator seed; the
-    samples are split evenly over ``n_partitions`` sub-streams and merged by
-    pooled sums, so a fixed (seed, n_partitions) is exactly reproducible.
+    ``seed`` may be an integer or a numpy SeedSequence; the samples are drawn
+    from its first spawned child, so a fixed seed is exactly reproducible.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if n_partitions < 1 or n_partitions > n_samples:
-        raise ValueError("invalid partition count")
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = seq.spawn(n_partitions)
-    counts = [n_samples // n_partitions] * n_partitions
-    for i in range(n_samples % n_partitions):
-        counts[i] += 1
-    # pooled mean and centered second moment, merged pairwise (Chan's update)
-    n_acc = 0
-    mean = 0.0
-    m2 = 0.0
-    for child, count in zip(children, counts):
-        f = _strategy_samples(strategy, theta, np.random.default_rng(child), count)
-        part_mean = float(np.mean(f))
-        part_m2 = float(np.sum((f - part_mean) ** 2))
-        delta = part_mean - mean
-        total = n_acc + count
-        m2 += part_m2 + delta * delta * n_acc * count / total
-        mean += delta * count / total
-        n_acc = total
-    std = math.sqrt(m2 / (n_samples - 1) / n_samples) if n_samples > 1 else 0.0
-    return FidelityEstimate(value=min(mean, 1.0), std_error=std, n_samples=n_samples)
+    rng = np.random.default_rng(seq.spawn(1)[0])
+    return FidelityEstimate.from_samples(_strategy_samples(strategy, theta, rng, n_samples))
 
 
 def per_rotation_fidelity(strategy: StrategyDescriptor, theta: float, g_quaternion,
@@ -216,7 +193,5 @@ def per_rotation_fidelity(strategy: StrategyDescriptor, theta: float, g_quaterni
     """State-averaged fidelity at one fixed training rotation (covariance probe)."""
     rng = np.random.default_rng(seed)
     q_g = np.broadcast_to(np.asarray(g_quaternion, dtype=float), (n_samples, 4)).copy()
-    f = _strategy_samples(strategy, theta, rng, n_samples, q_g=q_g)
-    mean = float(np.mean(f))
-    std = float(np.std(f, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return FidelityEstimate(value=min(mean, 1.0), std_error=std, n_samples=n_samples)
+    return FidelityEstimate.from_samples(_strategy_samples(strategy, theta, rng, n_samples,
+                                                           q_g=q_g))

@@ -36,6 +36,19 @@ def test_fidelity_estimate_bounds():
     assert est.n_samples == 0 and est.std_error == 0.0
 
 
+def test_fidelity_estimate_from_samples(rng):
+    f = rng.uniform(0.2, 0.9, 1000)
+    est = FidelityEstimate.from_samples(f)
+    assert est.n_samples == 1000
+    assert est.value == pytest.approx(float(np.mean(f)), abs=1e-15)
+    assert est.std_error == pytest.approx(float(np.std(f, ddof=1)) / math.sqrt(1000), rel=1e-12)
+    one = FidelityEstimate.from_samples(f[:1])
+    assert one.value == f[0] and one.std_error == 0.0
+    assert FidelityEstimate.from_samples(np.array([1.0 + 1e-12])).value == 1.0
+    with pytest.raises(ValueError, match="n_samples"):
+        FidelityEstimate.from_samples(np.array([]))
+
+
 def test_partial_trace_product_state(rng):
     rho = _random_state(rng, 3)
     sigma = _random_state(rng, 4)

@@ -175,6 +175,12 @@ def test_verify_json_writes_non_finite_floats_as_strings(tmp_path):
     assert all(c["n_sigma"] == "inf" and c["pass"] is False for c in report["checks"])
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_verify_without_samples_exits_two(n, capsys):
+    assert run_cli(["verify", "--n-samples", n]) == 2
+    assert capsys.readouterr().err == "error: n_samples must be positive\n"
+
+
 def test_recycle_with_negative_kernel_rates_exits_two(capsys):
     # the expanded kernel at 2j = 1 has negative rates where cos(theta) > 0
     assert run_cli(["recycle", "--two-j", "1", "--theta", "0.3"]) == 2

@@ -350,10 +350,13 @@ def test_thermal_threshold_beyond_gamma_eight():
     assert thermal_fidelity(1, theta, 1.01 * gamma_star) > fm
 
 
-@pytest.mark.parametrize("two_j,n", [(20, 300), (40, 400)])
+@pytest.mark.parametrize("two_j,n", [(20, 300), (40, 400), (400, 800)])
 def test_tricomi_overflow_is_a_domain_error(two_j, n):
+    start = time.perf_counter()
     with pytest.raises(ValueError, match=f"n={n}"):
         tricomi_distribution(two_j, math.pi, n)
+    # the overflowing top weight is met before the long sums at small k
+    assert time.perf_counter() - start < 3.0
 
 
 # --- moment closure against the population chain (test oracle) --------------

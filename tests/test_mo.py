@@ -186,7 +186,7 @@ def test_spin_k_mo_trivial_and_ratios():
 
 
 def test_spin_k_mo_against_quadrature():
-    from spinlearn.cli import spin_k_mo_quadrature
+    from spinlearn.mo import spin_k_mo_quadrature
 
     est, _ = spin_k_mo_fidelity(8, 2, math.pi, 100000, 21)
     assert est.n_sigma(spin_k_mo_quadrature(8, 2, math.pi)) < 4.0

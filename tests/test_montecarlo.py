@@ -135,14 +135,17 @@ def test_covariance_of_per_rotation_mo_fidelity(rng, two_j, two_m, xi_two_n, the
         assert est.n_sigma(expect) < 4.0
 
 
-def test_partition_merge_is_bit_identical():
-    a = mc_average_fidelity(HeisenbergStrategy(two_j=3), 2.0, 4096, seed=42, n_partitions=8)
-    b = mc_average_fidelity(HeisenbergStrategy(two_j=3), 2.0, 4096, seed=42, n_partitions=8)
-    assert a == b
-    c = mc_average_fidelity(HeisenbergStrategy(two_j=3), 2.0, 4096, seed=42, n_partitions=1)
-    assert c.n_sigma(a.value) < 5.0
-    with pytest.raises(ValueError):
-        mc_average_fidelity(HeisenbergStrategy(two_j=3), 2.0, 4, seed=0, n_partitions=9)
+def test_same_seed_gives_identical_estimate():
+    strategy = HeisenbergStrategy(two_j=3)
+    a = mc_average_fidelity(strategy, 2.0, 4096, seed=42)
+    assert a == mc_average_fidelity(strategy, 2.0, 4096, seed=42)
+    assert a.n_samples == 4096
+    g = [math.cos(0.4), 0.0, math.sin(0.4), 0.0]
+    b = per_rotation_fidelity(strategy, 2.0, g, 4096, seed=42)
+    assert b == per_rotation_fidelity(strategy, 2.0, g, 4096, seed=42)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_samples"):
+            mc_average_fidelity(strategy, 2.0, n, seed=0)
 
 
 def test_strategy_validation_errors():

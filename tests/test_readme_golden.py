@@ -1,8 +1,8 @@
 """The README's CLI commands print byte-for-byte what `tests/golden/*.out` holds.
 
-The goldens were captured before the Monte-Carlo samplers were consolidated;
-a refactor that changes any printed digit fails here.  `verify` is left out:
-its Monte-Carlo estimates are checked by their 4-sigma gates instead.
+A refactor that changes any printed digit fails here.  That includes
+`verify`: its estimates and standard errors are fixed by (n_samples, seed),
+so identical input gives an identical report.
 """
 
 from pathlib import Path
@@ -19,6 +19,7 @@ README_COMMANDS = {
     "recycle": ["recycle", "--two-j", "200", "--theta", "1.0", "--n-uses", "60"],
     "thermal": ["thermal", "--two-j", "1000", "--theta", "1.0", "--gamma", "0.4", "0.7"],
     "spin-k": ["spin-k", "--two-j", "400", "--two-k", "2", "3", "--theta", "1.0", "--seed", "5"],
+    "verify": ["verify", "--n-samples", "100000", "--seed", "7"],
 }
 
 
