@@ -166,7 +166,7 @@ def cmd_spin_k(args, thetas: list[float]) -> list[dict]:
                 f_asym = heisenberg.spin_k_fidelity(two_j, two_k, theta, "asymptotic")
                 est, mo_asym = mo.spin_k_mo_fidelity(
                     two_j, two_k, theta, args.n_samples, seed_seq.spawn(1)[0])
-                err_q = 1.0 - f_exact
+                err_q = 1.0 - f_exact  # 0/0 at the identity rotation: no ratio there
                 rows.append({
                     "two_j": two_j,
                     "two_k": two_k,
@@ -176,7 +176,9 @@ def cmd_spin_k(args, thetas: list[float]) -> list[dict]:
                     "f_mo_mc": est.value,
                     "f_mo_std_error": est.std_error,
                     "f_mo_asymptotic": mo_asym,
-                    "error_ratio_mo_quantum": (1.0 - est.value) / err_q if err_q > 0 else 0.0,
+                    "error_ratio_mo_quantum": ((1.0 - est.value) / err_q
+                                               if math.cos(theta) < 1.0 and err_q > 0
+                                               else math.nan),
                 })
     return rows
 
@@ -243,11 +245,13 @@ def _sweep_thetas(args) -> list[float]:
     """The sweep's angle grid in radians, after the spins and angles are checked."""
     if any(tj < 1 for tj in args.two_j):
         raise ValueError("two_j must be at least 1: a spin-0 memory carries no direction")
+    if args.theta_grid < 1:
+        raise ValueError("--theta-grid must be at least 1")
     if args.theta is not None:
         thetas = [args.theta * math.pi]
     else:
         thetas = list(np.linspace(args.theta_min * math.pi, args.theta_max * math.pi,
-                                  args.theta_grid or 50))
+                                  args.theta_grid))
     if any(not (0.0 <= th < 2.0 * math.pi + 1e-12) for th in thetas):
         raise ValueError("theta must lie in [0, 2*pi)")
     return thetas
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="spin as twice-j integers (one or more)")
         p.add_argument("--theta", type=float, default=None,
                        help="single angle in units of pi")
-        p.add_argument("--theta-grid", type=int, default=None,
+        p.add_argument("--theta-grid", type=int, default=50,
                        help="number of grid points over [theta-min, theta-max]")
         p.add_argument("--theta-min", type=float, default=0.0)
         p.add_argument("--theta-max", type=float, default=theta_default_max)

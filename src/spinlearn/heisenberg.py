@@ -236,19 +236,22 @@ def worst_case_fidelity(two_j: int, theta: float,
 
 
 def spin_k_entanglement_fidelity_exact(two_j: int, two_k: int, theta: float) -> float:
-    """Entanglement fidelity of the spin-k gate on the maximally entangled state."""
-    gate = heisenberg_unitary(two_j, two_k, theta)
-    dp, dk = dim(two_j), dim(two_k)
-    vec = np.zeros((dk, dp * dk), dtype=complex)  # reference index first
-    for r in range(dk):
-        v = np.zeros((dp, dk), dtype=complex)
-        v[0, r] = 1.0 / math.sqrt(dk)
-        vec[r] = v.reshape(-1)
-    out = gate.apply(vec).reshape(dk, dp, dk).transpose(1, 2, 0)  # (probe, target, ref)
-    mu = spins.m_values(two_k)
-    phi_theta = np.diag(np.exp(-1j * theta * mu)) / math.sqrt(dk)  # (target, ref)
-    overlaps = np.einsum("ptr,tr->p", out, phi_theta.conj())
-    return float(np.sum(np.abs(overlaps) ** 2))
+    """Entanglement fidelity of the spin-k gate on the maximally entangled state.
+
+    The gate conserves total M, so only the diagonal amplitudes
+    <j j; k mu|U|j j; k mu> = sum_T <j j; k mu|T, j+mu>^2 exp(-i a eps_T/(2j+1))
+    enter: F_e = |sum_mu exp(i theta mu) <j j; k mu|U|j j; k mu>|^2 / (2k+1)^2,
+    with a the gate's angle and eps_T the eigenvalue of 2 J.K on block T.
+    """
+    angle = heisenberg_unitary(two_j, two_k, theta).angle
+    two_ts = np.arange(abs(two_j - two_k), two_j + two_k + 1, 2)
+    total = 0j
+    for two_mu in two_m_values(two_k):
+        block = two_ts[two_ts >= abs(two_j + two_mu)]
+        cg2 = np.array([clebsch_gordan(two_j, two_j, two_k, two_mu, tt, two_j + two_mu) ** 2
+                        for tt in block])
+        total += np.exp(0.5j * theta * two_mu) * (cg2 @ _block_phases(two_j, two_k, block, angle))
+    return float(abs(total) ** 2) / dim(two_k) ** 2
 
 
 def spin_k_fidelity(two_j: int, two_k: int, theta: float, mode: str = "exact") -> float:
@@ -258,7 +261,7 @@ def spin_k_fidelity(two_j: int, two_k: int, theta: float, mode: str = "exact") -
     k = two_k / 2.0
     j = two_j / 2.0
     if mode == "exact":
-        fe = spin_k_entanglement_fidelity_exact(two_j, two_k, theta)
+        fe = min(spin_k_entanglement_fidelity_exact(two_j, two_k, theta), 1.0)
         return average_from_entanglement(fe, dim(two_k))
     if mode == "asymptotic":
         return 1.0 - k * (2.0 * k + 1.0) * (1.0 - math.cos(theta)) / (3.0 * j)

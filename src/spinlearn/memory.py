@@ -14,18 +14,19 @@ magnetic populations.  Three kernels are provided, as test oracles:
 
 The recycling routines iterate no kernel.  They use the moment closure: the
 fidelity from |j,m> is quadratic in m, and the first two moments of m close
-under the ``expanded`` and ``exact`` kernels, so each use costs O(1) at any j.
-(The ``leading`` kernel truncates at m = -j; its moments do not close.)
+under the ``expanded`` and ``exact`` kernels, so each use costs O(1) at any j,
+re-tuned interaction angle included (it maximizes a sinusoid in closed form).
+(The ``leading`` kernel truncates at m = -j, so its moments do not close;
+the alternating sum, evaluated in integers, gives its n-step distribution.)
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 import numpy as np
 
-from . import heisenberg, mo, optimal
+from . import heisenberg, mo
 from .channels import average_from_entanglement
 from .spins import InvalidQuantumNumbersError, check_two_j, check_valid_m, dim, two_m_values
 
@@ -177,20 +178,23 @@ def recycled_fidelity(two_j: int, theta: float, n_uses: int,
 
     ``reoptimize_f`` re-tunes the interaction angle for the current mixed
     memory at every step (excluded from the headline results; the fixed
-    schedule is asymptotically as good).
+    schedule is asymptotically as good).  The fidelity of a use is
+    P + Q cos f + R sin f in the angle f, so the re-tuned angle is
+    atan2(R, Q) = atan2((2j+1)<m> sin theta, j(j+1)(1 + cos theta) - <m^2>(1 - cos theta)),
+    which is f(theta) at the pure state.
     """
     if n_uses < 1:
         raise ValueError("n_uses must be positive")
     if not reoptimize_f:
         return _fixed_schedule(two_j, theta, np.arange(n_uses))
     out = np.empty(n_uses)
-    mean_m, mean_m2 = two_j / 2.0, two_j * two_j / 4.0
-    base = heisenberg.f_angle(two_j, theta)
+    j = two_j / 2.0
+    cos, sin = math.cos(theta), math.sin(theta)
+    mean_m, mean_m2 = j, j * j
     for t in range(n_uses):
-        f_t, loss = heisenberg._golden_minimize(
-            lambda f: -_fidelity_from_moments(two_j, theta, mean_m, mean_m2, f),
-            base - 0.5, base + 0.5, tol=1e-9)
-        out[t] = -loss
+        f_t = math.atan2((two_j + 1.0) * mean_m * sin,
+                         j * (j + 1.0) * (1.0 + cos) - mean_m2 * (1.0 - cos))
+        out[t] = _fidelity_from_moments(two_j, theta, mean_m, mean_m2, f_t)
         mean_m, mean_m2 = _moments(two_j, 1.0 - math.cos(f_t), 1, mean_m, mean_m2)
     return out
 
@@ -254,40 +258,29 @@ def longevity(two_j: int, theta: float, threshold: float,
 def tricomi_distribution(two_j: int, theta: float, n: int) -> MemoryDistribution:
     """Alternating-sum closed form of the recycled population distribution.
 
-    Evaluated in exact rational arithmetic (the sum is catastrophically
-    ill-conditioned in floating point once n exceeds 2j/(1-cos theta)); it is
-    the exact n-step distribution of the ``leading`` kernel.
+    Evaluated in exact integer arithmetic (the sum is catastrophically
+    ill-conditioned in floating point once n exceeds 2j/(1-cos theta)): with
+    (1 - cos theta)/(2j) = p/r exactly, every term is put over r^n and each
+    weight is one correctly rounded integer quotient.  It is the exact n-step
+    distribution of the ``leading`` kernel.
     """
     check_two_j(two_j)
     if n < 0:
         raise ValueError("n must be non-negative")
     if theta == 0.0 or n == 0:
         return point_mass(two_j, two_j)
-    inv_q = Fraction(float(1.0 - math.cos(theta))) / Fraction(two_j)  # 1/q
-    # shared inner terms T(i) = C(n, i) i! / q^i
-    t_terms = []
-    binom = 1
-    fact = 1
-    power = Fraction(1)
-    for i in range(n + 1):
-        if i > 0:
-            binom = binom * (n - i + 1) // i
-            fact *= i
-            power *= inv_q
-        t_terms.append(binom * fact * power)
+    p, r = float(1.0 - math.cos(theta)).as_integer_ratio()
+    r *= two_j
+    # shared inner terms T(i) = C(n, i) i! (p/r)^i, times the common denominator r^n
+    t_terms = [math.perm(n, i) * p**i * r ** (n - i) for i in range(n + 1)]
+    denominator = r**n
     weights = np.zeros(dim(two_j))
     # largest k first: its sum is the shortest and the first to overflow when the
     # weights blow up, so the error comes before the long sums at small k are spent
     for k in reversed(range(min(n, two_j) + 1)):
-        acc = Fraction(0)
-        binom_ik = 1  # C(i, k) built up incrementally from i = k
-        for i in range(k, n + 1):
-            if i > k:
-                binom_ik = binom_ik * i // (i - k)
-            term = binom_ik * t_terms[i]
-            acc += term if (i - k) % 2 == 0 else -term
+        acc = sum((-1) ** (i - k) * math.comb(i, k) * t_terms[i] for i in range(k, n + 1))
         try:
-            weights[k] = float(acc)
+            weights[k] = acc / denominator
         except OverflowError:
             raise ValueError(f"n={n}: the alternating-sum weights overflow a float") from None
     return MemoryDistribution(two_j=two_j, weights=weights)
@@ -342,4 +335,25 @@ def thermal_advantage_threshold(two_j: int, theta: float) -> float:
         if hi > 1e3:  # from gamma ~ 373 on, the weights are exactly the aligned state
             return math.inf
         hi *= 2.0
-    return optimal._bisect(gap, 1e-3, hi, tol=1e-10)
+    return _bisect(gap, 1e-3, hi, tol=1e-10)
+
+
+def _bisect(fun, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+    flo = fun(lo)
+    fhi = fun(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0:
+        raise ValueError("bisection endpoints do not bracket a root")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fmid = fun(mid)
+        if fmid == 0.0 or hi - lo < tol:
+            return mid
+        if flo * fmid < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import rotations, spins
 from .channels import ChoiOperator, FidelityEstimate, average_from_entanglement
-from .optimal import RegimeReport, _bisect
+from .optimal import RegimeReport
 from .spins import check_valid_m, clebsch_gordan
 from .strategies import MOStrategy
 
@@ -94,15 +93,13 @@ def anomalous_mo_fidelity(theta: float) -> float:
     return 1.0 / 3.0 + 0.4 * math.sin(theta / 2.0) ** 2
 
 
-@lru_cache(maxsize=1)
 def j1_mo_threshold() -> float:
-    """Distance |theta - pi| where the j = 1 MO strategy switches probes."""
+    """Distance |theta - pi| where the j = 1 MO strategy switches probes.
 
-    def gap(th: float) -> float:
-        return mo_fopt_formula(2, th, optimal_theta_prime(2, th)) - anomalous_mo_fidelity(th)
-
-    root = _bisect(gap, 1.8, math.pi - 1e-12, tol=1e-12)
-    return math.pi - root
+    With theta' at its optimum, the covariant and aligned-orbital fidelities
+    cross where 19x^2 - 8x - 11 = 0, x = cos(theta), at x = -11/19.
+    """
+    return math.acos(11.0 / 19.0)
 
 
 def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport:

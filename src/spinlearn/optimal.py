@@ -348,51 +348,23 @@ def case2_alpha(theta: float) -> float:
     return (1.0 + 8.0 * c + 9.0 * c * c) / (3.0 * (1.0 + 2.0 * c) ** 2)
 
 
-def _bisect(fun, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    flo = fun(lo)
-    fhi = fun(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError("bisection endpoints do not bracket a root")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = fun(mid)
-        if fmid == 0.0 or hi - lo < tol:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-@lru_cache(maxsize=1)
 def delta_half() -> float:
     """Distance |theta - pi| where the j=1/2 strategy transition occurs.
 
-    Found by bisecting the case-2 measurement weight alpha(theta), which
-    crosses zero at the transition (the case-1/case-2 fidelities merge there
-    tangentially, so the weight is the transversal root to hunt).
+    The case-2 measurement weight alpha(theta) vanishes there (the case-1/case-2
+    fidelities merge tangentially, so the weight is the transversal root):
+    9c^2 + 8c + 1 = 0 with c = cos(theta), whose root near pi is c = -(4 + sqrt 7)/9.
     """
-    root = _bisect(lambda th: 9.0 * math.cos(th) ** 2 + 8.0 * math.cos(th) + 1.0,
-                   2.0, 2.8, tol=1e-13)
-    return math.pi - root
+    return math.acos((4.0 + math.sqrt(7.0)) / 9.0)
 
 
-@lru_cache(maxsize=1)
 def delta_one() -> float:
-    """Distance |theta - pi| where case 3 overtakes case 1 for j = 1."""
+    """Distance |theta - pi| where case 3 overtakes case 1 for j = 1.
 
-    def gap(th: float) -> float:
-        fe1 = case1_entanglement_fidelity(2, 2, th)
-        fe3 = case_fidelity(3, 2, 0, th)[0]
-        return fe1 - fe3
-
-    root = _bisect(gap, 2.0, math.pi - 1e-12, tol=1e-12)
-    return math.pi - root
+    The two meet where (1 + sqrt(1 + 3c^2))^2 = 5.4 (1 - c^2), c = cos(theta/2),
+    which gives cos(pi - theta) = (1 + 5 sqrt 51)/49.
+    """
+    return math.acos((1.0 + 5.0 * math.sqrt(51.0)) / 49.0)
 
 
 def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport:

@@ -92,6 +92,11 @@ def test_spin_k_rows(tmp_path):
     row = _read_csv(out)[0]
     assert float(row["error_ratio_mo_quantum"]) == pytest.approx(2.0, abs=0.2)
     assert float(row["f_asymptotic"]) == pytest.approx(0.99, abs=1e-9)
+    # at the identity rotation both errors vanish: the ratio is 0/0, printed nan
+    run_cli(["spin-k", "--two-j", "4", "--two-k", "2", "--theta", "0", "--n-samples", "100",
+             "--out", str(out)])
+    row = _read_csv(out)[0]
+    assert (row["f_exact"], row["f_mo_mc"], row["error_ratio_mo_quantum"]) == ("1", "1", "nan")
 
 
 def test_verify_report(tmp_path):
@@ -137,6 +142,9 @@ def test_usage_errors_exit_two(capsys):
     rc = run_cli(["optimal", "--two-j", "4", "--theta", "2.5"])  # outside [0, 2)
     assert rc == 2
     assert "error" in capsys.readouterr().err
+    for points in ("0", "-3"):  # an empty or negative angle grid
+        assert run_cli(["optimal", "--two-j", "3", "--theta-grid", points]) == 2
+        assert "--theta-grid" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         run_cli(["optimal"])  # missing required --two-j
     assert exc.value.code == 2

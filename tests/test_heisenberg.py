@@ -203,6 +203,8 @@ def test_asymptotic_average_error_rate():
 
 def test_spin_k_exact_trivials():
     assert spin_k_fidelity(8, 2, 0.0, "exact") == pytest.approx(1.0, abs=1e-12)
+    # the Clebsch-Gordan weights carry rounding: the identity gate is clipped at 1
+    assert spin_k_fidelity(400, 2, 0.0, "exact") == 1.0
     with pytest.raises(ValueError):
         spin_k_fidelity(8, 0, 1.0)
     with pytest.raises(ValueError):
@@ -225,14 +227,17 @@ def test_spin_k_asymptotic_mode_formula():
         spin_k_worst_case_asymptotic(400, 3, math.pi)
 
 
-def test_spin_k_qubit_consistency():
-    # with the generic entanglement-fidelity route at small j
-    fe = spin_k_entanglement_fidelity_exact(4, 2, 1.3)
-    gate = heisenberg_unitary(4, 2, 1.3)
-    ch = gate.as_channel()
-    probe = np.zeros(5, dtype=complex)
+@pytest.mark.parametrize("theta", [0.0, 1.3, math.pi, 4.0])
+@pytest.mark.parametrize("two_j,two_k", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (4, 2), (7, 5)])
+def test_spin_k_qubit_consistency(two_j, two_k, theta):
+    # the diagonal-amplitude sum against the applied gate's learning channel
+    # (at 2k = 1 the gate's angle is f(theta), not theta)
+    fe = spin_k_entanglement_fidelity_exact(two_j, two_k, theta)
+    ch = heisenberg_unitary(two_j, two_k, theta).as_channel()
+    probe = np.zeros(spins.dim(two_j), dtype=complex)
     probe[0] = 1.0
-    v = np.diag(np.exp(-1j * 1.3 * spins.m_values(2)))
+    v = np.diag(np.exp(-1j * theta * spins.m_values(two_k)))
     from spinlearn.channels import entanglement_fidelity
 
     assert fe == pytest.approx(entanglement_fidelity(ch, probe, v).value, abs=1e-11)
+    assert spin_k_fidelity(two_j, two_k, theta) <= 1.0

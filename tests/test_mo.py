@@ -5,6 +5,7 @@ import pytest
 
 from spinlearn import channels, spins
 from spinlearn.channels import average_from_entanglement, choi_from_kraus
+from spinlearn.memory import _bisect
 from spinlearn.mo import (
     MOParams,
     _povm_outcome_offsets,
@@ -109,6 +110,13 @@ def test_mo_identity_angle_collapses_to_one():
 
 def test_j1_threshold_value():
     assert abs(j1_mo_threshold() - 0.303 * math.pi) < 0.005 * math.pi
+
+    # the arccosine against a bisection of the crossing it replaced
+    def gap(th):
+        return mo_fopt_formula(2, th, optimal_theta_prime(2, th)) - anomalous_mo_fidelity(th)
+
+    root = _bisect(gap, 1.8, math.pi - 1e-12, tol=1e-15)
+    assert abs(math.pi - root - j1_mo_threshold()) < 1e-12
 
 
 def test_mo_formula_equals_element_route():

@@ -5,6 +5,7 @@ import pytest
 
 from spinlearn import channels, mo, spins
 from spinlearn.channels import KrausChannel, average_from_entanglement, entanglement_fidelity
+from spinlearn.memory import _bisect
 from spinlearn.optimal import (
     CaseNotApplicableError,
     CovariantChoiParams,
@@ -155,8 +156,19 @@ def test_case_applicability_errors():
 
 
 def test_delta_thresholds():
-    assert abs(delta_half() - math.acos((4 + math.sqrt(7)) / 9)) < 1e-9
+    assert abs(delta_half() - math.acos((4 + math.sqrt(7)) / 9)) < 1e-15
     assert abs(delta_one() - 0.23 * math.pi) < 0.005 * math.pi
+
+    # the arccosines against bisections of the gaps they replaced
+    def alpha_numerator(th):
+        return 9.0 * math.cos(th) ** 2 + 8.0 * math.cos(th) + 1.0
+
+    def case1_minus_case3(th):
+        return case1_entanglement_fidelity(2, 2, th) - case_fidelity(3, 2, 0, th)[0]
+
+    assert abs(math.pi - _bisect(alpha_numerator, 2.0, 2.8, tol=1e-15) - delta_half()) < 1e-12
+    assert abs(math.pi - _bisect(case1_minus_case3, 2.0, math.pi - 1e-12, tol=1e-15)
+               - delta_one()) < 1e-12
 
 
 def test_optimal_fidelity_headline_values():
