@@ -18,7 +18,7 @@ import numpy as np
 from . import spins
 from .channels import KrausChannel, average_from_entanglement
 from .rotations import Rotation
-from .spins import check_two_j, check_valid_m, clebsch_gordan, dim, two_m_values
+from .spins import _check_nonzero_j, check_two_j, check_valid_m, clebsch_gordan, dim, two_m_values
 
 
 def f_angle(two_j: int, theta: float) -> float:
@@ -259,12 +259,11 @@ def spin_k_fidelity(two_j: int, two_k: int, theta: float, mode: str = "exact") -
     if two_k < 1:
         raise ValueError("target must be at least a qubit (two_k >= 1)")
     k = two_k / 2.0
-    j = two_j / 2.0
     if mode == "exact":
         fe = min(spin_k_entanglement_fidelity_exact(two_j, two_k, theta), 1.0)
         return average_from_entanglement(fe, dim(two_k))
     if mode == "asymptotic":
-        return 1.0 - k * (2.0 * k + 1.0) * (1.0 - math.cos(theta)) / (3.0 * j)
+        return 1.0 - k * (2.0 * k + 1.0) * (1.0 - math.cos(theta)) / (3.0 * _check_nonzero_j(two_j))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -274,5 +273,5 @@ def spin_k_worst_case_asymptotic(two_j: int, two_k: int, theta: float) -> float:
         raise ValueError("worst-case constant is only defined for integer k")
     k = two_k // 2
     c = 0.0 if k % 2 == 0 else 0.25
-    j = two_j / 2.0
+    j = _check_nonzero_j(two_j)
     return 1.0 - (k * (k + 1.0) + c) * (1.0 - math.cos(theta)) / j

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import heisenberg, mo
 from .channels import average_from_entanglement
-from .spins import InvalidQuantumNumbersError, check_two_j, check_valid_m, dim, two_m_values
+from .spins import InvalidQuantumNumbersError, _check_nonzero_j, check_valid_m, dim, two_m_values
 
 _SCAN_CHUNK = 4096  # uses per array when scanning for a crossing
 
@@ -73,9 +73,7 @@ def step_kernel(two_j: int, theta: float, kind: str = "expanded"
     diagonal is fixed by column stochasticity.  Needs two_j >= 1: a spin-0
     memory has no direction to lose.
     """
-    if check_two_j(two_j) == 0:
-        raise InvalidQuantumNumbersError(f"two_j={two_j}: a recycling kernel needs two_j >= 1")
-    j = two_j / 2.0
+    j = _check_nonzero_j(two_j)
     m = two_m_values(two_j) / 2.0
     if kind in ("expanded", "exact"):
         factor = (_expanded_factor(two_j, theta) if kind == "expanded"
@@ -100,8 +98,7 @@ def _expanded_factor(two_j: int, theta: float) -> float:
     It equals (1 - cos theta)(1 - (1 + cos theta)/(2j)), negative only at 2j = 1
     with cos theta > 0, where the kernel would have negative rates: rejected.
     """
-    if check_two_j(two_j) == 0:
-        raise InvalidQuantumNumbersError(f"two_j={two_j}: a recycling kernel needs two_j >= 1")
+    _check_nonzero_j(two_j)
     cos = math.cos(theta)
     if two_j - 1.0 < cos < 1.0:
         raise InvalidQuantumNumbersError(
@@ -167,7 +164,7 @@ def fidelity_given_m(two_j: int, two_m: int, theta: float,
 
 
 def fidelity_given_m_asymptote(two_j: int, two_m: int, theta: float) -> float:
-    j = two_j / 2.0
+    j = _check_nonzero_j(two_j)
     m = two_m / 2.0
     return 1.0 - (1.0 + 2.0 * j - 2.0 * m) * (1.0 - math.cos(theta)) / (3.0 * j)
 
@@ -188,7 +185,7 @@ def recycled_fidelity(two_j: int, theta: float, n_uses: int,
     if not reoptimize_f:
         return _fixed_schedule(two_j, theta, np.arange(n_uses))
     out = np.empty(n_uses)
-    j = two_j / 2.0
+    j = _check_nonzero_j(two_j)
     cos, sin = math.cos(theta), math.sin(theta)
     mean_m, mean_m2 = j, j * j
     for t in range(n_uses):
@@ -264,7 +261,7 @@ def tricomi_distribution(two_j: int, theta: float, n: int) -> MemoryDistribution
     weight is one correctly rounded integer quotient.  It is the exact n-step
     distribution of the ``leading`` kernel.
     """
-    check_two_j(two_j)
+    _check_nonzero_j(two_j)
     if n < 0:
         raise ValueError("n must be non-negative")
     if theta == 0.0 or n == 0:
@@ -288,6 +285,7 @@ def tricomi_distribution(two_j: int, theta: float, n: int) -> MemoryDistribution
 
 def tricomi_geometric_asymptote(two_j: int, theta: float, n: int, two_m: int) -> float:
     """Large-j geometric form of the recycled population weights."""
+    _check_nonzero_j(two_j)
     check_valid_m(two_j, two_m)
     x = n * (1.0 - math.cos(theta))
     ratio = x / (x + two_j)
@@ -314,7 +312,7 @@ def thermal_fidelity(two_j: int, theta: float, gamma: float) -> float:
 
 
 def thermal_fidelity_asymptote(two_j: int, theta: float, gamma: float) -> float:
-    j = two_j / 2.0
+    j = _check_nonzero_j(two_j)
     return 1.0 - (1.0 - math.cos(theta)) / (3.0 * j * math.tanh(gamma))
 
 

@@ -111,9 +111,7 @@ def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeRep
     """
     if problem not in (1, 2):
         raise ValueError("problem must be 1 or 2")
-    if spins.check_two_j(two_j) < 1:
-        raise spins.InvalidQuantumNumbersError(
-            f"two_j={two_j}: a spin-0 memory carries no direction")
+    spins._check_nonzero_j(two_j)
     theta = float(theta) % (2.0 * math.pi)
     if two_j == 2 and problem == 2 and abs(theta - math.pi) <= j1_mo_threshold():
         return RegimeReport(problem=problem, regime="mo_j1_anomalous", optimal_two_m=0,
@@ -251,7 +249,7 @@ def _character_ratio(two_k: int, tau: np.ndarray) -> np.ndarray:
 
 def spin_k_mo_asymptote(two_j: int, two_k: int, theta: float) -> float:
     """Leading-order MO average fidelity for a spin-k target."""
-    j = two_j / 2.0
+    j = spins._check_nonzero_j(two_j)
     k = two_k / 2.0
     return 1.0 - 2.0 * k * (2.0 * k + 1.0) * (1.0 - math.cos(theta)) / (3.0 * j)
 

@@ -7,7 +7,9 @@ measure-and-operate strategy applies a unitary given its sampled outcome, so
 each of its samples is scored by the exact state average (2 F_e + 1)/3 of
 ``mo.mo_fidelity_samples`` and draws no target state.  No closed-form
 fidelity enters anywhere, so these estimates independently validate the
-analytic results.
+analytic results.  The Heisenberg and Kraus samplers draw every random input
+first and then run in fixed blocks of samples: their working memory is
+O(block) whatever the sample count is.
 """
 
 from __future__ import annotations
@@ -35,17 +37,14 @@ def sample_pure_states(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _target_states_qubit(q_g: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray:
-    """V_(theta,g) |psi> for each sample."""
-    v = rotations.su2_from_quaternion(rotations.conjugated_z_rotation(q_g, theta))
-    return np.einsum("nij,nj->ni", v, psi)
-
-
-def _target_states_spin_k(two_k: int, q_g: np.ndarray, theta: float,
-                          psi: np.ndarray) -> np.ndarray:
+def _target_states(q_g: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray:
+    """V_(theta,g) |psi> for each sample, on a qubit or a spin-k target."""
+    if psi.shape[1] == 2:
+        v = rotations.su2_from_quaternion(rotations.conjugated_z_rotation(q_g, theta))
+        return np.einsum("nij,nj->ni", v, psi)
+    two_k = psi.shape[1] - 1
     u = spins.rotation_irrep_batch(two_k, q_g)
-    mu = spins.m_values(two_k)
-    vth = np.exp(-1j * theta * mu)
+    vth = np.exp(-1j * theta * spins.m_values(two_k))
     rotated = np.einsum("nij,nj->ni", u.conj().transpose(0, 2, 1), psi)
     return np.einsum("nij,nj->ni", u, vth[None, :] * rotated)
 
@@ -53,6 +52,31 @@ def _target_states_spin_k(two_k: int, q_g: np.ndarray, theta: float,
 def _conditional_fidelity_channel_output(out: np.ndarray, target: np.ndarray) -> np.ndarray:
     """sum_m |<target| out[m]>|^2 for outputs indexed by a traced register."""
     return np.sum(np.abs(np.einsum("nmi,ni->nm", out, target.conj())) ** 2, axis=1)
+
+
+_CHUNK_ELEMENTS = 1 << 20  # joint-vector amplitudes per block of samples
+
+
+def _channel_samples(two_j: int, two_m, q_g: np.ndarray, psi: np.ndarray, theta: float,
+                     channel) -> np.ndarray:
+    """Per-sample fidelity of ``channel`` (joint vectors (rows, dp*dk) -> outputs
+    (rows, r, dk)) on U_g|j,m> (x) psi against V_(theta,g) psi; ``two_m`` is a
+    scalar or per sample.  Runs in blocks of about _CHUNK_ELEMENTS // (dp*dk) rows,
+    so the working memory is O(block) whatever n is, and the samples do not
+    depend on the block size."""
+    n, dk = psi.shape
+    out = np.empty(n)
+    step = max(2, _CHUNK_ELEMENTS // (spins.dim(two_j) * dk))
+    # no block has a lone row unless n = 1: einsum rounds a one-row batch differently
+    edges = [*range(0, max(n - 1, 1), step), n]
+    for start, stop in zip(edges, edges[1:]):
+        rows = slice(start, stop)
+        probe = spins.rotated_basis_states_batch(
+            two_j, q_g[rows], two_m if np.ndim(two_m) == 0 else two_m[rows])
+        joint = np.einsum("np,nk->npk", probe, psi[rows]).reshape(len(probe), -1)
+        out[rows] = _conditional_fidelity_channel_output(
+            channel(joint), _target_states(q_g[rows], theta, psi[rows]))
+    return out
 
 
 def _heisenberg_samples(strategy: HeisenbergStrategy, theta: float,
@@ -64,21 +88,13 @@ def _heisenberg_samples(strategy: HeisenbergStrategy, theta: float,
     if q_g is None:
         q_g = rotations.haar_quaternions(rng, n)
     psi = sample_pure_states(rng, n, dk)
-    if thermal_gamma is None:
-        probe = spins.rotated_basis_states_batch(two_j, q_g, two_j)
-    else:
+    two_m = two_j
+    if thermal_gamma is not None:
         weights = memory.thermal_state(two_j, thermal_gamma).weights
-        idx = rng.choice(dp, size=n, p=weights)
-        two_ms = spins.two_m_values(two_j)[idx]
-        probe = spins.rotated_basis_states_batch(two_j, q_g, two_ms)
+        two_m = spins.two_m_values(two_j)[rng.choice(dp, size=n, p=weights)]
     gate = heisenberg.heisenberg_unitary(two_j, two_k, theta, strategy.f_override)
-    joint = np.einsum("np,nk->npk", probe, psi).reshape(n, dp * dk)
-    out = gate.apply(joint).reshape(n, dp, dk)
-    if two_k == 1:
-        target = _target_states_qubit(q_g, theta, psi)
-    else:
-        target = _target_states_spin_k(two_k, q_g, theta, psi)
-    return _conditional_fidelity_channel_output(out, target)
+    return _channel_samples(two_j, two_m, q_g, psi, theta,
+                            lambda joint: gate.apply(joint).reshape(len(joint), dp, dk))
 
 
 def _kraus_samples(kraus: np.ndarray, two_j: int, two_m: int, theta: float,
@@ -88,11 +104,8 @@ def _kraus_samples(kraus: np.ndarray, two_j: int, two_m: int, theta: float,
     if q_g is None:
         q_g = rotations.haar_quaternions(rng, n)
     psi = sample_pure_states(rng, n, 2)
-    probe = spins.rotated_basis_states_batch(two_j, q_g, two_m)
-    joint = np.einsum("np,nk->npk", probe, psi).reshape(n, -1)
-    out = np.einsum("rij,nj->nri", kraus, joint)
-    target = _target_states_qubit(q_g, theta, psi)
-    return _conditional_fidelity_channel_output(out, target)
+    return _channel_samples(two_j, two_m, q_g, psi, theta,
+                            lambda joint: np.einsum("rij,nj->nri", kraus, joint))
 
 
 def _unot_mixture_samples(strategy: UNotMixture, theta: float,
@@ -104,7 +117,7 @@ def _unot_mixture_samples(strategy: UNotMixture, theta: float,
     psi = sample_pure_states(rng, n, 2)
     probe = spins.rotated_basis_states_batch(1, q_g, 1)
     joint = np.einsum("np,nk->npk", probe, psi).reshape(n, 4)
-    target = _target_states_qubit(q_g, theta, psi)
+    target = _target_states(q_g, theta, psi)
 
     singlet = np.zeros(4, dtype=complex)
     singlet[1] = 1.0 / math.sqrt(2.0)
@@ -134,13 +147,8 @@ def _exact_target_samples(strategy: ExactTarget, theta: float,
                           rng: np.random.Generator, n: int) -> np.ndarray:
     q_g = rotations.haar_quaternions(rng, n)
     psi = sample_pure_states(rng, n, spins.dim(strategy.two_k))
-    if strategy.two_k == 1:
-        out = _target_states_qubit(q_g, theta, psi)
-        target = _target_states_qubit(q_g, theta, psi)
-    else:
-        out = _target_states_spin_k(strategy.two_k, q_g, theta, psi)
-        target = out
-    return np.abs(np.einsum("ni,ni->n", out, target.conj())) ** 2
+    out = _target_states(q_g, theta, psi)
+    return np.abs(np.einsum("ni,ni->n", out, out.conj())) ** 2
 
 
 def _strategy_samples(strategy: StrategyDescriptor, theta: float,

@@ -376,9 +376,7 @@ def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport
     """
     if problem not in (1, 2):
         raise ValueError("problem must be 1 or 2")
-    if spins.check_two_j(two_j) < 1:
-        raise spins.InvalidQuantumNumbersError(
-            f"two_j={two_j}: a spin-0 memory carries no direction")
+    spins._check_nonzero_j(two_j)
     theta = float(theta) % (2.0 * math.pi)
     dist = abs(theta - math.pi)
 

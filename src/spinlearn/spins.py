@@ -27,6 +27,13 @@ def check_two_j(two_j: int) -> int:
     return int(two_j)
 
 
+def _check_nonzero_j(two_j: int) -> float:
+    """j for a ``two_j`` >= 1; a spin-0 memory carries no direction to learn or lose."""
+    if check_two_j(two_j) == 0:
+        raise InvalidQuantumNumbersError(f"two_j={two_j}: a spin-0 memory carries no direction")
+    return two_j / 2.0
+
+
 def dim(two_j: int) -> int:
     return check_two_j(two_j) + 1
 

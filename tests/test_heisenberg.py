@@ -211,6 +211,15 @@ def test_spin_k_exact_trivials():
         spin_k_fidelity(8, 2, 1.0, mode="bogus")
 
 
+def test_spin_zero_memory_has_no_asymptote():
+    # the leading-order forms divide by j; the exact form is defined at j = 0
+    with pytest.raises(spins.InvalidQuantumNumbersError, match="two_j=0"):
+        spin_k_fidelity(0, 2, 1.0, "asymptotic")
+    with pytest.raises(spins.InvalidQuantumNumbersError, match="two_j=0"):
+        spin_k_worst_case_asymptotic(0, 2, 1.0)
+    assert 0.0 <= spin_k_fidelity(0, 2, 1.0, "exact") <= 1.0
+
+
 @pytest.mark.parametrize("two_k,theta,target", [(2, math.pi, 1.0), (3, math.pi / 2, 2.0)])
 def test_spin_k_exact_asymptotic_rate(two_k, theta, target):
     two_j = 400

@@ -337,6 +337,19 @@ def test_spin_zero_memory_rejected_by_kernel():
         recycled_fidelity(0, math.pi, 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: recycled_fidelity(0, 1.0, 3, reoptimize_f=True),
+    lambda: tricomi_distribution(0, 1.0, 3),
+    lambda: tricomi_geometric_asymptote(0, 0.0, 3, 0),
+    lambda: fidelity_given_m_asymptote(0, 0, 1.0),
+    lambda: thermal_fidelity_asymptote(0, 1.0, 0.5),
+], ids=["reoptimized", "tricomi", "tricomi_asymptote", "given_m_asymptote", "thermal_asymptote"])
+def test_spin_zero_memory_rejected_by_every_schedule_and_asymptote(call):
+    # the reoptimized schedule accepts what the fixed one does; the 1/j forms divide by j
+    with pytest.raises(InvalidQuantumNumbersError, match="two_j=0"):
+        call()
+
+
 @pytest.mark.parametrize("two_j,theta", [(1, math.pi), (2, math.pi), (3, 0.0), (20, 0.0),
                                          (1000, 0.0)])
 def test_thermal_threshold_reports_no_advantage(two_j, theta):

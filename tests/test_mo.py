@@ -238,6 +238,8 @@ def test_spin_zero_memory_rejected_by_benchmark(problem):
         mo_optimal_fidelity(0, math.pi, problem)
     with pytest.raises(InvalidQuantumNumbersError, match="two_j=0"):
         mo_average_fidelity(0, 1.0, problem)
+    with pytest.raises(InvalidQuantumNumbersError, match="two_j=0"):
+        spin_k_mo_asymptote(0, 2, 1.0)
 
 
 def test_spin_k_mo_error_twice_quantum():

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spinlearn import memory, mo, optimal
+from spinlearn import memory, mo, montecarlo, optimal
 from spinlearn.channels import average_from_entanglement, entanglement_fidelity
 from spinlearn.montecarlo import mc_average_fidelity, per_rotation_fidelity
 from spinlearn.rotations import haar_rotation
@@ -146,6 +147,64 @@ def test_same_seed_gives_identical_estimate():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n_samples"):
             mc_average_fidelity(strategy, 2.0, n, seed=0)
+
+
+@pytest.mark.parametrize("strategy", [
+    HeisenbergStrategy(two_j=100),
+    ThermalWrapped(HeisenbergStrategy(two_j=100), 0.5),
+    CaseChoiStrategy(case=1, two_j=32, two_m=32, theta=math.pi),
+], ids=["heisenberg", "thermal", "kraus"])
+def test_oracle_memory_does_not_grow_with_n(strategy):
+    # the d-dimensional work runs in fixed blocks of samples, so from n = 2e4 to
+    # 8e4 only the O(n) inputs and fidelities grow, about 80 bytes a sample
+    # (whole-batch arrays grew the peak about 4x, by 130-600 MiB)
+    def peak_mib(n):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            mc_average_fidelity(strategy, math.pi, n, seed=0)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    peak_mib(10)  # fill the gate and Choi caches first
+    assert peak_mib(80000) - peak_mib(20000) < 8.0
+
+
+@pytest.mark.parametrize("fixed_g", [False, True])
+@pytest.mark.parametrize("elements", [1, 1000])
+@pytest.mark.parametrize("strategy, theta, width", [
+    (HeisenbergStrategy(two_j=20), 1.1, 42),
+    (HeisenbergStrategy(two_j=10, two_k=2), 0.7, 33),
+    (ThermalWrapped(HeisenbergStrategy(two_j=30), 0.5), math.pi, 62),
+    (CaseChoiStrategy(case=1, two_j=8, two_m=8, theta=math.pi), math.pi, 18),
+    (DiscreteXYZ(), 1.0, 6),
+], ids=["heisenberg", "spin_k", "thermal", "case_choi", "xyz"])
+def test_sample_blocks_leave_samples_bit_identical(monkeypatch, strategy, theta, width,
+                                                    elements, fixed_g):
+    # 2-row blocks (the last absorbs the lone row of n = 251) or 16-166-row blocks
+    n = 251
+    assert n % max(2, elements // width) != 0
+    q_g = None
+    if fixed_g:  # the per_rotation_fidelity path
+        q = np.array([0.3, 0.1, -0.5, 0.8])
+        q_g = np.broadcast_to(q / np.linalg.norm(q), (n, 4)).copy()
+
+    def samples(chunk_elements):
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk_elements)
+        return montecarlo._strategy_samples(strategy, theta, np.random.default_rng(5), n,
+                                            q_g=q_g)
+
+    assert np.array_equal(samples(elements), samples(1 << 60))
+
+
+def test_default_sample_blocks_leave_samples_bit_identical(monkeypatch):
+    # 2j = 400: blocks of 2^20 // 802 = 1307 rows, n not a multiple
+    strategy, n = HeisenbergStrategy(two_j=400), 3000
+    blocked = montecarlo._strategy_samples(strategy, math.pi, np.random.default_rng(6), n)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1 << 60)
+    whole = montecarlo._strategy_samples(strategy, math.pi, np.random.default_rng(6), n)
+    assert np.array_equal(blocked, whole)
 
 
 def test_strategy_validation_errors():
