@@ -1,4 +1,4 @@
-"""Quantum states and channels: Choi operators, partial trace, fidelities.
+"""Quantum states and channels: Choi operators, Kraus channels, fidelities.
 
 Choi operators follow the trace-preservation convention Tr_out[C] = I_in
 (total trace = dim_in).  The index layout is (input (x) output): the matrix
@@ -67,29 +67,6 @@ class FidelityEstimate:
         return abs(self.value - reference) / self.std_error
 
 
-def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
-
-    ``dims`` lists the subsystem dimensions in tensor order; ``keep`` is an
-    iterable of subsystem indices retained in their original order.
-    """
-    dims = list(dims)
-    n = len(dims)
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValueError(f"matrix shape {rho.shape} does not match dims {dims}")
-    keep = sorted(set(keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError("keep indices out of range")
-    traced = [i for i in range(n) if i not in keep]
-    t = rho.reshape(dims + dims)
-    for offset, ax in enumerate(traced):
-        ax0 = ax - offset
-        t = np.trace(t, axis1=ax0, axis2=ax0 + (n - offset))
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
-
-
 def maximally_entangled(d: int) -> np.ndarray:
     """Canonical |Phi+> = sum_i |i,i> / sqrt(d) on a d x d bipartite space."""
     v = np.zeros(d * d, dtype=complex)
@@ -131,13 +108,6 @@ class ChoiOperator:
             raise ValueError(f"Choi operator not TP (residual {resid:.3e})")
 
 
-def apply_choi(choi: ChoiOperator, rho: np.ndarray) -> np.ndarray:
-    """Channel action N(rho) = Tr_in[(rho^T (x) I) C]."""
-    if rho.shape != (choi.dim_in, choi.dim_in):
-        raise ValueError(f"state dimension {rho.shape} does not match dim_in={choi.dim_in}")
-    return np.einsum("ij,iajb->ab", rho, choi.reshaped())
-
-
 def choi_from_kraus(kraus, dim_in: int, dim_out: int) -> ChoiOperator:
     mat = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
     for k in kraus:
@@ -165,12 +135,6 @@ class KrausChannel:
     dim_out: int
 
     @classmethod
-    def from_operators(cls, ops) -> "KrausChannel":
-        ops = tuple(np.asarray(k, dtype=complex) for k in ops)
-        dim_out, dim_in = ops[0].shape
-        return cls(kraus=ops, dim_in=dim_in, dim_out=dim_out)
-
-    @classmethod
     def from_unitary_with_trace(cls, unitary: np.ndarray, dim_keep: int) -> "KrausChannel":
         """Stinespring channel: apply ``unitary`` then trace out the leading factor.
 
@@ -190,11 +154,6 @@ class KrausChannel:
 
     def to_choi(self) -> ChoiOperator:
         return choi_from_kraus(self.kraus, self.dim_in, self.dim_out)
-
-
-def identity_choi(d: int) -> ChoiOperator:
-    phi = maximally_entangled(d)
-    return ChoiOperator(matrix=d * np.outer(phi, phi.conj()), dim_in=d, dim_out=d)
 
 
 def average_from_entanglement(fe: float, target_dim: int) -> float:

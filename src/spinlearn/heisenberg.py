@@ -18,7 +18,8 @@ import numpy as np
 from . import spins
 from .channels import KrausChannel, average_from_entanglement
 from .rotations import Rotation
-from .spins import _check_nonzero_j, check_two_j, check_valid_m, clebsch_gordan, dim, two_m_values
+from .spins import (_check_nonzero_j, _check_target_spin, check_two_j, check_valid_m,
+                    clebsch_gordan, dim, two_m_values)
 
 
 def f_angle(two_j: int, theta: float) -> float:
@@ -211,19 +212,12 @@ def _golden_minimize(fun, lo: float, hi: float, tol: float = 1e-10) -> tuple[flo
     return x, fun(x)
 
 
-def worst_case_fidelity(two_j: int, theta: float,
-                        azimuth_check_tol: float = 1e-9) -> tuple[float, float]:
+def worst_case_fidelity(two_j: int, theta: float) -> tuple[float, float]:
     """Minimum per-input fidelity and the minimizing polar angle.
 
-    Asserts azimuth independence numerically at 8 azimuths, then runs a
+    The per-input fidelity does not depend on the azimuth, so this is a
     golden-section search over the polar angle on a coarse-grid bracket.
     """
-    probe_polar = math.pi / 2.0
-    ref = per_input_fidelity(two_j, theta, probe_polar, 0.0)
-    for az in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
-        if abs(per_input_fidelity(two_j, theta, probe_polar, az) - ref) > azimuth_check_tol:
-            raise AssertionError("per-input fidelity depends on azimuth")
-
     grid = np.linspace(0.0, math.pi, 65)
     vals = [per_input_fidelity(two_j, theta, a) for a in grid]
     i = int(np.argmin(vals))
@@ -256,9 +250,7 @@ def spin_k_entanglement_fidelity_exact(two_j: int, two_k: int, theta: float) -> 
 
 def spin_k_fidelity(two_j: int, two_k: int, theta: float, mode: str = "exact") -> float:
     """Average fidelity for rotating a spin-k target, exact or leading order."""
-    if two_k < 1:
-        raise ValueError("target must be at least a qubit (two_k >= 1)")
-    k = two_k / 2.0
+    k = _check_target_spin(two_k)
     if mode == "exact":
         fe = min(spin_k_entanglement_fidelity_exact(two_j, two_k, theta), 1.0)
         return average_from_entanglement(fe, dim(two_k))
@@ -269,6 +261,7 @@ def spin_k_fidelity(two_j: int, two_k: int, theta: float, mode: str = "exact") -
 
 def spin_k_worst_case_asymptotic(two_j: int, two_k: int, theta: float) -> float:
     """Leading-order worst-case fidelity; the constant c(k) is defined for integer k."""
+    _check_target_spin(two_k)
     if two_k % 2 != 0:
         raise ValueError("worst-case constant is only defined for integer k")
     k = two_k // 2

@@ -2,7 +2,7 @@
 
 Repeated use of the memory degrades it through the complementary channel of
 the memory-target gate, which acts as a tridiagonal Markov kernel on the
-magnetic populations.  Three kernels are provided, as test oracles:
+magnetic populations.  There are three such kernels:
 
 * ``expanded`` - the closed-form coefficients with the interaction-angle
   factor expanded to first order in 1/(2j) (the recycling schedule);
@@ -12,10 +12,13 @@ magnetic populations.  Three kernels are provided, as test oracles:
 * ``leading``  - the large-j linearization, which the alternating-sum
   distribution solves exactly.
 
-The recycling routines iterate no kernel.  They use the moment closure: the
-fidelity from |j,m> is quadratic in m, and the first two moments of m close
-under the ``expanded`` and ``exact`` kernels, so each use costs O(1) at any j,
-re-tuned interaction angle included (it maximizes a sinusoid in closed form).
+The kernels themselves, and the dense-gate route they are checked against,
+live with the tests, in ``tests/oracles.py``; only the ``expanded`` factor is
+here.  The recycling routines iterate no kernel.  They use the moment
+closure: the fidelity from |j,m> is quadratic in m, and the first two moments
+of m close under the ``expanded`` and ``exact`` kernels, so each use costs
+O(1) at any j, re-tuned interaction angle included (it maximizes a sinusoid
+in closed form).
 (The ``leading`` kernel truncates at m = -j, so its moments do not close;
 the alternating sum, evaluated in integers, gives its n-step distribution.)
 """
@@ -65,33 +68,6 @@ def point_mass(two_j: int, two_m: int) -> MemoryDistribution:
     return MemoryDistribution(two_j=two_j, weights=w)
 
 
-def step_kernel(two_j: int, theta: float, kind: str = "expanded"
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tridiagonal kernel (down, stay, up) over m in descending order.
-
-    ``down[i]`` moves weight from m_i to m_i - 1, ``up[i]`` to m_i + 1; the
-    diagonal is fixed by column stochasticity.  Needs two_j >= 1: a spin-0
-    memory has no direction to lose.
-    """
-    j = _check_nonzero_j(two_j)
-    m = two_m_values(two_j) / 2.0
-    if kind in ("expanded", "exact"):
-        factor = (_expanded_factor(two_j, theta) if kind == "expanded"
-                  else 1.0 - math.cos(heisenberg.f_angle(two_j, theta)))
-        down = (j + m) * (1.0 + j - m) / (1.0 + 2.0 * j) ** 2 * factor
-        up = (j - m) * (1.0 + j + m) / (1.0 + 2.0 * j) ** 2 * factor
-    elif kind == "leading":
-        s = (1.0 - math.cos(theta)) / (2.0 * j)
-        down = (j - m + 1.0) * s
-        up = (j - m) * s
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    down = np.where(m > -j, down, 0.0)
-    up = np.where(m < j, up, 0.0)
-    stay = 1.0 - down - up
-    return down, stay, up
-
-
 def _expanded_factor(two_j: int, theta: float) -> float:
     """Factor 1 - cos f(theta) of the ``expanded`` kernel, to first order in 1/(2j).
 
@@ -129,31 +105,6 @@ def _fixed_schedule(two_j: int, theta: float, steps):
     j = two_j / 2.0
     moments = _moments(two_j, _expanded_factor(two_j, theta), steps, j, j * j)
     return _fidelity_from_moments(two_j, theta, *moments)
-
-
-def complementary_step(two_j: int, theta: float, dist: MemoryDistribution,
-                       kind: str = "expanded") -> MemoryDistribution:
-    """One recycling step of the memory populations."""
-    if dist.two_j != two_j:
-        raise ValueError("distribution spin does not match")
-    down, stay, up = step_kernel(two_j, theta, kind)
-    w = dist.weights
-    out = stay * w
-    out[1:] += (down * w)[:-1]    # m decreases: moves one slot later
-    out[:-1] += (up * w)[1:]
-    return MemoryDistribution(two_j=two_j, weights=out)
-
-
-def stinespring_complementary_populations(two_j: int, theta: float,
-                                          dist: MemoryDistribution) -> MemoryDistribution:
-    """Oracle route: trace the dense gate against a maximally mixed target."""
-    gate = heisenberg.heisenberg_unitary(two_j, 1, theta)
-    u = gate.matrix()
-    d = dim(two_j)
-    rho = np.kron(np.diag(dist.weights).astype(complex), 0.5 * np.eye(2))
-    out = u @ rho @ u.conj().T
-    reduced = np.trace(out.reshape(d, 2, d, 2), axis1=1, axis2=3)
-    return MemoryDistribution(two_j=two_j, weights=np.diag(reduced).real.copy())
 
 
 def fidelity_given_m(two_j: int, two_m: int, theta: float,
@@ -293,10 +244,16 @@ def tricomi_geometric_asymptote(two_j: int, theta: float, n: int, two_m: int) ->
     return (two_j / (x + two_j)) * ratio**k
 
 
+def _check_gamma(gamma: float) -> None:
+    if not gamma > 0:  # NaN fails too
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
+
+
 def thermal_state(two_j: int, gamma: float) -> MemoryDistribution:
-    """Gibbs weights exp(2 gamma m), normalized; gamma -> inf gives m = j."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    """Gibbs weights exp(2 gamma m), normalized; gamma = inf gives m = j."""
+    _check_gamma(gamma)
+    if gamma == math.inf:
+        return point_mass(two_j, two_j)
     m = two_m_values(two_j) / 2.0
     j = two_j / 2.0
     # stable form: relative to the maximal weight
@@ -313,6 +270,7 @@ def thermal_fidelity(two_j: int, theta: float, gamma: float) -> float:
 
 def thermal_fidelity_asymptote(two_j: int, theta: float, gamma: float) -> float:
     j = _check_nonzero_j(two_j)
+    _check_gamma(gamma)
     return 1.0 - (1.0 - math.cos(theta)) / (3.0 * j * math.tanh(gamma))
 
 

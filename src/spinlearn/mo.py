@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rotations, spins
-from .channels import ChoiOperator, FidelityEstimate, average_from_entanglement
+from .channels import FidelityEstimate, average_from_entanglement
 from .optimal import RegimeReport
 from .spins import check_valid_m, clebsch_gordan
 from .strategies import MOStrategy
@@ -205,8 +205,7 @@ def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
     relative angle.  No closed-form overlap enters; this is the independent
     check on mo_element_fidelity.
     """
-    if two_k < 1:
-        raise ValueError("target must be at least a qubit (two_k >= 1)")
+    spins._check_target_spin(two_k)
     if n < 1:
         raise ValueError("n_samples must be positive")
     check_valid_m(two_j, two_m)
@@ -250,7 +249,7 @@ def _character_ratio(two_k: int, tau: np.ndarray) -> np.ndarray:
 def spin_k_mo_asymptote(two_j: int, two_k: int, theta: float) -> float:
     """Leading-order MO average fidelity for a spin-k target."""
     j = spins._check_nonzero_j(two_j)
-    k = two_k / 2.0
+    k = spins._check_target_spin(two_k)
     return 1.0 - 2.0 * k * (2.0 * k + 1.0) * (1.0 - math.cos(theta)) / (3.0 * j)
 
 
@@ -279,25 +278,3 @@ def spin_k_mo_quadrature(two_j: int, two_k: int, theta: float,
     fe = _character_ratio(two_k, tau) ** 2
     val = np.trapezoid(fe * density, x)
     return average_from_entanglement(float(val), two_k + 1)
-
-
-def bell_basis() -> np.ndarray:
-    """Columns |Phi+>, i(sx(x)I)|Phi+>, i(sy(x)I)|Phi+>, i(sz(x)I)|Phi+>."""
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    cols = [phi] + [1j * np.kron(s, eye) @ phi for s in (sx, sy, sz)]
-    return np.stack(cols, axis=1)
-
-
-def unital_bell_reality_check(choi: ChoiOperator, tol: float = 1e-9) -> bool:
-    """True when the qubit channel's Choi matrix is real in the Bell basis,
-    which holds exactly for unital channels."""
-    if choi.dim_in != 2 or choi.dim_out != 2:
-        raise ValueError("expects a qubit-to-qubit Choi operator")
-    b = bell_basis()
-    in_bell = b.conj().T @ choi.matrix @ b
-    return bool(np.max(np.abs(in_bell.imag)) <= tol)

@@ -93,16 +93,8 @@ class RegimeReport:
 
 
 # ---------------------------------------------------------------------------
-# Coupled basis on (probe, out, in), matched to the block-coefficient phases
+# Coupled basis on (probe, out, in)
 # ---------------------------------------------------------------------------
-
-def _phi_star(theta: float) -> np.ndarray:
-    """(I (x) -i sy)(V_theta (x) I)|Phi+> as a (2, 2) array over (out, in)."""
-    out = np.zeros((2, 2), dtype=complex)
-    out[0, 1] = cmath.exp(-0.5j * theta) / math.sqrt(2.0)
-    out[1, 0] = -cmath.exp(0.5j * theta) / math.sqrt(2.0)
-    return out
-
 
 def _raw_total_family(two_j: int, two_k_route: int, two_t: int) -> np.ndarray:
     """Vectors |T,M> built by coupling (probe, in) -> K_route, then with out.
@@ -117,36 +109,6 @@ def _raw_total_family(two_j: int, two_k_route: int, two_t: int) -> np.ndarray:
     return fam.reshape(dim(two_t), dp * 4)
 
 
-def _test_vector(two_j: int, two_m: int, theta: float) -> np.ndarray:
-    vec = np.zeros((dim(two_j), 2, 2), dtype=complex)
-    vec[spins.basis_index(two_j, -two_m)] = _phi_star(theta)
-    return vec.reshape(-1)
-
-
-def decomposition_overlaps(two_j: int, two_m: int, theta: float) -> np.ndarray:
-    """Expansion of |j,-m> (x) |Phi*_theta> in the route basis: (a, b, q+, q-).
-
-    Oracle counterpart of coupling_decomposition.  The (a, b) entries match
-    its output directly; (q+, q-) are the complex conjugates of its
-    (c_plus, c_minus), which are expressed in the conjugate multiplicity
-    basis.
-    """
-    basis = _coupled_basis(two_j)
-    v = _test_vector(two_j, two_m, theta)
-
-    def ov(fam, two_t):
-        if fam is None or abs(two_m) > two_t:
-            return 0.0 + 0.0j
-        return np.vdot(fam[(two_t + two_m) // 2], v)  # row of M = -m
-
-    return np.array([
-        ov(basis["top"], two_j + 2),
-        ov(basis["bottom"], two_j - 2),
-        ov(basis["plus"], two_j),
-        ov(basis["minus"], two_j),
-    ])
-
-
 @lru_cache(maxsize=None)
 def _coupled_basis(two_j: int) -> dict:
     """Total-spin families on (probe, out, in), coupling (probe, in) first.
@@ -154,42 +116,16 @@ def _coupled_basis(two_j: int) -> dict:
     The spin-j multiplicity pair ("plus" via K = j+1/2, "minus" via
     K = j-1/2) is kept real; in it the block trace over the output qubit is
     diagonal, which is what makes the two trace-preservation constraints
-    block-local.  The stretched/shrunk families carry the phases of the a, b
-    amplitudes of coupling_decomposition (verified at build time).
+    block-local.  The stretched/shrunk families ("top", "bottom") enter the
+    Choi operator only through their projectors, so their global phases do
+    not matter.
     """
-    fam_top = _raw_total_family(two_j, two_j + 1, two_j + 2).astype(complex)
-    fam_plus = _raw_total_family(two_j, two_j + 1, two_j)
-    fam_minus = _raw_total_family(two_j, two_j - 1, two_j)
-    fam_bottom = (_raw_total_family(two_j, two_j - 1, two_j - 2).astype(complex)
-                  if two_j >= 2 else None)
-
-    def row(fam, two_t, two_m):
-        return fam[(two_t + two_m) // 2]  # index of M = -m in descending order
-
-    theta_a = 1.1
-    two_m1 = two_j
-    v1 = _test_vector(two_j, two_m1, theta_a)
-    coeff1 = coupling_decomposition(two_j, two_m1, theta_a)
-    qa = np.vdot(row(fam_top, two_j + 2, two_m1), v1)
-    fam_top *= np.conj(coeff1.a / qa)
-    if fam_bottom is not None:
-        two_m2 = two_j - 2
-        v2 = _test_vector(two_j, two_m2, theta_a)
-        coeff2 = coupling_decomposition(two_j, two_m2, theta_a)
-        qb = np.vdot(row(fam_bottom, two_j - 2, two_m2), v2)
-        fam_bottom *= np.conj(coeff2.b / qb)
-
-    # consistency of the multiplicity pair: overlaps conjugate the c's
-    for tm, th in ((two_m1, theta_a), (two_m1, 2.2), (max(-two_j, two_j - 2), 2.2)):
-        v = _test_vector(two_j, tm, th)
-        coeff = coupling_decomposition(two_j, tm, th)
-        qp = np.vdot(row(fam_plus, two_j, tm), v)
-        qm = np.vdot(row(fam_minus, two_j, tm), v)
-        if (abs(qp - np.conj(coeff.c_plus)) > 1e-10
-                or abs(qm - np.conj(coeff.c_minus)) > 1e-10):
-            raise AssertionError("multiplicity basis does not match the block coefficients")
-
-    out = {"top": fam_top, "plus": fam_plus, "minus": fam_minus, "bottom": fam_bottom}
+    out = {
+        "top": _raw_total_family(two_j, two_j + 1, two_j + 2),
+        "plus": _raw_total_family(two_j, two_j + 1, two_j),
+        "minus": _raw_total_family(two_j, two_j - 1, two_j),
+        "bottom": _raw_total_family(two_j, two_j - 1, two_j - 2) if two_j >= 2 else None,
+    }
     for fam in out.values():
         if fam is not None:
             fam.setflags(write=False)
@@ -399,60 +335,6 @@ def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport
 
 def optimal_average_fidelity(two_j: int, theta: float, problem: int = 2) -> float:
     return optimal_fidelity(two_j, theta, problem).fidelity
-
-
-def brute_force_optimum(two_j: int, two_m: int, theta: float,
-                        grid_resolution: int = 64) -> float:
-    """Grid-plus-refinement maximization of the covariant fidelity.
-
-    Searches the trace-preservation polytope in the block diagonal
-    coordinates (t+, t-) with the rank-one off-diagonal phase optimized
-    analytically; deterministic by construction.
-    """
-    if grid_resolution < 16:
-        raise ValueError("grid_resolution must be at least 16")
-    coeff = coupling_decomposition(two_j, two_m, theta)
-    a2 = abs(coeff.a) ** 2
-    b2 = abs(coeff.b) ** 2
-    cp = abs(coeff.c_plus)
-    cm = abs(coeff.c_minus)
-    t_plus_max = _t_plus_max(two_j)
-    t_minus_max = _t_minus_pinned(two_j)
-
-    if two_j == 1:
-        def fe(tp: float, tm: float) -> float:
-            return 0.5 * (_alpha_from_t_plus(two_j, tp) * a2
-                          + (math.sqrt(tp) * cp + math.sqrt(tm) * cm) ** 2)
-
-        grid = np.linspace(0.0, t_plus_max, grid_resolution)
-        vals = [fe(t, t_minus_max) for t in grid]
-        i = int(np.argmax(vals))
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        x, fx = heisenberg._golden_minimize(lambda t: -fe(t, t_minus_max), lo, hi, tol=1e-12)
-        return max(-fx, vals[i])
-
-    def fe(tp: float, tm: float) -> float:
-        return 0.5 * (_alpha_from_t_plus(two_j, tp) * a2
-                      + _beta_from_t_minus(two_j, tm) * b2
-                      + (math.sqrt(tp) * cp + math.sqrt(tm) * cm) ** 2)
-
-    tps = np.linspace(0.0, t_plus_max, grid_resolution)
-    tms = np.linspace(0.0, t_minus_max, grid_resolution)
-    vals = np.array([[fe(tp, tm) for tm in tms] for tp in tps])
-    ip, im = np.unravel_index(np.argmax(vals), vals.shape)
-    tp, tm = tps[ip], tms[im]
-    best = vals[ip, im]
-    span_p = tps[1] - tps[0]
-    span_m = tms[1] - tms[0]
-    for _ in range(6):
-        tp, neg = heisenberg._golden_minimize(
-            lambda t: -fe(t, tm), max(tp - span_p, 0.0), min(tp + span_p, t_plus_max), tol=1e-13)
-        tm, neg = heisenberg._golden_minimize(
-            lambda t: -fe(tp, t), max(tm - span_m, 0.0), min(tm + span_m, t_minus_max), tol=1e-13)
-        best = max(best, -neg)
-        span_p *= 0.5
-        span_m *= 0.5
-    return float(best)
 
 
 # ---------------------------------------------------------------------------

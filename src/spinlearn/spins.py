@@ -34,6 +34,13 @@ def _check_nonzero_j(two_j: int) -> float:
     return two_j / 2.0
 
 
+def _check_target_spin(two_k: int) -> float:
+    """k for a target ``two_k`` >= 1; a spin-0 target has no rotation to learn."""
+    if two_k < 1:
+        raise InvalidQuantumNumbersError("target must be at least a qubit (two_k >= 1)")
+    return two_k / 2.0
+
+
 def dim(two_j: int) -> int:
     return check_two_j(two_j) + 1
 
@@ -120,11 +127,6 @@ def rotation_irrep_batch(two_j: int, quaternions: np.ndarray) -> np.ndarray:
 def coherent_state(two_j: int, g: Rotation) -> np.ndarray:
     """Rotated maximal-weight state U_g |j,j> (column vector)."""
     return rotation_irrep(two_j, g)[:, 0]
-
-
-def coherent_states_batch(two_j: int, quaternions: np.ndarray) -> np.ndarray:
-    """(n, 2j+1) array of rotated |j,j> states."""
-    return rotated_basis_states_batch(two_j, quaternions, two_j)
 
 
 def rotated_basis_states_batch(two_j: int, quaternions: np.ndarray, two_m) -> np.ndarray:
@@ -245,11 +247,6 @@ def _pair_coupling_table(two_j1: int, two_j2: int, two_J: int) -> np.ndarray:
             table[iJ, i1, i2] = clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_J, two_M)
     table.setflags(write=False)
     return table
-
-
-def coupled_basis_vectors(two_j1: int, two_j2: int, two_J: int) -> np.ndarray:
-    """(2J+1, d1*d2) array of total-spin basis vectors |J,M> (M descending)."""
-    return _pair_coupling_table(two_j1, two_j2, two_J).reshape(dim(two_J), -1).copy()
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,193 @@
+"""Test oracles: dense, slow or brute-force routes to what the library computes
+in closed form, grouped by the library module they check (channels, spins,
+optimal, mo, memory).  Only the tests import this module.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+
+import numpy as np
+
+from spinlearn import heisenberg, optimal, spins
+from spinlearn.channels import ChoiOperator, maximally_entangled
+from spinlearn.memory import MemoryDistribution, _expanded_factor
+from spinlearn.spins import _check_nonzero_j, coupling_decomposition, dim, two_m_values
+
+
+def identity_choi(d: int) -> ChoiOperator:
+    phi = maximally_entangled(d)
+    return ChoiOperator(matrix=d * np.outer(phi, phi.conj()), dim_in=d, dim_out=d)
+
+
+def apply_choi(choi: ChoiOperator, rho: np.ndarray) -> np.ndarray:
+    """Channel action N(rho) = Tr_in[(rho^T (x) I) C]."""
+    if rho.shape != (choi.dim_in, choi.dim_in):
+        raise ValueError(f"state dimension {rho.shape} does not match dim_in={choi.dim_in}")
+    return np.einsum("ij,iajb->ab", rho, choi.reshaped())
+
+
+def coupled_basis_vectors(two_j1: int, two_j2: int, two_J: int) -> np.ndarray:
+    """(2J+1, d1*d2) array of total-spin basis vectors |J,M> (M descending)."""
+    return spins._pair_coupling_table(two_j1, two_j2, two_J).reshape(dim(two_J), -1).copy()
+
+
+def _test_vector(two_j: int, two_m: int, theta: float) -> np.ndarray:
+    """|j,-m> (x) (I (x) -i sy)(V_theta (x) I)|Phi+>, laid out on (probe, out, in)."""
+    vec = np.zeros((dim(two_j), 2, 2), dtype=complex)
+    vec[spins.basis_index(two_j, -two_m), 0, 1] = cmath.exp(-0.5j * theta) / math.sqrt(2.0)
+    vec[spins.basis_index(two_j, -two_m), 1, 0] = -cmath.exp(0.5j * theta) / math.sqrt(2.0)
+    return vec.reshape(-1)
+
+
+def decomposition_overlaps(two_j: int, two_m: int, theta: float) -> np.ndarray:
+    """Expansion of |j,-m> (x) |Phi*_theta> in the route basis: (a, b, q+, q-).
+
+    Oracle counterpart of coupling_decomposition.  The stretched/shrunk
+    families of ``optimal._coupled_basis`` have no phase convention of their
+    own, so their global phases are fixed once, at (m = j, theta = 1.1) for a
+    and (m = j - 1, theta = 1.1) for b; elsewhere (a, b) must then match
+    coupling_decomposition.  (q+, q-) are the complex conjugates of its
+    (c_plus, c_minus), which are expressed in the conjugate multiplicity basis.
+    """
+    basis = optimal._coupled_basis(two_j)
+
+    def ov(key, two_t, tm, th):
+        fam = basis[key]
+        if fam is None or abs(tm) > two_t:
+            return 0.0 + 0.0j
+        return np.vdot(fam[(two_t + tm) // 2], _test_vector(two_j, tm, th))  # row of M = -m
+
+    top = coupling_decomposition(two_j, two_j, 1.1).a / ov("top", two_j + 2, two_j, 1.1)
+    bottom = (coupling_decomposition(two_j, two_j - 2, 1.1).b
+              / ov("bottom", two_j - 2, two_j - 2, 1.1) if two_j >= 2 else 0.0)
+    return np.array([
+        top * ov("top", two_j + 2, two_m, theta),
+        bottom * ov("bottom", two_j - 2, two_m, theta),
+        ov("plus", two_j, two_m, theta),
+        ov("minus", two_j, two_m, theta),
+    ])
+
+
+def brute_force_optimum(two_j: int, two_m: int, theta: float,
+                        grid_resolution: int = 64) -> float:
+    """Grid-plus-refinement maximization of the covariant fidelity.
+
+    Searches the trace-preservation polytope in the block diagonal
+    coordinates (t+, t-) with the rank-one off-diagonal phase optimized
+    analytically; deterministic by construction.
+    """
+    if grid_resolution < 16:
+        raise ValueError("grid_resolution must be at least 16")
+    coeff = coupling_decomposition(two_j, two_m, theta)
+    a2 = abs(coeff.a) ** 2
+    b2 = abs(coeff.b) ** 2
+    cp = abs(coeff.c_plus)
+    cm = abs(coeff.c_minus)
+    t_plus_max = optimal._t_plus_max(two_j)
+    t_minus_max = optimal._t_minus_pinned(two_j)
+
+    def fe(tp: float, tm: float) -> float:
+        shrunk = optimal._beta_from_t_minus(two_j, tm) * b2 if two_j >= 2 else 0.0
+        return 0.5 * (optimal._alpha_from_t_plus(two_j, tp) * a2 + shrunk
+                      + (math.sqrt(tp) * cp + math.sqrt(tm) * cm) ** 2)
+
+    if two_j == 1:  # no shrunk block: t- is pinned
+        grid = np.linspace(0.0, t_plus_max, grid_resolution)
+        vals = [fe(t, t_minus_max) for t in grid]
+        i = int(np.argmax(vals))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        x, fx = heisenberg._golden_minimize(lambda t: -fe(t, t_minus_max), lo, hi, tol=1e-12)
+        return max(-fx, vals[i])
+
+    tps = np.linspace(0.0, t_plus_max, grid_resolution)
+    tms = np.linspace(0.0, t_minus_max, grid_resolution)
+    vals = np.array([[fe(tp, tm) for tm in tms] for tp in tps])
+    ip, im = np.unravel_index(np.argmax(vals), vals.shape)
+    tp, tm = tps[ip], tms[im]
+    best = vals[ip, im]
+    span_p = tps[1] - tps[0]
+    span_m = tms[1] - tms[0]
+    for _ in range(6):
+        tp, neg = heisenberg._golden_minimize(
+            lambda t: -fe(t, tm), max(tp - span_p, 0.0), min(tp + span_p, t_plus_max), tol=1e-13)
+        tm, neg = heisenberg._golden_minimize(
+            lambda t: -fe(tp, t), max(tm - span_m, 0.0), min(tm + span_m, t_minus_max), tol=1e-13)
+        best = max(best, -neg)
+        span_p *= 0.5
+        span_m *= 0.5
+    return float(best)
+
+
+def bell_basis() -> np.ndarray:
+    """Columns |Phi+>, i(sx(x)I)|Phi+>, i(sy(x)I)|Phi+>, i(sz(x)I)|Phi+>."""
+    phi = maximally_entangled(2)
+    eye = np.eye(2, dtype=complex)
+    cols = [phi] + [1j * np.kron(optimal.PAULI[p], eye) @ phi for p in "xyz"]
+    return np.stack(cols, axis=1)
+
+
+def unital_bell_reality_check(choi: ChoiOperator, tol: float = 1e-9) -> bool:
+    """True when the qubit channel's Choi matrix is real in the Bell basis,
+    which holds exactly for unital channels."""
+    if choi.dim_in != 2 or choi.dim_out != 2:
+        raise ValueError("expects a qubit-to-qubit Choi operator")
+    b = bell_basis()
+    in_bell = b.conj().T @ choi.matrix @ b
+    return bool(np.max(np.abs(in_bell.imag)) <= tol)
+
+
+def step_kernel(two_j: int, theta: float, kind: str = "expanded", factor: float | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tridiagonal kernel (down, stay, up) over m in descending order.
+
+    ``down[i]`` moves weight from m_i to m_i - 1, ``up[i]`` to m_i + 1; the
+    diagonal is fixed by column stochasticity.  The kinds ``expanded``,
+    ``exact`` and ``leading`` are those of the ``spinlearn.memory`` docstring.
+    ``factor`` replaces the interaction factor of the ``expanded``/``exact``
+    structure (1 - cos f_t for a re-tuned angle f_t).  Needs two_j >= 1: a
+    spin-0 memory has no direction to lose.
+    """
+    j = _check_nonzero_j(two_j)
+    m = two_m_values(two_j) / 2.0
+    if kind in ("expanded", "exact"):
+        if factor is None:
+            factor = (_expanded_factor(two_j, theta) if kind == "expanded"
+                      else 1.0 - math.cos(heisenberg.f_angle(two_j, theta)))
+        down = (j + m) * (1.0 + j - m) / (1.0 + 2.0 * j) ** 2 * factor
+        up = (j - m) * (1.0 + j + m) / (1.0 + 2.0 * j) ** 2 * factor
+    elif kind == "leading":
+        s = (1.0 - math.cos(theta)) / (2.0 * j)
+        down = (j - m + 1.0) * s
+        up = (j - m) * s
+    else:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    down = np.where(m > -j, down, 0.0)
+    up = np.where(m < j, up, 0.0)
+    stay = 1.0 - down - up
+    return down, stay, up
+
+
+def complementary_step(two_j: int, theta: float, dist: MemoryDistribution,
+                       kind: str = "expanded", factor: float | None = None) -> MemoryDistribution:
+    """One recycling step of the memory populations through ``step_kernel``."""
+    if dist.two_j != two_j:
+        raise ValueError("distribution spin does not match")
+    down, stay, up = step_kernel(two_j, theta, kind, factor)
+    w = dist.weights
+    out = stay * w
+    out[1:] += (down * w)[:-1]    # m decreases: moves one slot later
+    out[:-1] += (up * w)[1:]
+    return MemoryDistribution(two_j=two_j, weights=out)
+
+
+def stinespring_complementary_populations(two_j: int, theta: float,
+                                          dist: MemoryDistribution) -> MemoryDistribution:
+    """The step by the dense route: trace the gate against a maximally mixed target."""
+    u = heisenberg.heisenberg_unitary(two_j, 1, theta).matrix()
+    d = dim(two_j)
+    rho = np.kron(np.diag(dist.weights).astype(complex), 0.5 * np.eye(2))
+    out = u @ rho @ u.conj().T
+    reduced = np.trace(out.reshape(d, 2, d, 2), axis1=1, axis2=3)
+    return MemoryDistribution(two_j=two_j, weights=np.diag(reduced).real.copy())

@@ -1,7 +1,10 @@
-"""The benchmark's deterministic workloads pass all their gates: the 1e-9
-references in ``perfbench/reference.json``, the paper values and the CLI checks.
+"""The benchmark's workloads pass all their gates: the 1e-9 references in
+``perfbench/reference.json``, the paper values and the CLI checks.
 
-Each workload runs in a fresh process, as the benchmark runs it.
+Each workload runs in a fresh process, as the benchmark runs it.  The
+deterministic workloads run at full size; every workload also runs at
+``--tiny`` size under the tracer, which wraps every name the benchmark
+reports on, and the Monte-Carlo workload once more untraced.
 """
 
 import json
@@ -14,17 +17,37 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["exact-cli", "recycle-large-j"])
-def test_workload_gates_hold(workload, tmp_path):
+def _run(tmp_path, workload, *args):
     out = tmp_path / "result.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "workloads.py"), "--workload", workload,
-         "--mode", "plain", "--seed", "0", "--out", str(out)],
+         "--seed", "0", "--out", str(out), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    ops = json.loads(out.read_text())["ops"]
-    assert ops
-    assert [f for op in ops for f in op["failures"]] == []
+    result = json.loads(out.read_text())
+    assert result["ops"]
+    assert [f for op in result["ops"] for f in op["failures"]] == []
+    return result
+
+
+@pytest.mark.parametrize("workload", ["exact-cli", "recycle-large-j"])
+def test_workload_gates_hold(workload, tmp_path):
+    _run(tmp_path, workload, "--mode", "plain")
+
+
+@pytest.mark.parametrize("workload", ["mc-oracle", "exact-cli", "recycle-large-j"])
+def test_tiny_traced_workload_runs_clean(workload, tmp_path):
+    result = _run(tmp_path, workload, "--tiny", "--mode", "traced")
+    # each operation's function is still a traced name (`cli.verify` runs in a subprocess),
+    # and the sampler's counted private boundary is still reached
+    calls = result["summary"]["calls"]
+    assert {op["name"] for op in result["ops"]} - set(calls) <= {"cli.verify"}
+    if workload == "mc-oracle":
+        assert calls["mo._povm_outcome_offsets"] > 0
+
+
+def test_tiny_mc_oracle_runs_clean(tmp_path):
+    _run(tmp_path, "mc-oracle", "--tiny", "--mode", "plain")

@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import apply_choi, identity_choi
 from spinlearn import channels, heisenberg
 from spinlearn.channels import (
     ChoiOperator,
     FidelityEstimate,
     KrausChannel,
-    apply_choi,
     average_from_entanglement,
     choi_from_kraus,
     entanglement_fidelity,
-    identity_choi,
     kraus_from_choi,
-    maximally_entangled,
-    partial_trace,
 )
 
 
@@ -47,42 +44,6 @@ def test_fidelity_estimate_from_samples(rng):
     assert FidelityEstimate.from_samples(np.array([1.0 + 1e-12])).value == 1.0
     with pytest.raises(ValueError, match="n_samples"):
         FidelityEstimate.from_samples(np.array([]))
-
-
-def test_partial_trace_product_state(rng):
-    rho = _random_state(rng, 3)
-    sigma = _random_state(rng, 4)
-    joint = np.kron(rho, sigma)
-    assert np.allclose(partial_trace(joint, [3, 4], keep=[0]), rho, atol=1e-12)
-    assert np.allclose(partial_trace(joint, [3, 4], keep=[1]), sigma, atol=1e-12)
-
-
-def test_partial_trace_maximally_entangled():
-    phi = maximally_entangled(2)
-    rho = np.outer(phi, phi.conj())
-    for keep in ([0], [1]):
-        assert np.allclose(partial_trace(rho, [2, 2], keep), 0.5 * np.eye(2), atol=1e-14)
-
-
-def test_partial_trace_three_party_against_loop_oracle(rng):
-    dims = [2, 3, 2]
-    rho = _random_state(rng, 12)
-    got = partial_trace(rho, dims, keep=[0, 2])
-    # naive index-contraction oracle
-    t = rho.reshape(dims + dims)
-    oracle = np.zeros((4, 4), dtype=complex)
-    for a in range(2):
-        for c in range(2):
-            for ap in range(2):
-                for cp in range(2):
-                    for b in range(3):
-                        oracle[a * 2 + c, ap * 2 + cp] += t[a, b, c, ap, b, cp]
-    assert np.allclose(got, oracle, atol=1e-12)
-
-
-def test_partial_trace_dimension_mismatch(rng):
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(5), [2, 2], keep=[0])
 
 
 def test_apply_choi_identity_and_depolarizing(rng):

@@ -199,3 +199,22 @@ def test_recycle_with_negative_kernel_rates_exits_two(capsys):
 def test_spin_zero_memory_exits_two(capsys):
     assert run_cli(["benchmark", "--two-j", "0", "--theta", "1.0"]) == 2
     assert "two_j" in capsys.readouterr().err
+
+
+def test_thermal_at_infinite_gamma_is_the_aligned_memory(tmp_path):
+    # gamma = inf is the zero-temperature memory: the sweep prints finite values
+    out = tmp_path / "thermal.csv"
+    assert run_cli(["thermal", "--two-j", "4", "--theta", "0.5", "--gamma", "inf",
+                    "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    assert all(math.isfinite(float(row[k])) for k in ("f_thermal", "f_mo", "advantage"))
+
+
+def test_thermal_with_nan_gamma_exits_two(capsys):
+    assert run_cli(["thermal", "--two-j", "4", "--theta", "0.5", "--gamma", "nan"]) == 2
+    assert "gamma" in capsys.readouterr().err
+
+
+def test_spin_zero_target_exits_two(capsys):
+    assert run_cli(["spin-k", "--two-j", "4", "--two-k", "0", "--theta", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: target must be at least a qubit (two_k >= 1)\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from oracles import coupled_basis_vectors
 from spinlearn import optimal, spins
 from spinlearn.heisenberg import (
     f_angle,
@@ -16,6 +17,7 @@ from spinlearn.heisenberg import (
     spin_k_worst_case_asymptotic,
     worst_case_fidelity,
 )
+from spinlearn.mo import spin_k_mo_asymptote
 from spinlearn.rotations import haar_rotation
 
 
@@ -74,7 +76,7 @@ def test_gate_qubit_pair_diagonal_on_total_spin_blocks():
     # two spin-1/2 particles: the gate is diagonal in the singlet/triplet basis
     u = heisenberg_unitary(1, 1, 2.4).matrix()
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    blocks = np.vstack([spins.coupled_basis_vectors(1, 1, 2), singlet[None, :]])
+    blocks = np.vstack([coupled_basis_vectors(1, 1, 2), singlet[None, :]])
     in_coupled = blocks @ u @ blocks.T
     off = in_coupled - np.diag(np.diag(in_coupled))
     assert np.max(np.abs(off)) < 1e-12
@@ -97,8 +99,8 @@ def test_gate_block_structure():
     two_j, theta = 5, 2.3
     f = f_angle(two_j, theta)
     u = heisenberg_unitary(two_j, 1, theta).matrix()
-    pp = spins.coupled_basis_vectors(two_j, 1, two_j + 1)
-    pm = spins.coupled_basis_vectors(two_j, 1, two_j - 1)
+    pp = coupled_basis_vectors(two_j, 1, two_j + 1)
+    pm = coupled_basis_vectors(two_j, 1, two_j - 1)
     proj_p = pp.T @ pp
     proj_m = pm.T @ pm
     target = np.exp(-1j * f) * proj_p + proj_m
@@ -193,6 +195,22 @@ def test_per_input_fidelity_rotation_invariant(rng):
         assert a == pytest.approx(b, abs=1e-10)
 
 
+@pytest.mark.parametrize("two_j", [1, 2, 3, 8, 21])
+def test_per_input_fidelity_independent_of_azimuth(two_j):
+    for theta in (0.3, 1.0, math.pi / 2, math.pi, 4.4):
+        for polar in (0.0, 0.4, math.pi / 2, 2.5, math.pi):
+            ref = per_input_fidelity(two_j, theta, polar, 0.0)
+            for azimuth in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)[1:]:
+                assert abs(per_input_fidelity(two_j, theta, polar, azimuth) - ref) <= 1e-9
+
+
+@pytest.mark.parametrize("two_j,fidelity", [(20, 0.9136113514209018), (100, 0.9805881875275371),
+                                            (400, 0.995037313240676)])
+def test_worst_case_fidelity_values_are_unchanged(two_j, fidelity):
+    # the search alone fixes the result: bit for bit what it gave with the azimuth assertion
+    assert worst_case_fidelity(two_j, math.pi / 2) == (fidelity, 3.1415926324845254)
+
+
 def test_asymptotic_average_error_rate():
     two_j = 2000
     for theta in (math.pi, math.pi / 2):
@@ -209,6 +227,16 @@ def test_spin_k_exact_trivials():
         spin_k_fidelity(8, 0, 1.0)
     with pytest.raises(ValueError):
         spin_k_fidelity(8, 2, 1.0, mode="bogus")
+
+
+@pytest.mark.parametrize("two_k", [0, -2])
+def test_spin_zero_or_negative_target_rejected(two_k):
+    # the asymptotes returned 0.9425 and 0.8468 at two_k = -2
+    for call in (lambda: spin_k_fidelity(4, two_k, 1.0, "asymptotic"),
+                 lambda: spin_k_worst_case_asymptotic(4, two_k, 1.0),
+                 lambda: spin_k_mo_asymptote(4, two_k, 1.0)):
+        with pytest.raises(spins.InvalidQuantumNumbersError, match=r"two_k >= 1"):
+            call()
 
 
 def test_spin_zero_memory_has_no_asymptote():

@@ -7,20 +7,18 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from oracles import complementary_step, step_kernel, stinespring_complementary_populations
 from spinlearn import optimal
 from spinlearn.channels import entanglement_fidelity
 from spinlearn.heisenberg import _golden_minimize, f_angle, heisenberg_unitary
 from spinlearn.memory import (
     MemoryDistribution,
-    complementary_step,
     fidelity_given_m,
     fidelity_given_m_asymptote,
     longevity,
     persistence,
     point_mass,
     recycled_fidelity,
-    step_kernel,
-    stinespring_complementary_populations,
     thermal_advantage_threshold,
     thermal_fidelity,
     thermal_fidelity_asymptote,
@@ -393,18 +391,6 @@ def _fidelity_vector(two_j, theta, f=None):
     return (2.0 * fe + 1.0) / 3.0
 
 
-def _step_with_factor(two_j, factor, w):
-    """One kernel step with the exact structure and interaction factor ``factor``."""
-    j = two_j / 2.0
-    m = np.arange(two_j, -two_j - 1, -2) / 2.0
-    down = (j + m) * (1.0 + j - m) / (1.0 + 2.0 * j) ** 2 * factor
-    up = (j - m) * (1.0 + j + m) / (1.0 + 2.0 * j) ** 2 * factor
-    out = (1.0 - down - up) * w
-    out[1:] += (down * w)[:-1]
-    out[:-1] += (up * w)[1:]
-    return out
-
-
 def _best_angle(fun):
     """Maximize a function of the angle over the whole circle: the best point of
     a 64-point grid over [0, 2pi), refined by golden search within one grid step."""
@@ -422,12 +408,13 @@ def _chain_fidelities(two_j, theta, n_uses, reoptimize=False):
     fvec = _fidelity_vector(two_j, theta)
     out = np.empty(n_uses)
     for t in range(n_uses):
+        factor = None
         if reoptimize:
             f_t, out[t] = _best_angle(lambda f: w @ _fidelity_vector(two_j, theta, f))
-            w = _step_with_factor(two_j, 1.0 - math.cos(f_t), w)
+            factor = 1.0 - math.cos(f_t)
         else:
             out[t] = w @ fvec
-            w = complementary_step(two_j, theta, MemoryDistribution(two_j, w)).weights
+        w = complementary_step(two_j, theta, MemoryDistribution(two_j, w), factor=factor).weights
     return out
 
 
@@ -518,3 +505,20 @@ def test_thermal_fidelity_is_weights_times_fidelity_given_m(two_j, theta, gamma)
     weights = thermal_state(two_j, gamma).weights
     per_m = [fidelity_given_m(two_j, two_m, theta) for two_m in range(two_j, -two_j - 1, -2)]
     assert thermal_fidelity(two_j, theta, gamma) == pytest.approx(float(weights @ per_m), abs=1e-12)
+
+
+def test_thermal_state_at_infinite_gamma_is_the_aligned_point_mass():
+    # 2 gamma (m - j) was inf * 0 = nan at m = j
+    assert np.array_equal(thermal_state(4, math.inf).weights, point_mass(4, 4).weights)
+    assert thermal_fidelity(4, 1.0, math.inf) == fidelity_given_m(4, 4, 1.0)
+    assert thermal_fidelity_asymptote(400, 1.0, math.inf) == pytest.approx(
+        fidelity_given_m_asymptote(400, 400, 1.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, 0.0, -1.0])
+def test_non_positive_or_nan_gamma_rejected(gamma):
+    # the asymptote raised ZeroDivisionError at 0 and returned 1.1006 at -1
+    for call in (lambda: thermal_state(4, gamma), lambda: thermal_fidelity(4, 1.0, gamma),
+                 lambda: thermal_fidelity_asymptote(4, 1.0, gamma)):
+        with pytest.raises(ValueError, match="gamma"):
+            call()

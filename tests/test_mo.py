@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import identity_choi, unital_bell_reality_check
 from spinlearn import channels, spins
 from spinlearn.channels import average_from_entanglement, choi_from_kraus
 from spinlearn.memory import _bisect
@@ -21,7 +22,6 @@ from spinlearn.mo import (
     optimal_theta_prime,
     spin_k_mo_asymptote,
     spin_k_mo_fidelity,
-    unital_bell_reality_check,
 )
 from spinlearn.rotations import haar_quaternions
 from spinlearn.spins import InvalidQuantumNumbersError
@@ -289,7 +289,7 @@ def test_amplitude_damping_not_bell_real():
     k1 = np.array([[0, math.sqrt(eta)], [0, 0]], dtype=complex)
     assert not unital_bell_reality_check(choi_from_kraus([k0, k1], 2, 2))
     with pytest.raises(ValueError):
-        unital_bell_reality_check(channels.identity_choi(3))
+        unital_bell_reality_check(identity_choi(3))
 
 
 def test_anomalous_strategy_dominates_inside_window_only():

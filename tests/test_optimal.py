@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import apply_choi, brute_force_optimum
 from spinlearn import channels, mo, spins
 from spinlearn.channels import KrausChannel, average_from_entanglement, entanglement_fidelity
 from spinlearn.memory import _bisect
 from spinlearn.optimal import (
     CaseNotApplicableError,
     CovariantChoiParams,
-    brute_force_optimum,
     case1_entanglement_fidelity,
     case_fidelity,
     covariant_choi_build,
@@ -81,8 +81,8 @@ def test_choi_build_covariance(rng):
         g = haar_rotation(rng)
         u_in = np.kron(spins.rotation_irrep(4, g), g.qubit_unitary())
         u_out = g.qubit_unitary()
-        lhs = channels.apply_choi(choi, u_in @ rho @ u_in.conj().T)
-        rhs = u_out @ channels.apply_choi(choi, rho) @ u_out.conj().T
+        lhs = apply_choi(choi, u_in @ rho @ u_in.conj().T)
+        rhs = u_out @ apply_choi(choi, rho) @ u_out.conj().T
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 

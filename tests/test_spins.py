@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from oracles import coupled_basis_vectors, decomposition_overlaps
 from spinlearn import spins
 from spinlearn.rotations import Rotation, angle_between_axes, haar_quaternions, haar_rotation
 from spinlearn.spins import (
@@ -86,7 +87,7 @@ def test_haar_schur_integral():
     rng = np.random.default_rng(5)
     for two_j in (1, 2, 5):
         q = haar_quaternions(rng, n)
-        amps = np.abs(spins.coherent_states_batch(two_j, q)[:, 0]) ** 2
+        amps = np.abs(spins.rotated_basis_states_batch(two_j, q, two_j)[:, 0]) ** 2
         mean = amps.mean()
         se = amps.std(ddof=1) / math.sqrt(n)
         assert abs(mean - 1.0 / dim(two_j)) < 4 * se
@@ -229,7 +230,7 @@ def test_cg_orthogonality_both_ways(two_j1, two_j2):
     d1, d2 = dim(two_j1), dim(two_j2)
     blocks = []
     for two_J in range(abs(two_j1 - two_j2), two_j1 + two_j2 + 2, 2):
-        blocks.append(spins.coupled_basis_vectors(two_j1, two_j2, two_J))
+        blocks.append(coupled_basis_vectors(two_j1, two_j2, two_J))
     u = np.vstack(blocks)
     assert u.shape == (d1 * d2, d1 * d2)
     assert np.max(np.abs(u @ u.T - np.eye(d1 * d2))) < 1e-10
@@ -274,11 +275,9 @@ def test_coupling_normalization(two_j, theta):
 
 
 def test_coupling_matches_cg_expansion():
-    from spinlearn import optimal
-
     for two_j, two_m, theta in ((4, 2, math.pi / 2), (3, 1, 1.9), (1, -1, 2.4), (6, 0, 0.6)):
         c = coupling_decomposition(two_j, two_m, theta)
-        qa, qb, qp, qm = optimal.decomposition_overlaps(two_j, two_m, theta)
+        qa, qb, qp, qm = decomposition_overlaps(two_j, two_m, theta)
         assert abs(qa - c.a) < 1e-10
         assert abs(qb - c.b) < 1e-10
         # (c+, c-) are expressed in the conjugate multiplicity basis
