@@ -5,6 +5,13 @@ invariant coupling J.K; the gate is diagonal on total-spin blocks, which
 makes its action cheap at any j.  For a qubit target the interaction angle
 is the optimised function f(theta); for larger targets the angle is theta
 itself (the large-j heuristic).
+
+The gate acts sector by sector of total M: contract the amplitudes with the
+sector's Clebsch-Gordan table g, multiply by the block phases, contract with
+g again.  For a qubit target every sector but the two stretched ones is a
+contiguous pair of product indices, so all of them run at once as
+arithmetic on two strided slices, in the same two stages and with the same
+g and phases, which gives the per-sector loop's results bit for bit.
 """
 
 from __future__ import annotations
@@ -79,6 +86,68 @@ def _block_phases(two_j: int, two_k: int, two_ts: np.ndarray, angle: float) -> n
     return np.exp(-1j * angle * eig / (two_j + 1.0))
 
 
+_PAIR_BLOCK_ELEMENTS = 1 << 15  # per block buffer of the qubit-target gate
+
+
+def _apply_sectors(out: np.ndarray, two_j: int, two_k: int, angle: float, sectors) -> None:
+    """Rotate ``out`` in place, one total-M sector at a time: contract the
+    sector's amplitudes with its Clebsch-Gordan table g, multiply by the
+    block phases, and contract with g again."""
+    for idx, two_ts, g in sectors:
+        phases = _block_phases(two_j, two_k, two_ts, angle)
+        amps = out[..., idx]
+        w = np.einsum("...p,tp->...t", amps, g) * phases
+        out[..., idx] = np.einsum("...t,tp->...p", w, g)
+
+
+@lru_cache(maxsize=None)
+def _qubit_pair_tables(two_j: int) -> np.ndarray:
+    """g[t, p] of the 2j two-pair sectors of a qubit target, stacked as (2, 2, 2j)."""
+    sectors = _coupling_sectors(two_j, 1)[1:-1]
+    g = np.array([s[2] for s in sectors]).transpose(1, 2, 0).copy()
+    g.setflags(write=False)
+    return g
+
+
+def _apply_qubit_sectors(out: np.ndarray, two_j: int, angle: float) -> None:
+    """``_apply_sectors`` for a qubit target, with the middle sectors as slices.
+
+    Sector M = j - i + 1/2 (0 < i <= 2j) is the contiguous pair (2i-1, 2i)
+    of the product index, so all of them are two strided slices.  Each keeps
+    the loop's two-stage arithmetic, (a0 g[t,0] + a1 g[t,1]) phase_t and
+    then w0 g[0,p] + w1 g[1,p], so the result has the loop's bits; a
+    precombined 2x2 unitary would round differently.  Rows go in blocks of
+    about ``_PAIR_BLOCK_ELEMENTS`` slice elements through three buffers
+    allocated once per call, so the extra memory is bounded whatever the
+    batch; a single vector is one block.
+    """
+    sectors = _coupling_sectors(two_j, 1)
+    _apply_sectors(out, two_j, 1, angle, (sectors[0], sectors[-1]))
+    if two_j == 0:
+        return
+    g = _qubit_pair_tables(two_j)
+    phases = _block_phases(two_j, 1, sectors[1][1], angle)
+    rows = out.reshape(-1, out.shape[-1])
+    step = max(1, min(len(rows), _PAIR_BLOCK_ELEMENTS // two_j))
+    buffers = np.empty((3, step, two_j), dtype=complex)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        acc, w0, w1 = buffers[:, :len(block)]
+        a0, a1 = block[:, 1:-1:2], block[:, 2:-1:2]
+        # the phase products write to a separate buffer, because numpy rounds
+        # an in-place complex product of one element differently
+        np.multiply(a0, g[0, 0], out=acc)
+        acc += np.multiply(a1, g[0, 1], out=w0)
+        np.multiply(acc, phases[0], out=w0)
+        np.multiply(a0, g[1, 0], out=acc)
+        acc += np.multiply(a1, g[1, 1], out=w1)
+        np.multiply(acc, phases[1], out=w1)
+        np.multiply(w0, g[0, 0], out=a0)
+        a0 += np.multiply(w1, g[1, 0], out=acc)
+        np.multiply(w0, g[0, 1], out=a1)
+        a1 += np.multiply(w1, g[1, 1], out=acc)
+
+
 @dataclass(frozen=True)
 class HeisenbergGate:
     """Unitary exp[-i * angle * 2 J.K / (2j+1)] on the (j (x) k) space."""
@@ -93,13 +162,26 @@ class HeisenbergGate:
         return dim(self.two_j) * dim(self.two_k)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Apply the gate to vectors with the product index on the last axis."""
-        out = np.array(vec, dtype=complex, copy=True)
-        for idx, two_ts, g in _coupling_sectors(self.two_j, self.two_k):
-            phases = _block_phases(self.two_j, self.two_k, two_ts, self.angle)
-            amps = out[..., idx]
-            w = np.einsum("...p,tp->...t", amps, g) * phases
-            out[..., idx] = np.einsum("...t,tp->...p", w, g)
+        """Apply the gate to vectors with the product index on the last axis.
+
+        A qubit target takes the slice form ``_apply_qubit_sectors``, a fixed
+        number of numpy calls per block of rows at any j; larger targets
+        loop over the total-M sectors in ``_apply_sectors``.  Both contract
+        with g, apply the phases and contract with g again, in that order:
+        folding the stages into one 2x2 unitary per sector would change the
+        rounding, and with it the polar angle ``worst_case_fidelity``'s
+        search returns.
+        """
+        vec = np.asarray(vec)
+        if vec.shape[-1:] != (self.dim_total,):
+            raise ValueError(f"vectors must have last axis dim_total={self.dim_total} "
+                             f"(2j={self.two_j}, 2k={self.two_k}), got shape {vec.shape}")
+        out = np.array(vec, dtype=complex, order="C")
+        if self.two_k == 1:
+            _apply_qubit_sectors(out, self.two_j, self.angle)
+        else:
+            _apply_sectors(out, self.two_j, self.two_k, self.angle,
+                           _coupling_sectors(self.two_j, self.two_k))
         return out
 
     def matrix(self) -> np.ndarray:

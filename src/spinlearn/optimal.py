@@ -105,7 +105,8 @@ def _raw_total_family(two_j: int, two_k_route: int, two_t: int) -> np.ndarray:
     dp = dim(two_j)
     inner = spins._pair_coupling_table(two_j, 1, two_k_route)       # (K, probe, in)
     outer = spins._pair_coupling_table(two_k_route, 1, two_t)       # (T, K, out)
-    fam = np.einsum("tks,kpi->tpsi", outer, inner)
+    # one nonzero K per (t, s, p, i), so the BLAS product is exact
+    fam = np.tensordot(outer, inner, axes=([1], [0])).transpose(0, 2, 1, 3)
     return fam.reshape(dim(two_t), dp * 4)
 
 

@@ -7,12 +7,15 @@ deterministic workloads run at full size; every workload also runs at
 reports on, and the Monte-Carlo workload once more untraced.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+import spinlearn
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -51,3 +54,28 @@ def test_tiny_traced_workload_runs_clean(workload, tmp_path):
 
 def test_tiny_mc_oracle_runs_clean(tmp_path):
     _run(tmp_path, "mc-oracle", "--tiny", "--mode", "plain")
+
+
+def _resolve(name):
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"spinlearn.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_every_traced_name_resolves_and_is_wrapped(monkeypatch):
+    # the tracer skips a missing name without a word, and its counters then read 0
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    run, tracing = importlib.import_module("run"), importlib.import_module("tracing")
+    names = sorted(tracing.EXTRA | set(tracing.COUNTERS) | set(run.SCALED))
+    assert "heisenberg.HeisenbergGate.apply" in names
+    plain = {name: _resolve(name) for name in names}
+    assert all(callable(fn) for fn in plain.values())
+    restore = tracing.install(tracing.Tracer(), spinlearn)
+    try:
+        unwrapped = [name for name in names if _resolve(name) is plain[name]]
+    finally:
+        restore()
+    assert unwrapped == []
+    assert all(_resolve(name) is fn for name, fn in plain.items())

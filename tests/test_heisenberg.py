@@ -1,11 +1,13 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from oracles import coupled_basis_vectors
-from spinlearn import optimal, spins
+from spinlearn import heisenberg, optimal, spins
 from spinlearn.heisenberg import (
     f_angle,
     heisenberg_entanglement_fidelity,
@@ -70,6 +72,34 @@ def test_gate_unitary_and_isotropic():
     for a, b in zip(jp, jt):
         total = np.kron(a, np.eye(2)) + np.kron(np.eye(5), b)
         assert np.max(np.abs(u @ total - total @ u)) < 1e-10
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 7, 20, 101, 400])
+def test_qubit_slice_path_matches_sector_loop(monkeypatch, two_j):
+    # the slice form keeps the loop's two-stage arithmetic, so the bits agree,
+    # in the default row blocks and one row at a time
+    rng = np.random.default_rng(two_j)
+    sectors = heisenberg._coupling_sectors(two_j, 1)
+    for theta in (0.0, 0.3, math.pi / 2, math.pi, 2.5, 5.9):
+        gate = heisenberg_unitary(two_j, 1, theta)
+        for shape in ((), (0,), (1,), (2,), (37,), (1307,)):
+            vec = (rng.normal(size=shape + (gate.dim_total,))
+                   + 1j * rng.normal(size=shape + (gate.dim_total,)))
+            loop = vec.copy()
+            heisenberg._apply_sectors(loop, two_j, 1, gate.angle, sectors)
+            assert np.array_equal(gate.apply(vec), loop)
+            with monkeypatch.context() as patched:
+                patched.setattr(heisenberg, "_PAIR_BLOCK_ELEMENTS", 1)
+                assert np.array_equal(gate.apply(vec), loop)
+
+
+@pytest.mark.parametrize("two_k", [1, 2])
+def test_apply_rejects_wrong_vector_length(two_k):
+    gate = heisenberg_unitary(4, two_k, 1.0)
+    for shape in ((gate.dim_total - 1,), (gate.dim_total + 1,), (gate.dim_total + 2,),
+                  (3, gate.dim_total + 1), ()):
+        with pytest.raises(ValueError, match=f"dim_total={gate.dim_total}"):
+            gate.apply(np.zeros(shape, dtype=complex))
 
 
 def test_gate_qubit_pair_diagonal_on_total_spin_blocks():
@@ -209,6 +239,17 @@ def test_per_input_fidelity_independent_of_azimuth(two_j):
 def test_worst_case_fidelity_values_are_unchanged(two_j, fidelity):
     # the search alone fixes the result: bit for bit what it gave with the azimuth assertion
     assert worst_case_fidelity(two_j, math.pi / 2) == (fidelity, 3.1415926324845254)
+
+
+@pytest.mark.parametrize("two_j", [20, 100, 400])
+def test_worst_case_fidelity_equals_benchmark_reference(two_j):
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "reference.json")
+    with open(path) as fh:
+        ref = json.load(fh)
+    key = f"heisenberg.worst_case_fidelity.2j{two_j}"
+    assert worst_case_fidelity(two_j, math.pi / 2) == (ref[f"{key}/worst_fidelity"],
+                                                       ref[f"{key}/polar"])
 
 
 def test_asymptotic_average_error_rate():
