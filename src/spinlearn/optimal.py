@@ -5,6 +5,12 @@ after absorbing the conjugate representations it block-diagonalizes over the
 total spin, leaving two scalars (alpha, beta) on the stretched/shrunk blocks
 and a 2x2 matrix M on the doubly-degenerate spin-j block.  Everything here is
 written in those coordinates.
+
+The Choi assembly keeps that structure exact: the total-spin families are
+BLAS products with exact zeros between different total M, and the conjugation
+e^{i pi Jy} (x) I (x) sy back to the Choi layout is a signed permutation
+applied by indexing, so the Choi matrix splits into total-M blocks of at most
+4 x 4 that the channels layer diagonalizes one at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +23,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import heisenberg, spins
-from .channels import ChoiOperator, KrausChannel, average_from_entanglement, kraus_from_choi
+from .channels import (
+    ChoiOperator,
+    KrausChannel,
+    average_from_entanglement,
+    kraus_from_choi,
+    min_eigenvalue,
+)
 from .spins import CouplingCoeffs, check_valid_m, coupling_decomposition, dim
 from .strategies import (
     CaseChoiStrategy,
@@ -55,9 +67,15 @@ class CovariantChoiParams:
         return float(self.m_matrix[0, 0].real), float(self.m_matrix[1, 1].real)
 
 
+def _check_beta(params: CovariantChoiParams, two_j: int) -> None:
+    if two_j >= 2 and params.beta is None:
+        raise ValueError(f"beta is None, but two_j={two_j} has a spin j-1 block")
+
+
 def tp_residuals(params: CovariantChoiParams, two_j: int) -> tuple[float, float]:
     """Residuals of the two trace-preservation constraints (second is the
     degenerate one-block form when two_j == 1)."""
+    _check_beta(params, two_j)
     j = two_j / 2.0
     t_plus, t_minus = params.m_diag()
     r1 = (2 * j + 3) / (2 * j + 2) * params.alpha + (2 * j + 1) / (2 * j + 2) * t_plus - 1.0
@@ -74,9 +92,9 @@ def validate_params(params: CovariantChoiParams, two_j: int, tol: float = 1e-9) 
         raise ValueError(f"trace-preservation constraints violated: {r1:.2e}, {r2:.2e}")
     if params.alpha < -tol or (params.beta is not None and params.beta < -tol):
         raise ValueError("block weights must be non-negative")
-    eigs = np.linalg.eigvalsh(0.5 * (params.m_matrix + params.m_matrix.conj().T))
-    if eigs[0] < -tol:
-        raise ValueError(f"M is not positive semidefinite (min eig {eigs[0]:.2e})")
+    lam = min_eigenvalue(params.m_matrix)
+    if lam < -tol:
+        raise ValueError(f"M is not positive semidefinite (min eig {lam:.2e})")
 
 
 @dataclass(frozen=True)
@@ -134,12 +152,20 @@ def _coupled_basis(two_j: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _conjugation_operator(two_j: int) -> np.ndarray:
-    """e^{i pi Jy} (x) I (x) sy, mapping block coordinates back to the Choi."""
-    ry = spins.rotation_y_irrep(two_j, math.pi).conj().T  # e^{+i pi Jy}
-    op = np.kron(np.kron(ry, PAULI["i"]), PAULI["y"])
-    op.setflags(write=False)
-    return op
+def _conjugation_operator(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """e^{i pi Jy} (x) I (x) sy on (probe, out, in) as (index, phase).
+
+    The operator is a signed permutation: row r holds its one entry,
+    phase[r], in column index[r].  Since d^j_{m'm}(pi) = (-1)^(j-m)
+    delta_{m',-m}, e^{i pi Jy} sends probe row p to column 2j - p with sign
+    (-1)^p, and sy sends qubit row q to column 1 - q with phase -i, +i.
+    """
+    p, o, q = np.indices((dim(two_j), 2, 2)).reshape(3, -1)
+    index = ((two_j - p) * 2 + o) * 2 + (1 - q)
+    phase = np.where(p % 2 == 0, 1.0, -1.0) * np.where(q == 0, -1j, 1j)
+    index.setflags(write=False)
+    phase.setflags(write=False)
+    return index, phase
 
 
 def covariant_choi_build(params: CovariantChoiParams, two_j: int) -> ChoiOperator:
@@ -147,33 +173,33 @@ def covariant_choi_build(params: CovariantChoiParams, two_j: int) -> ChoiOperato
 
     Returns it in the standard (input = probe (x) qubit, output = qubit)
     layout with Tr_out = I_in; raises if the parameters violate CP or TP.
+    The families are conjugated and reordered by indexing before the block
+    products, so entries between different total M stay exact zeros.
     """
     validate_params(params, two_j)
-    basis = _coupled_basis(two_j)
     dp = dim(two_j)
     d_total = dp * 4
-    c_star = np.zeros((d_total, d_total), dtype=complex)
-    c_star += params.alpha * basis["top"].T @ basis["top"].conj()
-    if basis["bottom"] is not None and params.beta:
-        c_star += params.beta * basis["bottom"].T @ basis["bottom"].conj()
+    index, phase = _conjugation_operator(two_j)
+    # reorder slots (probe, out, in) -> ((probe, in), out)
+    to_choi = np.arange(d_total).reshape(dp, 2, 2).transpose(0, 2, 1).reshape(-1)
+    index, phase = index[to_choi], phase[to_choi]
+    fam = {name: None if f is None else f[:, index] * phase
+           for name, f in _coupled_basis(two_j).items()}
+
+    c_mat = np.zeros((d_total, d_total), dtype=complex)
+    c_mat += params.alpha * fam["top"].T @ fam["top"].conj()
+    if fam["bottom"] is not None and params.beta:
+        c_mat += params.beta * fam["bottom"].T @ fam["bottom"].conj()
     # M is expressed in the conjugate multiplicity convention used by the
     # block coefficients; on the real route basis its entries conjugate.
     # Fidelities are invariant.
     m_build = np.conj(params.m_matrix)
-    fams = (basis["plus"], basis["minus"])
+    pair = (fam["plus"], fam["minus"])
     for r in range(2):
         for s in range(2):
             if m_build[r, s] != 0.0:
-                c_star += m_build[r, s] * fams[r].T @ fams[s].conj()
+                c_mat += m_build[r, s] * pair[r].T @ pair[s].conj()
 
-    e_op = _conjugation_operator(two_j)
-    c_mat = e_op @ c_star @ e_op.conj().T
-    # reorder slots (probe, out, in) -> ((probe, in), out)
-    c_mat = (
-        c_mat.reshape(dp, 2, 2, dp, 2, 2)
-        .transpose(0, 2, 1, 3, 5, 4)
-        .reshape(d_total, d_total)
-    )
     choi = ChoiOperator(matrix=c_mat, dim_in=dp * 2, dim_out=2)
     choi.validate()
     return choi
@@ -183,6 +209,7 @@ def covariant_fidelity(params: CovariantChoiParams, two_j: int, two_m: int,
                        theta: float) -> float:
     """Entanglement fidelity (alpha |a|^2 + beta |b|^2 + <c|M|c>) / 2."""
     check_valid_m(two_j, two_m)
+    _check_beta(params, two_j)
     coeff = coupling_decomposition(two_j, two_m, theta)
     c_vec = np.array([coeff.c_plus, coeff.c_minus])
     val = params.alpha * abs(coeff.a) ** 2

@@ -267,10 +267,10 @@ def coupling_decomposition(two_j: int, two_m: int, theta: float) -> CouplingCoef
     """Block coefficients (a, b, c+, c-) for probe index m and angle theta.
 
     The j-1 amplitude ``b`` is identically 0 for two_j == 1, where that block
-    does not exist.
+    does not exist.  A spin-0 memory (two_j == 0) is rejected.
     """
     check_valid_m(two_j, two_m)
-    j = two_j / 2.0
+    j = _check_nonzero_j(two_j)
     m = two_m / 2.0
     s = math.sin(theta / 2.0)
     c = math.cos(theta / 2.0)

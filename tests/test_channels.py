@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from oracles import apply_choi, identity_choi
 from spinlearn import channels, heisenberg
@@ -65,6 +66,61 @@ def test_apply_choi_z_rotation_fixes_poles():
 def test_apply_choi_dimension_mismatch():
     with pytest.raises(ValueError):
         apply_choi(identity_choi(2), np.eye(3))
+
+
+def _hidden_negative_block_matrix(rng):
+    """12 x 12 Hermitian matrix: PSD blocks of sizes 1, 2, 3, 4 and one 2 x 2
+    block with eigenvalues (1, -1e-6), its rows and columns randomly permuted."""
+    blocks = []
+    for size in (1, 2, 3, 4):
+        z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        blocks.append(z @ z.conj().T)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    blocks.append(u @ np.diag([1.0, -1e-6]) @ u.conj().T)
+    mat = np.zeros((12, 12), dtype=complex)
+    start = 0
+    for b in blocks:
+        mat[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    perm = rng.permutation(12)
+    return mat[np.ix_(perm, perm)]
+
+
+def test_cp_check_finds_a_negative_eigenvalue_inside_one_block(rng):
+    mat = _hidden_negative_block_matrix(rng)
+    assert connected_components(mat != 0, directed=False)[0] == 5
+    assert not ChoiOperator(matrix=mat, dim_in=6, dim_out=2).is_completely_positive()
+    assert channels.min_eigenvalue(mat) == pytest.approx(-1e-6, abs=1e-12)
+
+
+def test_min_eigenvalue_matches_dense_spectrum(rng):
+    blocky = _hidden_negative_block_matrix(rng)
+    z = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+    dense = z @ z.conj().T
+    for mat in (blocky, dense):
+        assert abs(channels.min_eigenvalue(mat) - np.linalg.eigvalsh(mat)[0]) < 1e-12
+
+
+def test_pattern_blocks_match_graph_components(rng):
+    # a 7-long path needs several frontier steps; the rest is sparse random
+    n = 40
+    link = rng.random((n, n)) < 0.03
+    link[np.arange(7), np.arange(1, 8)] = True
+    link |= link.T
+    n_comp, labels = connected_components(link, directed=False)
+    blocks = channels._pattern_blocks(link)
+    assert len(blocks) == n_comp
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
+    for b in blocks:
+        assert len(set(labels[b])) == 1 and np.count_nonzero(labels == labels[b[0]]) == len(b)
+
+
+def test_blockwise_eigh_is_an_eigendecomposition(rng):
+    mat = _hidden_negative_block_matrix(rng)
+    vals, vecs = channels._blockwise_eigh(mat)
+    assert np.all(np.diff(vals) >= 0)
+    assert np.allclose(vecs.conj().T @ vecs, np.eye(12), atol=1e-12)
+    assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, mat, atol=1e-12)
 
 
 def test_kraus_choi_round_trip(rng):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from oracles import apply_choi, brute_force_optimum
 from spinlearn import channels, mo, spins
@@ -10,7 +11,9 @@ from spinlearn.memory import _bisect
 from spinlearn.optimal import (
     CaseNotApplicableError,
     CovariantChoiParams,
+    _conjugation_operator,
     case1_entanglement_fidelity,
+    case_choi_channel,
     case_fidelity,
     covariant_choi_build,
     covariant_fidelity,
@@ -23,9 +26,10 @@ from spinlearn.optimal import (
     tp_residuals,
     unot_channel,
     unot_mixture_channel,
+    validate_params,
 )
 from spinlearn.rotations import haar_quaternions, haar_rotation
-from spinlearn.strategies import DiscreteXYZ, HeisenbergStrategy, UNotMixture
+from spinlearn.strategies import CaseChoiStrategy, DiscreteXYZ, HeisenbergStrategy, UNotMixture
 
 
 def _random_valid_params(rng, two_j):
@@ -69,6 +73,78 @@ def test_choi_build_cp_tp_and_fidelity_consistency(two_j, rng):
         probe[spins.basis_index(two_j, two_m)] = 1.0
         v = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
         assert fe == pytest.approx(entanglement_fidelity(ch, probe, v).value, abs=1e-9)
+
+
+def _case_points():
+    """One (case, two_j, two_m, theta) per case where it exists, 2j in {1, 2, 3, 8, 32}."""
+    for two_j in (1, 2, 3, 8, 32):
+        yield 1, two_j, two_j, 2.2
+        yield 2, two_j, two_j % 2, 2.9
+        if two_j >= 2:
+            yield 3, two_j, two_j % 2, 2.2
+
+
+@pytest.mark.parametrize("case, two_j, two_m, theta", list(_case_points()))
+def test_case_choi_splits_into_total_m_blocks(case, two_j, two_m, theta):
+    # a covariant Choi operator is block diagonal over total M, blocks at most 4 x 4;
+    # rounding noise in the conjugation would join them into one dense component
+    _, params = case_fidelity(case, two_j, two_m, theta)
+    choi = covariant_choi_build(params, two_j)
+    _, labels = connected_components(choi.matrix != 0, directed=False)
+    assert np.bincount(labels).max() <= 4
+
+
+@pytest.mark.parametrize("case, two_j, two_m, theta", list(_case_points()))
+def test_case_choi_kraus_round_trip(case, two_j, two_m, theta):
+    _, params = case_fidelity(case, two_j, two_m, theta)
+    choi = covariant_choi_build(params, two_j)
+    back = channels.choi_from_kraus(channels.kraus_from_choi(choi), choi.dim_in, choi.dim_out)
+    assert np.max(np.abs(back.matrix - choi.matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("two_j", range(13))
+def test_conjugation_operator_is_the_exact_signed_permutation(two_j):
+    index, phase = _conjugation_operator(two_j)
+    d_total = 4 * spins.dim(two_j)
+    op = np.zeros((d_total, d_total), dtype=complex)
+    op[np.arange(d_total), index] = phase
+    sigma_y = np.array([[0, -1j], [1j, 0]])
+    ry = spins.rotation_y_irrep(two_j, math.pi).conj().T  # e^{+i pi Jy}
+    assert np.max(np.abs(op - np.kron(np.kron(ry, np.eye(2)), sigma_y))) < 1e-13
+    assert np.array_equal(np.sort(index), np.arange(d_total))
+    nonzero = op != 0
+    assert (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
+    assert np.array_equal(np.abs(op[nonzero]), np.ones(d_total))
+
+
+def test_spin_zero_memory_rejected_by_cases():
+    for case in (1, 2, 3, 4):
+        with pytest.raises(spins.InvalidQuantumNumbersError, match="two_j=0"):
+            case_fidelity(case, 0, 0, 1.0)
+    with pytest.raises(spins.InvalidQuantumNumbersError, match="two_j=0"):
+        case_choi_channel(CaseChoiStrategy(1, 0, 0, math.pi))
+
+
+def test_missing_beta_is_named():
+    _, params = case_fidelity(1, 4, 4, 1.3)
+    no_beta = CovariantChoiParams(alpha=params.alpha, beta=None, m_matrix=params.m_matrix)
+    for call in (tp_residuals, validate_params, covariant_choi_build):
+        with pytest.raises(ValueError, match="beta"):
+            call(no_beta, 4)
+    with pytest.raises(ValueError, match="beta"):  # it dropped the j-1 term
+        covariant_fidelity(no_beta, 4, 0, 2.2)
+    # at 2j = 1 there is no spin j-1 block, and beta None is the convention
+    _, params = case_fidelity(1, 1, 1, 1.3)
+    assert params.beta is None
+    validate_params(params, 1)
+
+
+def test_non_psd_m_is_rejected():
+    _, params = case_fidelity(3, 4, 0, 1.3)
+    bad = CovariantChoiParams(alpha=params.alpha, beta=params.beta,
+                              m_matrix=np.array([[0.0, 1e-3], [1e-3, 0.0]], dtype=complex))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        validate_params(bad, 4)
 
 
 def test_choi_build_covariance(rng):

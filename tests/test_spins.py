@@ -292,6 +292,12 @@ def test_invalid_m_raises():
         coupling_decomposition(2, 1, 1.0)  # parity
 
 
+def test_spin_zero_memory_has_no_coupling_decomposition():
+    # the j - 1/2 route does not exist at j = 0 (it divided by j)
+    with pytest.raises(InvalidQuantumNumbersError, match="two_j=0"):
+        coupling_decomposition(0, 0, 1.0)
+
+
 # quaternions with beta = 0 exactly (first two) and beta = pi exactly (last three)
 _POLE_QUATERNIONS = np.array([
     [1.0, 0.0, 0.0, 0.0],
