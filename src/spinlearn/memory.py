@@ -20,7 +20,10 @@ of m close under the ``expanded`` and ``exact`` kernels, so each use costs
 O(1) at any j, re-tuned interaction angle included (it maximizes a sinusoid
 in closed form).
 (The ``leading`` kernel truncates at m = -j, so its moments do not close;
-the alternating sum, evaluated in integers, gives its n-step distribution.)
+the alternating sum gives its n-step distribution, as signed weights: one
+Taylor shift of exact integers, by additions and subtractions only.)
+The thermal moments of m are closed forms too, O(1) at any j, so the
+advantage threshold bisects on an O(1) function.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ _SCAN_CHUNK = 4096  # uses per array when scanning for a crossing
 
 
 @dataclass(frozen=True)
-class MemoryDistribution:
-    """Probability weights over the magnetic index m (descending order)."""
+class SignedWeights:
+    """Real weights over the magnetic index m (descending order), of either sign:
+    the alternating-sum populations are negative where they leave the regime
+    in which they approximate the recycled memory."""
 
     two_j: int
     weights: np.ndarray
@@ -47,18 +52,23 @@ class MemoryDistribution:
         if self.weights.shape != (dim(self.two_j),):
             raise ValueError("weight vector has wrong length")
 
+    def weight_at(self, two_m: int) -> float:
+        check_valid_m(self.two_j, two_m)
+        return float(self.weights[(self.two_j - two_m) // 2])
+
+    def total_variation(self, other: "SignedWeights") -> float:
+        return 0.5 * float(np.sum(np.abs(self.weights - other.weights)))
+
+
+@dataclass(frozen=True)
+class MemoryDistribution(SignedWeights):
+    """Probability weights over the magnetic index m (descending order)."""
+
     def validate(self, tol: float = 1e-10) -> None:
         if np.min(self.weights) < -1e-12:
             raise ValueError(f"negative weight {np.min(self.weights):.3e}")
         if abs(float(np.sum(self.weights)) - 1.0) > tol:
             raise ValueError("weights do not sum to 1")
-
-    def weight_at(self, two_m: int) -> float:
-        check_valid_m(self.two_j, two_m)
-        return float(self.weights[(self.two_j - two_m) // 2])
-
-    def total_variation(self, other: "MemoryDistribution") -> float:
-        return 0.5 * float(np.sum(np.abs(self.weights - other.weights)))
 
 
 def point_mass(two_j: int, two_m: int) -> MemoryDistribution:
@@ -110,12 +120,14 @@ def _fixed_schedule(two_j: int, theta: float, steps):
 def fidelity_given_m(two_j: int, two_m: int, theta: float,
                      f_override: float | None = None) -> float:
     """Exact average fidelity of the strategy run from memory state |j,m>_g."""
+    _check_theta(theta)
     fe = heisenberg.entanglement_fidelity_given_m(two_j, two_m, theta, f_override)
     return average_from_entanglement(fe, 2)
 
 
 def fidelity_given_m_asymptote(two_j: int, two_m: int, theta: float) -> float:
     j = _check_nonzero_j(two_j)
+    _check_theta(theta)
     m = two_m / 2.0
     return 1.0 - (1.0 + 2.0 * j - 2.0 * m) * (1.0 - math.cos(theta)) / (3.0 * j)
 
@@ -131,8 +143,8 @@ def recycled_fidelity(two_j: int, theta: float, n_uses: int,
     atan2(R, Q) = atan2((2j+1)<m> sin theta, j(j+1)(1 + cos theta) - <m^2>(1 - cos theta)),
     which is f(theta) at the pure state.
     """
-    if n_uses < 1:
-        raise ValueError("n_uses must be positive")
+    _check_theta(theta)
+    _check_count("n_uses", n_uses, 1)
     if not reoptimize_f:
         return _fixed_schedule(two_j, theta, np.arange(n_uses))
     out = np.empty(n_uses)
@@ -166,7 +178,7 @@ def _uses_before(two_j: int, theta: float, fails, level: float, cap: int) -> tup
             return start + int(hit[0]), False
         if c == 0.0 or (rho < 1.0 and tail * rho ** int(s[-1]) < abs(f_inf - level)):
             break
-    return max(cap, 0), True
+    return cap, True
 
 
 @dataclass(frozen=True)
@@ -182,6 +194,9 @@ def persistence(two_j: int, theta: float, t_max: int | None = None) -> Persisten
 
     At theta = 0 (mod 2pi) the memory never degrades: the asymptote is inf and
     the default cap is 100 uses."""
+    _check_theta(theta)
+    if t_max is not None:
+        _check_count("t_max", t_max, 0)
     benchmark = mo.mo_average_fidelity(two_j, theta)
     one_minus_cos = 1.0 - math.cos(theta)
     if one_minus_cos > 0.0:
@@ -197,51 +212,77 @@ def persistence(two_j: int, theta: float, t_max: int | None = None) -> Persisten
 def longevity(two_j: int, theta: float, threshold: float,
               t_max: int | None = None) -> int:
     """Largest number of uses with fidelity still at or above ``threshold``."""
+    _check_theta(theta)
+    if t_max is not None:
+        _check_count("t_max", t_max, 0)
     if not (1.0 / 3.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (1/3, 1)")
     cap = t_max if t_max is not None else int(10 * two_j**2 / max(1.0 - math.cos(theta), 1e-6)) + 10
     return _uses_before(two_j, theta, np.less, threshold, cap)[0]
 
 
-def tricomi_distribution(two_j: int, theta: float, n: int) -> MemoryDistribution:
+def tricomi_distribution(two_j: int, theta: float, n: int) -> SignedWeights:
     """Alternating-sum closed form of the recycled population distribution.
 
     Evaluated in exact integer arithmetic (the sum is catastrophically
     ill-conditioned in floating point once n exceeds 2j/(1-cos theta)): with
     (1 - cos theta)/(2j) = p/r exactly, every term is put over r^n and each
-    weight is one correctly rounded integer quotient.  It is the exact n-step
-    distribution of the ``leading`` kernel.
+    weight is one correctly rounded integer quotient.  The numerators
+    sum_i (-1)^(i-k) C(i, k) T(i) are the coefficients of sum_i T(i) (x - 1)^i:
+    one Taylor shift, each coefficient the remainder of a Horner division by
+    (y + 1), so n^2/2 integer subtractions and no products give them all.
+    It is the exact n-step distribution of the ``leading`` kernel, whose
+    weights turn negative where it stops approximating the memory: hence
+    ``SignedWeights``.
     """
     _check_nonzero_j(two_j)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if theta == 0.0 or n == 0:
-        return point_mass(two_j, two_j)
+    _check_theta(theta)
+    _check_count("n", n, 0)
     p, r = float(1.0 - math.cos(theta)).as_integer_ratio()
+    if p == 0 or n == 0:
+        return point_mass(two_j, two_j)
     r *= two_j
-    # shared inner terms T(i) = C(n, i) i! (p/r)^i, times the common denominator r^n
-    t_terms = [math.perm(n, i) * p**i * r ** (n - i) for i in range(n + 1)]
+    top = min(n, two_j)
+    # T(i) = C(n, i) i! (p/r)^i, times the common denominator r^n
+    coeffs = [math.perm(n, i) * p**i * r ** (n - i) for i in range(n + 1)]
     denominator = r**n
-    weights = np.zeros(dim(two_j))
-    # largest k first: its sum is the shortest and the first to overflow when the
-    # weights blow up, so the error comes before the long sums at small k are spent
-    for k in reversed(range(min(n, two_j) + 1)):
-        acc = sum((-1) ** (i - k) * math.comb(i, k) * t_terms[i] for i in range(k, n + 1))
+
+    def weight(numerator: int) -> float:
         try:
-            weights[k] = acc / denominator
+            return numerator / denominator
         except OverflowError:
             raise ValueError(f"n={n}: the alternating-sum weights overflow a float") from None
-    return MemoryDistribution(two_j=two_j, weights=weights)
+
+    # the top weight's sum is the shortest and the first to overflow when the
+    # weights blow up, so the error comes before the shift is spent
+    weight(sum((-1) ** (i - top) * math.comb(i, top) * coeffs[i] for i in range(top, n + 1)))
+    for i in range(top + 1):  # divide coeffs[i:] by (y + 1): remainder i is final
+        for k in range(n - 1, i - 1, -1):
+            coeffs[k] -= coeffs[k + 1]
+    weights = np.zeros(dim(two_j))
+    weights[:top + 1] = [weight(c) for c in coeffs[:top + 1]]
+    return SignedWeights(two_j=two_j, weights=weights)
 
 
 def tricomi_geometric_asymptote(two_j: int, theta: float, n: int, two_m: int) -> float:
     """Large-j geometric form of the recycled population weights."""
     _check_nonzero_j(two_j)
+    _check_theta(theta)
     check_valid_m(two_j, two_m)
     x = n * (1.0 - math.cos(theta))
     ratio = x / (x + two_j)
     k = (two_j - two_m) // 2
     return (two_j / (x + two_j)) * ratio**k
+
+
+def _check_theta(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+
+
+def _check_count(name: str, value: int, low: int) -> None:
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_gamma(gamma: float) -> None:
@@ -251,6 +292,7 @@ def _check_gamma(gamma: float) -> None:
 
 def thermal_state(two_j: int, gamma: float) -> MemoryDistribution:
     """Gibbs weights exp(2 gamma m), normalized; gamma = inf gives m = j."""
+    _check_nonzero_j(two_j)
     _check_gamma(gamma)
     if gamma == math.inf:
         return point_mass(two_j, two_j)
@@ -261,15 +303,58 @@ def thermal_state(two_j: int, gamma: float) -> MemoryDistribution:
     return MemoryDistribution(two_j=two_j, weights=w / np.sum(w))
 
 
+# coth x - 1/x = sum_k c_k x^(2k-1), c_k = 2^(2k) B_(2k) / (2k)! with the Bernoulli
+# numbers B; these twelve terms reach double precision for x < 1/2
+_COTH_SERIES = (1 / 3, -1 / 45, 2 / 945, -1 / 4725, 2 / 93555, -1382 / 638512875,
+                4 / 18243225, -3617 / 162820783125, 87734 / 38979295480125,
+                -349222 / 1531329465290625, 310732 / 13447856940643125,
+                -472728182 / 201919571963756521875)
+
+
+def _coth_without_pole(x: float) -> tuple[float, float]:
+    """coth x - 1/x and its derivative 1/x^2 - csch^2 x, for 0 <= x < 1/2."""
+    x2 = x * x
+    value = slope = 0.0
+    for k in reversed(range(len(_COTH_SERIES))):
+        value = value * x2 + _COTH_SERIES[k]
+        slope = slope * x2 + (2 * k + 1) * _COTH_SERIES[k]
+    return value * x, slope
+
+
+def _thermal_moments(two_j: int, gamma: float) -> tuple[float, float]:
+    """<m> and <m^2> of the Gibbs weights exp(2 gamma m), in O(1).
+
+    With N = 2j + 1, <m> = [N coth(N gamma) - coth gamma]/2, and Var m is its
+    derivative in 2 gamma, [csch^2 gamma - N^2 csch^2(N gamma)]/4.  Below
+    N gamma = 1/2 the two terms cancel, so there the poles 1/gamma and 1/gamma^2
+    drop out analytically and the rest is summed as a series.
+    """
+    n = two_j + 1
+    if n * gamma < 0.5:
+        rest_n, slope_n = _coth_without_pole(n * gamma)
+        rest_1, slope_1 = _coth_without_pole(gamma)
+        mean_m = 0.5 * (n * rest_n - rest_1)
+        var = 0.25 * (n * n * slope_n - slope_1)
+    else:
+        # coth x = 1 + 2y and csch^2 x = 4y(1 + y), y = 1/(e^(2x) - 1): 0 at gamma = inf
+        x = math.exp(-2.0 * gamma) / -math.expm1(-2.0 * gamma)
+        y = math.exp(-2.0 * n * gamma) / -math.expm1(-2.0 * n * gamma)
+        mean_m = two_j / 2.0 - (x - n * y)
+        var = x * (1.0 + x) - n * n * y * (1.0 + y)
+    return mean_m, var + mean_m * mean_m
+
+
 def thermal_fidelity(two_j: int, theta: float, gamma: float) -> float:
     """Exact average fidelity of the zero-temperature strategy on a thermal probe."""
-    weights = thermal_state(two_j, gamma).weights
-    m = two_m_values(two_j) / 2.0
-    return float(_fidelity_from_moments(two_j, theta, weights @ m, weights @ (m * m)))
+    _check_nonzero_j(two_j)
+    _check_theta(theta)
+    _check_gamma(gamma)
+    return float(_fidelity_from_moments(two_j, theta, *_thermal_moments(two_j, gamma)))
 
 
 def thermal_fidelity_asymptote(two_j: int, theta: float, gamma: float) -> float:
     j = _check_nonzero_j(two_j)
+    _check_theta(theta)
     _check_gamma(gamma)
     return 1.0 - (1.0 - math.cos(theta)) / (3.0 * j * math.tanh(gamma))
 
@@ -281,6 +366,7 @@ def thermal_advantage_threshold(two_j: int, theta: float) -> float:
     ``math.inf`` means no finite gamma gives a strict advantage (theta = 0;
     2j in {1, 2} at theta = pi): not even the aligned memory beats the benchmark.
     """
+    _check_theta(theta)
     benchmark = mo.mo_average_fidelity(two_j, theta)
 
     def gap(gamma: float) -> float:
@@ -288,7 +374,7 @@ def thermal_advantage_threshold(two_j: int, theta: float) -> float:
 
     hi = 8.0
     while gap(hi) <= 0.0:
-        if hi > 1e3:  # from gamma ~ 373 on, the weights are exactly the aligned state
+        if hi > 1e3:  # exp(-2 gamma) underflows from gamma ~ 373 on: the aligned state
             return math.inf
         hi *= 2.0
     return _bisect(gap, 1e-3, hi, tol=1e-10)

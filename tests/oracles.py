@@ -12,7 +12,8 @@ import numpy as np
 
 from spinlearn import heisenberg, optimal, spins
 from spinlearn.channels import ChoiOperator, maximally_entangled
-from spinlearn.memory import MemoryDistribution, _expanded_factor
+from spinlearn.memory import (MemoryDistribution, _expanded_factor, _fidelity_from_moments,
+                              thermal_state)
 from spinlearn.spins import _check_nonzero_j, coupling_decomposition, dim, two_m_values
 
 
@@ -191,3 +192,27 @@ def stinespring_complementary_populations(two_j: int, theta: float,
     out = u @ rho @ u.conj().T
     reduced = np.trace(out.reshape(d, 2, d, 2), axis1=1, axis2=3)
     return MemoryDistribution(two_j=two_j, weights=np.diag(reduced).real.copy())
+
+
+def tricomi_weights_by_double_sum(two_j: int, theta: float, n: int) -> np.ndarray:
+    """The alternating-sum weights of ``tricomi_distribution``, each numerator
+    sum_i (-1)^(i-k) C(i, k) T(i) formed term by term in integers, top weight
+    first; the same ValueError naming n where a weight overflows a float."""
+    p, r = float(1.0 - math.cos(theta)).as_integer_ratio()
+    r *= two_j
+    t_terms = [math.perm(n, i) * p**i * r ** (n - i) for i in range(n + 1)]
+    weights = np.zeros(dim(two_j))
+    for k in reversed(range(min(n, two_j) + 1)):
+        acc = sum((-1) ** (i - k) * math.comb(i, k) * t_terms[i] for i in range(k, n + 1))
+        try:
+            weights[k] = acc / r**n
+        except OverflowError:
+            raise ValueError(f"n={n}: the alternating-sum weights overflow a float") from None
+    return weights
+
+
+def thermal_fidelity_by_weights(two_j: int, theta: float, gamma: float) -> float:
+    """``thermal_fidelity`` from the moments of m summed over the 2j+1 Gibbs weights."""
+    weights = thermal_state(two_j, gamma).weights
+    m = two_m_values(two_j) / 2.0
+    return float(_fidelity_from_moments(two_j, theta, weights @ m, weights @ (m * m)))

@@ -7,12 +7,19 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import complementary_step, step_kernel, stinespring_complementary_populations
+from oracles import (
+    complementary_step,
+    step_kernel,
+    stinespring_complementary_populations,
+    thermal_fidelity_by_weights,
+    tricomi_weights_by_double_sum,
+)
 from spinlearn import optimal
 from spinlearn.channels import entanglement_fidelity
 from spinlearn.heisenberg import _golden_minimize, f_angle, heisenberg_unitary
 from spinlearn.memory import (
     MemoryDistribution,
+    SignedWeights,
     fidelity_given_m,
     fidelity_given_m_asymptote,
     longevity,
@@ -161,6 +168,33 @@ def test_tricomi_negative_steps_rejected():
         tricomi_distribution(4, 1.0, -1)
 
 
+@pytest.mark.parametrize("two_j,theta,n", [(400, math.pi, 200), (20, math.pi, 15), (1, math.pi, 149),
+                                           (40, 1.0, 40), (7, 2.0, 30), (100, 2.0, 60),
+                                           (3, 0.3, 50), (12, 1.7, 1), (9, 5.5, 4)])
+def test_tricomi_taylor_shift_equals_double_sum(two_j, theta, n):
+    # the same integers, so the same correctly rounded weights, bit for bit
+    tri = tricomi_distribution(two_j, theta, n)
+    assert np.array_equal(tri.weights, tricomi_weights_by_double_sum(two_j, theta, n))
+
+
+@pytest.mark.parametrize("two_j,theta,first_n", [(20, math.pi, 278), (7, 2.0, 238),
+                                                 (1, math.pi, 150)])
+def test_tricomi_overflow_starts_at_the_same_n_as_the_double_sum(two_j, theta, first_n):
+    for sums in (tricomi_weights_by_double_sum, tricomi_distribution):
+        sums(two_j, theta, first_n - 1)
+        with pytest.raises(ValueError, match=f"n={first_n}"):
+            sums(two_j, theta, first_n)
+
+
+def test_tricomi_weights_are_signed_not_a_distribution():
+    # the lowest weight at (20, pi, 15) is -0.0562: no probability distribution
+    tri = tricomi_distribution(20, math.pi, 15)
+    assert isinstance(tri, SignedWeights) and not isinstance(tri, MemoryDistribution)
+    assert tri.weights.min() < -0.05
+    assert tri.weight_at(20) == tri.weights[0]
+    assert tri.total_variation(tri) == 0.0
+
+
 # --- per-state fidelity and recycling ---------------------------------------
 
 def test_fidelity_given_m_aligned_equals_optimum():
@@ -295,6 +329,32 @@ def test_thermal_threshold_near_half_log3():
     assert above > mo_average_fidelity(1000, math.pi) + 1e-9
 
 
+@pytest.mark.parametrize("two_j", [*range(1, 61), 1000, 20000])
+def test_thermal_closed_form_equals_weight_sum(two_j):
+    # both branches, and both sides of the switch at N gamma = 1/2 (N = 2j + 1),
+    # where the plain coth/csch differences cancel worst
+    edge = 0.5 / (two_j + 1)
+    gammas = [*np.geomspace(1e-5, 400.0, 23), edge * (1 - 1e-9), edge, edge * (1 + 1e-9),
+              math.inf]
+    for theta in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
+        for gamma in gammas:
+            assert abs(thermal_fidelity(two_j, theta, gamma)
+                       - thermal_fidelity_by_weights(two_j, theta, gamma)) <= 1e-13
+
+
+@pytest.mark.parametrize("two_j,theta,gamma_star", [
+    (1, math.pi, math.inf), (2, math.pi, math.inf), (3, math.pi, 0.8065270050052604),
+    (20, math.pi, 0.5891923653710438), (200, math.pi, 0.5534535368456672),
+    (1000, math.pi, 0.5501387012700907), (20000, math.pi, 0.549347809080278),
+    (1, math.pi / 2, 0.7213641138592174), (2, math.pi / 2, 0.7230805236444975),
+    (3, math.pi / 2, 0.6998399438287122), (20, math.pi / 2, 0.5839079270342882),
+    (200, math.pi / 2, 0.5530251331822692), (1000, math.pi / 2, 0.5500548962659777),
+    (20000, math.pi / 2, 0.5493436412343105)])
+def test_thermal_threshold_unchanged_by_the_closed_form(two_j, theta, gamma_star):
+    # gamma* of the bisection over the 2j+1 Gibbs weights
+    assert thermal_advantage_threshold(two_j, theta) == pytest.approx(gamma_star, abs=1e-12)
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         MemoryDistribution(two_j=2, weights=np.array([0.5, 0.5])).validate()
@@ -341,7 +401,10 @@ def test_spin_zero_memory_rejected_by_kernel():
     lambda: tricomi_geometric_asymptote(0, 0.0, 3, 0),
     lambda: fidelity_given_m_asymptote(0, 0, 1.0),
     lambda: thermal_fidelity_asymptote(0, 1.0, 0.5),
-], ids=["reoptimized", "tricomi", "tricomi_asymptote", "given_m_asymptote", "thermal_asymptote"])
+    lambda: thermal_state(0, 0.5),
+    lambda: thermal_fidelity(0, 1.0, 0.5),
+], ids=["reoptimized", "tricomi", "tricomi_asymptote", "given_m_asymptote", "thermal_asymptote",
+        "thermal_state", "thermal_fidelity"])
 def test_spin_zero_memory_rejected_by_every_schedule_and_asymptote(call):
     # the reoptimized schedule accepts what the fixed one does; the 1/j forms divide by j
     with pytest.raises(InvalidQuantumNumbersError, match="two_j=0"):
@@ -522,3 +585,30 @@ def test_non_positive_or_nan_gamma_rejected(gamma):
                  lambda: thermal_fidelity_asymptote(4, 1.0, gamma)):
         with pytest.raises(ValueError, match="gamma"):
             call()
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: recycled_fidelity(4, math.nan, 3), "theta"),
+    (lambda: recycled_fidelity(4, math.inf, 3, reoptimize_f=True), "theta"),
+    (lambda: recycled_fidelity(4, 1.0, 2.5), "n_uses"),
+    (lambda: thermal_fidelity(4, math.nan, 0.5), "theta"),
+    (lambda: fidelity_given_m(4, 4, math.nan), "theta"),
+    (lambda: fidelity_given_m_asymptote(4, 4, -math.inf), "theta"),
+    (lambda: persistence(4, math.nan), "theta"),
+    (lambda: persistence(4, math.pi, t_max=2.5), "t_max"),
+    (lambda: longevity(4, math.inf, 0.9), "theta"),
+    (lambda: longevity(4, math.pi, 0.9, t_max=-1), "t_max"),
+    (lambda: tricomi_distribution(4, 1.0, 2.5), "n"),
+    (lambda: tricomi_distribution(4, math.nan, 3), "theta"),
+    (lambda: tricomi_geometric_asymptote(4, math.nan, 3, 4), "theta"),
+    (lambda: thermal_fidelity_asymptote(4, math.nan, 0.5), "theta"),
+    (lambda: thermal_advantage_threshold(4, math.nan), "theta"),
+], ids=["recycled_nan", "reoptimized_inf", "n_uses_float", "thermal_nan", "given_m_nan",
+        "given_m_asymptote_inf", "persistence_nan", "t_max_float", "longevity_inf",
+        "t_max_negative", "tricomi_n_float", "tricomi_nan", "tricomi_asymptote_nan",
+        "thermal_asymptote_nan", "threshold_nan"])
+def test_bad_angle_or_count_is_named(call, name):
+    # at the parent these returned nan, a wrong number of uses, or raised an
+    # error naming no argument (TypeError, "math domain error")
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        call()
