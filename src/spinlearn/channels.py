@@ -4,9 +4,10 @@ Choi operators follow the trace-preservation convention Tr_out[C] = I_in
 (total trace = dim_in).  The index layout is (input (x) output): the matrix
 element C[(i,a),(j,b)] equals <a| N(|i><j|) |b> for a channel N.
 
-Spectra (the CP check, the Kraus form) are taken one connected block of the
-matrix's nonzero pattern at a time: a covariant Choi operator splits into
-total-M blocks of at most 4 x 4, and a dense matrix is simply one block.
+Spectra (the CP check, the Kraus form) are plain Hermitian
+eigendecompositions: the library forms only small Choi matrices (the
+universal NOT's is 8 x 8), and the covariant case channels of ``optimal``
+read their Kraus operators off the coupled families instead.
 """
 
 from __future__ import annotations
@@ -26,49 +27,8 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
-def _pattern_blocks(link: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of a symmetric boolean pattern."""
-    n = len(link)
-    seen = np.zeros(n, dtype=bool)
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        members = np.zeros(n, dtype=bool)
-        members[start] = True
-        frontier = members.copy()
-        while frontier.any():
-            frontier = link[frontier].any(axis=0) & ~members
-            members |= frontier
-        seen |= members
-        blocks.append(np.flatnonzero(members))
-    return blocks
-
-
-def _blockwise_eigh(h: np.ndarray, vectors: bool = True):
-    """Spectrum of the Hermitian ``h``, one block of its nonzero pattern at a time.
-
-    Blocks of one size are diagonalized as one stack.  Returns the eigenvalues
-    in ascending order and, with ``vectors``, the matching eigenvectors as the
-    columns of an n x n array, each zero outside its block.
-    """
-    n = len(h)
-    vals = np.empty(n)
-    vecs = np.zeros_like(h) if vectors else None
-    blocks = _pattern_blocks(h != 0)
-    for size in {len(b) for b in blocks}:
-        idx = np.array([b for b in blocks if len(b) == size])  # (blocks, size)
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        if vectors:
-            vals[idx], vecs[rows, cols] = np.linalg.eigh(h[rows, cols])
-        else:
-            vals[idx] = np.linalg.eigvalsh(h[rows, cols])
-    order = np.argsort(vals, kind="stable")
-    return (vals[order], vecs[:, order]) if vectors else vals[order]
-
-
 def min_eigenvalue(a: np.ndarray) -> float:
-    return float(_blockwise_eigh(0.5 * (a + a.conj().T), vectors=False)[0])
+    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
 
 
 def is_positive_semidefinite(a: np.ndarray, tol: float = POSITIVITY_TOL) -> bool:
@@ -155,16 +115,13 @@ class ChoiOperator:
 
 
 def choi_from_kraus(kraus, dim_in: int, dim_out: int) -> ChoiOperator:
-    mat = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
-    for k in kraus:
-        v = np.ascontiguousarray(k.T).reshape(-1)  # index (i, a) = K[a, i]
-        mat += np.outer(v, v.conj())
-    return ChoiOperator(matrix=mat, dim_in=dim_in, dim_out=dim_out)
+    vecs = np.stack(kraus).transpose(0, 2, 1).reshape(len(kraus), -1)  # (i, a) = K[a, i]
+    return ChoiOperator(matrix=vecs.T @ vecs.conj(), dim_in=dim_in, dim_out=dim_out)
 
 
 def kraus_from_choi(choi: ChoiOperator, tol: float = 1e-12) -> list[np.ndarray]:
     """Kraus operators from the Choi eigendecomposition (Stinespring form)."""
-    vals, vecs = _blockwise_eigh(0.5 * (choi.matrix + choi.matrix.conj().T))
+    vals, vecs = np.linalg.eigh(0.5 * (choi.matrix + choi.matrix.conj().T))
     ops = []
     for lam, v in zip(vals, vecs.T):
         if lam > tol:

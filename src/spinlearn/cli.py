@@ -34,10 +34,28 @@ def _fmt_value(x) -> str:
     return str(x)
 
 
+_fmt_float = "{:.12g}".format  # format(x, ".12g") without a Python frame per cell
+
+# The cell formatters of the row values' exact types; _fmt_value is the fallback.
+_CELL_FORMAT = {
+    float: _fmt_float,
+    np.float64: _fmt_float,
+    int: str,
+    bool: _fmt_value,
+}
+
+
 def _json_value(x):
     """Non-finite floats as the strings the CSV writer prints ("inf", "-inf",
     "nan"): strict JSON has no literal for them."""
     return _fmt_value(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def _json_cell(x):
+    """A row value as JSON: floats at the CSV's 12 digits, integers as int."""
+    if _CELL_FORMAT.get(type(x)) is _fmt_float:
+        return _json_value(float(_fmt_float(x)))
+    return int(x) if isinstance(x, np.integer) else x
 
 
 def write_rows(rows: list[dict], fmt: str, out: str | None) -> None:
@@ -46,16 +64,12 @@ def write_rows(rows: list[dict], fmt: str, out: str | None) -> None:
         raise ValueError("nothing to write")
     fields = list(rows[0].keys())
     if fmt == "csv":
+        cell = _CELL_FORMAT.get
         lines = [",".join(fields)]
-        lines.extend(",".join(_fmt_value(r[f]) for f in fields) for r in rows)
+        lines.extend(",".join([cell(type(r[f]), _fmt_value)(r[f]) for f in fields]) for r in rows)
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        clean = [
-            {f: (_json_value(float(format(v, ".12g"))) if isinstance(v, float) else
-                 (int(v) if isinstance(v, (int, np.integer)) and not isinstance(v, bool) else v))
-             for f, v in r.items()}
-            for r in rows
-        ]
+        clean = [{f: _json_cell(v) for f, v in r.items()} for r in rows]
         text = json.dumps(clean, indent=2) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -94,8 +108,8 @@ def cmd_benchmark(args, thetas: list[float]) -> list[dict]:
     rows = []
     for two_j in args.two_j:
         for theta in thetas:
-            fq = optimal.optimal_fidelity(two_j, theta, args.problem).fidelity
-            fm = mo.mo_optimal_fidelity(two_j, theta, args.problem).fidelity
+            fq = optimal.optimal_average_fidelity(two_j, theta, args.problem)
+            fm = mo.mo_average_fidelity(two_j, theta, args.problem)
             rows.append({
                 "two_j": two_j,
                 "j": two_j / 2.0,
@@ -250,8 +264,8 @@ def _sweep_thetas(args) -> list[float]:
     if args.theta is not None:
         thetas = [args.theta * math.pi]
     else:
-        thetas = list(np.linspace(args.theta_min * math.pi, args.theta_max * math.pi,
-                                  args.theta_grid))
+        thetas = np.linspace(args.theta_min * math.pi, args.theta_max * math.pi,
+                             args.theta_grid).tolist()
     if any(not (0.0 <= th < 2.0 * math.pi + 1e-12) for th in thetas):
         raise ValueError("theta must lie in [0, 2*pi)")
     return thetas

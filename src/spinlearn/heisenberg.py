@@ -25,8 +25,8 @@ import numpy as np
 from . import spins
 from .channels import KrausChannel, average_from_entanglement
 from .rotations import Rotation
-from .spins import (_check_nonzero_j, _check_target_spin, check_two_j, check_valid_m,
-                    clebsch_gordan, dim, two_m_values)
+from .spins import (_check_nonzero_j, _check_target_spin, _check_theta, check_two_j,
+                    check_valid_m, clebsch_gordan, dim, two_m_values)
 
 
 def f_angle(two_j: int, theta: float) -> float:
@@ -37,6 +37,7 @@ def f_angle(two_j: int, theta: float) -> float:
     (0, 2pi) and equal to 0 at theta = 0.
     """
     check_two_j(two_j)
+    _check_theta(theta)
     n = two_j + 1  # 2j + 1
     ang = math.atan2(n * math.sin(theta), n * math.cos(theta) + 1.0)
     return ang % (2.0 * math.pi)
@@ -194,6 +195,7 @@ class HeisenbergGate:
 
 def heisenberg_unitary(two_j: int, two_k: int, theta: float,
                        f_override: float | None = None) -> HeisenbergGate:
+    _check_theta(theta)
     if f_override is not None:
         angle = float(f_override)
     elif two_k == 1:
@@ -212,6 +214,7 @@ def entanglement_fidelity_coefficients(two_j: int, theta: float, f_override: flo
     is (|u+|^2 + |u-|^2 + 2 Re[exp(i theta) u+ conj(u-)])/4.
     """
     check_two_j(two_j)
+    _check_theta(theta)
     f = f_angle(two_j, theta) if f_override is None else f_override
     j = two_j / 2.0
     n = two_j + 1.0
@@ -234,6 +237,7 @@ def heisenberg_entanglement_fidelity(two_j: int, theta: float,
                                      f_override: float | None = None) -> float:
     """Closed-form entanglement fidelity of the optimal-coupling realization."""
     check_two_j(two_j)
+    _check_theta(theta)
     j = two_j / 2.0
     f = f_angle(two_j, theta) if f_override is None else f_override
     n = 1.0 + 2.0 * j
@@ -300,6 +304,7 @@ def worst_case_fidelity(two_j: int, theta: float) -> tuple[float, float]:
     The per-input fidelity does not depend on the azimuth, so this is a
     golden-section search over the polar angle on a coarse-grid bracket.
     """
+    _check_theta(theta)
     grid = np.linspace(0.0, math.pi, 65)
     vals = [per_input_fidelity(two_j, theta, a) for a in grid]
     i = int(np.argmin(vals))
@@ -333,6 +338,7 @@ def spin_k_entanglement_fidelity_exact(two_j: int, two_k: int, theta: float) -> 
 def spin_k_fidelity(two_j: int, two_k: int, theta: float, mode: str = "exact") -> float:
     """Average fidelity for rotating a spin-k target, exact or leading order."""
     k = _check_target_spin(two_k)
+    _check_theta(theta)
     if mode == "exact":
         fe = min(spin_k_entanglement_fidelity_exact(two_j, two_k, theta), 1.0)
         return average_from_entanglement(fe, dim(two_k))
@@ -344,6 +350,7 @@ def spin_k_fidelity(two_j: int, two_k: int, theta: float, mode: str = "exact") -
 def spin_k_worst_case_asymptotic(two_j: int, two_k: int, theta: float) -> float:
     """Leading-order worst-case fidelity; the constant c(k) is defined for integer k."""
     _check_target_spin(two_k)
+    _check_theta(theta)
     if two_k % 2 != 0:
         raise ValueError("worst-case constant is only defined for integer k")
     k = two_k // 2

@@ -34,7 +34,8 @@ import numpy as np
 
 from . import heisenberg, mo
 from .channels import average_from_entanglement
-from .spins import InvalidQuantumNumbersError, _check_nonzero_j, check_valid_m, dim, two_m_values
+from .spins import (InvalidQuantumNumbersError, _check_nonzero_j, _check_theta, check_valid_m,
+                    dim, two_m_values)
 
 _SCAN_CHUNK = 4096  # uses per array when scanning for a crossing
 
@@ -273,11 +274,6 @@ def tricomi_geometric_asymptote(two_j: int, theta: float, n: int, two_m: int) ->
     ratio = x / (x + two_j)
     k = (two_j - two_m) // 2
     return (two_j / (x + two_j)) * ratio**k
-
-
-def _check_theta(theta: float) -> None:
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
 
 
 def _check_count(name: str, value: int, low: int) -> None:

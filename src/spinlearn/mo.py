@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rotations, spins
 from .channels import FidelityEstimate, average_from_entanglement
-from .optimal import RegimeReport
+from .optimal import RegimeReport, _regime_args, _regime_fidelity
 from .spins import check_valid_m, clebsch_gordan
 from .strategies import MOStrategy
 
@@ -54,6 +54,7 @@ def mo_element_fidelity(two_j: int, two_m: int, xi_two_n: int, theta: float,
     """
     check_valid_m(two_j, two_m)
     check_valid_m(two_j, xi_two_n)
+    spins._check_theta(theta)
     g0, g1, g2 = gamma_weights(theta, theta_prime)
     sign = -1.0 if ((xi_two_n - two_m) // 2) % 2 else 1.0
     total = 0.0
@@ -93,13 +94,23 @@ def anomalous_mo_fidelity(theta: float) -> float:
     return 1.0 / 3.0 + 0.4 * math.sin(theta / 2.0) ** 2
 
 
-def j1_mo_threshold() -> float:
-    """Distance |theta - pi| where the j = 1 MO strategy switches probes.
+# With theta' at its optimum, the covariant and aligned-orbital fidelities
+# cross where 19x^2 - 8x - 11 = 0, x = cos(theta), at x = -11/19.
+_J1_MO_THRESHOLD = math.acos(11.0 / 19.0)
 
-    With theta' at its optimum, the covariant and aligned-orbital fidelities
-    cross where 19x^2 - 8x - 11 = 0, x = cos(theta), at x = -11/19.
-    """
-    return math.acos(11.0 / 19.0)
+
+def j1_mo_threshold() -> float:
+    """Distance |theta - pi| where the j = 1 MO strategy switches probes."""
+    return _J1_MO_THRESHOLD
+
+
+def _mo_regime(two_j: int, theta: float, problem: int) -> tuple[str, int, float]:
+    """(regime, probe 2m, average fidelity) of the classical-memory optimum."""
+    theta = _regime_args(two_j, theta, problem)
+    if two_j == 2 and problem == 2 and abs(theta - math.pi) <= _J1_MO_THRESHOLD:
+        return "mo_j1_anomalous", 0, _regime_fidelity(anomalous_mo_fidelity(theta))
+    fidelity = mo_fopt_formula(two_j, theta, optimal_theta_prime(two_j, theta))
+    return "mo_covariant", two_j, _regime_fidelity(fidelity)
 
 
 def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport:
@@ -107,26 +118,20 @@ def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeRep
 
     For j != 1 both problems share the covariant strategy at probe m = j.
     For j = 1, problem 2 switches to the m = 0 probe with a fixed pi flip
-    when theta is within the computed threshold of pi.  Needs two_j >= 1.
+    when theta is within the computed threshold of pi.  Needs two_j >= 1 and
+    a finite theta.
     """
-    if problem not in (1, 2):
-        raise ValueError("problem must be 1 or 2")
-    spins._check_nonzero_j(two_j)
-    theta = float(theta) % (2.0 * math.pi)
-    if two_j == 2 and problem == 2 and abs(theta - math.pi) <= j1_mo_threshold():
-        return RegimeReport(problem=problem, regime="mo_j1_anomalous", optimal_two_m=0,
-                            fidelity=anomalous_mo_fidelity(theta),
-                            strategy=MOStrategy(two_j=2, two_m=0, xi_two_n=0,
-                                                theta_prime=math.pi))
-    tp = optimal_theta_prime(two_j, theta)
-    return RegimeReport(problem=problem, regime="mo_covariant", optimal_two_m=two_j,
-                        fidelity=mo_fopt_formula(two_j, theta, tp),
-                        strategy=MOStrategy(two_j=two_j, two_m=two_j, xi_two_n=two_j,
-                                            theta_prime=tp))
+    regime, two_m, fidelity = _mo_regime(two_j, theta, problem)
+    theta_prime = (math.pi if regime == "mo_j1_anomalous"
+                   else optimal_theta_prime(two_j, float(theta) % (2.0 * math.pi)))
+    return RegimeReport(problem=problem, regime=regime, optimal_two_m=two_m,
+                        fidelity=fidelity,
+                        strategy=MOStrategy(two_j=two_j, two_m=two_m, xi_two_n=two_m,
+                                            theta_prime=theta_prime))
 
 
 def mo_average_fidelity(two_j: int, theta: float, problem: int = 2) -> float:
-    return mo_optimal_fidelity(two_j, theta, problem).fidelity
+    return _mo_regime(two_j, theta, problem)[2]
 
 
 def _povm_outcome_offsets(two_j: int, two_m: int, xi_two_n: int, n_samples: int,
@@ -206,6 +211,7 @@ def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
     check on mo_element_fidelity.
     """
     spins._check_target_spin(two_k)
+    spins._check_theta(theta)
     if n < 1:
         raise ValueError("n_samples must be positive")
     check_valid_m(two_j, two_m)
@@ -250,6 +256,7 @@ def spin_k_mo_asymptote(two_j: int, two_k: int, theta: float) -> float:
     """Leading-order MO average fidelity for a spin-k target."""
     j = spins._check_nonzero_j(two_j)
     k = spins._check_target_spin(two_k)
+    spins._check_theta(theta)
     return 1.0 - 2.0 * k * (2.0 * k + 1.0) * (1.0 - math.cos(theta)) / (3.0 * j)
 
 
@@ -269,6 +276,7 @@ def spin_k_mo_quadrature(two_j: int, two_k: int, theta: float,
                          grid: int = 20001) -> float:
     """Quadrature reference for the spin-k MO fidelity (independent of the
     Monte-Carlo sampler; the outcome-axis azimuth drops out exactly)."""
+    spins._check_theta(theta)
     x = np.linspace(0.0, 1.0, grid)  # cos^2(beta/2) of the estimate offset
     beta = 2.0 * np.arccos(np.sqrt(np.clip(x, 0.0, 1.0)))
     density = (two_j + 1) * x**two_j

@@ -191,6 +191,7 @@ def mc_average_fidelity(strategy: StrategyDescriptor, theta: float, n_samples: i
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    spins._check_theta(theta)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seq.spawn(1)[0])
     return FidelityEstimate.from_samples(_strategy_samples(strategy, theta, rng, n_samples))
@@ -199,6 +200,7 @@ def mc_average_fidelity(strategy: StrategyDescriptor, theta: float, n_samples: i
 def per_rotation_fidelity(strategy: StrategyDescriptor, theta: float, g_quaternion,
                           n_samples: int, seed) -> FidelityEstimate:
     """State-averaged fidelity at one fixed training rotation (covariance probe)."""
+    spins._check_theta(theta)
     rng = np.random.default_rng(seed)
     q_g = np.broadcast_to(np.asarray(g_quaternion, dtype=float), (n_samples, 4)).copy()
     return FidelityEstimate.from_samples(_strategy_samples(strategy, theta, rng, n_samples,

@@ -6,11 +6,12 @@ total spin, leaving two scalars (alpha, beta) on the stretched/shrunk blocks
 and a 2x2 matrix M on the doubly-degenerate spin-j block.  Everything here is
 written in those coordinates.
 
-The Choi assembly keeps that structure exact: the total-spin families are
-BLAS products with exact zeros between different total M, and the conjugation
-e^{i pi Jy} (x) I (x) sy back to the Choi layout is a signed permutation
-applied by indexing, so the Choi matrix splits into total-M blocks of at most
-4 x 4 that the channels layer diagonalizes one at a time.
+The total-spin families are an orthonormal basis in which the Choi operator
+is alpha on the top family, beta on the bottom one and M on the plus/minus
+pair, so its spectrum and Kraus operators are read off the families without
+forming the Choi matrix: the Kraus operators are the family rows, mapped back
+to the channel layout by the signed permutation e^{i pi Jy} (x) I (x) sy and
+weighted by the square roots of alpha, beta and the eigenvalues of M.
 """
 
 from __future__ import annotations
@@ -105,9 +106,21 @@ class RegimeReport:
     fidelity: float
     strategy: StrategyDescriptor
 
-    def __post_init__(self):
-        if not (1.0 / 3.0 - 1e-12 <= self.fidelity <= 1.0 + 1e-12):
-            raise ValueError(f"fidelity {self.fidelity} outside [1/3, 1]")
+
+def _regime_args(two_j: int, theta: float, problem: int) -> float:
+    """theta reduced to [0, 2pi) after the arguments of a regime dispatcher are checked."""
+    if problem not in (1, 2):
+        raise ValueError("problem must be 1 or 2")
+    spins._check_nonzero_j(two_j)
+    spins._check_theta(theta)
+    return float(theta) % (2.0 * math.pi)
+
+
+def _regime_fidelity(fidelity: float) -> float:
+    """An optimal average fidelity, which no strategy pushes below 1/3 or above 1."""
+    if not (1.0 / 3.0 - 1e-12 <= fidelity <= 1.0 + 1e-12):
+        raise ValueError(f"fidelity {fidelity} outside [1/3, 1]")
+    return fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +131,20 @@ def _raw_total_family(two_j: int, two_k_route: int, two_t: int) -> np.ndarray:
     """Vectors |T,M> built by coupling (probe, in) -> K_route, then with out.
 
     Returns a (2T+1, (2j+1)*4) array over total M descending; components are
-    laid out on (probe, out, in).
+    laid out on (probe, out, in).  A row has at most four nonzero components,
+    each one product <K|probe, in> <T|K, out>, scattered into place.
     """
-    dp = dim(two_j)
     inner = spins._pair_coupling_table(two_j, 1, two_k_route)       # (K, probe, in)
     outer = spins._pair_coupling_table(two_k_route, 1, two_t)       # (T, K, out)
-    # one nonzero K per (t, s, p, i), so the BLAS product is exact
-    fam = np.tensordot(outer, inner, axes=([1], [0])).transpose(0, 2, 1, 3)
-    return fam.reshape(dim(two_t), dp * 4)
+    fam = np.zeros((dim(two_t), dim(two_j), 2, 2))
+    t, k, out = np.nonzero(outer)
+    for i in (0, 1):
+        # the one probe index p with m_p + m_in = M_K, where it exists
+        p = (two_j - two_k_route + 2 * k + 1 - 2 * i) // 2
+        ok = (p >= 0) & (p <= two_j)
+        t_ok, k_ok, out_ok, p_ok = t[ok], k[ok], out[ok], p[ok]
+        fam[t_ok, p_ok, out_ok, i] = outer[t_ok, k_ok, out_ok] * inner[k_ok, p_ok, i]
+    return fam.reshape(dim(two_t), -1)
 
 
 @lru_cache(maxsize=None)
@@ -166,43 +185,6 @@ def _conjugation_operator(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     index.setflags(write=False)
     phase.setflags(write=False)
     return index, phase
-
-
-def covariant_choi_build(params: CovariantChoiParams, two_j: int) -> ChoiOperator:
-    """Assemble the Choi operator of the covariant channel with the given blocks.
-
-    Returns it in the standard (input = probe (x) qubit, output = qubit)
-    layout with Tr_out = I_in; raises if the parameters violate CP or TP.
-    The families are conjugated and reordered by indexing before the block
-    products, so entries between different total M stay exact zeros.
-    """
-    validate_params(params, two_j)
-    dp = dim(two_j)
-    d_total = dp * 4
-    index, phase = _conjugation_operator(two_j)
-    # reorder slots (probe, out, in) -> ((probe, in), out)
-    to_choi = np.arange(d_total).reshape(dp, 2, 2).transpose(0, 2, 1).reshape(-1)
-    index, phase = index[to_choi], phase[to_choi]
-    fam = {name: None if f is None else f[:, index] * phase
-           for name, f in _coupled_basis(two_j).items()}
-
-    c_mat = np.zeros((d_total, d_total), dtype=complex)
-    c_mat += params.alpha * fam["top"].T @ fam["top"].conj()
-    if fam["bottom"] is not None and params.beta:
-        c_mat += params.beta * fam["bottom"].T @ fam["bottom"].conj()
-    # M is expressed in the conjugate multiplicity convention used by the
-    # block coefficients; on the real route basis its entries conjugate.
-    # Fidelities are invariant.
-    m_build = np.conj(params.m_matrix)
-    pair = (fam["plus"], fam["minus"])
-    for r in range(2):
-        for s in range(2):
-            if m_build[r, s] != 0.0:
-                c_mat += m_build[r, s] * pair[r].T @ pair[s].conj()
-
-    choi = ChoiOperator(matrix=c_mat, dim_in=dp * 2, dim_out=2)
-    choi.validate()
-    return choi
 
 
 def covariant_fidelity(params: CovariantChoiParams, two_j: int, two_m: int,
@@ -312,23 +294,36 @@ def case2_alpha(theta: float) -> float:
     return (1.0 + 8.0 * c + 9.0 * c * c) / (3.0 * (1.0 + 2.0 * c) ** 2)
 
 
-def delta_half() -> float:
-    """Distance |theta - pi| where the j=1/2 strategy transition occurs.
+# The case-2 measurement weight alpha(theta) vanishes there (the case-1/case-2
+# fidelities merge tangentially, so the weight is the transversal root):
+# 9c^2 + 8c + 1 = 0 with c = cos(theta), whose root near pi is c = -(4 + sqrt 7)/9.
+_DELTA_HALF = math.acos((4.0 + math.sqrt(7.0)) / 9.0)
+# Case 1 and case 3 meet where (1 + sqrt(1 + 3c^2))^2 = 5.4 (1 - c^2),
+# c = cos(theta/2), which gives cos(pi - theta) = (1 + 5 sqrt 51)/49.
+_DELTA_ONE = math.acos((1.0 + 5.0 * math.sqrt(51.0)) / 49.0)
 
-    The case-2 measurement weight alpha(theta) vanishes there (the case-1/case-2
-    fidelities merge tangentially, so the weight is the transversal root):
-    9c^2 + 8c + 1 = 0 with c = cos(theta), whose root near pi is c = -(4 + sqrt 7)/9.
-    """
-    return math.acos((4.0 + math.sqrt(7.0)) / 9.0)
+
+def delta_half() -> float:
+    """Distance |theta - pi| where the j=1/2 strategy transition occurs."""
+    return _DELTA_HALF
 
 
 def delta_one() -> float:
-    """Distance |theta - pi| where case 3 overtakes case 1 for j = 1.
+    """Distance |theta - pi| where case 3 overtakes case 1 for j = 1."""
+    return _DELTA_ONE
 
-    The two meet where (1 + sqrt(1 + 3c^2))^2 = 5.4 (1 - c^2), c = cos(theta/2),
-    which gives cos(pi - theta) = (1 + 5 sqrt 51)/49.
-    """
-    return math.acos((1.0 + 5.0 * math.sqrt(51.0)) / 49.0)
+
+def _optimal_regime(two_j: int, theta: float, problem: int) -> tuple[str, int, float]:
+    """(regime, optimal 2m, average fidelity) of the quantum optimum."""
+    theta = _regime_args(two_j, theta, problem)
+    dist = abs(theta - math.pi)
+    if two_j == 1 and dist <= _DELTA_HALF:
+        regime, two_m, fe = "case2_mixture", 1, case_fidelity(2, 1, 1, theta)[0]
+    elif two_j == 2 and problem == 2 and dist <= _DELTA_ONE:
+        regime, two_m, fe = "j1_anomalous_problem2", 0, case_fidelity(3, 2, 0, theta)[0]
+    else:
+        regime, two_m, fe = "case1", two_j, case1_entanglement_fidelity(two_j, two_j, theta)
+    return regime, two_m, _regime_fidelity(average_from_entanglement(fe, 2))
 
 
 def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport:
@@ -336,33 +331,21 @@ def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport
 
     Problem 1 fixes the probe to the aligned coherent state; problem 2 also
     optimizes the probe.  They differ only for j = 1 near theta = pi.  Needs
-    two_j >= 1.
+    two_j >= 1 and a finite theta.
     """
-    if problem not in (1, 2):
-        raise ValueError("problem must be 1 or 2")
-    spins._check_nonzero_j(two_j)
-    theta = float(theta) % (2.0 * math.pi)
-    dist = abs(theta - math.pi)
-
-    if two_j == 1 and dist <= delta_half():
-        fe, _ = case_fidelity(2, 1, 1, theta)
-        return RegimeReport(problem=problem, regime="case2_mixture", optimal_two_m=1,
-                            fidelity=average_from_entanglement(fe, 2),
-                            strategy=UNotMixture(alpha=case2_alpha(theta)))
-    if two_j == 2 and problem == 2 and dist <= delta_one():
-        fe = case_fidelity(3, 2, 0, theta)[0]
-        return RegimeReport(problem=problem, regime="j1_anomalous_problem2",
-                            optimal_two_m=0,
-                            fidelity=average_from_entanglement(fe, 2),
-                            strategy=DiscreteXYZ())
-    fe = case1_entanglement_fidelity(two_j, two_j, theta)
-    return RegimeReport(problem=problem, regime="case1", optimal_two_m=two_j,
-                        fidelity=average_from_entanglement(fe, 2),
-                        strategy=HeisenbergStrategy(two_j=two_j))
+    regime, two_m, fidelity = _optimal_regime(two_j, theta, problem)
+    if regime == "case2_mixture":
+        strategy = UNotMixture(alpha=case2_alpha(float(theta) % (2.0 * math.pi)))
+    elif regime == "j1_anomalous_problem2":
+        strategy = DiscreteXYZ()
+    else:
+        strategy = HeisenbergStrategy(two_j=two_j)
+    return RegimeReport(problem=problem, regime=regime, optimal_two_m=two_m,
+                        fidelity=fidelity, strategy=strategy)
 
 
 def optimal_average_fidelity(two_j: int, theta: float, problem: int = 2) -> float:
-    return optimal_fidelity(two_j, theta, problem).fidelity
+    return _optimal_regime(two_j, theta, problem)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +434,26 @@ def discrete_xyz_channel() -> KrausChannel:
 
 
 def case_choi_channel(strategy: CaseChoiStrategy) -> KrausChannel:
-    fe, params = case_fidelity(strategy.case, strategy.two_j, strategy.two_m, strategy.theta)
-    choi = covariant_choi_build(params, strategy.two_j)
-    return KrausChannel(kraus=tuple(kraus_from_choi(choi)),
-                        dim_in=choi.dim_in, dim_out=choi.dim_out)
+    """Kraus form of a stationary case's covariant channel, straight from the families.
+
+    The Choi operator is sum_r v_r v_r^dag over sqrt(alpha) x the top rows,
+    sqrt(beta) x the bottom rows and sqrt(mu_i) x the u_i-combination of the
+    plus and minus rows, for each eigenpair (mu_i, u_i) of M (conjugated, as
+    in the block coefficients), and a row v on (probe, out, in) is the Kraus
+    operator K[out, (probe, in)].  Weights of at most 1e-12 are dropped, as
+    ``kraus_from_choi`` drops eigenvalues; ``validate_params`` is the CP/TP check.
+    """
+    two_j = strategy.two_j
+    _, params = case_fidelity(strategy.case, two_j, strategy.two_m, strategy.theta)
+    validate_params(params, two_j)
+    fam = _coupled_basis(two_j)
+    mu, u = np.linalg.eigh(np.conj(params.m_matrix))
+    rows = [math.sqrt(w) * f for w, f in ((params.alpha, fam["top"]),
+                                          (params.beta or 0.0, fam["bottom"])) if w > 1e-12]
+    rows += [math.sqrt(w) * (v[0] * fam["plus"] + v[1] * fam["minus"])
+             for w, v in zip(mu, u.T) if w > 1e-12]
+    index, phase = _conjugation_operator(two_j)
+    dp = dim(two_j)
+    kraus = (np.concatenate(rows)[:, index] * phase).reshape(-1, dp, 2, 2)
+    return KrausChannel(kraus=tuple(kraus.transpose(0, 2, 1, 3).reshape(-1, 2, 2 * dp)),
+                        dim_in=2 * dp, dim_out=2)

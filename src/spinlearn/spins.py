@@ -41,6 +41,11 @@ def _check_target_spin(two_k: int) -> float:
     return two_k / 2.0
 
 
+def _check_theta(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+
+
 def dim(two_j: int) -> int:
     return check_two_j(two_j) + 1
 
@@ -267,10 +272,12 @@ def coupling_decomposition(two_j: int, two_m: int, theta: float) -> CouplingCoef
     """Block coefficients (a, b, c+, c-) for probe index m and angle theta.
 
     The j-1 amplitude ``b`` is identically 0 for two_j == 1, where that block
-    does not exist.  A spin-0 memory (two_j == 0) is rejected.
+    does not exist.  A spin-0 memory (two_j == 0) and a non-finite theta are
+    rejected.
     """
     check_valid_m(two_j, two_m)
     j = _check_nonzero_j(two_j)
+    _check_theta(theta)
     m = two_m / 2.0
     s = math.sin(theta / 2.0)
     c = math.cos(theta / 2.0)

@@ -71,6 +71,44 @@ def decomposition_overlaps(two_j: int, two_m: int, theta: float) -> np.ndarray:
     ])
 
 
+def covariant_choi_build(params: optimal.CovariantChoiParams, two_j: int) -> ChoiOperator:
+    """Dense Choi operator of the covariant channel with the given blocks.
+
+    Oracle for ``optimal.case_choi_channel``, which never forms this matrix.
+    Returns it in the standard (input = probe (x) qubit, output = qubit)
+    layout with Tr_out = I_in; raises if the parameters violate CP or TP.
+    The families are conjugated and reordered by indexing before the block
+    products, so entries between different total M stay exact zeros.
+    """
+    optimal.validate_params(params, two_j)
+    dp = dim(two_j)
+    d_total = dp * 4
+    index, phase = optimal._conjugation_operator(two_j)
+    # reorder slots (probe, out, in) -> ((probe, in), out)
+    to_choi = np.arange(d_total).reshape(dp, 2, 2).transpose(0, 2, 1).reshape(-1)
+    index, phase = index[to_choi], phase[to_choi]
+    fam = {name: None if f is None else f[:, index] * phase
+           for name, f in optimal._coupled_basis(two_j).items()}
+
+    c_mat = np.zeros((d_total, d_total), dtype=complex)
+    c_mat += params.alpha * fam["top"].T @ fam["top"].conj()
+    if fam["bottom"] is not None and params.beta:
+        c_mat += params.beta * fam["bottom"].T @ fam["bottom"].conj()
+    # M is expressed in the conjugate multiplicity convention used by the
+    # block coefficients; on the real route basis its entries conjugate.
+    # Fidelities are invariant.
+    m_build = np.conj(params.m_matrix)
+    pair = (fam["plus"], fam["minus"])
+    for r in range(2):
+        for s in range(2):
+            if m_build[r, s] != 0.0:
+                c_mat += m_build[r, s] * pair[r].T @ pair[s].conj()
+
+    choi = ChoiOperator(matrix=c_mat, dim_in=dp * 2, dim_out=2)
+    choi.validate()
+    return choi
+
+
 def brute_force_optimum(two_j: int, two_m: int, theta: float,
                         grid_resolution: int = 64) -> float:
     """Grid-plus-refinement maximization of the covariant fidelity.

@@ -142,7 +142,7 @@ def test_criterion_9_property_suites():
     # Choi CP/TP for each constructed strategy channel
     for case, two_j, two_m, theta in ((1, 3, 3, 2.0), (2, 1, 1, math.pi), (3, 4, 0, 2.9)):
         _, params = optimal.case_fidelity(case, two_j, two_m, theta)
-        optimal.covariant_choi_build(params, two_j).validate()
+        oracles.covariant_choi_build(params, two_j).validate()
     optimal.unot_mixture_channel(0.5, 2.8).to_choi().validate()
     optimal.discrete_xyz_channel().to_choi().validate()
     from spinlearn.heisenberg import heisenberg_unitary

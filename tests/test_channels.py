@@ -101,28 +101,6 @@ def test_min_eigenvalue_matches_dense_spectrum(rng):
         assert abs(channels.min_eigenvalue(mat) - np.linalg.eigvalsh(mat)[0]) < 1e-12
 
 
-def test_pattern_blocks_match_graph_components(rng):
-    # a 7-long path needs several frontier steps; the rest is sparse random
-    n = 40
-    link = rng.random((n, n)) < 0.03
-    link[np.arange(7), np.arange(1, 8)] = True
-    link |= link.T
-    n_comp, labels = connected_components(link, directed=False)
-    blocks = channels._pattern_blocks(link)
-    assert len(blocks) == n_comp
-    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
-    for b in blocks:
-        assert len(set(labels[b])) == 1 and np.count_nonzero(labels == labels[b[0]]) == len(b)
-
-
-def test_blockwise_eigh_is_an_eigendecomposition(rng):
-    mat = _hidden_negative_block_matrix(rng)
-    vals, vecs = channels._blockwise_eigh(mat)
-    assert np.all(np.diff(vals) >= 0)
-    assert np.allclose(vecs.conj().T @ vecs, np.eye(12), atol=1e-12)
-    assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, mat, atol=1e-12)
-
-
 def test_kraus_choi_round_trip(rng):
     gate = heisenberg.heisenberg_unitary(2, 1, 1.3)
     ch = gate.as_channel()

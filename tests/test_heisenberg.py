@@ -319,3 +319,24 @@ def test_spin_k_qubit_consistency(two_j, two_k, theta):
 
     assert fe == pytest.approx(entanglement_fidelity(ch, probe, v).value, abs=1e-11)
     assert spin_k_fidelity(two_j, two_k, theta) <= 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: heisenberg.heisenberg_entanglement_fidelity(4, math.nan),
+    lambda: heisenberg.heisenberg_entanglement_fidelity(4, math.nan, f_override=1.0),
+    lambda: heisenberg.heisenberg_average_fidelity(4, math.inf),
+    lambda: heisenberg.f_angle(4, math.nan),
+    lambda: heisenberg.entanglement_fidelity_given_m(4, 2, math.nan, f_override=1.0),
+    lambda: heisenberg.heisenberg_unitary(4, 2, -math.inf),
+    lambda: heisenberg.spin_k_fidelity(4, 2, math.nan, "exact"),
+    lambda: heisenberg.spin_k_fidelity(4, 2, math.nan, "asymptotic"),
+    lambda: heisenberg.spin_k_worst_case_asymptotic(4, 2, math.inf),
+    lambda: heisenberg.worst_case_fidelity(4, math.nan),
+], ids=["entanglement_nan", "entanglement_override_nan", "average_inf", "f_angle_nan",
+        "given_m_nan", "unitary_inf", "spin_k_exact_nan", "spin_k_asymptotic_nan",
+        "spin_k_worst_inf", "worst_case_nan"])
+def test_non_finite_theta_is_named(call):
+    # at the parent these returned nan (worst case: (nan, 0.049)) or raised a
+    # bare "math domain error"
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        call()

@@ -336,3 +336,18 @@ def test_mo_oracle_memory_is_bounded():
     assert peak < 128 * 2**20
     closed = average_from_entanglement(mo_element_fidelity(40, 38, 36, math.pi, 1.0), 2)
     assert est.n_sigma(closed) < 4.0
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [mo_average_fidelity, mo_optimal_fidelity])
+def test_non_finite_theta_is_named(call, theta):
+    # at the parent these raised "fidelity nan outside [1/3, 1]", naming no argument
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        call(4, theta)
+
+
+def test_non_finite_theta_is_rejected_before_sampling():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        spin_k_mo_fidelity(8, 2, math.nan, 10, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state

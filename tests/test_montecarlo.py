@@ -214,3 +214,13 @@ def test_strategy_validation_errors():
         mc_average_fidelity(object(), 1.0, 10, seed=0)
     with pytest.raises(ValueError):
         mc_average_fidelity(ThermalWrapped(inner=DiscreteXYZ(), gamma=1.0), 1.0, 10, seed=0)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_non_finite_theta_is_rejected_before_sampling(monkeypatch, theta):
+    # at the parent every sample was drawn first, then "fidelity nan outside [0, 1]"
+    monkeypatch.setattr(montecarlo, "_strategy_samples", None)  # any draw would fail
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        mc_average_fidelity(HeisenbergStrategy(two_j=4), theta, 10, seed=0)
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        per_rotation_fidelity(HeisenbergStrategy(two_j=4), theta, [1.0, 0, 0, 0], 10, seed=0)

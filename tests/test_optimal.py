@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from oracles import apply_choi, brute_force_optimum
+from oracles import apply_choi, brute_force_optimum, covariant_choi_build
 from spinlearn import channels, mo, spins
 from spinlearn.channels import KrausChannel, average_from_entanglement, entanglement_fidelity
 from spinlearn.memory import _bisect
@@ -15,7 +15,6 @@ from spinlearn.optimal import (
     case1_entanglement_fidelity,
     case_choi_channel,
     case_fidelity,
-    covariant_choi_build,
     covariant_fidelity,
     delta_half,
     delta_one,
@@ -100,6 +99,30 @@ def test_case_choi_kraus_round_trip(case, two_j, two_m, theta):
     choi = covariant_choi_build(params, two_j)
     back = channels.choi_from_kraus(channels.kraus_from_choi(choi), choi.dim_in, choi.dim_out)
     assert np.max(np.abs(back.matrix - choi.matrix)) < 1e-12
+
+
+def _round_trip_points():
+    """142 (case, two_j, two_m, theta): cases 1-3 wherever they exist, 2j in
+    {1, 2, 3, 8, 32, 128}, m in {j, 0 or 1/2, -j}, theta in {0.5, 1.5, 2.9, pi}."""
+    for two_j in (1, 2, 3, 8, 32, 128):
+        for two_m in sorted({two_j, two_j % 2, -two_j}, reverse=True):
+            for theta in (0.5, 1.5, 2.9, math.pi):
+                for case in (1, 2, 3):
+                    try:
+                        case_fidelity(case, two_j, two_m, theta)
+                    except CaseNotApplicableError:
+                        continue
+                    yield case, two_j, two_m, theta
+
+
+@pytest.mark.parametrize("case, two_j, two_m, theta", list(_round_trip_points()))
+def test_case_choi_channel_kraus_equal_the_dense_choi_oracle(case, two_j, two_m, theta):
+    _, params = case_fidelity(case, two_j, two_m, theta)
+    oracle = covariant_choi_build(params, two_j)
+    channel = case_choi_channel(CaseChoiStrategy(case, two_j, two_m, theta))
+    back = channels.choi_from_kraus(channel.kraus, channel.dim_in, channel.dim_out)
+    assert np.max(np.abs(back.matrix - oracle.matrix)) < 1e-13
+    assert len(channel.kraus) == len(channels.kraus_from_choi(oracle))
 
 
 @pytest.mark.parametrize("two_j", range(13))
@@ -432,3 +455,18 @@ def test_discrete_xyz_completeness_and_channel():
     v = np.diag([-1j, 1j])
     fe = entanglement_fidelity(ch, probe, v).value
     assert fe == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    optimal_average_fidelity,
+    optimal_fidelity,
+    lambda two_j, theta: case_fidelity(1, two_j, two_j, theta),
+    lambda two_j, theta: case_choi_channel(CaseChoiStrategy(1, two_j, two_j, theta)),
+], ids=["average", "report", "case_fidelity", "case_choi_channel"])
+def test_non_finite_theta_is_named(call, theta):
+    # at the parent the fidelities raised "fidelity nan outside [1/3, 1]", naming
+    # no argument; case 1 at theta = nan returned nan, and its channel the
+    # 5-Kraus channel of the zero cross phase
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        call(4, theta)
