@@ -56,25 +56,19 @@ def _coupling_sectors(two_j: int, two_k: int):
     """Per total-M sectors of the (j, k) product basis.
 
     Each sector is (pair_indices, two_t_list, G) with G[t, pair] the
-    Clebsch-Gordan coefficient <j m; k mu | t M>.
+    Clebsch-Gordan coefficient <j m; k mu | t M>, read off the pair tables.
+    Sectors run over M descending, pairs over m descending.
     """
     check_two_j(two_j)
     check_two_j(two_k)
-    dk = dim(two_k)
-    two_ms = two_m_values(two_j)
-    two_mus = two_m_values(two_k)
-    sectors = {}
-    for i1, tm in enumerate(two_ms):
-        for i2, tmu in enumerate(two_mus):
-            sectors.setdefault(tm + tmu, []).append((i1 * dk + i2, tm, tmu))
+    all_ts = range(abs(two_j - two_k), two_j + two_k + 1, 2)
+    tables = {tt: spins._pair_coupling_table(two_j, two_k, tt) for tt in all_ts}
     out = []
-    for two_M, entries in sectors.items():
-        idx = np.array([e[0] for e in entries])
-        two_ts = [t for t in range(abs(two_j - two_k), two_j + two_k + 2, 2)
-                  if abs(two_M) <= t]
-        g = np.array([[clebsch_gordan(two_j, tm, two_k, tmu, tt, two_M)
-                       for (_, tm, tmu) in entries] for tt in two_ts])
-        out.append((idx, np.array(two_ts), g))
+    for s in range(two_j + two_k + 1):  # two_M = two_j + two_k - 2s
+        i1 = np.arange(max(0, s - two_k), min(two_j, s) + 1)
+        two_ts = [tt for tt in all_ts if abs(two_j + two_k - 2 * s) <= tt]
+        g = np.array([tables[tt][i1, s - i1] for tt in two_ts])
+        out.append((i1 * dim(two_k) + s - i1, np.array(two_ts), g))
     return tuple(out)
 
 

@@ -2,23 +2,21 @@
 
 Repeated use of the memory degrades it through the complementary channel of
 the memory-target gate, which acts as a tridiagonal Markov kernel on the
-magnetic populations.  There are three such kernels:
+magnetic populations.  There are two such kernels:
 
-* ``expanded`` - the closed-form coefficients with the interaction-angle
-  factor expanded to first order in 1/(2j) (the recycling schedule);
-* ``exact``    - the same structure with the exact factor 1 - cos f(theta),
-  identical to tracing the gate against a maximally mixed target (and equal
-  to ``expanded`` at theta = pi);
-* ``leading``  - the large-j linearization, which the alternating-sum
+* ``exact``   - rates with the factor 1 - cos f of the interaction angle f,
+  identical to tracing the gate against a maximally mixed target;
+* ``leading`` - the large-j linearization, which the alternating-sum
   distribution solves exactly.
 
-The kernels themselves, and the dense-gate route they are checked against,
-live with the tests, in ``tests/oracles.py``; only the ``expanded`` factor is
-here.  The recycling routines iterate no kernel.  They use the moment
-closure: the fidelity from |j,m> is quadratic in m, and the first two moments
-of m close under the ``expanded`` and ``exact`` kernels, so each use costs
-O(1) at any j, re-tuned interaction angle included (it maximizes a sinusoid
-in closed form).
+The kernels themselves, and the dense-gate route and the quantum-trajectory
+sampler they are checked against, live with the tests, in
+``tests/oracles.py``.  The recycling routines iterate no kernel.  They use the
+moment closure: the fidelity from |j,m> is quadratic in m, and the first two
+moments of m close under the ``exact`` kernel, so each use costs O(1) at any
+j.  Both schedules take the same factor: f = f(theta) on the fixed schedule
+(and so in ``persistence`` and ``longevity``), the re-tuned angle f_t on the
+reoptimized one (it maximizes a sinusoid in closed form).
 (The ``leading`` kernel truncates at m = -j, so its moments do not close;
 the alternating sum gives its n-step distribution, as signed weights: one
 Taylor shift of exact integers, by additions and subtractions only.)
@@ -34,8 +32,7 @@ import numpy as np
 
 from . import heisenberg, mo
 from .channels import average_from_entanglement
-from .spins import (InvalidQuantumNumbersError, _check_nonzero_j, _check_theta, check_valid_m,
-                    dim, two_m_values)
+from .spins import _check_nonzero_j, _check_theta, check_valid_m, dim, two_m_values
 
 _SCAN_CHUNK = 4096  # uses per array when scanning for a crossing
 
@@ -79,25 +76,15 @@ def point_mass(two_j: int, two_m: int) -> MemoryDistribution:
     return MemoryDistribution(two_j=two_j, weights=w)
 
 
-def _expanded_factor(two_j: int, theta: float) -> float:
-    """Factor 1 - cos f(theta) of the ``expanded`` kernel, to first order in 1/(2j).
-
-    It equals (1 - cos theta)(1 - (1 + cos theta)/(2j)), negative only at 2j = 1
-    with cos theta > 0, where the kernel would have negative rates: rejected.
-    """
-    _check_nonzero_j(two_j)
-    cos = math.cos(theta)
-    if two_j - 1.0 < cos < 1.0:
-        raise InvalidQuantumNumbersError(
-            f"two_j={two_j}, theta={theta}: the expanded recycling kernel has negative rates "
-            "(cos theta > 0 at two_j = 1)")
-    return 1.0 - cos - math.sin(theta) ** 2 / two_j
+def _rate(two_j: int, angle: float) -> float:
+    """c = (1 - cos f)/(2j+1)^2 of the kernel for interaction angle f, in [0, 2/(2j+1)^2]."""
+    return (1.0 - math.cos(angle)) / (two_j + 1.0) ** 2
 
 
-def _moments(two_j: int, factor: float, steps, mean_m, mean_m2):
-    """<m> and <m^2> after ``steps`` kernel steps with this factor: each step
-    multiplies <m> by 1 - 2c and <m^2> - j(j+1)/3 by 1 - 6c, c = factor/(2j+1)^2."""
-    c = factor / (two_j + 1.0) ** 2
+def _moments(two_j: int, angle: float, steps, mean_m, mean_m2):
+    """<m> and <m^2> after ``steps`` kernel steps at this interaction angle: each
+    step multiplies <m> by 1 - 2c and <m^2> - j(j+1)/3 by 1 - 6c, c = ``_rate``."""
+    c = _rate(two_j, angle)
     m2_inf = two_j * (two_j + 2.0) / 12.0
     if two_j > 1:  # at 2j = 1, m^2 = 1/4 in every state (and 1 - 6c reaches -2)
         mean_m2 = m2_inf + (mean_m2 - m2_inf) * (1.0 - 6.0 * c) ** steps
@@ -113,8 +100,8 @@ def _fidelity_from_moments(two_j: int, theta: float, mean_m, mean_m2,
 
 def _fixed_schedule(two_j: int, theta: float, steps):
     """Average fidelity of the use after ``steps`` uses on the fixed schedule."""
-    j = two_j / 2.0
-    moments = _moments(two_j, _expanded_factor(two_j, theta), steps, j, j * j)
+    j = _check_nonzero_j(two_j)
+    moments = _moments(two_j, heisenberg.f_angle(two_j, theta), steps, j, j * j)
     return _fidelity_from_moments(two_j, theta, *moments)
 
 
@@ -142,7 +129,11 @@ def recycled_fidelity(two_j: int, theta: float, n_uses: int,
     schedule is asymptotically as good).  The fidelity of a use is
     P + Q cos f + R sin f in the angle f, so the re-tuned angle is
     atan2(R, Q) = atan2((2j+1)<m> sin theta, j(j+1)(1 + cos theta) - <m^2>(1 - cos theta)),
-    which is f(theta) at the pure state.
+    which is f(theta) at the pure state.  The angle is greedy, best for the
+    current use only: from 2j = 2 on the reoptimized schedule is never worse
+    than the fixed one, but at 2j = 1 a greedy angle can leave a worse memory
+    behind, and a later use falls below the fixed schedule's (by 1.9e-3 at
+    theta = 2.139 rad, use 4).
     """
     _check_theta(theta)
     _check_count("n_uses", n_uses, 1)
@@ -156,7 +147,7 @@ def recycled_fidelity(two_j: int, theta: float, n_uses: int,
         f_t = math.atan2((two_j + 1.0) * mean_m * sin,
                          j * (j + 1.0) * (1.0 + cos) - mean_m2 * (1.0 - cos))
         out[t] = _fidelity_from_moments(two_j, theta, mean_m, mean_m2, f_t)
-        mean_m, mean_m2 = _moments(two_j, 1.0 - math.cos(f_t), 1, mean_m, mean_m2)
+        mean_m, mean_m2 = _moments(two_j, f_t, 1, mean_m, mean_m2)
     return out
 
 
@@ -166,12 +157,13 @@ def _uses_before(two_j: int, theta: float, fails, level: float, cap: int) -> tup
 
     F after s uses is F_inf + B r1^s + C r2^s with r1 = 1 - 2c, r2 = 1 - 6c and
     B, C >= 0, so the chunked scan stops once (B + C) rho^s < |F_inf - level|
-    with rho = max(|r1|, |r2|) < 1; with c = 0, F is constant.
+    with rho = max(|r1|, |r2|) < 1; with c = 0, F is constant.  At 2j = 1,
+    m^2 = 1/4 in every state, so C = 0 and rho = |r1|.
     """
-    c = _expanded_factor(two_j, theta) / (two_j + 1.0) ** 2
     f_inf = _fixed_schedule(two_j, theta, math.inf)
     tail = abs(_fixed_schedule(two_j, theta, 0) - f_inf)
-    rho = max(abs(1.0 - 2.0 * c), abs(1.0 - 6.0 * c))
+    c = _rate(two_j, heisenberg.f_angle(two_j, theta))
+    rho = abs(1.0 - 2.0 * c) if two_j == 1 else max(abs(1.0 - 2.0 * c), abs(1.0 - 6.0 * c))
     for start in range(0, cap, _SCAN_CHUNK):
         s = np.arange(start, min(start + _SCAN_CHUNK, cap))
         hit = np.flatnonzero(fails(_fixed_schedule(two_j, theta, s), level))

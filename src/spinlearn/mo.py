@@ -32,6 +32,7 @@ class MOParams:
 
 def gamma_weights(theta: float, theta_prime: float) -> tuple[float, float, float]:
     """Trigonometric weights of the rank-0, 1, 2 overlap terms."""
+    spins._check_theta(theta)
     ch, sh = math.cos(theta / 2.0), math.sin(theta / 2.0)
     cp, sp = math.cos(theta_prime / 2.0), math.sin(theta_prime / 2.0)
     g0 = (cp * ch) ** 2 + (sp * sh) ** 2 / 3.0
@@ -71,6 +72,7 @@ def optimal_theta_prime(two_j: int, theta: float) -> float:
     Branch-safe form of arccot[cot(theta) + (2cos(theta)+2j+1)/((2j^2+3j)
     sin(theta))] + s(theta).
     """
+    spins._check_theta(theta)
     j = two_j / 2.0
     d = (2.0 * j * j + 3.0 * j) * math.sin(theta)
     n = (2.0 * j * j + 3.0 * j) * math.cos(theta) + 2.0 * math.cos(theta) + 2.0 * j + 1.0
@@ -79,6 +81,7 @@ def optimal_theta_prime(two_j: int, theta: float) -> float:
 
 def mo_fopt_formula(two_j: int, theta: float, theta_prime: float) -> float:
     """Average MO fidelity at probe m = j, seed n = j, for the given theta'."""
+    spins._check_theta(theta)
     j = two_j / 2.0
     return (
         (4.0 * j + 4.0 + (2.0 * j + 1.0) * math.cos(theta - theta_prime))
@@ -91,6 +94,7 @@ def mo_fopt_formula(two_j: int, theta: float, theta_prime: float) -> float:
 
 def anomalous_mo_fidelity(theta: float) -> float:
     """j = 1 average fidelity of the aligned-orbital strategy: 1/3 + (2/5)sin^2(theta/2)."""
+    spins._check_theta(theta)
     return 1.0 / 3.0 + 0.4 * math.sin(theta / 2.0) ** 2
 
 

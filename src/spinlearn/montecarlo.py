@@ -112,19 +112,13 @@ def _unot_mixture_samples(strategy: UNotMixture, theta: float,
                           rng: np.random.Generator, n: int,
                           q_g: np.ndarray | None = None) -> np.ndarray:
     alpha = strategy.alpha
+    m_yes, m_no = optimal._unot_instrument(alpha)
     if q_g is None:
         q_g = rotations.haar_quaternions(rng, n)
     psi = sample_pure_states(rng, n, 2)
     probe = spins.rotated_basis_states_batch(1, q_g, 1)
     joint = np.einsum("np,nk->npk", probe, psi).reshape(n, 4)
     target = _target_states(q_g, theta, psi)
-
-    singlet = np.zeros(4, dtype=complex)
-    singlet[1] = 1.0 / math.sqrt(2.0)
-    singlet[2] = -1.0 / math.sqrt(2.0)
-    p0 = np.outer(singlet, singlet.conj())
-    p1 = np.eye(4) - p0
-    m_yes = math.sqrt(max(1.0 - 4.0 * alpha / 3.0, 0.0)) * p1 + p0
     gate = heisenberg.heisenberg_unitary(1, 1, theta)
     yes = gate.apply(joint @ m_yes.T).reshape(n, 2, 2)
     fid = _conditional_fidelity_channel_output(yes, target)
@@ -132,7 +126,7 @@ def _unot_mixture_samples(strategy: UNotMixture, theta: float,
     if alpha > 0.0:
         # "no" branch: universal NOT evaluated by sampling its defining
         # coherent-state integral (uniform axis, density weight 3|<nn|.>|^2)
-        z = joint @ (math.sqrt(4.0 * alpha / 3.0) * p1).T
+        z = joint @ m_no.T
         q_axis = rotations.haar_quaternions(rng, n)
         u_axis = rotations.su2_from_quaternion(q_axis)
         chi = u_axis[:, :, 0]       # U|0>, the random coherent axis state

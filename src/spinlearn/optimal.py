@@ -134,16 +134,17 @@ def _raw_total_family(two_j: int, two_k_route: int, two_t: int) -> np.ndarray:
     laid out on (probe, out, in).  A row has at most four nonzero components,
     each one product <K|probe, in> <T|K, out>, scattered into place.
     """
-    inner = spins._pair_coupling_table(two_j, 1, two_k_route)       # (K, probe, in)
-    outer = spins._pair_coupling_table(two_k_route, 1, two_t)       # (T, K, out)
+    inner = spins._pair_coupling_table(two_j, 1, two_k_route)       # (probe, in)
+    outer = spins._pair_coupling_table(two_k_route, 1, two_t)       # (K, out)
     fam = np.zeros((dim(two_t), dim(two_j), 2, 2))
-    t, k, out = np.nonzero(outer)
+    k, out = np.nonzero(outer)
+    t = (two_t - two_k_route + 2 * k - 1 + 2 * out) // 2  # M_T = M_K + m_out
     for i in (0, 1):
         # the one probe index p with m_p + m_in = M_K, where it exists
         p = (two_j - two_k_route + 2 * k + 1 - 2 * i) // 2
         ok = (p >= 0) & (p <= two_j)
         t_ok, k_ok, out_ok, p_ok = t[ok], k[ok], out[ok], p[ok]
-        fam[t_ok, p_ok, out_ok, i] = outer[t_ok, k_ok, out_ok] * inner[k_ok, p_ok, i]
+        fam[t_ok, p_ok, out_ok, i] = outer[k_ok, out_ok] * inner[p_ok, i]
     return fam.reshape(dim(two_t), -1)
 
 
@@ -279,6 +280,7 @@ def case_fidelity(case: int, two_j: int, two_m: int, theta: float
 
 def case1_entanglement_fidelity(two_j: int, two_m: int, theta: float) -> float:
     """Closed form of the case-1 fidelity, (|A| + |B|)^2 / (2j+1)^2."""
+    spins._check_theta(theta)
     j = two_j / 2.0
     m = two_m / 2.0
     c = math.cos(theta / 2.0)
@@ -290,6 +292,7 @@ def case1_entanglement_fidelity(two_j: int, two_m: int, theta: float) -> float:
 
 def case2_alpha(theta: float) -> float:
     """Weight of the stretched block in the j = 1/2 case-2 mixture."""
+    spins._check_theta(theta)
     c = math.cos(theta)
     return (1.0 + 8.0 * c + 9.0 * c * c) / (3.0 * (1.0 + 2.0 * c) ** 2)
 
@@ -352,11 +355,15 @@ def optimal_average_fidelity(two_j: int, theta: float, problem: int = 2) -> floa
 # Explicit strategy channels for j = 1/2 and j = 1
 # ---------------------------------------------------------------------------
 
-def _singlet_projector() -> np.ndarray:
-    s = np.zeros(4, dtype=complex)
-    s[1] = 1.0 / math.sqrt(2.0)
-    s[2] = -1.0 / math.sqrt(2.0)
-    return np.outer(s, s.conj())
+def _unot_instrument(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(m_yes, m_no) of the j = 1/2 block measurement on (probe (x) qubit): the
+    singlet always answers "yes", the triplet "no" with probability 4 alpha/3."""
+    if not 0.0 <= alpha <= 2.0 / 3.0 + 1e-12:
+        raise ValueError(f"alpha must lie in [0, 2/3], got {alpha!r}")
+    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+    p0 = np.outer(singlet, singlet.conj())
+    p1 = np.eye(4, dtype=complex) - p0
+    return math.sqrt(max(1.0 - 4.0 * alpha / 3.0, 0.0)) * p1 + p0, math.sqrt(4.0 * alpha / 3.0) * p1
 
 
 def unot_channel() -> KrausChannel:
@@ -391,12 +398,7 @@ def unot_channel() -> KrausChannel:
 def unot_mixture_channel(alpha: float, theta: float) -> KrausChannel:
     """j = 1/2 optimal strategy: two-outcome block measurement, then either the
     optimized spin-spin gate ("yes") or the 2-to-1 universal NOT ("no")."""
-    if not 0.0 <= alpha <= 2.0 / 3.0 + 1e-12:
-        raise ValueError("alpha must lie in [0, 2/3]")
-    p0 = _singlet_projector()
-    p1 = np.eye(4, dtype=complex) - p0
-    m_yes = math.sqrt(max(1.0 - 4.0 * alpha / 3.0, 0.0)) * p1 + p0
-    m_no = math.sqrt(4.0 * alpha / 3.0) * p1
+    m_yes, m_no = _unot_instrument(alpha)
     gate = heisenberg.heisenberg_unitary(1, 1, theta)
     yes_part = KrausChannel.from_unitary_with_trace(gate.matrix() @ m_yes, 2)
     kraus = list(yes_part.kraus)

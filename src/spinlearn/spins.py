@@ -240,16 +240,15 @@ def clebsch_gordan(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
 
 @lru_cache(maxsize=None)
 def _pair_coupling_table(two_j1: int, two_j2: int, two_J: int) -> np.ndarray:
-    """Rows of <j1 m1; j2 m2 | J M> over the product basis, per M of J."""
-    d1, d2, dJ = dim(two_j1), dim(two_j2), dim(two_J)
-    table = np.zeros((dJ, d1, d2))
-    for i1, two_m1 in enumerate(two_m_values(two_j1)):
-        for i2, two_m2 in enumerate(two_m_values(two_j2)):
-            two_M = two_m1 + two_m2
-            if abs(two_M) > two_J:
-                continue
-            iJ = (two_J - two_M) // 2
-            table[iJ, i1, i2] = clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_J, two_M)
+    """(d1, d2) table of <j1 m1; j2 m2 | J, m1 + m2> over the product basis,
+    0 where |m1 + m2| > J; Racah's sum with Python-int arguments."""
+    table = np.zeros((dim(two_j1), dim(two_j2)))
+    for i1 in range(two_j1 + 1):
+        for i2 in range(two_j2 + 1):
+            two_m1, two_m2 = two_j1 - 2 * i1, two_j2 - 2 * i2
+            if abs(two_m1 + two_m2) <= two_J:
+                table[i1, i2] = clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_J,
+                                               two_m1 + two_m2)
     table.setflags(write=False)
     return table
 

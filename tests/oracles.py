@@ -10,10 +10,11 @@ import math
 
 import numpy as np
 
-from spinlearn import heisenberg, optimal, spins
+from spinlearn import heisenberg, optimal, rotations, spins
 from spinlearn.channels import ChoiOperator, maximally_entangled
-from spinlearn.memory import (MemoryDistribution, _expanded_factor, _fidelity_from_moments,
-                              thermal_state)
+from spinlearn.memory import MemoryDistribution, _fidelity_from_moments, thermal_state
+from spinlearn.montecarlo import (_conditional_fidelity_channel_output, _target_states,
+                                  sample_pure_states)
 from spinlearn.spins import _check_nonzero_j, coupling_decomposition, dim, two_m_values
 
 
@@ -31,7 +32,34 @@ def apply_choi(choi: ChoiOperator, rho: np.ndarray) -> np.ndarray:
 
 def coupled_basis_vectors(two_j1: int, two_j2: int, two_J: int) -> np.ndarray:
     """(2J+1, d1*d2) array of total-spin basis vectors |J,M> (M descending)."""
-    return spins._pair_coupling_table(two_j1, two_j2, two_J).reshape(dim(two_J), -1).copy()
+    vecs = np.zeros((dim(two_J), dim(two_j1), dim(two_j2)))
+    for iJ, two_M in enumerate(two_m_values(two_J)):
+        for i1, two_m1 in enumerate(two_m_values(two_j1)):
+            two_m2 = two_M - two_m1
+            if abs(two_m2) <= two_j2:
+                vecs[iJ, i1, (two_j2 - two_m2) // 2] = spins.clebsch_gordan(
+                    two_j1, two_m1, two_j2, two_m2, two_J, two_M)
+    return vecs.reshape(dim(two_J), -1)
+
+
+def coupling_sectors_by_racah(two_j: int, two_k: int):
+    """``heisenberg._coupling_sectors`` by a Racah sum per (pair, t): the product
+    pairs grouped by total M, the coefficients of each sector's table computed
+    on the spot."""
+    dk = dim(two_k)
+    sectors = {}
+    for i1, tm in enumerate(two_m_values(two_j)):
+        for i2, tmu in enumerate(two_m_values(two_k)):
+            sectors.setdefault(tm + tmu, []).append((i1 * dk + i2, tm, tmu))
+    out = []
+    for two_M, entries in sectors.items():
+        idx = np.array([e[0] for e in entries])
+        two_ts = [t for t in range(abs(two_j - two_k), two_j + two_k + 2, 2)
+                  if abs(two_M) <= t]
+        g = np.array([[spins.clebsch_gordan(two_j, tm, two_k, tmu, tt, two_M)
+                       for (_, tm, tmu) in entries] for tt in two_ts])
+        out.append((idx, np.array(two_ts), g))
+    return tuple(out)
 
 
 def _test_vector(two_j: int, two_m: int, theta: float) -> np.ndarray:
@@ -177,23 +205,22 @@ def unital_bell_reality_check(choi: ChoiOperator, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(in_bell.imag)) <= tol)
 
 
-def step_kernel(two_j: int, theta: float, kind: str = "expanded", factor: float | None = None
+def step_kernel(two_j: int, theta: float, kind: str = "exact", factor: float | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tridiagonal kernel (down, stay, up) over m in descending order.
 
     ``down[i]`` moves weight from m_i to m_i - 1, ``up[i]`` to m_i + 1; the
-    diagonal is fixed by column stochasticity.  The kinds ``expanded``,
-    ``exact`` and ``leading`` are those of the ``spinlearn.memory`` docstring.
-    ``factor`` replaces the interaction factor of the ``expanded``/``exact``
-    structure (1 - cos f_t for a re-tuned angle f_t).  Needs two_j >= 1: a
-    spin-0 memory has no direction to lose.
+    diagonal is fixed by column stochasticity.  The kinds ``exact`` and
+    ``leading`` are those of the ``spinlearn.memory`` docstring.  ``factor``
+    replaces the factor 1 - cos f(theta) of the ``exact`` kernel (1 - cos f_t
+    for a re-tuned angle f_t).  Needs two_j >= 1: a spin-0 memory has no
+    direction to lose.
     """
     j = _check_nonzero_j(two_j)
     m = two_m_values(two_j) / 2.0
-    if kind in ("expanded", "exact"):
+    if kind == "exact":
         if factor is None:
-            factor = (_expanded_factor(two_j, theta) if kind == "expanded"
-                      else 1.0 - math.cos(heisenberg.f_angle(two_j, theta)))
+            factor = 1.0 - math.cos(heisenberg.f_angle(two_j, theta))
         down = (j + m) * (1.0 + j - m) / (1.0 + 2.0 * j) ** 2 * factor
         up = (j - m) * (1.0 + j + m) / (1.0 + 2.0 * j) ** 2 * factor
     elif kind == "leading":
@@ -209,7 +236,7 @@ def step_kernel(two_j: int, theta: float, kind: str = "expanded", factor: float 
 
 
 def complementary_step(two_j: int, theta: float, dist: MemoryDistribution,
-                       kind: str = "expanded", factor: float | None = None) -> MemoryDistribution:
+                       kind: str = "exact", factor: float | None = None) -> MemoryDistribution:
     """One recycling step of the memory populations through ``step_kernel``."""
     if dist.two_j != two_j:
         raise ValueError("distribution spin does not match")
@@ -230,6 +257,33 @@ def stinespring_complementary_populations(two_j: int, theta: float,
     out = u @ rho @ u.conj().T
     reduced = np.trace(out.reshape(d, 2, d, 2), axis1=1, axis2=3)
     return MemoryDistribution(two_j=two_j, weights=np.diag(reduced).real.copy())
+
+
+def recycling_trajectories(two_j: int, theta: float, n_uses: int, n: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """(n, n_uses) fidelity samples of the physical recycling process, one row
+    per quantum trajectory: no kernel and no moment enters.
+
+    A trajectory draws a Haar g and starts from U_g|j,j>.  At each use it draws
+    a Haar qubit psi, runs the gate on memory (x) psi, scores
+    sum_m |<V_(theta,g) psi|out_m>|^2 over the memory outcomes m, then measures
+    the output qubit in the computational basis and keeps the renormalized
+    memory branch; averaged over outcomes, that is the memory's partial trace.
+    """
+    d = dim(two_j)
+    gate = heisenberg.heisenberg_unitary(two_j, 1, theta)
+    q_g = rotations.haar_quaternions(rng, n)
+    state = spins.rotated_basis_states_batch(two_j, q_g, two_j)
+    rows = np.arange(n)
+    out = np.empty((n, n_uses))
+    for t in range(n_uses):
+        psi = sample_pure_states(rng, n, 2)
+        joint = gate.apply(np.einsum("np,nk->npk", state, psi).reshape(n, -1)).reshape(n, d, 2)
+        out[:, t] = _conditional_fidelity_channel_output(joint, _target_states(q_g, theta, psi))
+        down = rng.random(n) >= np.sum(np.abs(joint[:, :, 0]) ** 2, axis=1)
+        state = joint[rows, :, down.astype(int)]
+        state /= np.linalg.norm(state, axis=1, keepdims=True)
+    return out
 
 
 def tricomi_weights_by_double_sum(two_j: int, theta: float, n: int) -> np.ndarray:

@@ -149,7 +149,7 @@ def test_criterion_9_property_suites():
 
     heisenberg_unitary(4, 1, 1.7).as_channel().to_choi().validate()
 
-    # kernel stochasticity (the expanded kernel is stochastic for j >= 1)
+    # kernel stochasticity (the exact kernel is stochastic at every 2j >= 1)
     for _ in range(20):
         two_j = int(rng.integers(2, 40))
         theta = float(rng.uniform(0.0, 2 * math.pi))

@@ -189,11 +189,13 @@ def test_verify_without_samples_exits_two(n, capsys):
     assert capsys.readouterr().err == "error: n_samples must be positive\n"
 
 
-def test_recycle_with_negative_kernel_rates_exits_two(capsys):
-    # the expanded kernel at 2j = 1 has negative rates where cos(theta) > 0
-    assert run_cli(["recycle", "--two-j", "1", "--theta", "0.3"]) == 2
-    err = capsys.readouterr().err
-    assert "two_j=1" in err and "theta=" in err
+def test_recycle_at_spin_half_with_positive_cos_theta_prints_rows(tmp_path):
+    # the kernel factor 1 - cos f is non-negative at every angle, 2j = 1 included
+    out = tmp_path / "recycle.csv"
+    assert run_cli(["recycle", "--two-j", "1", "--theta", "0.3", "--out", str(out)]) == 0
+    f_t = [float(row["f_t"]) for row in _read_csv(out)]
+    assert len(f_t) == 100 and all(1.0 / 3.0 <= f <= 1.0 for f in f_t)
+    assert all(b <= a for a, b in zip(f_t, f_t[1:]))
 
 
 def test_spin_zero_memory_exits_two(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import coupled_basis_vectors
+from oracles import coupled_basis_vectors, coupling_sectors_by_racah
 from spinlearn import heisenberg, optimal, spins
 from spinlearn.heisenberg import (
     f_angle,
@@ -91,6 +91,16 @@ def test_qubit_slice_path_matches_sector_loop(monkeypatch, two_j):
             with monkeypatch.context() as patched:
                 patched.setattr(heisenberg, "_PAIR_BLOCK_ELEMENTS", 1)
                 assert np.array_equal(gate.apply(vec), loop)
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 7, 20, 64, 101])
+def test_coupling_sectors_read_off_the_pair_tables_equal_the_racah_loop(two_j):
+    for two_k in (1, 2, 3, 4):
+        got = heisenberg._coupling_sectors(two_j, two_k)
+        want = coupling_sectors_by_racah(two_j, two_k)
+        assert len(got) == len(want)
+        for sector, oracle in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(sector, oracle))
 
 
 @pytest.mark.parametrize("two_k", [1, 2])

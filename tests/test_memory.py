@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     complementary_step,
+    recycling_trajectories,
     step_kernel,
     stinespring_complementary_populations,
     thermal_fidelity_by_weights,
     tricomi_weights_by_double_sum,
 )
-from spinlearn import optimal
+from spinlearn import memory, optimal
 from spinlearn.channels import entanglement_fidelity
 from spinlearn.heisenberg import _golden_minimize, f_angle, heisenberg_unitary
 from spinlearn.memory import (
@@ -37,11 +38,11 @@ from spinlearn.mo import mo_average_fidelity
 from spinlearn.spins import InvalidQuantumNumbersError, dim
 
 
-@given(st.integers(min_value=2, max_value=30),
+@given(st.integers(min_value=1, max_value=30),
        st.floats(min_value=0.0, max_value=2 * math.pi - 1e-9))
 def test_kernel_column_stochastic(two_j, theta):
-    # the expanded kernel is a genuine stochastic kernel for j >= 1
-    down, stay, up = step_kernel(two_j, theta, "expanded")
+    # the exact kernel is a genuine stochastic kernel at every 2j >= 1
+    down, stay, up = step_kernel(two_j, theta)
     assert np.all(down >= -1e-15) and np.all(up >= -1e-15)
     assert np.all(stay >= -1e-12) and np.all(stay <= 1.0 + 1e-15)
     assert np.allclose(down + stay + up, 1.0, atol=1e-14)
@@ -64,13 +65,13 @@ def test_step_point_mass_explicit_coefficients():
     out.validate()
 
 
-def test_expanded_kernel_equals_stinespring_at_pi():
-    # 50 recycling steps at j = 100: the expanded factor is exact at theta = pi
+def test_exact_kernel_equals_stinespring_over_fifty_steps_at_pi():
+    # 50 recycling steps at j = 100
     two_j = 200
     a = point_mass(two_j, two_j)
     b = point_mass(two_j, two_j)
     for _ in range(50):
-        a = complementary_step(two_j, math.pi, a, "expanded")
+        a = complementary_step(two_j, math.pi, a)
         b = stinespring_complementary_populations(two_j, math.pi, b)
     assert a.total_variation(b) < 1e-8
 
@@ -85,13 +86,15 @@ def test_exact_kernel_equals_stinespring_any_angle():
         assert a.total_variation(b) < 1e-12
 
 
-def test_expanded_kernel_deviation_from_exact_is_second_order():
-    # away from pi the expanded factor differs from 1 - cos f at O(1/j^2)
-    for two_j in (50, 100, 200):
-        down_p, _, _ = step_kernel(two_j, 2.0, "expanded")
-        down_e, _, _ = step_kernel(two_j, 2.0, "exact")
-        rel = np.max(np.abs(down_p[:-1] - down_e[:-1])) / np.max(down_e[:-1])
-        assert rel < 8.0 / two_j**2
+@pytest.mark.parametrize("two_j,theta", [(1, 1.0), (2, 2.0), (3, 0.7), (4, 1.0)])
+def test_recycled_fidelity_matches_quantum_trajectories(two_j, theta, rng):
+    # the physical process, sampled: against the first-order factor
+    # (1 - cos theta)(1 - (1 + cos theta)/2j) these points read |z| of 6 to 28,
+    # and 2j = 1 at cos theta > 0 was rejected
+    samples = recycling_trajectories(two_j, theta, 10, 20000, rng)
+    std_error = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    z = (samples.mean(axis=0) - recycled_fidelity(two_j, theta, 10)) / std_error
+    assert np.all(np.abs(z) < 4.0), z
 
 
 def test_unknown_kernel_kind():
@@ -244,9 +247,24 @@ def test_recycled_leading_order_error():
 
 
 def test_recycled_reoptimized_schedule_never_worse():
-    base = recycled_fidelity(30, math.pi, 12)
-    reopt = recycled_fidelity(30, math.pi, 12, reoptimize_f=True)
-    assert np.all(reopt >= base - 1e-9)
+    # both schedules run the kernel with factor 1 - cos f; the largest
+    # fixed-minus-reoptimized gap over this grid is 1.3e-15
+    for two_j in range(2, 41):
+        for theta in np.linspace(0.0, 2 * math.pi, 41):
+            base = recycled_fidelity(two_j, float(theta), 200)
+            reopt = recycled_fidelity(two_j, float(theta), 200, reoptimize_f=True)
+            assert np.all(reopt >= base - 1e-12), (two_j, theta)
+
+
+def test_spin_half_reoptimized_second_use_never_worse():
+    # the first use leaves the same memory on both schedules, so the greedy
+    # angle of use 2 cannot lose; later uses can (the recycled_fidelity docstring)
+    for theta in np.linspace(0.0, 2 * math.pi, 41):
+        base = recycled_fidelity(1, float(theta), 2)
+        reopt = recycled_fidelity(1, float(theta), 2, reoptimize_f=True)
+        assert reopt[1] >= base[1] - 1e-12, theta
+    gap = recycled_fidelity(1, 2.139, 4) - recycled_fidelity(1, 2.139, 4, reoptimize_f=True)
+    assert gap[3] > 1.9e-3
 
 
 def test_reoptimized_angle_leaves_the_pure_state_window():
@@ -371,21 +389,36 @@ def test_persistence_at_zero_angle_has_infinite_asymptote(theta):
     assert 0 <= rep.steps <= 100
 
 
-@pytest.mark.parametrize("theta", [1.0, 0.3, 5.5, 1.5])
-def test_negative_expanded_rates_rejected_at_spin_half(theta):
-    # at 2j = 1 the expanded factor is -(1 - cos theta) cos theta < 0 for cos theta > 0;
-    # the chain grew without bound (recycled_fidelity(1, 1.0, 300) reached 1.4e14)
-    _assert_negative_rates_rejected(
-        1, theta, lambda: recycled_fidelity(1, theta, 300), lambda: step_kernel(1, theta),
-        lambda: persistence(1, theta), lambda: longevity(1, theta, 0.9))
-
-
-@pytest.mark.parametrize("theta", [0.0, 2 * math.pi, 2.0, math.pi, 4.5])
+@pytest.mark.parametrize("theta", [0.0, 2 * math.pi, 2.0, math.pi, 4.5, 1.0, 0.3, 5.5, 1.5])
 def test_spin_half_recycling_where_rates_are_non_negative(theta):
+    # 1 - cos f >= 0 at every angle, cos theta > 0 included (where the first-order
+    # factor (1 - cos theta)(1 - (1 + cos theta)/2j) had negative rates at 2j = 1)
     seq = recycled_fidelity(1, theta, 50)
     assert np.all((seq >= 1.0 / 3.0 - 1e-12) & (seq <= 1.0 + 1e-12))
     assert np.all(np.diff(seq) <= 1e-12)  # recycling never helps
     np.testing.assert_allclose(seq, _chain_fidelities(1, theta, 50), rtol=0, atol=1e-12)
+    rep = persistence(1, theta, t_max=50)
+    assert (rep.steps, rep.capped) == _chain_uses_before(
+        seq, np.less_equal, mo_average_fidelity(1, theta))
+    assert longevity(1, theta, 0.9, t_max=50) == _chain_uses_before(seq, np.less, 0.9)[0]
+
+
+def test_spin_half_recycling_never_increases_at_any_angle():
+    for theta in np.linspace(0.0, 2 * math.pi, 4001):
+        seq = recycled_fidelity(1, float(theta), 200)
+        assert np.all((seq >= 1.0 / 3.0 - 1e-12) & (seq <= 1.0 + 1e-12)), theta
+        assert np.all(np.diff(seq) <= 1e-12), theta
+
+
+@pytest.mark.parametrize("theta,threshold", [(math.pi, 0.49), (2.5, 0.462)])
+def test_spin_half_scan_stops_once_the_tail_cannot_cross(monkeypatch, theta, threshold):
+    # at 2j = 1 the m^2 moment is constant, so rho = |1 - 2c|; with |1 - 6c| in
+    # rho the scan went through all 2,442 chunks of 10^7 uses
+    calls = []
+    fixed = memory._fixed_schedule
+    monkeypatch.setattr(memory, "_fixed_schedule", lambda *a: calls.append(a) or fixed(*a))
+    assert longevity(1, theta, threshold, t_max=10**7) == 10**7
+    assert len(calls) <= 4
 
 
 def test_spin_zero_memory_rejected_by_kernel():
@@ -465,8 +498,8 @@ def _best_angle(fun):
 
 
 def _chain_fidelities(two_j, theta, n_uses, reoptimize=False):
-    """Recycled fidelity by pushing the populations through the kernel: the
-    ``expanded`` kernel, or the factor 1 - cos f_t of the re-tuned angle."""
+    """Recycled fidelity by pushing the populations through the ``exact`` kernel,
+    with the factor 1 - cos f_t of the re-tuned angle when ``reoptimize``."""
     w = point_mass(two_j, two_j).weights
     fvec = _fidelity_vector(two_j, theta)
     out = np.empty(n_uses)
@@ -496,24 +529,8 @@ def test_fidelity_given_m_equals_amplitude_form(two_j, theta):
     np.testing.assert_allclose(got, _fidelity_vector(two_j, theta), rtol=0, atol=1e-14)
 
 
-def _negative_expanded_rates(two_j, theta):
-    """The expanded factor (1 - cos)(1 - (1 + cos)/2j) is negative: 2j = 1, cos > 0."""
-    return two_j - 1.0 < math.cos(theta) < 1.0
-
-
-def _assert_negative_rates_rejected(two_j, theta, *calls):
-    for call in calls:
-        with pytest.raises(InvalidQuantumNumbersError, match=f"two_j={two_j}, theta="):
-            call()
-
-
 @given(spins_upto_200, angles, st.integers(min_value=1, max_value=60))
 def test_recycled_fidelity_equals_chain(two_j, theta, n_uses):
-    if _negative_expanded_rates(two_j, theta):
-        _assert_negative_rates_rejected(
-            two_j, theta, lambda: recycled_fidelity(two_j, theta, n_uses),
-            lambda: _chain_fidelities(two_j, theta, n_uses))
-        return
     np.testing.assert_allclose(recycled_fidelity(two_j, theta, n_uses),
                                _chain_fidelities(two_j, theta, n_uses), rtol=1e-12, atol=1e-12)
 
@@ -529,12 +546,6 @@ def test_reoptimized_schedule_equals_chain(two_j, theta, n_uses):
 @given(spins_upto_200, angles, st.integers(min_value=0, max_value=120),
        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
 def test_persistence_and_longevity_equal_chain(two_j, theta, t_max, frac):
-    if _negative_expanded_rates(two_j, theta):
-        _assert_negative_rates_rejected(
-            two_j, theta, lambda: persistence(two_j, theta, t_max=t_max),
-            lambda: longevity(two_j, theta, 0.5, t_max=t_max),
-            lambda: _chain_fidelities(two_j, theta, max(t_max, 1)))
-        return
     seq = _chain_fidelities(two_j, theta, max(t_max, 1))[:t_max]
     benchmark = mo_average_fidelity(two_j, theta)
     threshold = float(seq.min() + frac * np.ptp(seq)) if t_max else 0.5

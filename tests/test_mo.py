@@ -351,3 +351,16 @@ def test_non_finite_theta_is_rejected_before_sampling():
     with pytest.raises(ValueError, match="^theta must be finite"):
         spin_k_mo_fidelity(8, 2, math.nan, 10, rng)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda theta: gamma_weights(theta, 1.0),
+    lambda theta: optimal_theta_prime(4, theta),
+    lambda theta: mo_fopt_formula(4, theta, 1.0),
+    anomalous_mo_fidelity,
+], ids=["gamma_weights", "optimal_theta_prime", "mo_fopt_formula", "anomalous"])
+def test_formula_helpers_name_a_non_finite_theta(call, theta):
+    # at the parent these returned nan or raised a bare "math domain error"
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        call(theta)

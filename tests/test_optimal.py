@@ -13,6 +13,7 @@ from spinlearn.optimal import (
     CovariantChoiParams,
     _conjugation_operator,
     case1_entanglement_fidelity,
+    case2_alpha,
     case_choi_channel,
     case_fidelity,
     covariant_fidelity,
@@ -27,6 +28,7 @@ from spinlearn.optimal import (
     unot_mixture_channel,
     validate_params,
 )
+from spinlearn.montecarlo import mc_average_fidelity
 from spinlearn.rotations import haar_quaternions, haar_rotation
 from spinlearn.strategies import CaseChoiStrategy, DiscreteXYZ, HeisenbergStrategy, UNotMixture
 
@@ -470,3 +472,24 @@ def test_non_finite_theta_is_named(call, theta):
     # 5-Kraus channel of the zero cross phase
     with pytest.raises(ValueError, match="^theta must be finite"):
         call(4, theta)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda theta: case1_entanglement_fidelity(4, 4, theta),
+    case2_alpha,
+], ids=["case1", "case2_alpha"])
+def test_formula_helpers_name_a_non_finite_theta(call, theta):
+    # at the parent these returned nan
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        call(theta)
+
+
+@pytest.mark.parametrize("alpha", [0.9, -0.1, math.nan])
+def test_unot_instrument_names_alpha_outside_its_range(alpha):
+    # at the parent the Monte-Carlo sampler took these silently (0.642 at 0.9,
+    # 0.536 at -0.1)
+    for call in (lambda: unot_mixture_channel(alpha, 1.0),
+                 lambda: mc_average_fidelity(UNotMixture(alpha=alpha), 1.0, 100, seed=0)):
+        with pytest.raises(ValueError, match="^alpha must lie in"):
+            call()

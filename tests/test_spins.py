@@ -237,6 +237,18 @@ def test_cg_orthogonality_both_ways(two_j1, two_j2):
     assert np.max(np.abs(u.T @ u - np.eye(d1 * d2))) < 1e-10
 
 
+@pytest.mark.parametrize("two_j1,two_j2", [(1, 1), (2, 1), (5, 1), (4, 2), (3, 4), (40, 1)])
+def test_pair_coupling_table_holds_the_coupled_basis_coefficients(two_j1, two_j2):
+    # the (d1, d2) table is the |J, m1 + m2> component of each product pair
+    for two_J in range(abs(two_j1 - two_j2), two_j1 + two_j2 + 2, 2):
+        vecs = coupled_basis_vectors(two_j1, two_j2, two_J).reshape(dim(two_J), dim(two_j1), -1)
+        i1, i2 = np.indices((dim(two_j1), dim(two_j2)))
+        row = (two_J - two_j1 - two_j2) // 2 + i1 + i2  # index of M = m1 + m2 in |J, M>
+        inside = (row >= 0) & (row <= two_J)
+        want = np.where(inside, vecs[np.clip(row, 0, two_J), i1, i2], 0.0)
+        assert np.array_equal(spins._pair_coupling_table(two_j1, two_j2, two_J), want)
+
+
 def test_cg_invalid_raises_and_vanishing_returns_zero():
     with pytest.raises(InvalidQuantumNumbersError):
         clebsch_gordan(1, 1, 1, 1, 0, 0)  # M != m1 + m2
