@@ -179,6 +179,16 @@ class HeisenbergGate:
                            _coupling_sectors(self.two_j, self.two_k))
         return out
 
+    def qubit_bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(d0, d1, up, lo), the four bands of the qubit-target gate G (it conserves
+        total M): with product index 2i + k (m = j - i; k = 0 up, 1 down), d0[i] =
+        G[2i, 2i], d1[i] = G[2i+1, 2i+1], up[i] = G[2i, 2i-1], lo[i] = G[2i+1, 2i+2],
+        read off ``apply`` on two comb vectors (ones at the even or the odd indices)."""
+        if self.two_k != 1:
+            raise ValueError(f"bands are defined for a qubit target, got two_k={self.two_k}")
+        even, odd = self.apply(np.arange(self.dim_total) % 2 == np.arange(2)[:, None])
+        return even[0::2], odd[1::2], odd[0::2], even[1::2]
+
     def matrix(self) -> np.ndarray:
         return self.apply(np.eye(self.dim_total, dtype=complex)).T
 
@@ -191,7 +201,7 @@ def heisenberg_unitary(two_j: int, two_k: int, theta: float,
                        f_override: float | None = None) -> HeisenbergGate:
     _check_theta(theta)
     if f_override is not None:
-        angle = float(f_override)
+        angle = float(_check_theta(f_override, "f_override"))
     elif two_k == 1:
         angle = f_angle(two_j, theta)
     else:
@@ -209,7 +219,7 @@ def entanglement_fidelity_coefficients(two_j: int, theta: float, f_override: flo
     """
     check_two_j(two_j)
     _check_theta(theta)
-    f = f_angle(two_j, theta) if f_override is None else f_override
+    f = f_angle(two_j, theta) if f_override is None else _check_theta(f_override, "f_override")
     j = two_j / 2.0
     n = two_j + 1.0
     abs_a_sq = ((j + 1.0) ** 2 + j * j + 2.0 * j * (j + 1.0) * math.cos(f)) / (n * n)
@@ -233,7 +243,7 @@ def heisenberg_entanglement_fidelity(two_j: int, theta: float,
     check_two_j(two_j)
     _check_theta(theta)
     j = two_j / 2.0
-    f = f_angle(two_j, theta) if f_override is None else f_override
+    f = f_angle(two_j, theta) if f_override is None else _check_theta(f_override, "f_override")
     n = 1.0 + 2.0 * j
     return (
         1.0 + 2.0 * j + 4.0 * j * j

@@ -33,6 +33,7 @@ class MOParams:
 def gamma_weights(theta: float, theta_prime: float) -> tuple[float, float, float]:
     """Trigonometric weights of the rank-0, 1, 2 overlap terms."""
     spins._check_theta(theta)
+    spins._check_theta(theta_prime, "theta_prime")
     ch, sh = math.cos(theta / 2.0), math.sin(theta / 2.0)
     cp, sp = math.cos(theta_prime / 2.0), math.sin(theta_prime / 2.0)
     g0 = (cp * ch) ** 2 + (sp * sh) ** 2 / 3.0
@@ -82,6 +83,7 @@ def optimal_theta_prime(two_j: int, theta: float) -> float:
 def mo_fopt_formula(two_j: int, theta: float, theta_prime: float) -> float:
     """Average MO fidelity at probe m = j, seed n = j, for the given theta'."""
     spins._check_theta(theta)
+    spins._check_theta(theta_prime, "theta_prime")
     j = two_j / 2.0
     return (
         (4.0 * j + 4.0 + (2.0 * j + 1.0) * math.cos(theta - theta_prime))
@@ -216,6 +218,7 @@ def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
     """
     spins._check_target_spin(two_k)
     spins._check_theta(theta)
+    spins._check_theta(theta_prime, "theta_prime")
     if n < 1:
         raise ValueError("n_samples must be positive")
     check_valid_m(two_j, two_m)

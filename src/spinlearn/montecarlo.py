@@ -9,7 +9,8 @@ each of its samples is scored by the exact state average (2 F_e + 1)/3 of
 fidelity enters anywhere, so these estimates independently validate the
 analytic results.  The Heisenberg and Kraus samplers draw every random input
 first and then run in fixed blocks of samples: their working memory is
-O(block) whatever the sample count is.
+O(block) whatever the sample count is.  A qubit-target gate's samples are scored
+from its four bands (``HeisenbergGate.qubit_bands``): no joint vector, O(j) each.
 """
 
 from __future__ import annotations
@@ -54,16 +55,17 @@ def _conditional_fidelity_channel_output(out: np.ndarray, target: np.ndarray) ->
     return np.sum(np.abs(np.einsum("nmi,ni->nm", out, target.conj())) ** 2, axis=1)
 
 
-_CHUNK_ELEMENTS = 1 << 20  # joint-vector amplitudes per block of samples
+_CHUNK_ELEMENTS = 1 << 18  # dp*dk amplitudes per block, cache-sized (1 << 20 ran 1.4x slower)
 
 
 def _channel_samples(two_j: int, two_m, q_g: np.ndarray, psi: np.ndarray, theta: float,
-                     channel) -> np.ndarray:
+                     channel=None, bands=None) -> np.ndarray:
     """Per-sample fidelity of ``channel`` (joint vectors (rows, dp*dk) -> outputs
-    (rows, r, dk)) on U_g|j,m> (x) psi against V_(theta,g) psi; ``two_m`` is a
-    scalar or per sample.  Runs in blocks of about _CHUNK_ELEMENTS // (dp*dk) rows,
-    so the working memory is O(block) whatever n is, and the samples do not
-    depend on the block size."""
+    (rows, r, dk)) on U_g|j,m> (x) psi against V_(theta,g) psi, or of the qubit-target
+    gate with the given ``qubit_bands`` (scored from the bands, no joint vector);
+    ``two_m`` is a scalar or per sample.  Runs in blocks of about
+    _CHUNK_ELEMENTS // (dp*dk) rows, so the working memory is O(block) whatever n
+    is, and the samples do not depend on the block size."""
     n, dk = psi.shape
     out = np.empty(n)
     step = max(2, _CHUNK_ELEMENTS // (spins.dim(two_j) * dk))
@@ -73,10 +75,26 @@ def _channel_samples(two_j: int, two_m, q_g: np.ndarray, psi: np.ndarray, theta:
         rows = slice(start, stop)
         probe = spins.rotated_basis_states_batch(
             two_j, q_g[rows], two_m if np.ndim(two_m) == 0 else two_m[rows])
-        joint = np.einsum("np,nk->npk", probe, psi[rows]).reshape(len(probe), -1)
-        out[rows] = _conditional_fidelity_channel_output(
-            channel(joint), _target_states(q_g[rows], theta, psi[rows]))
+        target = _target_states(q_g[rows], theta, psi[rows])
+        if bands is None:
+            joint = np.einsum("np,nk->npk", probe, psi[rows]).reshape(len(probe), -1)
+            out[rows] = _conditional_fidelity_channel_output(channel(joint), target)
+        else:
+            out[rows] = _band_fidelities(bands, probe, psi[rows], target)
     return out
+
+
+def _band_fidelities(bands, probe: np.ndarray, psi: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """sum_i |<target| (G (probe (x) psi))_i>|^2 from the ``qubit_bands`` of the gate G:
+    output row i is (t0 s0 d0_i + t1 s1 d1_i) p_i + t0 s1 up_i p_(i-1) + t1 s0 lo_i p_(i+1),
+    with t = conj(target), s = psi and p = probe."""
+    d0, d1, up, lo = bands
+    t0, t1 = target.conj().T[:, :, None]
+    s0, s1 = psi.T[:, :, None]
+    amp = (t0 * s0 * d0 + t1 * s1 * d1) * probe
+    amp[:, 1:] += t0 * s1 * up[1:] * probe[:, :-1]
+    amp[:, :-1] += t1 * s0 * lo[:-1] * probe[:, 1:]
+    return np.sum(np.abs(amp) ** 2, axis=1)
 
 
 def _heisenberg_samples(strategy: HeisenbergStrategy, theta: float,
@@ -85,6 +103,7 @@ def _heisenberg_samples(strategy: HeisenbergStrategy, theta: float,
                         q_g: np.ndarray | None = None) -> np.ndarray:
     two_j, two_k = strategy.two_j, strategy.two_k
     dp, dk = spins.dim(two_j), spins.dim(two_k)
+    gate = heisenberg.heisenberg_unitary(two_j, two_k, theta, strategy.f_override)
     if q_g is None:
         q_g = rotations.haar_quaternions(rng, n)
     psi = sample_pure_states(rng, n, dk)
@@ -92,7 +111,8 @@ def _heisenberg_samples(strategy: HeisenbergStrategy, theta: float,
     if thermal_gamma is not None:
         weights = memory.thermal_state(two_j, thermal_gamma).weights
         two_m = spins.two_m_values(two_j)[rng.choice(dp, size=n, p=weights)]
-    gate = heisenberg.heisenberg_unitary(two_j, two_k, theta, strategy.f_override)
+    if two_k == 1:
+        return _channel_samples(two_j, two_m, q_g, psi, theta, bands=gate.qubit_bands())
     return _channel_samples(two_j, two_m, q_g, psi, theta,
                             lambda joint: gate.apply(joint).reshape(len(joint), dp, dk))
 

@@ -41,9 +41,10 @@ def _check_target_spin(two_k: int) -> float:
     return two_k / 2.0
 
 
-def _check_theta(theta: float) -> None:
+def _check_theta(theta: float, name: str = "theta") -> float:
     if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+        raise ValueError(f"{name} must be finite, got {theta!r}")
+    return theta
 
 
 def dim(two_j: int) -> int:
@@ -137,14 +138,15 @@ def coherent_state(two_j: int, g: Rotation) -> np.ndarray:
 def rotated_basis_states_batch(two_j: int, quaternions: np.ndarray, two_m) -> np.ndarray:
     """(n, 2j+1) array of states U_g |j,m>; ``two_m`` scalar or per-sample array.
 
-    Two paths, for n quaternions and d = 2j+1:
+    Each row takes one of two paths, for d = 2j+1:
 
-    * scalar ``two_m == two_j`` (coherent states): the binomial Wigner-d column
+    * ``two_m == two_j`` (coherent states): the binomial Wigner-d column
       sqrt(C(2j, j-m')) cos^(j+m')(beta/2) sin^(j-m')(beta/2), evaluated in log
       space with the half angles read off the quaternion, so it is exact at
-      beta = 0 and pi and never overflows.  O(n*d) time and memory.
+      beta = 0 and pi and never overflows.  O(d) per row; the rows of a
+      per-sample ``two_m`` are those of the scalar call, bit for bit.
     * any other ``two_m``: the column of exp(-i beta Jy) from the Jy eigenbasis,
-      one (n, d) @ (d, d) BLAS matmul.  O(n*d^2) time, O(n*d) memory.
+      one (rows, d) @ (d, d) BLAS matmul.  O(d^2) per row.
 
     Raises InvalidQuantumNumbersError when any ``two_m`` is out of range or
     of the wrong parity for ``two_j``.
@@ -161,14 +163,13 @@ def rotated_basis_states_batch(two_j: int, quaternions: np.ndarray, two_m) -> np
         cos_half, sin_half = np.hypot(w, z), np.hypot(x, y)
         norm = np.hypot(cos_half, sin_half)
         k = np.arange(two_j + 1)  # j - m'
-        lnfact = np.array([_lnfact(i) for i in k])
         with np.errstate(divide="ignore", invalid="ignore"):
             log_amp = np.multiply.outer(np.log(sin_half / norm), k)
             cos_pow = np.multiply.outer(np.log(cos_half / norm), two_j - k)
         log_amp[:, 0] = 0.0   # sin^0, also at beta = 0
         cos_pow[:, -1] = 0.0  # cos^0, also at beta = pi
         log_amp += cos_pow
-        log_amp += 0.5 * (lnfact[-1] - lnfact - lnfact[::-1])
+        log_amp += _log_sqrt_binomials(two_j)
         # phases exp(-i alpha m') exp(-i gamma j) = exp(-i (alpha + gamma) j) exp(i alpha)^k
         out = np.empty(log_amp.shape, dtype=complex)
         out[:, 0] = np.exp(-0.5j * two_j * alpha) * np.exp(-0.5j * two_j * gamma)
@@ -176,12 +177,29 @@ def rotated_basis_states_batch(two_j: int, quaternions: np.ndarray, two_m) -> np
         np.cumprod(out, axis=1, out=out)
         out *= np.exp(log_amp)
         return out
+    # rows with two_m == two_j take the scalar call above, the rest one matmul;
+    # a lone row goes twice, since BLAS gemv (one row) rounds unlike gemm
+    top = np.broadcast_to(two_m_arr == two_j, alpha.shape)
+    rest = np.flatnonzero(~top)
+    rows = np.repeat(rest, 2) if len(rest) == 1 else rest
+    two_m_rows = np.broadcast_to(two_m_arr, top.shape)[rows]
     vals, vecs = _jy_eigensystem(two_j)
-    rotated = np.exp(-1j * np.multiply.outer(beta, vals))
-    rotated *= vecs.conj()[(two_j - two_m_arr) // 2]
-    out = rotated @ vecs.T
-    out *= np.exp(-1j * np.multiply.outer(alpha, m))
-    out *= np.exp(-0.5j * gamma * two_m_arr)[:, None]
+    rotated = np.exp(-1j * np.multiply.outer(beta[rows], vals))
+    rotated *= vecs.conj()[(two_j - two_m_rows) // 2]
+    columns = rotated @ vecs.T
+    columns *= np.exp(-1j * np.multiply.outer(alpha[rows], m))
+    columns *= np.exp(-0.5j * gamma[rows] * two_m_rows)[:, None]
+    out = np.empty(top.shape + (two_j + 1,), dtype=complex)
+    out[top] = rotated_basis_states_batch(two_j, np.asarray(quaternions)[top], two_j)
+    out[rest] = columns[:len(rest)]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _log_sqrt_binomials(two_j: int) -> np.ndarray:
+    lnfact = np.array([_lnfact(i) for i in range(two_j + 1)])
+    out = 0.5 * (lnfact[-1] - lnfact - lnfact[::-1])
+    out.setflags(write=False)
     return out
 
 

@@ -93,6 +93,29 @@ def test_qubit_slice_path_matches_sector_loop(monkeypatch, two_j):
                 assert np.array_equal(gate.apply(vec), loop)
 
 
+@pytest.mark.parametrize("two_j", [*range(1, 13), 33, 100])
+def test_qubit_bands_rebuild_the_dense_gate(two_j):
+    # the gate conserves total M: its four bands hold every nonzero entry, with the bits
+    # of matrix(), whose columns come from the same apply
+    i = np.arange(two_j + 1)
+    for theta, f_override in [(0.0, None), (1.0, None), (math.pi, None), (5.0, None),
+                              (1.0, 2.3)]:
+        gate = heisenberg_unitary(two_j, 1, theta, f_override)
+        d0, d1, up, lo = gate.qubit_bands()
+        dense = np.zeros((gate.dim_total, gate.dim_total), dtype=complex)
+        dense[2 * i, 2 * i] = d0
+        dense[2 * i + 1, 2 * i + 1] = d1
+        dense[2 * i[1:], 2 * i[1:] - 1] = up[1:]
+        dense[2 * i[:-1] + 1, 2 * i[:-1] + 2] = lo[:-1]
+        assert up[0] == 0 and lo[-1] == 0
+        assert np.array_equal(dense, gate.matrix())
+
+
+def test_qubit_bands_need_a_qubit_target():
+    with pytest.raises(ValueError, match="two_k=2"):
+        heisenberg_unitary(4, 2, 1.0).qubit_bands()
+
+
 @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 7, 20, 64, 101])
 def test_coupling_sectors_read_off_the_pair_tables_equal_the_racah_loop(two_j):
     for two_k in (1, 2, 3, 4):
@@ -350,3 +373,19 @@ def test_non_finite_theta_is_named(call):
     # bare "math domain error"
     with pytest.raises(ValueError, match="^theta must be finite"):
         call()
+
+
+@pytest.mark.parametrize("f_override", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda f: heisenberg_unitary(4, 1, 1.0, f),
+    lambda f: heisenberg_unitary(4, 2, 1.0, f),
+    lambda f: heisenberg.entanglement_fidelity_coefficients(4, 1.0, f),
+    lambda f: heisenberg.entanglement_fidelity_given_m(4, 2, 1.0, f),
+    lambda f: heisenberg_entanglement_fidelity(4, 1.0, f),
+    lambda f: heisenberg.heisenberg_average_fidelity(4, 1.0, f_override=f),
+], ids=["unitary", "unitary_spin_k", "coefficients", "given_m", "entanglement", "average"])
+def test_non_finite_f_override_is_named(call, f_override):
+    # at the parent the gate came back all-NaN, the closed forms returned nan, and
+    # f_override = inf raised a bare "math domain error"
+    with pytest.raises(ValueError, match="^f_override must be finite"):
+        call(f_override)

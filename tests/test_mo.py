@@ -364,3 +364,23 @@ def test_formula_helpers_name_a_non_finite_theta(call, theta):
     # at the parent these returned nan or raised a bare "math domain error"
     with pytest.raises(ValueError, match="^theta must be finite"):
         call(theta)
+
+
+@pytest.mark.parametrize("theta_prime", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda tp: gamma_weights(1.0, tp),
+    lambda tp: mo_fopt_formula(4, 1.0, tp),
+    lambda tp: mo_element_fidelity(4, 4, 4, 1.0, tp),
+    lambda tp: mo_mc_oracle(4, MOParams(4, 4, tp), 1.0, 10, 0),
+], ids=["gamma_weights", "mo_fopt_formula", "mo_element_fidelity", "mo_mc_oracle"])
+def test_non_finite_theta_prime_is_named(call, theta_prime):
+    # at the parent these returned nan or raised a bare "math domain error"
+    with pytest.raises(ValueError, match="^theta_prime must be finite"):
+        call(theta_prime)
+
+
+def test_non_finite_theta_prime_is_rejected_before_sampling():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="^theta_prime must be finite"):
+        mo_fidelity_samples(4, 4, 4, 1.0, math.nan, 1, rng, 10)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state

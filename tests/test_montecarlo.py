@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinlearn import memory, mo, montecarlo, optimal
+from spinlearn import heisenberg, memory, mo, montecarlo, optimal
 from spinlearn.channels import average_from_entanglement, entanglement_fidelity
 from spinlearn.montecarlo import mc_average_fidelity, per_rotation_fidelity
 from spinlearn.rotations import haar_rotation
@@ -199,12 +199,70 @@ def test_sample_blocks_leave_samples_bit_identical(monkeypatch, strategy, theta,
 
 
 def test_default_sample_blocks_leave_samples_bit_identical(monkeypatch):
-    # 2j = 400: blocks of 2^20 // 802 = 1307 rows, n not a multiple
+    # 2j = 400: blocks of 2^18 // 802 = 326 rows, n not a multiple
     strategy, n = HeisenbergStrategy(two_j=400), 3000
     blocked = montecarlo._strategy_samples(strategy, math.pi, np.random.default_rng(6), n)
     monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1 << 60)
     whole = montecarlo._strategy_samples(strategy, math.pi, np.random.default_rng(6), n)
     assert np.array_equal(blocked, whole)
+
+
+def _joint_vector_reference(monkeypatch, strategy):
+    """Route the qubit-target Heisenberg sampler through the joint vectors and
+    ``HeisenbergGate.apply``, on the same random inputs."""
+    scored = montecarlo._channel_samples
+
+    def joint_vectors(two_j, two_m, q_g, psi, theta, channel=None, bands=None):
+        assert bands is not None and channel is None
+        gate = heisenberg.heisenberg_unitary(two_j, 1, theta, strategy.f_override)
+        return scored(two_j, two_m, q_g, psi, theta,
+                      lambda joint: gate.apply(joint).reshape(len(joint), -1, 2))
+
+    monkeypatch.setattr(montecarlo, "_channel_samples", joint_vectors)
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 20, 101])
+@pytest.mark.parametrize("path", ["heisenberg", "thermal", "fixed_g", "f_override"])
+def test_band_scores_match_joint_vector_scores(monkeypatch, two_j, path):
+    inner = HeisenbergStrategy(two_j=two_j, f_override=0.9 if path == "f_override" else None)
+    strategy = ThermalWrapped(inner, 0.5) if path == "thermal" else inner
+    n, q_g = 300, None
+    if path == "fixed_g":  # the per_rotation_fidelity path
+        q = np.array([0.3, 0.1, -0.5, 0.8])
+        q_g = np.broadcast_to(q / np.linalg.norm(q), (n, 4)).copy()
+    for theta in (0.4, math.pi, 4.0):
+        def samples():
+            return montecarlo._strategy_samples(strategy, theta, np.random.default_rng(8), n,
+                                                q_g=q_g)
+        bands = samples()
+        with monkeypatch.context() as patched:
+            _joint_vector_reference(patched, inner)
+            joint = samples()
+        assert np.max(np.abs(bands - joint)) < 1e-14
+
+
+def test_heisenberg_qubit_blocks_score_bands_without_gate_passes(monkeypatch):
+    # one gate pass on the two comb vectors, then one band score per block of
+    # _CHUNK_ELEMENTS // (dp*dk) rows: 2j = 20 gives blocks of 1000 // 42 = 23 rows
+    vectors, blocks = [], []
+    apply, score = heisenberg.HeisenbergGate.apply, montecarlo._band_fidelities
+    monkeypatch.setattr(heisenberg.HeisenbergGate, "apply",
+                        lambda self, vec: vectors.append(len(vec)) or apply(self, vec))
+    monkeypatch.setattr(montecarlo, "_band_fidelities",
+                        lambda bands, probe, *rest: blocks.append(len(probe))
+                        or score(bands, probe, *rest))
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1000)
+    mc_average_fidelity(HeisenbergStrategy(two_j=20), 1.0, 251, seed=0)
+    assert vectors == [2]
+    assert blocks == [23] * 10 + [21]
+
+
+@pytest.mark.parametrize("f_override", [math.nan, math.inf])
+def test_non_finite_f_override_is_rejected_before_sampling(monkeypatch, f_override):
+    # at the parent: "fidelity nan outside [0, 1]" after every sample was drawn
+    monkeypatch.setattr(montecarlo, "sample_pure_states", None)  # any draw would fail
+    with pytest.raises(ValueError, match="^f_override must be finite"):
+        mc_average_fidelity(HeisenbergStrategy(two_j=4, f_override=f_override), 1.0, 10, seed=0)
 
 
 def test_strategy_validation_errors():

@@ -343,6 +343,26 @@ def test_per_sample_m_matches_irrep_columns(two_j):
     assert np.max(np.abs(lowest - irrep[:, :, -1])) < 1e-12
 
 
+@pytest.mark.parametrize("two_j", [1, 4, 7, 20, 101])
+def test_mixed_two_m_rows_take_their_own_path(two_j):
+    # rows with m = j take the binomial column: the same bits as the scalar coherent
+    # call; the others the Jy-eigenbasis column, a lone one included
+    rng = np.random.default_rng(1204)
+    q = np.concatenate([_POLE_QUATERNIONS, haar_quaternions(rng, 60)])
+    coherent = spins.rotated_basis_states_batch(two_j, q, two_j)
+    irrep = spins.rotation_irrep_batch(two_j, q)
+    mixed = rng.choice(two_m_values(two_j), len(q))
+    mixed[::3] = two_j
+    lone = np.full(len(q), two_j)
+    lone[7] = two_j - 2
+    for two_ms in (mixed, lone, np.full(len(q), two_j)):
+        states = spins.rotated_basis_states_batch(two_j, q, two_ms)
+        top = two_ms == two_j
+        assert np.array_equal(states[top], coherent[top])
+        expected = irrep[np.arange(len(q)), :, (two_j - two_ms) // 2]
+        assert np.max(np.abs(states[~top] - expected[~top]), initial=0.0) < 1e-12
+
+
 @pytest.mark.parametrize("bad", [5, 7, 2, -5])
 def test_rotated_basis_states_batch_rejects_invalid_two_m(bad):
     q = haar_quaternions(np.random.default_rng(1203), 4)
