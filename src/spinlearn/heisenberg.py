@@ -45,9 +45,11 @@ def f_angle(two_j: int, theta: float) -> float:
 
 def interaction_time(two_j: int, theta: float, coupling_alpha: float,
                      hbar: float = 1.0) -> float:
-    """Evolution time t = f(theta) / ((2j+1) alpha hbar) realizing the gate."""
-    if coupling_alpha <= 0:
-        raise ValueError("coupling constant must be positive")
+    """Evolution time t = f(theta) / ((2j+1) alpha hbar) realizing the gate; a
+    coupling or hbar that is not positive and finite raises a ValueError naming it."""
+    for name, value in (("coupling_alpha", coupling_alpha), ("hbar", hbar)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return f_angle(two_j, theta) / ((two_j + 1) * coupling_alpha * hbar)
 
 

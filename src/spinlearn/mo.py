@@ -142,29 +142,26 @@ def mo_average_fidelity(two_j: int, theta: float, problem: int = 2) -> float:
 
 def _povm_outcome_offsets(two_j: int, two_m: int, xi_two_n: int, n_samples: int,
                           rng: np.random.Generator) -> np.ndarray:
-    """Outcome rotations h relative to the true g, drawn from the POVM density.
+    """(n, 3) axes n_h of the outcome rotations h relative to the true g, drawn
+    from the POVM density: n_h = (sin(beta) cos(alpha), sin(beta) sin(alpha), cos(beta)).
 
     The density |<xi| U_h |j,m>|^2 against Haar measure depends on h only
     through its polar Euler angle beta, so the axial angles alpha and gamma
     are uniform and beta follows |d^j_{xi m}(beta)|^2 sin(beta).  For
     m = xi = j that law is cos^2(beta/2) = W^(1/(2j+1)) for uniform W;
     otherwise W goes through the exact inverse CDF of cos(beta) (see
-    ``_cos_beta_quantiles``).  Three uniform draws per sample, no rejection:
-    O(n) time at m = xi = j, O(n*j) otherwise, and O(n) memory for any j.
+    ``_cos_beta_quantiles``).  Three uniform draws per sample (gamma only keeps
+    the stream), no rejection: O(n) time at m = xi = j, O(n*j) otherwise, O(n) memory.
     """
     alpha = rng.uniform(0.0, 2.0 * math.pi, n_samples)
-    gamma = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+    rng.uniform(0.0, 2.0 * math.pi, n_samples)  # gamma
     u = rng.uniform(0.0, 1.0, n_samples)
     if two_m == xi_two_n == two_j:
-        x = u ** (1.0 / (two_j + 1.0))  # cos^2(beta/2)
+        cos_beta = 2.0 * u ** (1.0 / (two_j + 1.0)) - 1.0
     else:
-        x = 0.5 * (1.0 + _cos_beta_quantiles(two_j, two_m, xi_two_n, u))
-    half = np.arccos(np.sqrt(x))
-    zero = np.zeros(n_samples)
-    qa = np.stack([np.cos(alpha / 2), zero, zero, np.sin(alpha / 2)], axis=1)
-    qb = np.stack([np.cos(half), zero, np.sin(half), zero], axis=1)
-    qc = np.stack([np.cos(gamma / 2), zero, zero, np.sin(gamma / 2)], axis=1)
-    return rotations.quat_multiply(rotations.quat_multiply(qa, qb), qc)
+        cos_beta = _cos_beta_quantiles(two_j, two_m, xi_two_n, u)
+    sin_beta = np.sqrt((1.0 - cos_beta) * (1.0 + cos_beta))
+    return np.stack([sin_beta * np.cos(alpha), sin_beta * np.sin(alpha), cos_beta], axis=1)
 
 
 _QUANTILE_CHUNK = 1 << 14
@@ -210,11 +207,11 @@ def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
 
     Draws the training rotation g Haar-uniformly (unless ``q_g`` is given)
     and the measurement outcome g.h from the covariant POVM density, then
-    scores the conditional rotation by theta' about the estimated axis
-    against the target rotation by theta on a spin-k target: the fidelity
-    |tr(V'^dag V)|^2 / (2k+1)^2 is the squared rotation character of their
-    relative angle.  No closed-form overlap enters; this is the independent
-    check on mo_element_fidelity.
+    scores the conditional rotation by theta' about the estimated axis R_g n_h
+    against the target rotation by theta about n_g = R_g z on a spin-k target:
+    |tr(V'^dag V)|^2 / (2k+1)^2 is the squared rotation character of their relative
+    angle tau, cos(tau/2) read off the two axes.  No closed-form overlap enters;
+    this is the independent check on mo_element_fidelity.
     """
     spins._check_target_spin(two_k)
     spins._check_theta(theta)
@@ -225,10 +222,12 @@ def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
     check_valid_m(two_j, xi_two_n)
     if q_g is None:
         q_g = rotations.haar_quaternions(rng, n)
-    q_ghat = rotations.quat_multiply(q_g, _povm_outcome_offsets(two_j, two_m, xi_two_n, n, rng))
-    v_target = rotations.conjugated_z_rotation(q_g, theta)
-    v_cond = rotations.conjugated_z_rotation(q_ghat, theta_prime)
-    tau = rotations.relative_rotation_angle(v_cond, v_target)
+    n_ghat = rotations.rotate_vectors(q_g, _povm_outcome_offsets(two_j, two_m, xi_two_n, n, rng))
+    # V'^-1 V = cos(theta'/2) cos(theta/2) + sin(theta'/2) sin(theta/2) n_ghat.n_g + i(...).sigma
+    dot = np.einsum("ni,ni->n", n_ghat, rotations.z_axis(q_g))
+    cos_half_tau = (math.cos(theta_prime / 2.0) * math.cos(theta / 2.0)
+                    + math.sin(theta_prime / 2.0) * math.sin(theta / 2.0) * dot)
+    tau = 2.0 * np.arccos(np.clip(np.abs(cos_half_tau), 0.0, 1.0))
     return _character_ratio(two_k, tau) ** 2
 
 

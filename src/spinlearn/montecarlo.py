@@ -10,7 +10,8 @@ fidelity enters anywhere, so these estimates independently validate the
 analytic results.  The Heisenberg and Kraus samplers draw every random input
 first and then run in fixed blocks of samples: their working memory is
 O(block) whatever the sample count is.  A qubit-target gate's samples are scored
-from its four bands (``HeisenbergGate.qubit_bands``): no joint vector, O(j) each.
+from its four bands (``HeisenbergGate.qubit_bands``) and the probe's real Wigner-d
+column (``spins.wigner_d_columns``): no joint vector, O(j) each.
 """
 
 from __future__ import annotations
@@ -41,8 +42,12 @@ def sample_pure_states(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 def _target_states(q_g: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray:
     """V_(theta,g) |psi> for each sample, on a qubit or a spin-k target."""
     if psi.shape[1] == 2:
-        v = rotations.su2_from_quaternion(rotations.conjugated_z_rotation(q_g, theta))
-        return np.einsum("nij,nj->ni", v, psi)
+        # V = cos(theta/2) - i sin(theta/2) n.sigma = [[a, b], [-conj(b), conj(a)]], n = R_g z
+        nx, ny, nz = np.moveaxis(rotations.z_axis(q_g), -1, 0)
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        a, b = c - 1j * s * nz, -s * ny - 1j * s * nx
+        up, down = psi.T
+        return np.stack([a * up + b * down, a.conj() * down - b.conj() * up], axis=1)
     two_k = psi.shape[1] - 1
     u = spins.rotation_irrep_batch(two_k, q_g)
     vth = np.exp(-1j * theta * spins.m_values(two_k))
@@ -56,6 +61,13 @@ def _conditional_fidelity_channel_output(out: np.ndarray, target: np.ndarray) ->
 
 
 _CHUNK_ELEMENTS = 1 << 18  # dp*dk amplitudes per block, cache-sized (1 << 20 ran 1.4x slower)
+_TILE = 64  # rows per BLAS call of the band scores: gemm rounds a row by its place in the call
+
+
+def _blocks(n: int, step: int) -> list[slice]:
+    # no block has a lone row unless n = 1: einsum rounds a one-row batch differently
+    edges = [*range(0, max(n - 1, 1), step), n]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
 def _channel_samples(two_j: int, two_m, q_g: np.ndarray, psi: np.ndarray, theta: float,
@@ -66,35 +78,69 @@ def _channel_samples(two_j: int, two_m, q_g: np.ndarray, psi: np.ndarray, theta:
     ``two_m`` is a scalar or per sample.  Runs in blocks of about
     _CHUNK_ELEMENTS // (dp*dk) rows, so the working memory is O(block) whatever n
     is, and the samples do not depend on the block size."""
-    n, dk = psi.shape
+    (n, dk), dp = psi.shape, spins.dim(two_j)
     out = np.empty(n)
-    step = max(2, _CHUNK_ELEMENTS // (spins.dim(two_j) * dk))
-    # no block has a lone row unless n = 1: einsum rounds a one-row batch differently
-    edges = [*range(0, max(n - 1, 1), step), n]
-    for start, stop in zip(edges, edges[1:]):
-        rows = slice(start, stop)
-        probe = spins.rotated_basis_states_batch(
-            two_j, q_g[rows], two_m if np.ndim(two_m) == 0 else two_m[rows])
+    step = max(2, _CHUNK_ELEMENTS // (dp * dk))
+    if bands is not None:  # whole tiles; a band row holds 2 dp reals, ~32 complex scalars
+        tables = _band_tables(bands)
+        step = -(-_CHUNK_ELEMENTS // (2 * dp + 64) // _TILE) * _TILE
+    for rows in _blocks(n, step):
+        two_m_rows = two_m if np.ndim(two_m) == 0 else two_m[rows]
         target = _target_states(q_g[rows], theta, psi[rows])
         if bands is None:
+            probe = spins.rotated_basis_states_batch(two_j, q_g[rows], two_m_rows)
             joint = np.einsum("np,nk->npk", probe, psi[rows]).reshape(len(probe), -1)
             out[rows] = _conditional_fidelity_channel_output(channel(joint), target)
         else:
-            out[rows] = _band_fidelities(bands, probe, psi[rows], target)
+            alpha, _, column = spins.wigner_d_columns(two_j, q_g[rows], two_m_rows)
+            out[rows] = _band_scores(tables, column, np.exp(1j * alpha), psi[rows], target)
     return out
 
 
-def _band_fidelities(bands, probe: np.ndarray, psi: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """sum_i |<target| (G (probe (x) psi))_i>|^2 from the ``qubit_bands`` of the gate G:
-    output row i is (t0 s0 d0_i + t1 s1 d1_i) p_i + t0 s1 up_i p_(i-1) + t1 s0 lo_i p_(i+1),
-    with t = conj(target), s = psi and p = probe."""
-    d0, d1, up, lo = bands
-    t0, t1 = target.conj().T[:, :, None]
-    s0, s1 = psi.T[:, :, None]
-    amp = (t0 * s0 * d0 + t1 * s1 * d1) * probe
-    amp[:, 1:] += t0 * s1 * up[1:] * probe[:, :-1]
-    amp[:, :-1] += t1 * s0 * lo[:-1] * probe[:, 1:]
-    return np.sum(np.abs(amp) ** 2, axis=1)
+# output row i of the gate reads the probe column at i + shift through the bands d0, d1, up, lo
+_BAND_SHIFTS = (0, 0, -1, 1)
+
+
+def _band_tables(bands) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per lag delta = 0, 1, 2 of the column products r_k r_(k+delta): the band
+    pairs (a, b), a <= b, with |shift_a - shift_b| = delta, and the real (d, 2 pairs)
+    table of w_ab conj(band_a[i]) band_b[i] at k = i + min(shift_a, shift_b), as
+    (Re, -Im) column pairs (w_ab = 1 for a = b, else 2); rows k >= d - delta are 0."""
+    d = len(bands[0])
+    i = np.arange(d)
+    tables = []
+    for delta in range(min(3, d)):
+        pairs = [(a, b) for a in range(4) for b in range(a, 4)
+                 if abs(_BAND_SHIFTS[a] - _BAND_SHIFTS[b]) == delta]
+        table = np.zeros((d, len(pairs)), dtype=complex)
+        for col, (a, b) in enumerate(pairs):
+            k = i + min(_BAND_SHIFTS[a], _BAND_SHIFTS[b])
+            ok = (k >= 0) & (k + delta < d)
+            table[k[ok], col] = (1 + (a != b)) * bands[a][ok].conj() * bands[b][ok]
+        tables.append((*np.array(pairs).T, table.conj().view(float)))  # (Re, -Im) pairs
+    return tables
+
+
+def _band_scores(tables, column: np.ndarray, omega: np.ndarray, psi: np.ndarray,
+                 target: np.ndarray) -> np.ndarray:
+    """sum_i |<target| (G (probe (x) psi))_i>|^2 for the gate G of ``_band_tables`` and
+    probe index i = e^(i phi) omega^i column[i]: c^dag M c with c = (t0 s0, t1 s1,
+    t0 s1 conj(omega), t1 s0 omega), t = conj(target), s = psi, M = sum_delta
+    (column_k column_(k+delta)) K_delta, each product on zero-padded _TILE-row tiles."""
+    (t0, t1), (s0, s1) = target.conj().T, psi.T
+    c = np.stack([t0 * s0, t1 * s1, t0 * s1 * omega.conj(), t1 * s0 * omega], axis=1)
+    rows, d = column.shape
+    flat = column.reshape(-1)
+    lagged = np.empty((rows + -rows % _TILE) * d)
+    score = np.zeros(rows)
+    for delta, (first, second, table) in enumerate(tables):
+        # r_k r_(k+delta) along the flattened rows; where that crosses a row, the table is 0
+        np.multiply(flat[:flat.size - delta], flat[delta:], out=lagged[:flat.size - delta])
+        lagged[flat.size - delta:] = 0.0
+        mu = (lagged.reshape(-1, _TILE, d) @ table).reshape(-1, table.shape[1])[:rows]
+        pair = np.multiply(c[:, first].conj(), c[:, second], order="C")
+        score += np.einsum("ij,ij->i", pair.view(float), mu)  # sum of Re(pair mu)
+    return score
 
 
 def _heisenberg_samples(strategy: HeisenbergStrategy, theta: float,
@@ -136,24 +182,24 @@ def _unot_mixture_samples(strategy: UNotMixture, theta: float,
     if q_g is None:
         q_g = rotations.haar_quaternions(rng, n)
     psi = sample_pure_states(rng, n, 2)
-    probe = spins.rotated_basis_states_batch(1, q_g, 1)
-    joint = np.einsum("np,nk->npk", probe, psi).reshape(n, 4)
-    target = _target_states(q_g, theta, psi)
+    # "no" branch: universal NOT evaluated by sampling its defining
+    # coherent-state integral (uniform axis, density weight 3|<nn|.>|^2)
+    q_axis = rotations.haar_quaternions(rng, n) if alpha > 0.0 else None
     gate = heisenberg.heisenberg_unitary(1, 1, theta)
-    yes = gate.apply(joint @ m_yes.T).reshape(n, 2, 2)
-    fid = _conditional_fidelity_channel_output(yes, target)
-
-    if alpha > 0.0:
-        # "no" branch: universal NOT evaluated by sampling its defining
-        # coherent-state integral (uniform axis, density weight 3|<nn|.>|^2)
-        z = joint @ m_no.T
-        q_axis = rotations.haar_quaternions(rng, n)
-        u_axis = rotations.su2_from_quaternion(q_axis)
-        chi = u_axis[:, :, 0]       # U|0>, the random coherent axis state
-        chi_flip = u_axis[:, :, 1]  # U|1>, the prepared flipped state
-        pair = np.einsum("ni,nj->nij", chi, chi).reshape(n, 4)
-        weight = 3.0 * np.abs(np.einsum("ni,ni->n", pair.conj(), z)) ** 2
-        fid = fid + weight * np.abs(np.einsum("ni,ni->n", target.conj(), chi_flip)) ** 2
+    fid = np.empty(n)
+    for rows in _blocks(n, _CHUNK_ELEMENTS // 4):
+        probe = spins.rotated_basis_states_batch(1, q_g[rows], 1)
+        joint = np.einsum("np,nk->npk", probe, psi[rows]).reshape(-1, 4)
+        target = _target_states(q_g[rows], theta, psi[rows])
+        yes = gate.apply(joint @ m_yes.T).reshape(-1, 2, 2)
+        fid[rows] = _conditional_fidelity_channel_output(yes, target)
+        if q_axis is not None:
+            u_axis = rotations.su2_from_quaternion(q_axis[rows])
+            # U|0>, the random coherent axis state, and U|1>, the prepared flipped state
+            chi, chi_flip = u_axis[:, :, 0], u_axis[:, :, 1]
+            pair = np.einsum("ni,nj->nij", chi, chi).reshape(-1, 4)
+            weight = 3.0 * np.abs(np.einsum("ni,ni->n", pair.conj(), joint @ m_no.T)) ** 2
+            fid[rows] += weight * np.abs(np.einsum("ni,ni->n", target.conj(), chi_flip)) ** 2
     return fid
 
 

@@ -73,6 +73,20 @@ def su2_from_quaternion(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def z_axis(q: np.ndarray) -> np.ndarray:
+    """Rotated z-axes n = R_q z, last axis (x, y, z): the axis of U_q R_z(theta) U_q^-1."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([2.0 * (x * z + w * y), 2.0 * (y * z - w * x), 1.0 - 2.0 * (x * x + y * y)],
+                    axis=-1)
+
+
+def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """R_q v, batched over leading axes: v + w t + u x t with u = (x, y, z), t = 2 u x v."""
+    q = np.asarray(q, dtype=float)
+    t = 2.0 * np.cross(q[..., 1:], v)
+    return v + q[..., :1] * t + np.cross(q[..., 1:], t)
+
+
 def rotation_angle(q: np.ndarray) -> np.ndarray:
     """SO(3) rotation angle in [0, pi] of quaternion(s) ``q``."""
     w = np.clip(np.abs(np.asarray(q, dtype=float)[..., 0]), 0.0, 1.0)
@@ -145,11 +159,11 @@ class Rotation:
         )
 
     def rotate_vector(self, v) -> np.ndarray:
-        return self.matrix() @ np.asarray(v, dtype=float)
+        return rotate_vectors(self.quaternion, np.asarray(v, dtype=float))
 
     def axis(self) -> np.ndarray:
         """Rotated z-axis, i.e. the direction this rotation sends (0,0,1) to."""
-        return self.rotate_vector([0.0, 0.0, 1.0])
+        return z_axis(self.quaternion)
 
     def qubit_unitary(self) -> np.ndarray:
         return su2_from_quaternion(self.quaternion)
@@ -173,24 +187,3 @@ def angle_between_axes(g: Rotation, h: Rotation) -> float:
     """Angle between the rotated z-axes of two rotations."""
     dot = float(np.dot(g.axis(), h.axis()))
     return math.acos(max(-1.0, min(1.0, dot)))
-
-
-def z_rotation_quaternion(theta) -> np.ndarray:
-    """Quaternion(s) for a rotation by ``theta`` about z; broadcasts over theta."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros(theta.shape + (4,))
-    out[..., 0] = np.cos(theta / 2.0)
-    out[..., 3] = np.sin(theta / 2.0)
-    return out
-
-
-def conjugated_z_rotation(q_g: np.ndarray, theta) -> np.ndarray:
-    """Quaternion(s) of U_g R_z(theta) U_g^-1, the z-rotation dragged by g."""
-    qz = z_rotation_quaternion(theta)
-    qz = np.broadcast_to(qz, np.broadcast_shapes(q_g.shape, qz.shape))
-    return quat_multiply(quat_multiply(q_g, qz), quat_conjugate(np.broadcast_to(q_g, qz.shape)))
-
-
-def relative_rotation_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """SO(3) angle of p^-1 q, batched."""
-    return rotation_angle(quat_multiply(quat_conjugate(p), q))

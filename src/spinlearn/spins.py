@@ -135,63 +135,63 @@ def coherent_state(two_j: int, g: Rotation) -> np.ndarray:
     return rotation_irrep(two_j, g)[:, 0]
 
 
-def rotated_basis_states_batch(two_j: int, quaternions: np.ndarray, two_m) -> np.ndarray:
-    """(n, 2j+1) array of states U_g |j,m>; ``two_m`` scalar or per-sample array.
-
-    Each row takes one of two paths, for d = 2j+1:
-
-    * ``two_m == two_j`` (coherent states): the binomial Wigner-d column
-      sqrt(C(2j, j-m')) cos^(j+m')(beta/2) sin^(j-m')(beta/2), evaluated in log
-      space with the half angles read off the quaternion, so it is exact at
-      beta = 0 and pi and never overflows.  O(d) per row; the rows of a
-      per-sample ``two_m`` are those of the scalar call, bit for bit.
-    * any other ``two_m``: the column of exp(-i beta Jy) from the Jy eigenbasis,
-      one (rows, d) @ (d, d) BLAS matmul.  O(d^2) per row.
-
-    Raises InvalidQuantumNumbersError when any ``two_m`` is out of range or
-    of the wrong parity for ``two_j``.
-    """
+def wigner_d_columns(two_j: int, quaternions: np.ndarray, two_m
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, gamma, r): ZYZ Euler angles and real Wigner-d columns, r[:, i] =
+    d^j_(j-i, m)(beta), so U_g|j,m> at index i is exp(-i (alpha j + gamma m))
+    exp(i alpha i) r[:, i]; ``two_m`` scalar or per sample.  Rows with m = j take
+    the binomial column in log space (``_coherent_columns``, O(d), exact at beta = 0
+    and pi, never overflows; bit for bit the scalar call), the others the column of
+    exp(-i beta Jy) from the Jy eigenbasis, one BLAS matmul, O(d^2) per row.
+    Raises InvalidQuantumNumbersError for a ``two_m`` out of range or of wrong parity."""
     check_two_j(two_j)
     two_m_arr = np.asarray(two_m)
     if (two_m_arr.dtype.kind not in "iu" or np.any(np.abs(two_m_arr) > two_j)
             or np.any((two_j - two_m_arr) % 2)):
         raise InvalidQuantumNumbersError(f"two_m={two_m!r} invalid for two_j={two_j}")
     alpha, beta, gamma = euler_zyz_from_quaternion(quaternions)
-    m = m_values(two_j)
-    if two_m_arr.ndim == 0 and two_m_arr == two_j:
-        w, x, y, z = np.moveaxis(np.asarray(quaternions, dtype=float), -1, 0)
-        cos_half, sin_half = np.hypot(w, z), np.hypot(x, y)
-        norm = np.hypot(cos_half, sin_half)
-        k = np.arange(two_j + 1)  # j - m'
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_amp = np.multiply.outer(np.log(sin_half / norm), k)
-            cos_pow = np.multiply.outer(np.log(cos_half / norm), two_j - k)
-        log_amp[:, 0] = 0.0   # sin^0, also at beta = 0
-        cos_pow[:, -1] = 0.0  # cos^0, also at beta = pi
-        log_amp += cos_pow
-        log_amp += _log_sqrt_binomials(two_j)
-        # phases exp(-i alpha m') exp(-i gamma j) = exp(-i (alpha + gamma) j) exp(i alpha)^k
-        out = np.empty(log_amp.shape, dtype=complex)
-        out[:, 0] = np.exp(-0.5j * two_j * alpha) * np.exp(-0.5j * two_j * gamma)
-        out[:, 1:] = np.exp(1j * alpha)[:, None]
-        np.cumprod(out, axis=1, out=out)
-        out *= np.exp(log_amp)
-        return out
-    # rows with two_m == two_j take the scalar call above, the rest one matmul;
-    # a lone row goes twice, since BLAS gemv (one row) rounds unlike gemm
     top = np.broadcast_to(two_m_arr == two_j, alpha.shape)
+    if top.all():
+        return alpha, gamma, _coherent_columns(two_j, quaternions)
+    # the other rows: one matmul, a lone row twice (BLAS gemv rounds unlike gemm)
     rest = np.flatnonzero(~top)
     rows = np.repeat(rest, 2) if len(rest) == 1 else rest
-    two_m_rows = np.broadcast_to(two_m_arr, top.shape)[rows]
     vals, vecs = _jy_eigensystem(two_j)
     rotated = np.exp(-1j * np.multiply.outer(beta[rows], vals))
-    rotated *= vecs.conj()[(two_j - two_m_rows) // 2]
-    columns = rotated @ vecs.T
-    columns *= np.exp(-1j * np.multiply.outer(alpha[rows], m))
-    columns *= np.exp(-0.5j * gamma[rows] * two_m_rows)[:, None]
-    out = np.empty(top.shape + (two_j + 1,), dtype=complex)
-    out[top] = rotated_basis_states_batch(two_j, np.asarray(quaternions)[top], two_j)
-    out[rest] = columns[:len(rest)]
+    rotated *= vecs.conj()[(two_j - np.broadcast_to(two_m_arr, top.shape)[rows]) // 2]
+    out = np.empty(top.shape + (two_j + 1,))
+    out[top] = _coherent_columns(two_j, np.asarray(quaternions)[top])
+    out[rest] = (rotated @ vecs.T)[:len(rest)].real
+    return alpha, gamma, out
+
+
+def _coherent_columns(two_j: int, quaternions: np.ndarray) -> np.ndarray:
+    """sqrt(C(2j, k)) cos^(2j-k) sin^k of beta/2 as C^(1/2) b^(2j) (s/b)^k in log space, b the
+    larger of the two (reversed where it is the sine): exact near the peak, one array."""
+    w, x, y, z = np.moveaxis(np.asarray(quaternions, dtype=float), -1, 0)
+    cos_half, sin_half = np.hypot(w, z), np.hypot(x, y)
+    norm = np.hypot(cos_half, sin_half)
+    k = np.arange(two_j + 1)  # j - m'
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_big = np.log(np.maximum(cos_half, sin_half) / norm)
+        ratio = np.log(np.minimum(cos_half, sin_half) / norm) - log_big
+        log_amp = np.multiply.outer(ratio, k)
+    log_amp += _log_sqrt_binomials(two_j)
+    log_amp += two_j * log_big[:, None]
+    out = np.exp(log_amp, out=log_amp)
+    out[ratio == -np.inf] = k == 0  # beta = 0 or pi
+    flip = sin_half > cos_half
+    out[flip] = out[flip, ::-1]
+    return out
+
+
+def rotated_basis_states_batch(two_j: int, quaternions: np.ndarray, two_m) -> np.ndarray:
+    """(n, 2j+1) states U_g|j,m>: the phases of ``wigner_d_columns``, each taken
+    directly (no running product to drift), times its real column."""
+    alpha, gamma, column = wigner_d_columns(two_j, quaternions, two_m)
+    out = np.exp(1j * np.multiply.outer(alpha, np.arange(two_j + 1)))
+    out *= np.exp(-0.5j * (two_j * alpha + np.asarray(two_m) * gamma))[:, None]
+    out *= column
     return out
 
 

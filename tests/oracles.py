@@ -1,6 +1,6 @@
 """Test oracles: dense, slow or brute-force routes to what the library computes
-in closed form, grouped by the library module they check (channels, spins,
-optimal, mo, memory).  Only the tests import this module.
+in closed form, grouped by the library module they check (rotations, channels, spins,
+optimal, mo, memory, montecarlo).  Only the tests import this module.
 """
 
 from __future__ import annotations
@@ -16,6 +16,29 @@ from spinlearn.memory import MemoryDistribution, _fidelity_from_moments, thermal
 from spinlearn.montecarlo import (_conditional_fidelity_channel_output, _target_states,
                                   sample_pure_states)
 from spinlearn.spins import _check_nonzero_j, coupling_decomposition, dim, two_m_values
+
+
+def z_rotation_quaternion(theta) -> np.ndarray:
+    """Quaternion(s) for a rotation by ``theta`` about z; broadcasts over theta."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros(theta.shape + (4,))
+    out[..., 0] = np.cos(theta / 2.0)
+    out[..., 3] = np.sin(theta / 2.0)
+    return out
+
+
+def conjugated_z_rotation(q_g: np.ndarray, theta) -> np.ndarray:
+    """Quaternion(s) of U_g R_z(theta) U_g^-1 by two Hamilton products: the
+    z-rotation dragged by g (``rotations.z_axis`` gives its axis in closed form)."""
+    qz = z_rotation_quaternion(theta)
+    qz = np.broadcast_to(qz, np.broadcast_shapes(q_g.shape, qz.shape))
+    return rotations.quat_multiply(rotations.quat_multiply(q_g, qz),
+                                   rotations.quat_conjugate(np.broadcast_to(q_g, qz.shape)))
+
+
+def relative_rotation_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """SO(3) angle of p^-1 q, batched."""
+    return rotations.rotation_angle(rotations.quat_multiply(rotations.quat_conjugate(p), q))
 
 
 def identity_choi(d: int) -> ChoiOperator:
@@ -308,3 +331,16 @@ def thermal_fidelity_by_weights(two_j: int, theta: float, gamma: float) -> float
     weights = thermal_state(two_j, gamma).weights
     m = two_m_values(two_j) / 2.0
     return float(_fidelity_from_moments(two_j, theta, weights @ m, weights @ (m * m)))
+
+
+def band_fidelities(bands, probe: np.ndarray, psi: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """sum_i |<target| (G (probe (x) psi))_i>|^2 from the ``qubit_bands`` of the gate G
+    on complex probe states: output row i is (t0 s0 d0_i + t1 s1 d1_i) p_i
+    + t0 s1 up_i p_(i-1) + t1 s0 lo_i p_(i+1), with t = conj(target), s = psi and p = probe."""
+    d0, d1, up, lo = bands
+    t0, t1 = target.conj().T[:, :, None]
+    s0, s1 = psi.T[:, :, None]
+    amp = (t0 * s0 * d0 + t1 * s1 * d1) * probe
+    amp[:, 1:] += t0 * s1 * up[1:] * probe[:, :-1]
+    amp[:, :-1] += t1 * s0 * lo[:-1] * probe[:, 1:]
+    return np.sum(np.abs(amp) ** 2, axis=1)

@@ -229,6 +229,16 @@ def test_interaction_time():
         interaction_time(4, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("name", ["coupling_alpha", "hbar"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_interaction_time_names_a_bad_coupling_or_hbar(name, value):
+    # at the parent: nan for a NaN coupling, a bare ZeroDivisionError at hbar = 0,
+    # -0.170 at hbar = -1, and an unnamed "coupling constant" message
+    args = {"coupling_alpha": 1.0, "hbar": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+        interaction_time(4, 1.0, **args)
+
+
 def test_worst_case_approaches_one_at_small_theta():
     val, _ = worst_case_fidelity(8, 1e-4)
     assert val > 1.0 - 1e-6

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import identity_choi, unital_bell_reality_check
-from spinlearn import channels, spins
+from spinlearn import channels, mo, spins
 from spinlearn.channels import average_from_entanglement, choi_from_kraus
 from spinlearn.memory import _bisect
 from spinlearn.mo import (
@@ -23,7 +24,7 @@ from spinlearn.mo import (
     spin_k_mo_asymptote,
     spin_k_mo_fidelity,
 )
-from spinlearn.rotations import haar_quaternions
+from spinlearn.rotations import haar_quaternions, quat_multiply
 from spinlearn.spins import InvalidQuantumNumbersError
 
 
@@ -170,11 +171,9 @@ def test_coherent_povm_outcome_sampler_matches_density():
     two_j = 5
     rng = np.random.default_rng(4)
     n = 200000
-    rel = _povm_outcome_offsets(two_j, two_j, two_j, n, rng)
-    from spinlearn.rotations import euler_zyz_from_quaternion
-
-    _, beta, _ = euler_zyz_from_quaternion(rel)
-    x = np.cos(beta / 2.0) ** 2
+    n_h = _povm_outcome_offsets(two_j, two_j, two_j, n, rng)
+    assert n_h.shape == (n, 3)
+    x = 0.5 * (1.0 + n_h[:, 2])  # cos^2(beta/2), with cos(beta) = n_h,z
     # x should be Beta-distributed with density (2j+1) x^(2j)
     mean = x.mean()
     expected = (two_j + 1.0) / (two_j + 2.0)
@@ -308,20 +307,46 @@ def test_anomalous_strategy_dominates_inside_window_only():
 def test_povm_polar_angle_law_matches_quadrature(two_j, two_m, xi_two_n):
     # beta must follow |d^j_{xi m}(beta)|^2 sin(beta); compare the first two
     # moments of cos(beta) with Gauss-Legendre quadrature in cos(beta)
-    from spinlearn.rotations import euler_zyz_from_quaternion
-
     n = 40000
-    q_h = _povm_outcome_offsets(two_j, two_m, xi_two_n, n, np.random.default_rng(1301))
-    _, beta, _ = euler_zyz_from_quaternion(q_h)
+    n_h = _povm_outcome_offsets(two_j, two_m, xi_two_n, n, np.random.default_rng(1301))
+    assert np.max(np.abs(np.linalg.norm(n_h, axis=1) - 1.0)) < 1e-15
     nodes, weights = np.polynomial.legendre.leggauss(64)  # exact to degree 127
     amp = spins.rotation_y_irrep(two_j, np.arccos(nodes))[
         :, spins.basis_index(two_j, xi_two_n), spins.basis_index(two_j, two_m)]
     density = weights * np.abs(amp) ** 2
     assert density.sum() == pytest.approx(2.0 / (two_j + 1), rel=1e-12)
     for power in (1, 2):
-        sample = np.cos(beta) ** power
+        sample = n_h[:, 2] ** power  # cos(beta)
         expected = np.sum(density * nodes**power) / density.sum()
         assert abs(sample.mean() - expected) < 4.0 * sample.std(ddof=1) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("fixed_g", [False, True])
+@pytest.mark.parametrize("two_j, two_m, xi_two_n, two_k", [(3, 3, 3, 1), (4, 2, 0, 1),
+                                                           (8, 8, 8, 2)])
+def test_axis_scores_match_the_quaternion_route(fixed_g, two_j, two_m, xi_two_n, two_k):
+    # cos(tau/2) from n_g . (R_g n_h), against the Hamilton products of the two
+    # conjugated z-rotations and their relative angle, on the same draws (Haar g,
+    # or a per_rotation_fidelity q_g); h is rebuilt from its axis, which gamma
+    # does not enter
+    n, theta, theta_prime = 3000, 2.0, 1.3
+    q = np.array([0.3, 0.1, -0.5, 0.8]) / np.linalg.norm([0.3, 0.1, -0.5, 0.8])
+    q_g = np.broadcast_to(q, (n, 4)).copy() if fixed_g else None
+    fe = mo_fidelity_samples(two_j, two_m, xi_two_n, theta, theta_prime, two_k,
+                             np.random.default_rng(23), n, q_g=q_g)
+    rng = np.random.default_rng(23)
+    if q_g is None:
+        q_g = haar_quaternions(rng, n)
+    n_h = _povm_outcome_offsets(two_j, two_m, xi_two_n, n, rng)
+    a = np.arctan2(n_h[:, 1], n_h[:, 0])
+    b = np.arctan2(np.hypot(n_h[:, 0], n_h[:, 1]), n_h[:, 2])
+    zero = np.zeros(n)
+    q_h = quat_multiply(np.stack([np.cos(a / 2), zero, zero, np.sin(a / 2)], axis=1),
+                        np.stack([np.cos(b / 2), zero, np.sin(b / 2), zero], axis=1))
+    tau = oracles.relative_rotation_angle(
+        oracles.conjugated_z_rotation(quat_multiply(q_g, q_h), theta_prime),
+        oracles.conjugated_z_rotation(q_g, theta))
+    assert np.max(np.abs(fe - mo._character_ratio(two_k, tau) ** 2)) < 1e-14
 
 
 def test_mo_oracle_memory_is_bounded():

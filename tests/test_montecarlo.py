@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinlearn import heisenberg, memory, mo, montecarlo, optimal
+import oracles
+from spinlearn import heisenberg, memory, mo, montecarlo, optimal, rotations, spins
 from spinlearn.channels import average_from_entanglement, entanglement_fidelity
 from spinlearn.montecarlo import mc_average_fidelity, per_rotation_fidelity
 from spinlearn.rotations import haar_rotation
@@ -172,7 +173,7 @@ def test_oracle_memory_does_not_grow_with_n(strategy):
 
 
 @pytest.mark.parametrize("fixed_g", [False, True])
-@pytest.mark.parametrize("elements", [1, 1000])
+@pytest.mark.parametrize("elements", [1, 1000, 20000])
 @pytest.mark.parametrize("strategy, theta, width", [
     (HeisenbergStrategy(two_j=20), 1.1, 42),
     (HeisenbergStrategy(two_j=10, two_k=2), 0.7, 33),
@@ -182,7 +183,9 @@ def test_oracle_memory_does_not_grow_with_n(strategy):
 ], ids=["heisenberg", "spin_k", "thermal", "case_choi", "xyz"])
 def test_sample_blocks_leave_samples_bit_identical(monkeypatch, strategy, theta, width,
                                                     elements, fixed_g):
-    # 2-row blocks (the last absorbs the lone row of n = 251) or 16-166-row blocks
+    # 2-row blocks (the last absorbs the lone row of n = 251) or 16-166-row blocks;
+    # the band path counts 2 dp + 64 elements a row and rounds up to whole 64-row
+    # tiles: one tile at 1 and 1000, three at 20000 (the joint paths: one block)
     n = 251
     assert n % max(2, elements // width) != 0
     q_g = None
@@ -199,7 +202,7 @@ def test_sample_blocks_leave_samples_bit_identical(monkeypatch, strategy, theta,
 
 
 def test_default_sample_blocks_leave_samples_bit_identical(monkeypatch):
-    # 2j = 400: blocks of 2^18 // 802 = 326 rows, n not a multiple
+    # 2j = 400: band blocks of 2^18 / 866 rounded up to 320 rows (5 tiles), n not a multiple
     strategy, n = HeisenbergStrategy(two_j=400), 3000
     blocked = montecarlo._strategy_samples(strategy, math.pi, np.random.default_rng(6), n)
     monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1 << 60)
@@ -221,7 +224,7 @@ def _joint_vector_reference(monkeypatch, strategy):
     monkeypatch.setattr(montecarlo, "_channel_samples", joint_vectors)
 
 
-@pytest.mark.parametrize("two_j", [1, 2, 3, 20, 101])
+@pytest.mark.parametrize("two_j", [1, 2, 3, 20, 101, 400])
 @pytest.mark.parametrize("path", ["heisenberg", "thermal", "fixed_g", "f_override"])
 def test_band_scores_match_joint_vector_scores(monkeypatch, two_j, path):
     inner = HeisenbergStrategy(two_j=two_j, f_override=0.9 if path == "f_override" else None)
@@ -243,18 +246,96 @@ def test_band_scores_match_joint_vector_scores(monkeypatch, two_j, path):
 
 def test_heisenberg_qubit_blocks_score_bands_without_gate_passes(monkeypatch):
     # one gate pass on the two comb vectors, then one band score per block of
-    # _CHUNK_ELEMENTS // (dp*dk) rows: 2j = 20 gives blocks of 1000 // 42 = 23 rows
+    # _CHUNK_ELEMENTS / (2 dp + 64) rows rounded up to whole tiles: 2j = 20 gives
+    # 1000 / 106, so blocks of one 64-row tile
     vectors, blocks = [], []
-    apply, score = heisenberg.HeisenbergGate.apply, montecarlo._band_fidelities
+    apply, score = heisenberg.HeisenbergGate.apply, montecarlo._band_scores
     monkeypatch.setattr(heisenberg.HeisenbergGate, "apply",
                         lambda self, vec: vectors.append(len(vec)) or apply(self, vec))
-    monkeypatch.setattr(montecarlo, "_band_fidelities",
-                        lambda bands, probe, *rest: blocks.append(len(probe))
-                        or score(bands, probe, *rest))
+    monkeypatch.setattr(montecarlo, "_band_scores",
+                        lambda tables, column, *rest: blocks.append(len(column))
+                        or score(tables, column, *rest))
     monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1000)
     mc_average_fidelity(HeisenbergStrategy(two_j=20), 1.0, 251, seed=0)
     assert vectors == [2]
-    assert blocks == [23] * 10 + [21]
+    assert blocks == [64] * 3 + [59]
+
+
+_FIXED_Q = np.array([0.3, 0.1, -0.5, 0.8]) / np.linalg.norm([0.3, 0.1, -0.5, 0.8])
+
+
+@pytest.mark.parametrize("fixed_g", [False, True])
+def test_axis_target_states_match_the_quaternion_route(fixed_g):
+    # V_(theta,g) psi from the axis n_g, against the two Hamilton products of
+    # conjugated_z_rotation, on Haar draws and at a per_rotation_fidelity q_g
+    rng = np.random.default_rng(17)
+    n = 2000
+    q_g = (np.broadcast_to(_FIXED_Q, (n, 4)).copy() if fixed_g
+           else rotations.haar_quaternions(rng, n))
+    psi = montecarlo.sample_pure_states(rng, n, 2)
+    for theta in (0.4, math.pi, 4.0):
+        v = rotations.su2_from_quaternion(oracles.conjugated_z_rotation(q_g, theta))
+        expected = np.einsum("nij,nj->ni", v, psi)
+        assert np.max(np.abs(montecarlo._target_states(q_g, theta, psi) - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 20, 101])
+@pytest.mark.parametrize("path", ["heisenberg", "thermal", "fixed_g"])
+def test_band_scores_match_the_complex_band_oracle(two_j, path):
+    # c^dag M c from the real columns, against the old per-index complex sum over
+    # the probe states U_g|j,m> (direct phases times the same columns)
+    rng = np.random.default_rng(18)
+    n = 300
+    q_g = (np.broadcast_to(_FIXED_Q, (n, 4)).copy() if path == "fixed_g"
+           else rotations.haar_quaternions(rng, n))
+    two_m = (rng.choice(spins.two_m_values(two_j), n) if path == "thermal" else two_j)
+    psi = montecarlo.sample_pure_states(rng, n, 2)
+    bands = heisenberg.heisenberg_unitary(two_j, 1, 2.0).qubit_bands()
+    target = montecarlo._target_states(q_g, 2.0, psi)
+    alpha, _, column = spins.wigner_d_columns(two_j, q_g, two_m)
+    scores = montecarlo._band_scores(montecarlo._band_tables(bands), column,
+                                     np.exp(1j * alpha), psi, target)
+    probe = spins.rotated_basis_states_batch(two_j, q_g, two_m)
+    assert np.max(np.abs(scores - oracles.band_fidelities(bands, probe, psi, target))) < 1e-14
+
+
+@pytest.mark.parametrize("two_j", [101, 400])
+def test_band_scores_match_exact_phases(two_j):
+    # the same random inputs scored in 40-digit arithmetic: exact Euler phases
+    # e^(i alpha i), exact target; the real Wigner-d columns and the gate's bands
+    # stay the double-precision ones (a column is O(j eps) off in itself).  A
+    # cumulative product of unit phases drifts past this bound.
+    import mpmath
+
+    n, theta = 12, 1.0
+    samples = montecarlo._strategy_samples(HeisenbergStrategy(two_j=two_j), theta,
+                                           np.random.default_rng(19), n)
+    rng = np.random.default_rng(19)
+    q_g = rotations.haar_quaternions(rng, n)
+    psi = montecarlo.sample_pure_states(rng, n, 2)
+    _, _, columns = spins.wigner_d_columns(two_j, q_g, two_j)
+    d0, d1, up, lo = (np.asarray(b).tolist()
+                      for b in heisenberg.heisenberg_unitary(two_j, 1, theta).qubit_bands())
+    with mpmath.workdps(40):
+        c, s = mpmath.cos(mpmath.mpf(theta) / 2), mpmath.sin(mpmath.mpf(theta) / 2)
+        for q, (s0, s1), column, expected in zip(q_g.tolist(), psi.tolist(), columns.tolist(),
+                                                 samples):
+            w, x, y, z = (mpmath.mpf(v) for v in q)
+            omega = mpmath.expj(mpmath.atan2(z, w) + mpmath.atan2(-x, y))
+            probe = [column[i] * omega ** i for i in range(two_j + 1)]
+            nx, ny, nz = 2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)
+            s0, s1 = mpmath.mpc(s0), mpmath.mpc(s1)
+            t0 = mpmath.conj(c * s0 - 1j * s * (nz * s0 + (nx - 1j * ny) * s1))
+            t1 = mpmath.conj(c * s1 - 1j * s * ((nx + 1j * ny) * s0 - nz * s1))
+            total = 0
+            for i in range(two_j + 1):
+                amp = (t0 * s0 * d0[i] + t1 * s1 * d1[i]) * probe[i]
+                if i > 0:
+                    amp += t0 * s1 * up[i] * probe[i - 1]
+                if i < two_j:
+                    amp += t1 * s0 * lo[i] * probe[i + 1]
+                total += abs(amp) ** 2
+            assert abs(expected - float(total)) < 2e-15
 
 
 @pytest.mark.parametrize("f_override", [math.nan, math.inf])

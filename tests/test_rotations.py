@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import conjugated_z_rotation, relative_rotation_angle, z_rotation_quaternion
 from spinlearn.rotations import (
     Rotation,
     angle_between_axes,
-    conjugated_z_rotation,
     haar_quaternions,
     haar_rotation,
-    relative_rotation_angle,
+    quat_conjugate,
+    quat_multiply,
+    rotate_vectors,
     su2_from_quaternion,
-    z_rotation_quaternion,
+    z_axis,
 )
 
 
@@ -113,3 +115,32 @@ def test_relative_rotation_angle(rng):
 def test_angle_between_axes():
     g = Rotation.from_axis_angle([0, 1, 0], 0.4)
     assert angle_between_axes(Rotation.identity(), g) == pytest.approx(0.4, abs=1e-12)
+
+
+# the fixed training rotations of the per_rotation_fidelity tests, then the poles
+_FIXED_Q = np.array([[0.3, 0.1, -0.5, 0.8], [math.cos(0.4), 0.0, math.sin(0.4), 0.0],
+                     [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+_FIXED_Q /= np.linalg.norm(_FIXED_Q, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("theta", [0.9, math.pi, 4.0])
+def test_z_axis_is_the_axis_of_the_conjugated_z_rotation(rng, theta):
+    # U_g R_z(theta) U_g^-1 = (cos(theta/2), sin(theta/2) n_g) by two Hamilton products
+    q_g = np.concatenate([_FIXED_Q, haar_quaternions(rng, 500)])
+    v = conjugated_z_rotation(q_g, theta)
+    expected = np.concatenate([np.full((len(q_g), 1), math.cos(theta / 2)),
+                               math.sin(theta / 2) * z_axis(q_g)], axis=1)
+    assert np.max(np.abs(v - expected)) < 1e-14
+
+
+def test_rotate_vectors_matches_quaternion_conjugation(rng):
+    q = np.concatenate([_FIXED_Q, haar_quaternions(rng, 500)])
+    v = rng.standard_normal((len(q), 3))
+    pure = np.concatenate([np.zeros((len(q), 1)), v], axis=1)
+    expected = quat_multiply(quat_multiply(q, pure), quat_conjugate(q))[:, 1:]
+    assert np.max(np.abs(rotate_vectors(q, v) - expected)) < 1e-14
+    assert np.max(np.abs(rotate_vectors(q, np.broadcast_to([0.0, 0.0, 1.0], v.shape))
+                         - z_axis(q))) < 1e-15
+    g = Rotation.from_quaternion(q[0])
+    assert np.max(np.abs(g.rotate_vector(v[0]) - g.matrix() @ v[0])) < 1e-15
+    assert np.max(np.abs(g.axis() - g.matrix()[:, 2])) < 1e-15
