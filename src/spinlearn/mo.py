@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rotations, spins
-from .channels import FidelityEstimate, average_from_entanglement
+from .channels import FidelityEstimate, _blocks, average_from_entanglement
 from .optimal import RegimeReport, _regime_args, _regime_fidelity
 from .spins import check_valid_m, clebsch_gordan
 from .strategies import MOStrategy
@@ -151,20 +151,22 @@ def _povm_outcome_offsets(two_j: int, two_m: int, xi_two_n: int, n_samples: int,
     m = xi = j that law is cos^2(beta/2) = W^(1/(2j+1)) for uniform W;
     otherwise W goes through the exact inverse CDF of cos(beta) (see
     ``_cos_beta_quantiles``).  Three uniform draws per sample (gamma only keeps
-    the stream), no rejection: O(n) time at m = xi = j, O(n*j) otherwise, O(n) memory.
+    the stream), no rejection, then the axes block by block: O(n) time at m = xi = j,
+    O(n*j) otherwise, O(block) scratch beyond the draws and the axes.
     """
     alpha = rng.uniform(0.0, 2.0 * math.pi, n_samples)
     rng.uniform(0.0, 2.0 * math.pi, n_samples)  # gamma
     u = rng.uniform(0.0, 1.0, n_samples)
-    if two_m == xi_two_n == two_j:
-        cos_beta = 2.0 * u ** (1.0 / (two_j + 1.0)) - 1.0
-    else:
-        cos_beta = _cos_beta_quantiles(two_j, two_m, xi_two_n, u)
-    sin_beta = np.sqrt((1.0 - cos_beta) * (1.0 + cos_beta))
-    return np.stack([sin_beta * np.cos(alpha), sin_beta * np.sin(alpha), cos_beta], axis=1)
-
-
-_QUANTILE_CHUNK = 1 << 14
+    out = np.empty((n_samples, 3))
+    for rows in _blocks(n_samples, 16):  # bisection and axes: ~16 float64s a sample
+        if two_m == xi_two_n == two_j:
+            cos_beta = 2.0 * u[rows] ** (1.0 / (two_j + 1.0)) - 1.0
+        else:
+            cos_beta = _cos_beta_quantiles(two_j, two_m, xi_two_n, u[rows])
+        sin_beta = np.sqrt((1.0 - cos_beta) * (1.0 + cos_beta))
+        out[rows] = np.stack([sin_beta * np.cos(alpha[rows]), sin_beta * np.sin(alpha[rows]),
+                              cos_beta], axis=1)
+    return out
 
 
 def _cos_beta_quantiles(two_j: int, two_m: int, xi_two_n: int, u: np.ndarray) -> np.ndarray:
@@ -174,8 +176,7 @@ def _cos_beta_quantiles(two_j: int, two_m: int, xi_two_n: int, u: np.ndarray) ->
     its Chebyshev coefficients are the cosine-series coefficients in beta,
     the autocorrelation of the amplitude's Jy-eigenbasis weights (frequency =
     eigenvalue difference).  The CDF is that polynomial's exact integral; it
-    is inverted by bisection to double precision, chunk by chunk, so the
-    working memory is O(chunk) whatever len(u) is.
+    is inverted by bisection to double precision.
     """
     from numpy.polynomial import chebyshev
 
@@ -185,19 +186,15 @@ def _cos_beta_quantiles(two_j: int, two_m: int, xi_two_n: int, u: np.ndarray) ->
     lags = np.correlate(weights, weights, "full")[two_j:].real  # frequencies 0..2j
     density = np.concatenate([lags[:1], 2.0 * lags[1:]])
     cdf = chebyshev.chebint(density, lbnd=-1.0)
-    levels = u * chebyshev.chebval(1.0, cdf)
-    out = np.empty_like(levels)
-    for start in range(0, len(levels), _QUANTILE_CHUNK):
-        level = levels[start:start + _QUANTILE_CHUNK]
-        lo = np.full(len(level), -1.0)
-        hi = np.ones(len(level))
-        for _ in range(55):  # final width 2 * 2^-55 is below half an ulp of 1
-            mid = 0.5 * (lo + hi)
-            below = chebyshev.chebval(mid, cdf) < level
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out[start:start + _QUANTILE_CHUNK] = 0.5 * (lo + hi)
-    return out
+    level = u * chebyshev.chebval(1.0, cdf)
+    lo = np.full(len(level), -1.0)
+    hi = np.ones(len(level))
+    for _ in range(55):  # final width 2 * 2^-55 is below half an ulp of 1
+        mid = 0.5 * (lo + hi)
+        below = chebyshev.chebval(mid, cdf) < level
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
@@ -210,8 +207,8 @@ def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
     scores the conditional rotation by theta' about the estimated axis R_g n_h
     against the target rotation by theta about n_g = R_g z on a spin-k target:
     |tr(V'^dag V)|^2 / (2k+1)^2 is the squared rotation character of their relative
-    angle tau, cos(tau/2) read off the two axes.  No closed-form overlap enters;
-    this is the independent check on mo_element_fidelity.
+    angle tau, cos(tau/2) read off the two axes, in blocks of samples (O(block) scratch).
+    No closed-form overlap enters; this is the independent check on mo_element_fidelity.
     """
     spins._check_target_spin(two_k)
     spins._check_theta(theta)
@@ -222,13 +219,17 @@ def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
     check_valid_m(two_j, xi_two_n)
     if q_g is None:
         q_g = rotations.haar_quaternions(rng, n)
-    n_ghat = rotations.rotate_vectors(q_g, _povm_outcome_offsets(two_j, two_m, xi_two_n, n, rng))
+    n_h = _povm_outcome_offsets(two_j, two_m, xi_two_n, n, rng)
     # V'^-1 V = cos(theta'/2) cos(theta/2) + sin(theta'/2) sin(theta/2) n_ghat.n_g + i(...).sigma
-    dot = np.einsum("ni,ni->n", n_ghat, rotations.z_axis(q_g))
-    cos_half_tau = (math.cos(theta_prime / 2.0) * math.cos(theta / 2.0)
-                    + math.sin(theta_prime / 2.0) * math.sin(theta / 2.0) * dot)
-    tau = 2.0 * np.arccos(np.clip(np.abs(cos_half_tau), 0.0, 1.0))
-    return _character_ratio(two_k, tau) ** 2
+    cc = math.cos(theta_prime / 2.0) * math.cos(theta / 2.0)
+    ss = math.sin(theta_prime / 2.0) * math.sin(theta / 2.0)
+    fe = np.empty(n)
+    for rows in _blocks(n, 64):  # rotated axes, crosses and angles: ~64 float64s a sample
+        n_ghat = rotations.rotate_vectors(q_g[rows], n_h[rows])
+        dot = np.einsum("ni,ni->n", n_ghat, rotations.z_axis(q_g[rows]))
+        tau = 2.0 * np.arccos(np.clip(np.abs(cc + ss * dot), 0.0, 1.0))
+        fe[rows] = _character_ratio(two_k, tau) ** 2
+    return fe
 
 
 def _average_estimate(fe_samples: np.ndarray, two_k: int) -> FidelityEstimate:

@@ -7,9 +7,9 @@ measure-and-operate strategy applies a unitary given its sampled outcome, so
 each of its samples is scored by the exact state average (2 F_e + 1)/3 of
 ``mo.mo_fidelity_samples`` and draws no target state.  No closed-form
 fidelity enters anywhere, so these estimates independently validate the
-analytic results.  The Heisenberg and Kraus samplers draw every random input
-first and then run in fixed blocks of samples: their working memory is
-O(block) whatever the sample count is.  A qubit-target gate's samples are scored
+analytic results.  Every sampler draws its random inputs first and then scores
+them in the blocks of ``channels._blocks``: its working memory is O(block)
+whatever the sample count is.  A qubit-target gate's samples are scored
 from its four bands (``HeisenbergGate.qubit_bands``) and the probe's real Wigner-d
 column (``spins.wigner_d_columns``): no joint vector, O(j) each.
 """
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import heisenberg, memory, mo, optimal, rotations, spins
-from .channels import FidelityEstimate
+from .channels import FidelityEstimate, _blocks
 from .strategies import (
     CaseChoiStrategy,
     DiscreteXYZ,
@@ -60,14 +60,8 @@ def _conditional_fidelity_channel_output(out: np.ndarray, target: np.ndarray) ->
     return np.sum(np.abs(np.einsum("nmi,ni->nm", out, target.conj())) ** 2, axis=1)
 
 
-_CHUNK_ELEMENTS = 1 << 18  # dp*dk amplitudes per block, cache-sized (1 << 20 ran 1.4x slower)
 _TILE = 64  # rows per BLAS call of the band scores: gemm rounds a row by its place in the call
-
-
-def _blocks(n: int, step: int) -> list[slice]:
-    # no block has a lone row unless n = 1: einsum rounds a one-row batch differently
-    edges = [*range(0, max(n - 1, 1), step), n]
-    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+_JOINT_FLOATS = 16  # float64s of scratch per joint amplitude: probe, joint, outputs, overlaps
 
 
 def _channel_samples(two_j: int, two_m, q_g: np.ndarray, psi: np.ndarray, theta: float,
@@ -75,16 +69,15 @@ def _channel_samples(two_j: int, two_m, q_g: np.ndarray, psi: np.ndarray, theta:
     """Per-sample fidelity of ``channel`` (joint vectors (rows, dp*dk) -> outputs
     (rows, r, dk)) on U_g|j,m> (x) psi against V_(theta,g) psi, or of the qubit-target
     gate with the given ``qubit_bands`` (scored from the bands, no joint vector);
-    ``two_m`` is a scalar or per sample.  Runs in blocks of about
-    _CHUNK_ELEMENTS // (dp*dk) rows, so the working memory is O(block) whatever n
-    is, and the samples do not depend on the block size."""
+    ``two_m`` is a scalar or per sample.  Runs in ``channels._blocks``, so the working
+    memory is O(block) whatever n is, and the samples do not depend on the block size."""
     (n, dk), dp = psi.shape, spins.dim(two_j)
     out = np.empty(n)
-    step = max(2, _CHUNK_ELEMENTS // (dp * dk))
+    blocks = _blocks(n, _JOINT_FLOATS * dp * dk)
     if bands is not None:  # whole tiles; a band row holds 2 dp reals, ~32 complex scalars
         tables = _band_tables(bands)
-        step = -(-_CHUNK_ELEMENTS // (2 * dp + 64) // _TILE) * _TILE
-    for rows in _blocks(n, step):
+        blocks = _blocks(n, 2 * dp + 64, _TILE)
+    for rows in blocks:
         two_m_rows = two_m if np.ndim(two_m) == 0 else two_m[rows]
         target = _target_states(q_g[rows], theta, psi[rows])
         if bands is None:
@@ -187,7 +180,7 @@ def _unot_mixture_samples(strategy: UNotMixture, theta: float,
     q_axis = rotations.haar_quaternions(rng, n) if alpha > 0.0 else None
     gate = heisenberg.heisenberg_unitary(1, 1, theta)
     fid = np.empty(n)
-    for rows in _blocks(n, _CHUNK_ELEMENTS // 4):
+    for rows in _blocks(n, _JOINT_FLOATS * 4):
         probe = spins.rotated_basis_states_batch(1, q_g[rows], 1)
         joint = np.einsum("np,nk->npk", probe, psi[rows]).reshape(-1, 4)
         target = _target_states(q_g[rows], theta, psi[rows])

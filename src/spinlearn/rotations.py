@@ -43,14 +43,20 @@ def euler_zyz_from_quaternion(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     beta in [0, pi].  At the coordinate singularities beta = 0, pi the
     gamma angle is set to 0.
     """
-    q = np.asarray(q, dtype=float)
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    beta = 2.0 * np.arctan2(np.hypot(x, y), np.hypot(w, z))
+    return _euler_zyz_and_moduli(q)[:3]
+
+
+def _euler_zyz_and_moduli(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(alpha, beta, gamma, |(w, z)|, |(x, y)|): the Euler angles and the two moduli
+    whose ratio is tan(beta/2), each hypot evaluated once."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    cos_half, sin_half = np.hypot(w, z), np.hypot(x, y)
+    beta = 2.0 * np.arctan2(sin_half, cos_half)
     half_sum = np.arctan2(z, w)          # (alpha + gamma)/2
     half_diff = np.arctan2(-x, y)        # (alpha - gamma)/2
     alpha = half_sum + half_diff
     gamma = half_sum - half_diff
-    degenerate = np.minimum(np.hypot(x, y), np.hypot(w, z)) < 1e-15
+    degenerate = np.minimum(sin_half, cos_half) < 1e-15
     if np.ndim(degenerate) == 0:
         if degenerate:
             alpha = 2.0 * np.where(beta < 1.0, half_sum, half_diff)
@@ -58,7 +64,7 @@ def euler_zyz_from_quaternion(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     else:
         alpha = np.where(degenerate, 2.0 * np.where(beta < 1.0, half_sum, half_diff), alpha)
         gamma = np.where(degenerate, 0.0, gamma)
-    return alpha % (2.0 * np.pi), beta, gamma % (2.0 * np.pi)
+    return alpha % (2.0 * np.pi), beta, gamma % (2.0 * np.pi), cos_half, sin_half
 
 
 def su2_from_quaternion(q: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rotations import Rotation, euler_zyz_from_quaternion
+from .rotations import Rotation, _euler_zyz_and_moduli, euler_zyz_from_quaternion
 
 
 class InvalidQuantumNumbersError(ValueError):
@@ -149,10 +149,10 @@ def wigner_d_columns(two_j: int, quaternions: np.ndarray, two_m
     if (two_m_arr.dtype.kind not in "iu" or np.any(np.abs(two_m_arr) > two_j)
             or np.any((two_j - two_m_arr) % 2)):
         raise InvalidQuantumNumbersError(f"two_m={two_m!r} invalid for two_j={two_j}")
-    alpha, beta, gamma = euler_zyz_from_quaternion(quaternions)
+    alpha, beta, gamma, cos_half, sin_half = _euler_zyz_and_moduli(quaternions)
     top = np.broadcast_to(two_m_arr == two_j, alpha.shape)
     if top.all():
-        return alpha, gamma, _coherent_columns(two_j, quaternions)
+        return alpha, gamma, _coherent_columns(two_j, cos_half, sin_half)
     # the other rows: one matmul, a lone row twice (BLAS gemv rounds unlike gemm)
     rest = np.flatnonzero(~top)
     rows = np.repeat(rest, 2) if len(rest) == 1 else rest
@@ -160,16 +160,15 @@ def wigner_d_columns(two_j: int, quaternions: np.ndarray, two_m
     rotated = np.exp(-1j * np.multiply.outer(beta[rows], vals))
     rotated *= vecs.conj()[(two_j - np.broadcast_to(two_m_arr, top.shape)[rows]) // 2]
     out = np.empty(top.shape + (two_j + 1,))
-    out[top] = _coherent_columns(two_j, np.asarray(quaternions)[top])
+    out[top] = _coherent_columns(two_j, cos_half[top], sin_half[top])
     out[rest] = (rotated @ vecs.T)[:len(rest)].real
     return alpha, gamma, out
 
 
-def _coherent_columns(two_j: int, quaternions: np.ndarray) -> np.ndarray:
+def _coherent_columns(two_j: int, cos_half: np.ndarray, sin_half: np.ndarray) -> np.ndarray:
     """sqrt(C(2j, k)) cos^(2j-k) sin^k of beta/2 as C^(1/2) b^(2j) (s/b)^k in log space, b the
-    larger of the two (reversed where it is the sine): exact near the peak, one array."""
-    w, x, y, z = np.moveaxis(np.asarray(quaternions, dtype=float), -1, 0)
-    cos_half, sin_half = np.hypot(w, z), np.hypot(x, y)
+    larger of the two (reversed where it is the sine): exact near the peak, one array; the
+    unnormalized cosine and sine are the moduli |(w, z)| and |(x, y)| of the quaternions."""
     norm = np.hypot(cos_half, sin_half)
     k = np.arange(two_j + 1)  # j - m'
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -166,3 +166,19 @@ def test_average_from_entanglement_values():
     assert average_from_entanglement(1.0, 2) == 1.0
     assert average_from_entanglement(0.25, 2) == pytest.approx(0.5)
     assert average_from_entanglement(0.5625, 2) == pytest.approx(17 / 24, abs=5e-5)
+
+
+@pytest.mark.parametrize("row_floats, tile", [(1, 1), (7, 1), (3, 4), (1 << 20, 1), (5, 64)])
+def test_blocks_cover_the_samples_without_a_lone_row(monkeypatch, row_floats, tile):
+    # contiguous blocks of about budget / row_floats rows in whole tiles (the last may
+    # be short), and no block of one row unless n = 1: einsum rounds a one-row batch
+    # differently
+    monkeypatch.setattr(channels, "_BLOCK_FLOATS", 20)
+    step = max(2, math.ceil(math.ceil(20 / row_floats) / tile) * tile)
+    for n in range(1, 300):
+        blocks = channels._blocks(n, row_floats, tile)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(size == step for size in sizes[:-1])
+        assert 2 <= sizes[-1] <= step + 1 or n == 1

@@ -158,6 +158,31 @@ def test_console_entry_point():
     assert "0.708333333333" in proc.stdout
 
 
+# ru_maxrss of the wrapper's children is the command's own peak: a child spawned
+# from pytest itself would carry pytest's resident set into its high-water mark
+_PEAK_RSS_WRAPPER = ("import resource, subprocess, sys; "
+                     "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+                     "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+
+def _peak_rss_mib(*args):
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_WRAPPER, sys.executable, *args],
+                          capture_output=True, text=True, check=True, timeout=300)
+    return int(proc.stdout) / (2**20 if sys.platform == "darwin" else 1024)  # bytes or KiB
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-samples", "100000", "--seed", "7"],
+    ["spin-k", "--two-j", "400", "--two-k", "2", "3", "--theta", "1.0", "--seed", "5"],
+], ids=["verify", "spin-k"])
+def test_readme_sampler_commands_peak_rss_is_bounded(argv):
+    # every Monte-Carlo sampler scores in fixed blocks, so at n = 1e5 a README command
+    # stays well under 32 MiB above the bare import (about 22 and 15 MiB; whole-batch
+    # MO scoring and 65,536-row universal-NOT blocks put verify at about 54)
+    bare = _peak_rss_mib("-c", "import spinlearn.cli")
+    assert _peak_rss_mib("-m", "spinlearn.cli", *argv) - bare < 32.0
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")

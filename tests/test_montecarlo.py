@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from spinlearn import heisenberg, memory, mo, montecarlo, optimal, rotations, spins
+from spinlearn import channels, heisenberg, memory, mo, montecarlo, optimal, rotations, spins
 from spinlearn.channels import average_from_entanglement, entanglement_fidelity
 from spinlearn.montecarlo import mc_average_fidelity, per_rotation_fidelity
 from spinlearn.rotations import haar_rotation
@@ -154,11 +154,16 @@ def test_same_seed_gives_identical_estimate():
     HeisenbergStrategy(two_j=100),
     ThermalWrapped(HeisenbergStrategy(two_j=100), 0.5),
     CaseChoiStrategy(case=1, two_j=32, two_m=32, theta=math.pi),
-], ids=["heisenberg", "thermal", "kraus"])
+    UNotMixture(alpha=2.0 / 3.0),
+    DiscreteXYZ(),
+    MOStrategy(two_j=3, two_m=3, xi_two_n=3, theta_prime=2.0),
+    MOStrategy(two_j=8, two_m=4, xi_two_n=2, theta_prime=1.0),
+], ids=["heisenberg", "thermal", "kraus", "unot", "xyz", "mo", "mo_inverse_cdf"])
 def test_oracle_memory_does_not_grow_with_n(strategy):
-    # the d-dimensional work runs in fixed blocks of samples, so from n = 2e4 to
-    # 8e4 only the O(n) inputs and fidelities grow, about 80 bytes a sample
-    # (whole-batch arrays grew the peak about 4x, by 130-600 MiB)
+    # every sampler scores its samples in the blocks of channels._blocks, so from
+    # n = 2e4 to 8e4 only the O(n) inputs and fidelities grow, 80-120 bytes a sample
+    # (whole-batch arrays grew the peak about 4x, by 130-600 MiB; blocks of 65,536
+    # universal-NOT rows, of 2^18 / 6 xyz amplitudes or a whole MO batch, by 10-26 MiB)
     def peak_mib(n):
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -173,39 +178,45 @@ def test_oracle_memory_does_not_grow_with_n(strategy):
 
 
 @pytest.mark.parametrize("fixed_g", [False, True])
-@pytest.mark.parametrize("elements", [1, 1000, 20000])
+@pytest.mark.parametrize("budget", [1, 1000, 20000])
 @pytest.mark.parametrize("strategy, theta, width", [
-    (HeisenbergStrategy(two_j=20), 1.1, 42),
-    (HeisenbergStrategy(two_j=10, two_k=2), 0.7, 33),
-    (ThermalWrapped(HeisenbergStrategy(two_j=30), 0.5), math.pi, 62),
-    (CaseChoiStrategy(case=1, two_j=8, two_m=8, theta=math.pi), math.pi, 18),
-    (DiscreteXYZ(), 1.0, 6),
-], ids=["heisenberg", "spin_k", "thermal", "case_choi", "xyz"])
+    (HeisenbergStrategy(two_j=20), 1.1, 106),
+    (HeisenbergStrategy(two_j=10, two_k=2), 0.7, 528),
+    (ThermalWrapped(HeisenbergStrategy(two_j=30), 0.5), math.pi, 126),
+    (CaseChoiStrategy(case=1, two_j=8, two_m=8, theta=math.pi), math.pi, 288),
+    (DiscreteXYZ(), 1.0, 96),
+    (UNotMixture(alpha=2.0 / 3.0), math.pi, 64),
+    (MOStrategy(two_j=3, two_m=3, xi_two_n=3, theta_prime=2.0), 1.3, 64),
+    (MOStrategy(two_j=8, two_m=4, xi_two_n=2, theta_prime=1.0), 2.0, 16),
+], ids=["heisenberg", "spin_k", "thermal", "case_choi", "xyz", "unot", "mo",
+        "mo_inverse_cdf"])
 def test_sample_blocks_leave_samples_bit_identical(monkeypatch, strategy, theta, width,
-                                                    elements, fixed_g):
-    # 2-row blocks (the last absorbs the lone row of n = 251) or 16-166-row blocks;
-    # the band path counts 2 dp + 64 elements a row and rounds up to whole 64-row
-    # tiles: one tile at 1 and 1000, three at 20000 (the joint paths: one block)
+                                                    budget, fixed_g):
+    # ``width`` float64s a row: 16 per joint amplitude (16 dp dk), 2 dp + 64 on the band
+    # path, 64 per universal-NOT row and MO score, 16 per MO outcome axis.  A budget of 1
+    # gives 2-row blocks (the last absorbs the lone row of n = 251), 1000 and 20000 give
+    # 2-1250-row blocks; band blocks are whole 64-row tiles: one at 1 and 1000, three at
+    # 20000.  Every block comes from channels._blocks, so none is a lone row.
     n = 251
-    assert n % max(2, elements // width) != 0
+    assert n % max(2, -(-budget // width)) != 0
     q_g = None
     if fixed_g:  # the per_rotation_fidelity path
         q = np.array([0.3, 0.1, -0.5, 0.8])
         q_g = np.broadcast_to(q / np.linalg.norm(q), (n, 4)).copy()
 
-    def samples(chunk_elements):
-        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk_elements)
+    def samples(block_floats):
+        monkeypatch.setattr(channels, "_BLOCK_FLOATS", block_floats)
         return montecarlo._strategy_samples(strategy, theta, np.random.default_rng(5), n,
                                             q_g=q_g)
 
-    assert np.array_equal(samples(elements), samples(1 << 60))
+    assert np.array_equal(samples(budget), samples(1 << 60))
 
 
 def test_default_sample_blocks_leave_samples_bit_identical(monkeypatch):
     # 2j = 400: band blocks of 2^18 / 866 rounded up to 320 rows (5 tiles), n not a multiple
     strategy, n = HeisenbergStrategy(two_j=400), 3000
     blocked = montecarlo._strategy_samples(strategy, math.pi, np.random.default_rng(6), n)
-    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1 << 60)
+    monkeypatch.setattr(channels, "_BLOCK_FLOATS", 1 << 60)
     whole = montecarlo._strategy_samples(strategy, math.pi, np.random.default_rng(6), n)
     assert np.array_equal(blocked, whole)
 
@@ -246,7 +257,7 @@ def test_band_scores_match_joint_vector_scores(monkeypatch, two_j, path):
 
 def test_heisenberg_qubit_blocks_score_bands_without_gate_passes(monkeypatch):
     # one gate pass on the two comb vectors, then one band score per block of
-    # _CHUNK_ELEMENTS / (2 dp + 64) rows rounded up to whole tiles: 2j = 20 gives
+    # _BLOCK_FLOATS / (2 dp + 64) rows rounded up to whole tiles: 2j = 20 gives
     # 1000 / 106, so blocks of one 64-row tile
     vectors, blocks = [], []
     apply, score = heisenberg.HeisenbergGate.apply, montecarlo._band_scores
@@ -255,7 +266,7 @@ def test_heisenberg_qubit_blocks_score_bands_without_gate_passes(monkeypatch):
     monkeypatch.setattr(montecarlo, "_band_scores",
                         lambda tables, column, *rest: blocks.append(len(column))
                         or score(tables, column, *rest))
-    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1000)
+    monkeypatch.setattr(channels, "_BLOCK_FLOATS", 1000)
     mc_average_fidelity(HeisenbergStrategy(two_j=20), 1.0, 251, seed=0)
     assert vectors == [2]
     assert blocks == [64] * 3 + [59]
