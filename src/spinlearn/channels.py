@@ -1,13 +1,10 @@
-"""Quantum states and channels: Choi operators, Kraus channels, fidelities.
+"""Kraus channels, fidelities and the block rule of the Monte-Carlo samplers.
 
-Choi operators follow the trace-preservation convention Tr_out[C] = I_in
-(total trace = dim_in).  The index layout is (input (x) output): the matrix
-element C[(i,a),(j,b)] equals <a| N(|i><j|) |b> for a channel N.
-
-Spectra (the CP check, the Kraus form) are plain Hermitian
-eigendecompositions: the library forms only small Choi matrices (the
-universal NOT's is 8 x 8), and the covariant case channels of ``optimal``
-read their Kraus operators off the coupled families instead.
+A channel is the record ``KrausChannel`` of its Kraus operators, each a
+(dim_out, dim_in) matrix; the library builds them directly (the covariant case
+channels of ``optimal`` read theirs off the coupled families) and never forms
+a Choi matrix.  ``FidelityEstimate`` is the one Monte-Carlo estimator, and
+``_blocks`` the one rule by which every sampler splits its samples.
 """
 
 from __future__ import annotations
@@ -16,23 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-HERMITICITY_TOL = 1e-10
-POSITIVITY_TOL = 1e-10
-CHOI_POSITIVITY_TOL = 1e-9
-TRACE_PRESERVATION_TOL = 1e-9
-
-
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
-def min_eigenvalue(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
-
-
-def is_positive_semidefinite(a: np.ndarray, tol: float = POSITIVITY_TOL) -> bool:
-    return is_hermitian(a, tol) and min_eigenvalue(a) >= -tol
 
 
 @dataclass(frozen=True)
@@ -93,83 +73,12 @@ def maximally_entangled(d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChoiOperator:
-    """Choi matrix of a channel with Tr_out[C] = I_in."""
-
-    matrix: np.ndarray
-    dim_in: int
-    dim_out: int
-
-    def __post_init__(self):
-        expected = self.dim_in * self.dim_out
-        if self.matrix.shape != (expected, expected):
-            raise ValueError("Choi matrix shape inconsistent with dims")
-
-    def reshaped(self) -> np.ndarray:
-        return self.matrix.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
-
-    def trace_out_output(self) -> np.ndarray:
-        return np.einsum("iaja->ij", self.reshaped())
-
-    def is_completely_positive(self, tol: float = CHOI_POSITIVITY_TOL) -> bool:
-        return is_positive_semidefinite(self.matrix, tol)
-
-    def is_trace_preserving(self, tol: float = TRACE_PRESERVATION_TOL) -> bool:
-        return bool(np.max(np.abs(self.trace_out_output() - np.eye(self.dim_in))) <= tol)
-
-    def validate(self, cp_tol: float = CHOI_POSITIVITY_TOL,
-                 tp_tol: float = TRACE_PRESERVATION_TOL) -> None:
-        lam = min_eigenvalue(self.matrix)
-        if not (is_hermitian(self.matrix, cp_tol) and lam >= -cp_tol):
-            raise ValueError(f"Choi operator not CP (min eig {lam:.3e})")
-        if not self.is_trace_preserving(tp_tol):
-            resid = np.max(np.abs(self.trace_out_output() - np.eye(self.dim_in)))
-            raise ValueError(f"Choi operator not TP (residual {resid:.3e})")
-
-
-def choi_from_kraus(kraus, dim_in: int, dim_out: int) -> ChoiOperator:
-    vecs = np.stack(kraus).transpose(0, 2, 1).reshape(len(kraus), -1)  # (i, a) = K[a, i]
-    return ChoiOperator(matrix=vecs.T @ vecs.conj(), dim_in=dim_in, dim_out=dim_out)
-
-
-def kraus_from_choi(choi: ChoiOperator, tol: float = 1e-12) -> list[np.ndarray]:
-    """Kraus operators from the Choi eigendecomposition (Stinespring form)."""
-    vals, vecs = np.linalg.eigh(0.5 * (choi.matrix + choi.matrix.conj().T))
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > tol:
-            ops.append(np.sqrt(lam) * v.reshape(choi.dim_in, choi.dim_out).T)
-    return ops
-
-
-@dataclass(frozen=True)
 class KrausChannel:
-    """A channel given by an explicit Kraus decomposition."""
+    """A channel given by an explicit Kraus decomposition, (dim_out, dim_in) operators."""
 
     kraus: tuple
     dim_in: int
     dim_out: int
-
-    @classmethod
-    def from_unitary_with_trace(cls, unitary: np.ndarray, dim_keep: int) -> "KrausChannel":
-        """Stinespring channel: apply ``unitary`` then trace out the leading factor.
-
-        The input space factors as (traced (x) kept) with the kept factor of
-        dimension ``dim_keep`` last.
-        """
-        total = unitary.shape[0]
-        d_tr = total // dim_keep
-        u = unitary.reshape(d_tr, dim_keep, total)
-        return cls(kraus=tuple(u[i] for i in range(d_tr)), dim_in=total, dim_out=dim_keep)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return out
-
-    def to_choi(self) -> ChoiOperator:
-        return choi_from_kraus(self.kraus, self.dim_in, self.dim_out)
 
 
 def average_from_entanglement(fe: float, target_dim: int) -> float:

@@ -23,8 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spins
-from .channels import KrausChannel, average_from_entanglement
-from .rotations import Rotation
+from .channels import average_from_entanglement
 from .spins import (_check_nonzero_j, _check_target_spin, _check_theta, check_two_j,
                     check_valid_m, clebsch_gordan, dim, two_m_values)
 
@@ -194,10 +193,6 @@ class HeisenbergGate:
     def matrix(self) -> np.ndarray:
         return self.apply(np.eye(self.dim_total, dtype=complex)).T
 
-    def as_channel(self) -> KrausChannel:
-        """Interact then trace out the memory: Kraus form of the learning channel."""
-        return KrausChannel.from_unitary_with_trace(self.matrix(), dim(self.two_k))
-
 
 def heisenberg_unitary(two_j: int, two_k: int, theta: float,
                        f_override: float | None = None) -> HeisenbergGate:
@@ -261,26 +256,21 @@ def heisenberg_average_fidelity(two_j: int, theta: float,
         heisenberg_entanglement_fidelity(two_j, theta, f_override), 2)
 
 
-def per_input_fidelity(two_j: int, theta: float, polar: float, azimuth: float = 0.0,
-                       g: Rotation | None = None) -> float:
+def per_input_fidelity(two_j: int, theta: float, polar: float, azimuth: float = 0.0) -> float:
     """Exact fidelity for one target state at polar/azimuth angles from the axis.
 
-    The memory holds the coherent state along the (possibly rotated) axis; the
-    target state is parameterized relative to that axis.
+    The memory holds the coherent state |j,j> along z, the rotation axis; the
+    target state is cos(polar/2)|up> + exp(i azimuth) sin(polar/2)|down>.  By
+    covariance, any other axis gives the same value at the same relative angles.
     """
     gate = heisenberg_unitary(two_j, 1, theta)
+    _check_theta(polar, "polar")
+    _check_theta(azimuth, "azimuth")
     psi = np.array([math.cos(polar / 2.0),
                     np.exp(1j * azimuth) * math.sin(polar / 2.0)], dtype=complex)
-    if g is None:
-        probe = np.zeros(dim(two_j), dtype=complex)
-        probe[0] = 1.0
-        vg = Rotation.identity().qubit_unitary()
-    else:
-        probe = spins.coherent_state(two_j, g)
-        vg = g.qubit_unitary()
-        psi = vg @ psi  # state given at fixed angles from the rotated axis
-    v_theta = np.diag(np.exp(-0.5j * theta * np.array([1.0, -1.0])))
-    target = vg @ v_theta @ vg.conj().T @ psi
+    probe = np.zeros(dim(two_j), dtype=complex)
+    probe[0] = 1.0
+    target = np.diag(np.exp(-0.5j * theta * np.array([1.0, -1.0]))) @ psi
     out = gate.apply(np.kron(probe, psi)).reshape(dim(two_j), 2)
     return float(np.sum(np.abs(out @ target.conj()) ** 2))
 

@@ -282,8 +282,13 @@ def spin_k_mo_fidelity(two_j: int, two_k: int, theta: float, n_samples: int,
 def spin_k_mo_quadrature(two_j: int, two_k: int, theta: float,
                          grid: int = 20001) -> float:
     """Quadrature reference for the spin-k MO fidelity (independent of the
-    Monte-Carlo sampler; the outcome-axis azimuth drops out exactly)."""
+    Monte-Carlo sampler; the outcome-axis azimuth drops out exactly); needs
+    2j >= 0, a target 2k >= 1 and at least 2 ``grid`` points."""
+    spins.check_two_j(two_j)
+    spins._check_target_spin(two_k)
     spins._check_theta(theta)
+    if grid < 2:
+        raise ValueError(f"grid must be at least 2 points, got {grid!r}")
     x = np.linspace(0.0, 1.0, grid)  # cos^2(beta/2) of the estimate offset
     beta = 2.0 * np.arccos(np.sqrt(np.clip(x, 0.0, 1.0)))
     density = (two_j + 1) * x**two_j

@@ -252,9 +252,14 @@ def mc_average_fidelity(strategy: StrategyDescriptor, theta: float, n_samples: i
 
 def per_rotation_fidelity(strategy: StrategyDescriptor, theta: float, g_quaternion,
                           n_samples: int, seed) -> FidelityEstimate:
-    """State-averaged fidelity at one fixed training rotation (covariance probe)."""
+    """State-averaged fidelity at one fixed training rotation (covariance probe);
+    ``g_quaternion`` must be one finite unit quaternion (w, x, y, z), norm within 1e-12 of 1."""
     spins._check_theta(theta)
+    q = np.asarray(g_quaternion, dtype=float)
+    if q.shape != (4,) or not np.all(np.isfinite(q)) or abs(np.linalg.norm(q) - 1.0) > 1e-12:
+        raise ValueError(f"g_quaternion must be a finite unit quaternion of shape (4,), "
+                         f"got {g_quaternion!r}")
     rng = np.random.default_rng(seed)
-    q_g = np.broadcast_to(np.asarray(g_quaternion, dtype=float), (n_samples, 4)).copy()
+    q_g = np.broadcast_to(q, (n_samples, 4)).copy()
     return FidelityEstimate.from_samples(_strategy_samples(strategy, theta, rng, n_samples,
                                                            q_g=q_g))

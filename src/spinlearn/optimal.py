@@ -23,14 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import heisenberg, spins
-from .channels import (
-    ChoiOperator,
-    KrausChannel,
-    average_from_entanglement,
-    kraus_from_choi,
-    min_eigenvalue,
-)
+from . import spins
+from .channels import KrausChannel, average_from_entanglement
 from .spins import CouplingCoeffs, check_valid_m, coupling_decomposition, dim
 from .strategies import (
     CaseChoiStrategy,
@@ -93,7 +87,7 @@ def validate_params(params: CovariantChoiParams, two_j: int, tol: float = 1e-9) 
         raise ValueError(f"trace-preservation constraints violated: {r1:.2e}, {r2:.2e}")
     if params.alpha < -tol or (params.beta is not None and params.beta < -tol):
         raise ValueError("block weights must be non-negative")
-    lam = min_eigenvalue(params.m_matrix)
+    lam = np.linalg.eigvalsh(params.m_matrix)[0]  # M is Hermitian by construction
     if lam < -tol:
         raise ValueError(f"M is not positive semidefinite (min eig {lam:.2e})")
 
@@ -280,7 +274,12 @@ def case_fidelity(case: int, two_j: int, two_m: int, theta: float
 
 def case1_entanglement_fidelity(two_j: int, two_m: int, theta: float) -> float:
     """Closed form of the case-1 fidelity, (|A| + |B|)^2 / (2j+1)^2."""
-    spins._check_theta(theta)
+    check_valid_m(two_j, two_m)
+    return _case1_fidelity(two_j, two_m, spins._check_theta(theta))
+
+
+def _case1_fidelity(two_j: int, two_m: int, theta: float) -> float:
+    """``case1_entanglement_fidelity`` for arguments the caller has already checked."""
     j = two_j / 2.0
     m = two_m / 2.0
     c = math.cos(theta / 2.0)
@@ -291,8 +290,12 @@ def case1_entanglement_fidelity(two_j: int, two_m: int, theta: float) -> float:
 
 
 def case2_alpha(theta: float) -> float:
-    """Weight of the stretched block in the j = 1/2 case-2 mixture."""
+    """Weight of the stretched block in the j = 1/2 case-2 mixture, defined in the
+    window |theta - pi| <= delta_half() (theta taken mod 2 pi) where that mixture is optimal."""
     spins._check_theta(theta)
+    if abs(float(theta) % (2.0 * math.pi) - math.pi) > _DELTA_HALF:
+        raise ValueError(f"theta={theta!r} lies outside the j = 1/2 case-2 window "
+                         f"|theta - pi| <= {_DELTA_HALF!r}")
     c = math.cos(theta)
     return (1.0 + 8.0 * c + 9.0 * c * c) / (3.0 * (1.0 + 2.0 * c) ** 2)
 
@@ -325,7 +328,7 @@ def _optimal_regime(two_j: int, theta: float, problem: int) -> tuple[str, int, f
     elif two_j == 2 and problem == 2 and dist <= _DELTA_ONE:
         regime, two_m, fe = "j1_anomalous_problem2", 0, case_fidelity(3, 2, 0, theta)[0]
     else:
-        regime, two_m, fe = "case1", two_j, case1_entanglement_fidelity(two_j, two_j, theta)
+        regime, two_m, fe = "case1", two_j, _case1_fidelity(two_j, two_j, theta)
     return regime, two_m, _regime_fidelity(average_from_entanglement(fe, 2))
 
 
@@ -366,47 +369,6 @@ def _unot_instrument(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return math.sqrt(max(1.0 - 4.0 * alpha / 3.0, 0.0)) * p1 + p0, math.sqrt(4.0 * alpha / 3.0) * p1
 
 
-def unot_channel() -> KrausChannel:
-    """Optimal 2-to-1 universal NOT, exact via its Pauli transfer form.
-
-    Trace preserving on the triplet (symmetric) subspace only; used as the
-    conditional branch after projecting there.
-    """
-    labels = ["i", "x", "y", "z"]
-    basis = [np.kron(PAULI[p], PAULI[q]) for p in labels for q in labels]
-
-    def act(rho: np.ndarray) -> np.ndarray:
-        r = np.array([np.trace(b @ rho) for b in basis]).reshape(4, 4)
-        out = 0.375 * (r[0, 0] + (r[1, 1] + r[2, 2] + r[3, 3]) / 3.0) * PAULI["i"]
-        for k, p in enumerate(("x", "y", "z"), start=1):
-            out = out - 0.125 * (r[0, k] + r[k, 0]) * PAULI[p]
-        return out
-
-    blocks = []
-    for i in range(4):
-        row = []
-        for jj in range(4):
-            e = np.zeros((4, 4), dtype=complex)
-            e[i, jj] = 1.0
-            row.append(act(e))
-        blocks.append(row)
-    mat = np.array(blocks).transpose(0, 2, 1, 3).reshape(8, 8)
-    choi = ChoiOperator(matrix=mat, dim_in=4, dim_out=2)
-    return KrausChannel(kraus=tuple(kraus_from_choi(choi)), dim_in=4, dim_out=2)
-
-
-def unot_mixture_channel(alpha: float, theta: float) -> KrausChannel:
-    """j = 1/2 optimal strategy: two-outcome block measurement, then either the
-    optimized spin-spin gate ("yes") or the 2-to-1 universal NOT ("no")."""
-    m_yes, m_no = _unot_instrument(alpha)
-    gate = heisenberg.heisenberg_unitary(1, 1, theta)
-    yes_part = KrausChannel.from_unitary_with_trace(gate.matrix() @ m_yes, 2)
-    kraus = list(yes_part.kraus)
-    if alpha > 0.0:
-        kraus.extend(k @ m_no for k in unot_channel().kraus)
-    return KrausChannel(kraus=tuple(kraus), dim_in=4, dim_out=2)
-
-
 def discrete_xyz_projectors() -> list[tuple[np.ndarray, np.ndarray]]:
     """(axis, state) pairs for the three-outcome spin-1 measurement.
 
@@ -442,8 +404,9 @@ def case_choi_channel(strategy: CaseChoiStrategy) -> KrausChannel:
     sqrt(beta) x the bottom rows and sqrt(mu_i) x the u_i-combination of the
     plus and minus rows, for each eigenpair (mu_i, u_i) of M (conjugated, as
     in the block coefficients), and a row v on (probe, out, in) is the Kraus
-    operator K[out, (probe, in)].  Weights of at most 1e-12 are dropped, as
-    ``kraus_from_choi`` drops eigenvalues; ``validate_params`` is the CP/TP check.
+    operator K[out, (probe, in)].  Weights of at most 1e-12 are dropped, as a
+    Kraus form read off the Choi spectrum drops eigenvalues (the test oracle
+    ``kraus_from_choi``); ``validate_params`` is the CP/TP check.
     """
     two_j = strategy.two_j
     _, params = case_fidelity(strategy.case, two_j, strategy.two_m, strategy.theta)

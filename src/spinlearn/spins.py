@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rotations import Rotation, _euler_zyz_and_moduli, euler_zyz_from_quaternion
+from .rotations import _euler_zyz_and_moduli, euler_zyz_from_quaternion
 
 
 class InvalidQuantumNumbersError(ValueError):
@@ -119,20 +119,10 @@ def rotation_irrep_euler(two_j: int, alpha, beta, gamma) -> np.ndarray:
     return left[..., :, None] * dmat * right[..., None, :]
 
 
-def rotation_irrep(two_j: int, g: Rotation) -> np.ndarray:
-    """(2j+1)-dimensional unitary representing the rotation ``g``."""
-    alpha, beta, gamma = g.euler_zyz()
-    return rotation_irrep_euler(two_j, alpha, beta, gamma)
-
-
 def rotation_irrep_batch(two_j: int, quaternions: np.ndarray) -> np.ndarray:
+    """(..., 2j+1, 2j+1) unitaries representing the rotations ``quaternions`` (..., 4)."""
     alpha, beta, gamma = euler_zyz_from_quaternion(quaternions)
     return rotation_irrep_euler(two_j, alpha, beta, gamma)
-
-
-def coherent_state(two_j: int, g: Rotation) -> np.ndarray:
-    """Rotated maximal-weight state U_g |j,j> (column vector)."""
-    return rotation_irrep(two_j, g)[:, 0]
 
 
 def wigner_d_columns(two_j: int, quaternions: np.ndarray, two_m

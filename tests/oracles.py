@@ -7,15 +7,48 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from spinlearn import heisenberg, optimal, rotations, spins
-from spinlearn.channels import ChoiOperator, maximally_entangled
+from spinlearn.channels import KrausChannel, maximally_entangled
 from spinlearn.memory import MemoryDistribution, _fidelity_from_moments, thermal_state
 from spinlearn.montecarlo import (_conditional_fidelity_channel_output, _target_states,
                                   sample_pure_states)
 from spinlearn.spins import _check_nonzero_j, coupling_decomposition, dim, two_m_values
+
+
+def quat_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product, broadcasting over leading axes; last axis is (w,x,y,z)."""
+    w1, x1, y1, z1 = np.moveaxis(p, -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(q, -1, 0)
+    return np.stack(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ],
+        axis=-1,
+    )
+
+
+def quat_conjugate(q: np.ndarray) -> np.ndarray:
+    out = np.array(q, dtype=float, copy=True)
+    out[..., 1:] *= -1.0
+    return out
+
+
+def rotation_angle(q: np.ndarray) -> np.ndarray:
+    """SO(3) rotation angle in [0, pi] of quaternion(s) ``q``."""
+    w = np.clip(np.abs(np.asarray(q, dtype=float)[..., 0]), 0.0, 1.0)
+    return 2.0 * np.arccos(w)
+
+
+def axis_angle_quaternion(axis, angle: float) -> np.ndarray:
+    """Quaternion of a rotation by ``angle`` about the unit vector ``axis``."""
+    return np.concatenate([[math.cos(angle / 2)], math.sin(angle / 2) * np.asarray(axis, float)])
 
 
 def z_rotation_quaternion(theta) -> np.ndarray:
@@ -32,13 +65,100 @@ def conjugated_z_rotation(q_g: np.ndarray, theta) -> np.ndarray:
     z-rotation dragged by g (``rotations.z_axis`` gives its axis in closed form)."""
     qz = z_rotation_quaternion(theta)
     qz = np.broadcast_to(qz, np.broadcast_shapes(q_g.shape, qz.shape))
-    return rotations.quat_multiply(rotations.quat_multiply(q_g, qz),
-                                   rotations.quat_conjugate(np.broadcast_to(q_g, qz.shape)))
+    return quat_multiply(quat_multiply(q_g, qz), quat_conjugate(np.broadcast_to(q_g, qz.shape)))
 
 
 def relative_rotation_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """SO(3) angle of p^-1 q, batched."""
-    return rotations.rotation_angle(rotations.quat_multiply(rotations.quat_conjugate(p), q))
+    return rotation_angle(quat_multiply(quat_conjugate(p), q))
+
+
+# Choi operators follow the trace-preservation convention Tr_out[C] = I_in, laid out as
+# (input (x) output): C[(i,a),(j,b)] = <a| N(|i><j|) |b> for a channel N.
+HERMITICITY_TOL = 1e-10
+POSITIVITY_TOL = 1e-10
+CHOI_POSITIVITY_TOL = 1e-9
+TRACE_PRESERVATION_TOL = 1e-9
+
+
+def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+
+
+def _min_eigenvalue(a: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
+
+
+def is_positive_semidefinite(a: np.ndarray, tol: float = POSITIVITY_TOL) -> bool:
+    return is_hermitian(a, tol) and _min_eigenvalue(a) >= -tol
+
+
+@dataclass(frozen=True)
+class ChoiOperator:
+    """Choi matrix of a channel with Tr_out[C] = I_in."""
+
+    matrix: np.ndarray
+    dim_in: int
+    dim_out: int
+
+    def __post_init__(self):
+        expected = self.dim_in * self.dim_out
+        if self.matrix.shape != (expected, expected):
+            raise ValueError("Choi matrix shape inconsistent with dims")
+
+    def reshaped(self) -> np.ndarray:
+        return self.matrix.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
+
+    def trace_out_output(self) -> np.ndarray:
+        return np.einsum("iaja->ij", self.reshaped())
+
+    def is_completely_positive(self, tol: float = CHOI_POSITIVITY_TOL) -> bool:
+        return is_positive_semidefinite(self.matrix, tol)
+
+    def is_trace_preserving(self, tol: float = TRACE_PRESERVATION_TOL) -> bool:
+        return bool(np.max(np.abs(self.trace_out_output() - np.eye(self.dim_in))) <= tol)
+
+    def validate(self, cp_tol: float = CHOI_POSITIVITY_TOL,
+                 tp_tol: float = TRACE_PRESERVATION_TOL) -> None:
+        if not self.is_completely_positive(cp_tol):
+            raise ValueError(f"Choi operator not CP (min eig {_min_eigenvalue(self.matrix):.3e})")
+        if not self.is_trace_preserving(tp_tol):
+            resid = np.max(np.abs(self.trace_out_output() - np.eye(self.dim_in)))
+            raise ValueError(f"Choi operator not TP (residual {resid:.3e})")
+
+
+def choi_from_kraus(kraus, dim_in: int, dim_out: int) -> ChoiOperator:
+    vecs = np.stack(kraus).transpose(0, 2, 1).reshape(len(kraus), -1)  # (i, a) = K[a, i]
+    return ChoiOperator(matrix=vecs.T @ vecs.conj(), dim_in=dim_in, dim_out=dim_out)
+
+
+def kraus_from_choi(choi: ChoiOperator, tol: float = 1e-12) -> list[np.ndarray]:
+    """Kraus operators from the Choi eigendecomposition (Stinespring form)."""
+    vals, vecs = np.linalg.eigh(0.5 * (choi.matrix + choi.matrix.conj().T))
+    return [np.sqrt(lam) * v.reshape(choi.dim_in, choi.dim_out).T
+            for lam, v in zip(vals, vecs.T) if lam > tol]
+
+
+def channel_choi(channel: KrausChannel) -> ChoiOperator:
+    return choi_from_kraus(channel.kraus, channel.dim_in, channel.dim_out)
+
+
+def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """sum_k K rho K^dag over the channel's Kraus operators."""
+    return sum(k @ rho @ k.conj().T for k in channel.kraus)
+
+
+def stinespring_channel(unitary: np.ndarray, dim_keep: int) -> KrausChannel:
+    """Apply ``unitary``, then trace out the leading factor: the input space factors
+    as (traced (x) kept), with the kept factor of dimension ``dim_keep`` last."""
+    total = unitary.shape[0]
+    u = unitary.reshape(total // dim_keep, dim_keep, total)
+    return KrausChannel(kraus=tuple(u), dim_in=total, dim_out=dim_keep)
+
+
+def gate_channel(gate: heisenberg.HeisenbergGate) -> KrausChannel:
+    """Interact, then trace out the memory: Kraus form of the gate's learning channel."""
+    return stinespring_channel(gate.matrix(), dim(gate.two_k))
 
 
 def identity_choi(d: int) -> ChoiOperator:
@@ -208,6 +328,40 @@ def brute_force_optimum(two_j: int, two_m: int, theta: float,
         span_p *= 0.5
         span_m *= 0.5
     return float(best)
+
+
+def unot_channel() -> KrausChannel:
+    """Optimal 2-to-1 universal NOT, exact via its Pauli transfer form.
+
+    Trace preserving on the triplet (symmetric) subspace only; used as the
+    conditional branch after projecting there.
+    """
+    pauli = optimal.PAULI
+    labels = ["i", "x", "y", "z"]
+    basis = [np.kron(pauli[p], pauli[q]) for p in labels for q in labels]
+
+    def act(rho: np.ndarray) -> np.ndarray:
+        r = np.array([np.trace(b @ rho) for b in basis]).reshape(4, 4)
+        out = 0.375 * (r[0, 0] + (r[1, 1] + r[2, 2] + r[3, 3]) / 3.0) * pauli["i"]
+        for k, p in enumerate(("x", "y", "z"), start=1):
+            out = out - 0.125 * (r[0, k] + r[k, 0]) * pauli[p]
+        return out
+
+    units = np.eye(16, dtype=complex).reshape(4, 4, 4, 4)  # units[i, j] = |i><j|
+    mat = np.array([[act(units[i, jj]) for jj in range(4)] for i in range(4)])
+    choi = ChoiOperator(matrix=mat.transpose(0, 2, 1, 3).reshape(8, 8), dim_in=4, dim_out=2)
+    return KrausChannel(kraus=tuple(kraus_from_choi(choi)), dim_in=4, dim_out=2)
+
+
+def unot_mixture_channel(alpha: float, theta: float) -> KrausChannel:
+    """j = 1/2 optimal strategy: two-outcome block measurement, then either the
+    optimized spin-spin gate ("yes") or the 2-to-1 universal NOT ("no")."""
+    m_yes, m_no = optimal._unot_instrument(alpha)
+    gate = heisenberg.heisenberg_unitary(1, 1, theta)
+    kraus = list(stinespring_channel(gate.matrix() @ m_yes, 2).kraus)
+    if alpha > 0.0:
+        kraus.extend(k @ m_no for k in unot_channel().kraus)
+    return KrausChannel(kraus=tuple(kraus), dim_in=4, dim_out=2)
 
 
 def bell_basis() -> np.ndarray:

@@ -143,11 +143,11 @@ def test_criterion_9_property_suites():
     for case, two_j, two_m, theta in ((1, 3, 3, 2.0), (2, 1, 1, math.pi), (3, 4, 0, 2.9)):
         _, params = optimal.case_fidelity(case, two_j, two_m, theta)
         oracles.covariant_choi_build(params, two_j).validate()
-    optimal.unot_mixture_channel(0.5, 2.8).to_choi().validate()
-    optimal.discrete_xyz_channel().to_choi().validate()
+    oracles.channel_choi(oracles.unot_mixture_channel(0.5, 2.8)).validate()
+    oracles.channel_choi(optimal.discrete_xyz_channel()).validate()
     from spinlearn.heisenberg import heisenberg_unitary
 
-    heisenberg_unitary(4, 1, 1.7).as_channel().to_choi().validate()
+    oracles.channel_choi(oracles.gate_channel(heisenberg_unitary(4, 1, 1.7))).validate()
 
     # kernel stochasticity (the exact kernel is stochastic at every 2j >= 1)
     for _ in range(20):
@@ -170,8 +170,9 @@ def test_criterion_9_property_suites():
         z = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         q, _ = np.linalg.qr(z)
         ch = channels.KrausChannel(kraus=(q[:2], q[2:]), dim_in=2, dim_out=2)
-        unital = np.max(np.abs(ch.apply(np.eye(2, dtype=complex)) - np.eye(2))) < 1e-9
-        assert oracles.unital_bell_reality_check(ch.to_choi()) == bool(unital)
+        identity_out = oracles.apply_channel(ch, np.eye(2, dtype=complex))
+        unital = np.max(np.abs(identity_out - np.eye(2))) < 1e-9
+        assert oracles.unital_bell_reality_check(oracles.channel_choi(ch)) == bool(unital)
 
     elapsed = time.monotonic() - start
     assert elapsed < 120.0

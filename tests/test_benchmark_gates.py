@@ -20,15 +20,19 @@ import spinlearn
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _run(tmp_path, workload, *args):
-    out = tmp_path / "result.json"
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run(tmp_path, workload, *args):
+    out = tmp_path / "result.json"
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "workloads.py"), "--workload", workload,
          "--seed", "0", "--out", str(out), *args],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
     assert result["ops"]
@@ -79,3 +83,13 @@ def test_every_traced_name_resolves_and_is_wrapped(monkeypatch):
         restore()
     assert unwrapped == []
     assert all(_resolve(name) is fn for name, fn in plain.items())
+
+
+def test_harness_self_test_passes():
+    # the harness's own tests in a fresh process: run after this suite in one
+    # process, they would see the package's caches already warm
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         os.path.join("perfbench", "test_harness.py")],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

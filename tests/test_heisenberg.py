@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import coupled_basis_vectors, coupling_sectors_by_racah
+from oracles import coupled_basis_vectors, coupling_sectors_by_racah, gate_channel
 from spinlearn import heisenberg, optimal, spins
 from spinlearn.heisenberg import (
     f_angle,
@@ -20,7 +20,7 @@ from spinlearn.heisenberg import (
     worst_case_fidelity,
 )
 from spinlearn.mo import spin_k_mo_asymptote
-from spinlearn.rotations import haar_rotation
+from spinlearn.rotations import haar_quaternions, su2_from_quaternion
 
 
 def _f_literal(two_j, theta):
@@ -261,11 +261,31 @@ def test_worst_case_below_average():
 
 
 def test_per_input_fidelity_rotation_invariant(rng):
+    # rotate the axis by g: probe U_g|j,j>, input state V_g psi and target
+    # V_g R_z(theta) V_g^dag (V_g psi), with psi at the same angles from the axis
+    two_j, theta, polar, azimuth = 6, 2.2, 0.9, 0.3
+    gate = heisenberg_unitary(two_j, 1, theta)
+    psi0 = np.array([math.cos(polar / 2), np.exp(1j * azimuth) * math.sin(polar / 2)])
+    v_theta = np.diag(np.exp(-0.5j * theta * np.array([1.0, -1.0])))
     for _ in range(5):
-        g = haar_rotation(rng)
-        a = per_input_fidelity(6, 2.2, 0.9, 0.3)
-        b = per_input_fidelity(6, 2.2, 0.9, 0.3, g=g)
-        assert a == pytest.approx(b, abs=1e-10)
+        g = haar_quaternions(rng, 1)
+        probe = spins.rotated_basis_states_batch(two_j, g, two_j)[0]
+        vg = su2_from_quaternion(g[0])
+        psi = vg @ psi0
+        target = vg @ v_theta @ vg.conj().T @ psi
+        out = gate.apply(np.kron(probe, psi)).reshape(-1, 2)
+        rotated = float(np.sum(np.abs(out @ target.conj()) ** 2))
+        assert per_input_fidelity(two_j, theta, polar, azimuth) == pytest.approx(rotated, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["polar", "azimuth"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_per_input_fidelity_names_a_non_finite_angle(name, value):
+    # unchecked, a nan returned nan and an infinite polar angle raised a bare
+    # "math domain error"
+    angles = {"polar": 0.7, "azimuth": 0.2, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        per_input_fidelity(4, 1.3, **angles)
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 8, 21])
@@ -354,7 +374,7 @@ def test_spin_k_qubit_consistency(two_j, two_k, theta):
     # the diagonal-amplitude sum against the applied gate's learning channel
     # (at 2k = 1 the gate's angle is f(theta), not theta)
     fe = spin_k_entanglement_fidelity_exact(two_j, two_k, theta)
-    ch = heisenberg_unitary(two_j, two_k, theta).as_channel()
+    ch = gate_channel(heisenberg_unitary(two_j, two_k, theta))
     probe = np.zeros(spins.dim(two_j), dtype=complex)
     probe[0] = 1.0
     v = np.diag(np.exp(-1j * theta * spins.m_values(two_k)))

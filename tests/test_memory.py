@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     complementary_step,
+    gate_channel,
     recycling_trajectories,
     step_kernel,
     stinespring_complementary_populations,
@@ -217,7 +218,7 @@ def test_fidelity_given_m_matches_generic_channel_route():
         probe = np.zeros(dim(two_j), dtype=complex)
         probe[(two_j - two_m) // 2] = 1.0
         v = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-        fe = entanglement_fidelity(gate.as_channel(), probe, v).value
+        fe = entanglement_fidelity(gate_channel(gate), probe, v).value
         from spinlearn.channels import average_from_entanglement
 
         assert fidelity_given_m(two_j, two_m, theta) == pytest.approx(

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import identity_choi, unital_bell_reality_check
+from oracles import (
+    apply_channel,
+    channel_choi,
+    choi_from_kraus,
+    identity_choi,
+    quat_multiply,
+    unital_bell_reality_check,
+)
 from spinlearn import channels, mo, spins
-from spinlearn.channels import average_from_entanglement, choi_from_kraus
+from spinlearn.channels import average_from_entanglement
 from spinlearn.memory import _bisect
 from spinlearn.mo import (
     MOParams,
@@ -24,7 +31,7 @@ from spinlearn.mo import (
     spin_k_mo_asymptote,
     spin_k_mo_fidelity,
 )
-from spinlearn.rotations import haar_quaternions, quat_multiply
+from spinlearn.rotations import haar_quaternions
 from spinlearn.spins import InvalidQuantumNumbersError
 
 
@@ -275,8 +282,9 @@ def test_unitality_iff_bell_real(rng):
     seen_nonunital = 0
     for _ in range(100):
         ch = _random_channel(rng)
-        choi = ch.to_choi()
-        unital = bool(np.max(np.abs(ch.apply(np.eye(2, dtype=complex)) - np.eye(2))) < 1e-9)
+        choi = channel_choi(ch)
+        identity_out = apply_channel(ch, np.eye(2, dtype=complex))
+        unital = bool(np.max(np.abs(identity_out - np.eye(2))) < 1e-9)
         assert unital_bell_reality_check(choi) == unital
         seen_nonunital += not unital
     assert seen_nonunital > 50
@@ -402,6 +410,18 @@ def test_non_finite_theta_prime_is_named(call, theta_prime):
     # at the parent these returned nan or raised a bare "math domain error"
     with pytest.raises(ValueError, match="^theta_prime must be finite"):
         call(theta_prime)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"two_k": 0}, "two_k"), ({"grid": 1}, "^grid must be"), ({"grid": 0}, "^grid must be"),
+    ({"two_j": -1}, "^two_j must be"),
+])
+def test_spin_k_mo_quadrature_names_its_bad_argument(kwargs, message):
+    # unchecked, 2k = 0 returned 1.0000000020833, a fidelity above 1, grid = 1
+    # returned 0.333 and 2j = -1 returned nan
+    args = {"two_j": 4, "two_k": 1, "theta": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        mo.spin_k_mo_quadrature(**args)
 
 
 def test_non_finite_theta_prime_is_rejected_before_sampling():

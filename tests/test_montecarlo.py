@@ -8,7 +8,7 @@ import oracles
 from spinlearn import channels, heisenberg, memory, mo, montecarlo, optimal, rotations, spins
 from spinlearn.channels import average_from_entanglement, entanglement_fidelity
 from spinlearn.montecarlo import mc_average_fidelity, per_rotation_fidelity
-from spinlearn.rotations import haar_rotation
+from spinlearn.rotations import haar_quaternions
 from spinlearn.strategies import (
     CaseChoiStrategy,
     DiscreteXYZ,
@@ -98,7 +98,7 @@ def test_fidelity_reduction_for_mixture_channel():
     # exact entanglement fidelity of the explicit channel vs the MC average
     theta = 2.9
     alpha = optimal.case2_alpha(theta)
-    ch = optimal.unot_mixture_channel(alpha, theta)
+    ch = oracles.unot_mixture_channel(alpha, theta)
     probe = np.array([1.0, 0.0], dtype=complex)
     v = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
     fe = entanglement_fidelity(ch, probe, v).value
@@ -116,9 +116,8 @@ def test_spin_k_strategy_matches_exact():
 def test_covariance_of_per_rotation_fidelity(rng):
     expect = 17 / 24
     for _ in range(4):
-        g = haar_rotation(rng)
-        est = per_rotation_fidelity(HeisenbergStrategy(two_j=3), math.pi,
-                                    g.quaternion, 50000, seed=13)
+        g = haar_quaternions(rng, 1)[0]
+        est = per_rotation_fidelity(HeisenbergStrategy(two_j=3), math.pi, g, 50000, seed=13)
         assert est.n_sigma(expect) < 4.0
 
 
@@ -132,9 +131,26 @@ def test_covariance_of_per_rotation_mo_fidelity(rng, two_j, two_m, xi_two_n, the
     expect = average_from_entanglement(
         mo.mo_element_fidelity(two_j, two_m, xi_two_n, theta, tp), 2)
     for _ in range(3):
-        g = haar_rotation(rng)
-        est = per_rotation_fidelity(strategy, theta, g.quaternion, 50000, seed=14)
+        g = haar_quaternions(rng, 1)[0]
+        est = per_rotation_fidelity(strategy, theta, g, 50000, seed=14)
         assert est.n_sigma(expect) < 4.0
+
+
+def test_unit_norm_enforced():
+    # per_rotation_fidelity is the one entry point that takes a caller's quaternion;
+    # without this check [0.5, 0.5, 0, 0] gave 0.293 where the covariant value is
+    # 17/24, and [1, 1, 0, 0] gave 1.0
+    strategy = HeisenbergStrategy(two_j=3)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    for q in ([0.5, 0.5, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [1.0 + 2e-12, 0.0, 0.0, 0.0],
+              [math.nan, 0.0, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+              [[1.0, 0.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="^g_quaternion must be a finite unit quaternion"):
+            per_rotation_fidelity(strategy, math.pi, q, 100, seed=rng)
+    assert rng.bit_generator.state == state  # checked before any sample is drawn
+    near = per_rotation_fidelity(strategy, math.pi, [1.0 + 5e-13, 0.0, 0.0, 0.0], 100, seed=0)
+    assert near == per_rotation_fidelity(strategy, math.pi, [1.0, 0.0, 0.0, 0.0], 100, seed=0)
 
 
 def test_same_seed_gives_identical_estimate():

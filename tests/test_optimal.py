@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from oracles import apply_choi, brute_force_optimum, covariant_choi_build
+from oracles import (
+    apply_channel,
+    apply_choi,
+    brute_force_optimum,
+    channel_choi,
+    choi_from_kraus,
+    covariant_choi_build,
+    kraus_from_choi,
+    unot_channel,
+    unot_mixture_channel,
+)
 from spinlearn import channels, mo, spins
 from spinlearn.channels import KrausChannel, average_from_entanglement, entanglement_fidelity
 from spinlearn.memory import _bisect
@@ -24,12 +34,10 @@ from spinlearn.optimal import (
     optimal_average_fidelity,
     optimal_fidelity,
     tp_residuals,
-    unot_channel,
-    unot_mixture_channel,
     validate_params,
 )
 from spinlearn.montecarlo import mc_average_fidelity
-from spinlearn.rotations import haar_quaternions, haar_rotation
+from spinlearn.rotations import haar_quaternions, su2_from_quaternion
 from spinlearn.strategies import CaseChoiStrategy, DiscreteXYZ, HeisenbergStrategy, UNotMixture
 
 
@@ -68,7 +76,7 @@ def test_choi_build_cp_tp_and_fidelity_consistency(two_j, rng):
         theta = rng.uniform(0.0, 2 * math.pi)
         two_m = int(rng.choice(spins.two_m_values(two_j)))
         fe = covariant_fidelity(params, two_j, two_m, theta)
-        ch = KrausChannel(kraus=tuple(channels.kraus_from_choi(choi)),
+        ch = KrausChannel(kraus=tuple(kraus_from_choi(choi)),
                           dim_in=choi.dim_in, dim_out=2)
         probe = np.zeros(spins.dim(two_j), dtype=complex)
         probe[spins.basis_index(two_j, two_m)] = 1.0
@@ -99,7 +107,7 @@ def test_case_choi_splits_into_total_m_blocks(case, two_j, two_m, theta):
 def test_case_choi_kraus_round_trip(case, two_j, two_m, theta):
     _, params = case_fidelity(case, two_j, two_m, theta)
     choi = covariant_choi_build(params, two_j)
-    back = channels.choi_from_kraus(channels.kraus_from_choi(choi), choi.dim_in, choi.dim_out)
+    back = choi_from_kraus(kraus_from_choi(choi), choi.dim_in, choi.dim_out)
     assert np.max(np.abs(back.matrix - choi.matrix)) < 1e-12
 
 
@@ -122,9 +130,9 @@ def test_case_choi_channel_kraus_equal_the_dense_choi_oracle(case, two_j, two_m,
     _, params = case_fidelity(case, two_j, two_m, theta)
     oracle = covariant_choi_build(params, two_j)
     channel = case_choi_channel(CaseChoiStrategy(case, two_j, two_m, theta))
-    back = channels.choi_from_kraus(channel.kraus, channel.dim_in, channel.dim_out)
+    back = choi_from_kraus(channel.kraus, channel.dim_in, channel.dim_out)
     assert np.max(np.abs(back.matrix - oracle.matrix)) < 1e-13
-    assert len(channel.kraus) == len(channels.kraus_from_choi(oracle))
+    assert len(channel.kraus) == len(kraus_from_choi(oracle))
 
 
 @pytest.mark.parametrize("two_j", range(13))
@@ -179,9 +187,9 @@ def test_choi_build_covariance(rng):
     rho = rho @ rho.T + 0j
     rho /= np.trace(rho)
     for _ in range(20):
-        g = haar_rotation(rng)
-        u_in = np.kron(spins.rotation_irrep(4, g), g.qubit_unitary())
-        u_out = g.qubit_unitary()
+        g = haar_quaternions(rng, 1)[0]
+        u_out = su2_from_quaternion(g)
+        u_in = np.kron(spins.rotation_irrep_batch(4, g), u_out)
         lhs = apply_choi(choi, u_in @ rho @ u_in.conj().T)
         rhs = u_out @ apply_choi(choi, rho) @ u_out.conj().T
         assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -392,7 +400,7 @@ def test_unot_channel_bloch_shrinking(rng):
         z /= np.linalg.norm(z)
         rho = np.outer(z, z.conj())
         r = np.array([np.trace(p @ rho).real for p in paulis])
-        out = ch.apply(np.kron(rho, 0.5 * np.eye(2)))
+        out = apply_channel(ch, np.kron(rho, 0.5 * np.eye(2)))
         r_out = np.array([np.trace(p @ out).real for p in paulis]) / np.trace(out).real
         assert np.allclose(r_out, -r / 3.0, atol=1e-10)
 
@@ -401,8 +409,6 @@ def test_unot_channel_against_haar_integral_oracle(rng):
     # brute-force the defining coherent-state integral by Monte Carlo
     ch = unot_channel()
     n = 100000
-    from spinlearn.rotations import su2_from_quaternion
-
     u = su2_from_quaternion(haar_quaternions(np.random.default_rng(17), n))
     chi = u[:, :, 0]
     flip = u[:, :, 1]
@@ -412,12 +418,12 @@ def test_unot_channel_against_haar_integral_oracle(rng):
     pair = np.einsum("ni,nj->nij", chi, chi).reshape(n, 4)
     w = 3.0 * np.real(np.einsum("ni,ij,nj->n", pair.conj(), rho, pair))
     mc = np.einsum("n,ni,nj->ij", w, flip, flip.conj()) / n
-    exact = ch.apply(rho)
+    exact = apply_channel(ch, rho)
     assert np.max(np.abs(mc - exact)) < 0.02
 
 
 def test_unot_trace_preserving_on_triplet():
-    tr = unot_channel().to_choi().trace_out_output()
+    tr = channel_choi(unot_channel()).trace_out_output()
     singlet = np.zeros(4, dtype=complex)
     singlet[1] = 1 / math.sqrt(2)
     singlet[2] = -1 / math.sqrt(2)
@@ -493,3 +499,31 @@ def test_unot_instrument_names_alpha_outside_its_range(alpha):
                  lambda: mc_average_fidelity(UNotMixture(alpha=alpha), 1.0, 100, seed=0)):
         with pytest.raises(ValueError, match="^alpha must lie in"):
             call()
+
+
+@pytest.mark.parametrize("two_j, two_m", [(3, 7), (-1, -1), (3, 2), (0, 2), (2, -4)])
+def test_case1_formula_names_invalid_quantum_numbers(two_j, two_m):
+    # unchecked, (3, 7) returned 1.497, a fidelity above 1, and (-1, -1) raised a
+    # bare ZeroDivisionError
+    with pytest.raises(spins.InvalidQuantumNumbersError, match="two_"):
+        case1_entanglement_fidelity(two_j, two_m, 1.0)
+
+
+@pytest.mark.parametrize("theta", [2 * math.pi / 3, 0.0, 1.3, math.pi - delta_half() - 1e-9,
+                                   math.pi + delta_half() + 1e-9,
+                                   3 * math.pi - delta_half() - 1e-9])
+def test_case2_alpha_names_theta_outside_its_window(theta):
+    # unchecked, 2 pi / 3 returned -1.27e30 and the window's edges a negative weight
+    with pytest.raises(ValueError, match="^theta=.* outside the j = 1/2 case-2 window"):
+        case2_alpha(theta)
+
+
+def test_case2_alpha_takes_every_angle_the_dispatcher_sends():
+    # every theta the j = 1/2 dispatcher reads as the mixture, its edges included,
+    # gives a weight in [0, 2/3]
+    edges = [math.pi - delta_half(), math.pi + delta_half()]
+    for theta in [math.pi, 2.9, 3 * math.pi] + edges + [np.nextafter(t, math.pi) for t in edges]:
+        report = optimal_fidelity(1, theta)
+        assert report.regime == "case2_mixture"
+        assert 0.0 <= report.strategy.alpha <= 2 / 3
+        assert report.strategy.alpha == case2_alpha(theta)

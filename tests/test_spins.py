@@ -6,19 +6,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import coupled_basis_vectors, decomposition_overlaps
+from oracles import (
+    axis_angle_quaternion,
+    coupled_basis_vectors,
+    decomposition_overlaps,
+    quat_multiply,
+)
 from spinlearn import spins
-from spinlearn.rotations import Rotation, angle_between_axes, haar_quaternions, haar_rotation
+from spinlearn.rotations import euler_zyz_from_quaternion, haar_quaternions, z_axis
 from spinlearn.spins import (
     InvalidQuantumNumbersError,
     clebsch_gordan,
-    coherent_state,
     coupling_decomposition,
     dim,
-    rotation_irrep,
+    rotation_irrep_batch,
     spin_operators,
     two_m_values,
 )
+
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _coherent_state(two_j: int, q: np.ndarray) -> np.ndarray:
+    """U_g|j,j> for one quaternion."""
+    return spins.rotated_basis_states_batch(two_j, q[None], two_j)[0]
 
 
 def test_pauli_half():
@@ -44,15 +55,13 @@ def test_commutators_and_casimir(two_j):
 
 
 def test_irrep_identity_and_z_rotation():
-    assert np.allclose(rotation_irrep(5, Rotation.identity()), np.eye(6), atol=1e-12)
-    g = Rotation.from_axis_angle([0, 0, 1], 0.8)
-    u = rotation_irrep(1, g)
+    assert np.allclose(rotation_irrep_batch(5, IDENTITY), np.eye(6), atol=1e-12)
+    u = rotation_irrep_batch(1, axis_angle_quaternion([0, 0, 1], 0.8))
     assert np.allclose(u, np.diag([np.exp(-0.4j), np.exp(0.4j)]), atol=1e-12)
 
 
 def test_irrep_pi_about_y_spin1():
-    g = Rotation.from_axis_angle([0, 1, 0], math.pi)
-    u = rotation_irrep(2, g)
+    u = rotation_irrep_batch(2, axis_angle_quaternion([0, 1, 0], math.pi))
     out = u[:, 0]  # image of |1,1>
     target = np.zeros(3)
     target[2] = 1.0  # |1,-1>
@@ -62,21 +71,20 @@ def test_irrep_pi_about_y_spin1():
 @pytest.mark.parametrize("two_j", [1, 2, 4])
 def test_irrep_matches_matrix_exponential(two_j, rng):
     jx, jy, jz = spin_operators(two_j)
-    g = haar_rotation(rng)
-    alpha, beta, gamma = g.euler_zyz()
+    g = haar_quaternions(rng, 1)[0]
+    alpha, beta, gamma = euler_zyz_from_quaternion(g)
     oracle = expm(-1j * alpha * jz) @ expm(-1j * beta * jy) @ expm(-1j * gamma * jz)
-    assert np.max(np.abs(rotation_irrep(two_j, g) - oracle)) < 1e-12
+    assert np.max(np.abs(rotation_irrep_batch(two_j, g) - oracle)) < 1e-12
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 5])
 def test_irrep_unitary_and_homomorphic(two_j, rng):
     d = dim(two_j)
     for _ in range(100):
-        g = haar_rotation(rng)
-        h = haar_rotation(rng)
-        ug, uh = rotation_irrep(two_j, g), rotation_irrep(two_j, h)
+        g, h = haar_quaternions(rng, 2)
+        ug, uh = rotation_irrep_batch(two_j, g), rotation_irrep_batch(two_j, h)
         assert np.max(np.abs(ug.conj().T @ ug - np.eye(d))) < 1e-10
-        ugh = rotation_irrep(two_j, g @ h)
+        ugh = rotation_irrep_batch(two_j, quat_multiply(g, h))
         # equality up to a global phase (sign for half-integer spins)
         overlap = abs(np.trace(ugh.conj().T @ (ug @ uh))) / d
         assert abs(overlap - 1.0) < 1e-9
@@ -94,20 +102,20 @@ def test_haar_schur_integral():
 
 
 def test_coherent_state_basics():
-    v = coherent_state(4, Rotation.identity())
+    v = _coherent_state(4, IDENTITY)
     assert np.allclose(v, np.eye(5)[:, 0], atol=1e-12)
-    g = Rotation.from_axis_angle([0, 1, 0], math.pi)
-    v = coherent_state(2, g)
+    v = _coherent_state(2, axis_angle_quaternion([0, 1, 0], math.pi))
     assert abs(abs(v[2]) - 1.0) < 1e-12  # |1,-1> up to phase
 
 
 def test_coherent_overlap_law(rng):
     for _ in range(100):
         two_j = int(rng.integers(1, 9))
-        g, h = haar_rotation(rng), haar_rotation(rng)
-        ov = abs(np.vdot(coherent_state(two_j, g), coherent_state(two_j, h))) ** 2
-        phi = angle_between_axes(g, h)
-        assert ov == pytest.approx(math.cos(phi / 2.0) ** (2 * two_j), abs=1e-10)
+        g, h = haar_quaternions(rng, 2)
+        ov = abs(np.vdot(_coherent_state(two_j, g), _coherent_state(two_j, h))) ** 2
+        # cos^2(phi/2) = (1 + cos phi)/2 for the angle phi between the two axes
+        cos_half_sq = (1.0 + np.dot(z_axis(g), z_axis(h))) / 2.0
+        assert ov == pytest.approx(cos_half_sq ** two_j, abs=1e-10)
 
 
 # --- Clebsch-Gordan -------------------------------------------------------
