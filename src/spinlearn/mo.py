@@ -151,64 +151,68 @@ def _povm_outcome_offsets(two_j: int, two_m: int, xi_two_n: int, n_samples: int,
     m = xi = j that law is cos^2(beta/2) = W^(1/(2j+1)) for uniform W;
     otherwise W goes through the exact inverse CDF of cos(beta) (see
     ``_cos_beta_quantiles``).  Three uniform draws per sample (gamma only keeps
-    the stream), no rejection, then the axes block by block: O(n) time at m = xi = j,
-    O(n*j) otherwise, O(block) scratch beyond the draws and the axes.
+    the stream), no rejection: O(n) time at m = xi = j, O(n*j) otherwise.
     """
     alpha = rng.uniform(0.0, 2.0 * math.pi, n_samples)
     rng.uniform(0.0, 2.0 * math.pi, n_samples)  # gamma
     u = rng.uniform(0.0, 1.0, n_samples)
-    out = np.empty((n_samples, 3))
-    for rows in _blocks(n_samples, 16):  # bisection and axes: ~16 float64s a sample
-        if two_m == xi_two_n == two_j:
-            cos_beta = 2.0 * u[rows] ** (1.0 / (two_j + 1.0)) - 1.0
-        else:
-            cos_beta = _cos_beta_quantiles(two_j, two_m, xi_two_n, u[rows])
-        sin_beta = np.sqrt((1.0 - cos_beta) * (1.0 + cos_beta))
-        out[rows] = np.stack([sin_beta * np.cos(alpha[rows]), sin_beta * np.sin(alpha[rows]),
-                              cos_beta], axis=1)
-    return out
+    if two_m == xi_two_n == two_j:
+        cos_beta = 2.0 * u ** (1.0 / (two_j + 1.0)) - 1.0
+    else:
+        cos_beta = _cos_beta_quantiles(two_j, two_m, xi_two_n, u)
+    sin_beta = np.sqrt((1.0 - cos_beta) * (1.0 + cos_beta))
+    return np.stack([sin_beta * np.cos(alpha), sin_beta * np.sin(alpha), cos_beta], axis=1)
 
 
 def _cos_beta_quantiles(two_j: int, two_m: int, xi_two_n: int, u: np.ndarray) -> np.ndarray:
     """cos(beta) at CDF levels ``u`` of the density |d^j_{xi m}(beta)|^2 sin(beta).
 
-    In x = cos(beta) the density |d^j_{xi m}|^2 is a polynomial of degree 2j:
-    its Chebyshev coefficients are the cosine-series coefficients in beta,
-    the autocorrelation of the amplitude's Jy-eigenbasis weights (frequency =
-    eigenvalue difference).  The CDF is that polynomial's exact integral; it
-    is inverted by bisection to double precision.
+    Each level starts from linear interpolation in the CDF table of
+    ``spins._cos_beta_law`` (built once per (2j, 2m, 2n)), inside the bracket of its two
+    nodes, and takes safeguarded Newton steps on the exact CDF, whose derivative is the
+    density series: a step that leaves the bracket is a bisection, and every evaluation
+    narrows the bracket.  A level stops once its step is
+    within 2 ulp of 1 or its CDF residual is below the series' rounding, 4 eps sum |c_k|:
+    about four passes of the two series, where bisection needs 55.
     """
-    from numpy.polynomial import chebyshev
+    from numpy.polynomial.chebyshev import chebval
 
-    _, vecs = spins._jy_eigensystem(two_j)
-    weights = (vecs[spins.basis_index(two_j, xi_two_n)]
-               * vecs[spins.basis_index(two_j, two_m)].conj())
-    lags = np.correlate(weights, weights, "full")[two_j:].real  # frequencies 0..2j
-    density = np.concatenate([lags[:1], 2.0 * lags[1:]])
-    cdf = chebyshev.chebint(density, lbnd=-1.0)
-    level = u * chebyshev.chebval(1.0, cdf)
-    lo = np.full(len(level), -1.0)
-    hi = np.ones(len(level))
-    for _ in range(55):  # final width 2 * 2^-55 is below half an ulp of 1
-        mid = 0.5 * (lo + hi)
-        below = chebyshev.chebval(mid, cdf) < level
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    density, cdf, nodes, levels = spins._cos_beta_law(two_j, two_m, xi_two_n)
+    floor = 4.0 * np.finfo(float).eps * np.abs(cdf).sum()
+    level = u * levels[-1]
+    i = np.clip(np.searchsorted(levels, level), 1, len(nodes) - 1)
+    lo, hi = nodes[i - 1], nodes[i]
+    x = np.interp(level, levels, nodes)
+    out = np.empty_like(x)
+    active = np.arange(len(x))
+    for _ in range(55):  # a bisection's worth of passes; every level stops within ~10
+        f = chebval(x, cdf) - level[active]
+        below = f < 0.0
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - f / chebval(x, density)
+        new = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        out[active] = new
+        going = (np.abs(new - x) > 2.0 * np.finfo(float).eps) & (np.abs(f) > floor)
+        active, x, lo, hi = active[going], new[going], lo[going], hi[going]
+        if not len(active):
+            break
+    return out
 
 
 def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
                         theta_prime: float, two_k: int, rng: np.random.Generator, n: int,
-                        q_g: np.ndarray | None = None) -> np.ndarray:
-    """Per-sample entanglement fidelity of the measure-and-operate process.
+                        q_g: np.ndarray | None = None):
+    """Per-sample entanglement fidelity of the measure-and-operate process, as an
+    iterator of per-block arrays over the blocks of ``channels._blocks``.
 
-    Draws the training rotation g Haar-uniformly (unless ``q_g`` is given)
-    and the measurement outcome g.h from the covariant POVM density, then
-    scores the conditional rotation by theta' about the estimated axis R_g n_h
-    against the target rotation by theta about n_g = R_g z on a spin-k target:
-    |tr(V'^dag V)|^2 / (2k+1)^2 is the squared rotation character of their relative
-    angle tau, cos(tau/2) read off the two axes, in blocks of samples (O(block) scratch).
-    No closed-form overlap enters; this is the independent check on mo_element_fidelity.
+    Each block draws its training rotations g Haar-uniformly (unless ``q_g``, one
+    quaternion, is given) and then its measurement outcomes g.h from the covariant POVM
+    density, and scores the conditional rotation by theta' about the estimated axis
+    R_g n_h against the target rotation by theta about n_g = R_g z on a spin-k target
+    (``_mo_scores``): nothing n-long is built.  The arguments are checked before the
+    iterator is returned, so before any sample is drawn.  No closed-form overlap
+    enters; this is the independent check on mo_element_fidelity.
     """
     spins._check_target_spin(two_k)
     spins._check_theta(theta)
@@ -217,24 +221,33 @@ def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
         raise ValueError("n_samples must be positive")
     check_valid_m(two_j, two_m)
     check_valid_m(two_j, xi_two_n)
-    if q_g is None:
-        q_g = rotations.haar_quaternions(rng, n)
-    n_h = _povm_outcome_offsets(two_j, two_m, xi_two_n, n, rng)
-    # V'^-1 V = cos(theta'/2) cos(theta/2) + sin(theta'/2) sin(theta/2) n_ghat.n_g + i(...).sigma
+
+    def blocks():
+        for rows in _blocks(n, 64):  # rotated axes, crosses and angles: ~64 float64s a sample
+            size = rows.stop - rows.start
+            q = (rotations.haar_quaternions(rng, size) if q_g is None
+                 else np.broadcast_to(q_g, (size, 4)))
+            n_h = _povm_outcome_offsets(two_j, two_m, xi_two_n, size, rng)
+            yield _mo_scores(q, n_h, theta, theta_prime, two_k)
+    return blocks()
+
+
+def _mo_scores(q_g: np.ndarray, n_h: np.ndarray, theta: float, theta_prime: float,
+               two_k: int) -> np.ndarray:
+    """|tr(V'^dag V)|^2 / (2k+1)^2 for V' the rotation by theta' about R_g n_h and V the
+    rotation by theta about n_g = R_g z: the squared rotation character of their relative
+    angle tau, V'^-1 V = cos(theta'/2) cos(theta/2) + sin(theta'/2) sin(theta/2)
+    n_ghat.n_g + i(...).sigma, read off the two axes."""
     cc = math.cos(theta_prime / 2.0) * math.cos(theta / 2.0)
     ss = math.sin(theta_prime / 2.0) * math.sin(theta / 2.0)
-    fe = np.empty(n)
-    for rows in _blocks(n, 64):  # rotated axes, crosses and angles: ~64 float64s a sample
-        n_ghat = rotations.rotate_vectors(q_g[rows], n_h[rows])
-        dot = np.einsum("ni,ni->n", n_ghat, rotations.z_axis(q_g[rows]))
-        tau = 2.0 * np.arccos(np.clip(np.abs(cc + ss * dot), 0.0, 1.0))
-        fe[rows] = _character_ratio(two_k, tau) ** 2
-    return fe
+    dot = np.einsum("ni,ni->n", rotations.rotate_vectors(q_g, n_h), rotations.z_axis(q_g))
+    tau = 2.0 * np.arccos(np.clip(np.abs(cc + ss * dot), 0.0, 1.0))
+    return _character_ratio(two_k, tau) ** 2
 
 
-def _average_estimate(fe_samples: np.ndarray, two_k: int) -> FidelityEstimate:
-    """Average-fidelity estimate (d F_e + 1)/(d + 1) from entanglement-fidelity samples."""
-    fe = FidelityEstimate.from_samples(fe_samples)
+def _average_estimate(fe_blocks, two_k: int) -> FidelityEstimate:
+    """Average-fidelity estimate (d F_e + 1)/(d + 1) from entanglement-fidelity blocks."""
+    fe = FidelityEstimate.from_blocks(fe_blocks)
     d = two_k + 1
     return FidelityEstimate(value=min(average_from_entanglement(fe.value, d), 1.0),
                             std_error=d / (d + 1.0) * fe.std_error, n_samples=fe.n_samples)

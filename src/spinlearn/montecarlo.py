@@ -7,11 +7,12 @@ measure-and-operate strategy applies a unitary given its sampled outcome, so
 each of its samples is scored by the exact state average (2 F_e + 1)/3 of
 ``mo.mo_fidelity_samples`` and draws no target state.  No closed-form
 fidelity enters anywhere, so these estimates independently validate the
-analytic results.  Every sampler draws its random inputs first and then scores
-them in the blocks of ``channels._blocks``: its working memory is O(block)
-whatever the sample count is.  A qubit-target gate's samples are scored
+analytic results.  Every sampler streams: each block of ``channels._blocks``
+draws its own random inputs, is scored, and is folded into the running
+estimate (``FidelityEstimate.from_blocks``), so its memory is O(block) and
+nothing n-long is ever built.  A qubit-target gate's samples are scored
 from its four bands (``HeisenbergGate.qubit_bands``) and the probe's real Wigner-d
-column (``spins.wigner_d_columns``): no joint vector, O(j) each.
+column (``spins.wigner_d_omega_columns``): no joint vector, O(j) each.
 """
 
 from __future__ import annotations
@@ -64,30 +65,33 @@ _TILE = 64  # rows per BLAS call of the band scores: gemm rounds a row by its pl
 _JOINT_FLOATS = 16  # float64s of scratch per joint amplitude: probe, joint, outputs, overlaps
 
 
+def _draws(rng: np.random.Generator, n: int, q_g: np.ndarray | None, dk: int,
+           row_floats: int, tile: int = 1):
+    """Per block of ``channels._blocks(n, row_floats, tile)``: the block's training
+    rotations (Haar draws, or the one quaternion ``q_g`` broadcast) and then its
+    Fubini-Study target states on dk levels, drawn when the block is reached."""
+    for rows in _blocks(n, row_floats, tile):
+        size = rows.stop - rows.start
+        q = (rotations.haar_quaternions(rng, size) if q_g is None
+             else np.broadcast_to(q_g, (size, 4)))
+        yield q, sample_pure_states(rng, size, dk)
+
+
 def _channel_samples(two_j: int, two_m, q_g: np.ndarray, psi: np.ndarray, theta: float,
-                     channel=None, bands=None) -> np.ndarray:
-    """Per-sample fidelity of ``channel`` (joint vectors (rows, dp*dk) -> outputs
-    (rows, r, dk)) on U_g|j,m> (x) psi against V_(theta,g) psi, or of the qubit-target
-    gate with the given ``qubit_bands`` (scored from the bands, no joint vector);
-    ``two_m`` is a scalar or per sample.  Runs in ``channels._blocks``, so the working
-    memory is O(block) whatever n is, and the samples do not depend on the block size."""
-    (n, dk), dp = psi.shape, spins.dim(two_j)
-    out = np.empty(n)
-    blocks = _blocks(n, _JOINT_FLOATS * dp * dk)
-    if bands is not None:  # whole tiles; a band row holds 2 dp reals, ~32 complex scalars
-        tables = _band_tables(bands)
-        blocks = _blocks(n, 2 * dp + 64, _TILE)
-    for rows in blocks:
-        two_m_rows = two_m if np.ndim(two_m) == 0 else two_m[rows]
-        target = _target_states(q_g[rows], theta, psi[rows])
-        if bands is None:
-            probe = spins.rotated_basis_states_batch(two_j, q_g[rows], two_m_rows)
-            joint = np.einsum("np,nk->npk", probe, psi[rows]).reshape(len(probe), -1)
-            out[rows] = _conditional_fidelity_channel_output(channel(joint), target)
-        else:
-            alpha, _, column = spins.wigner_d_columns(two_j, q_g[rows], two_m_rows)
-            out[rows] = _band_scores(tables, column, np.exp(1j * alpha), psi[rows], target)
-    return out
+                     channel=None, tables=None) -> np.ndarray:
+    """Per-sample fidelity, for one block, of ``channel`` (joint vectors (rows, dp*dk) ->
+    outputs (rows, r, dk)) on U_g|j,m> (x) psi against V_(theta,g) psi, or of the
+    qubit-target gate with the given ``_band_tables`` (scored from the bands, no joint
+    vector); ``two_m`` is a scalar or per sample.  Every row is scored on its own, and
+    band rows in whole _TILE-row tiles, so a split of the rows into blocks of whole tiles
+    (none a lone row) leaves every score bit-identical."""
+    target = _target_states(q_g, theta, psi)
+    if tables is not None:
+        omega, column = spins.wigner_d_omega_columns(two_j, q_g, two_m)
+        return _band_scores(tables, column, omega, psi, target)
+    probe = spins.rotated_basis_states_batch(two_j, q_g, two_m)
+    joint = np.einsum("np,nk->npk", probe, psi).reshape(len(probe), -1)
+    return _conditional_fidelity_channel_output(channel(joint), target)
 
 
 # output row i of the gate reads the probe column at i + shift through the bands d0, d1, up, lo
@@ -139,74 +143,77 @@ def _band_scores(tables, column: np.ndarray, omega: np.ndarray, psi: np.ndarray,
 def _heisenberg_samples(strategy: HeisenbergStrategy, theta: float,
                         rng: np.random.Generator, n: int,
                         thermal_gamma: float | None = None,
-                        q_g: np.ndarray | None = None) -> np.ndarray:
+                        q_g: np.ndarray | None = None):
     two_j, two_k = strategy.two_j, strategy.two_k
     dp, dk = spins.dim(two_j), spins.dim(two_k)
     gate = heisenberg.heisenberg_unitary(two_j, two_k, theta, strategy.f_override)
-    if q_g is None:
-        q_g = rotations.haar_quaternions(rng, n)
-    psi = sample_pure_states(rng, n, dk)
-    two_m = two_j
-    if thermal_gamma is not None:
-        weights = memory.thermal_state(two_j, thermal_gamma).weights
-        two_m = spins.two_m_values(two_j)[rng.choice(dp, size=n, p=weights)]
-    if two_k == 1:
-        return _channel_samples(two_j, two_m, q_g, psi, theta, bands=gate.qubit_bands())
-    return _channel_samples(two_j, two_m, q_g, psi, theta,
-                            lambda joint: gate.apply(joint).reshape(len(joint), dp, dk))
+    if two_k == 1:  # whole tiles; a band row holds 2 dp reals, ~32 complex scalars
+        channel, tables = None, _band_tables(gate.qubit_bands())
+        draws = _draws(rng, n, q_g, dk, 2 * dp + 64, _TILE)
+    else:
+        channel, tables = (lambda joint: gate.apply(joint).reshape(len(joint), dp, dk)), None
+        draws = _draws(rng, n, q_g, dk, _JOINT_FLOATS * dp * dk)
+    weights = (None if thermal_gamma is None
+               else memory.thermal_state(two_j, thermal_gamma).weights)
+    for q, psi in draws:
+        two_m = (two_j if weights is None
+                 else spins.two_m_values(two_j)[rng.choice(dp, size=len(q), p=weights)])
+        yield _channel_samples(two_j, two_m, q, psi, theta, channel, tables)
 
 
 def _kraus_samples(kraus: np.ndarray, two_j: int, two_m: int, theta: float,
-                   rng: np.random.Generator, n: int,
-                   q_g: np.ndarray | None = None) -> np.ndarray:
+                   rng: np.random.Generator, n: int, q_g: np.ndarray | None = None):
     """Generic measure/operate action from a stacked Kraus family."""
-    if q_g is None:
-        q_g = rotations.haar_quaternions(rng, n)
-    psi = sample_pure_states(rng, n, 2)
-    return _channel_samples(two_j, two_m, q_g, psi, theta,
-                            lambda joint: np.einsum("rij,nj->nri", kraus, joint))
+    channel = lambda joint: np.einsum("rij,nj->nri", kraus, joint)
+    for q, psi in _draws(rng, n, q_g, 2, _JOINT_FLOATS * spins.dim(two_j) * 2):
+        yield _channel_samples(two_j, two_m, q, psi, theta, channel)
 
 
 def _unot_mixture_samples(strategy: UNotMixture, theta: float,
-                          rng: np.random.Generator, n: int,
-                          q_g: np.ndarray | None = None) -> np.ndarray:
-    alpha = strategy.alpha
-    m_yes, m_no = optimal._unot_instrument(alpha)
-    if q_g is None:
-        q_g = rotations.haar_quaternions(rng, n)
-    psi = sample_pure_states(rng, n, 2)
-    # "no" branch: universal NOT evaluated by sampling its defining
-    # coherent-state integral (uniform axis, density weight 3|<nn|.>|^2)
-    q_axis = rotations.haar_quaternions(rng, n) if alpha > 0.0 else None
+                          rng: np.random.Generator, n: int, q_g: np.ndarray | None = None):
+    m_yes, m_no = optimal._unot_instrument(strategy.alpha)
     gate = heisenberg.heisenberg_unitary(1, 1, theta)
-    fid = np.empty(n)
-    for rows in _blocks(n, _JOINT_FLOATS * 4):
-        probe = spins.rotated_basis_states_batch(1, q_g[rows], 1)
-        joint = np.einsum("np,nk->npk", probe, psi[rows]).reshape(-1, 4)
-        target = _target_states(q_g[rows], theta, psi[rows])
-        yes = gate.apply(joint @ m_yes.T).reshape(-1, 2, 2)
-        fid[rows] = _conditional_fidelity_channel_output(yes, target)
-        if q_axis is not None:
-            u_axis = rotations.su2_from_quaternion(q_axis[rows])
-            # U|0>, the random coherent axis state, and U|1>, the prepared flipped state
-            chi, chi_flip = u_axis[:, :, 0], u_axis[:, :, 1]
-            pair = np.einsum("ni,nj->nij", chi, chi).reshape(-1, 4)
-            weight = 3.0 * np.abs(np.einsum("ni,ni->n", pair.conj(), joint @ m_no.T)) ** 2
-            fid[rows] += weight * np.abs(np.einsum("ni,ni->n", target.conj(), chi_flip)) ** 2
-    return fid
+    for q, psi in _draws(rng, n, q_g, 2, _JOINT_FLOATS * 4):
+        # "no" branch: universal NOT evaluated by sampling its defining
+        # coherent-state integral (uniform axis, density weight 3|<nn|.>|^2)
+        q_axis = rotations.haar_quaternions(rng, len(q)) if strategy.alpha > 0.0 else None
+        yield _unot_scores(gate, m_yes, m_no, q, psi, q_axis, theta)
+
+
+def _unot_scores(gate, m_yes: np.ndarray, m_no: np.ndarray, q_g: np.ndarray,
+                 psi: np.ndarray, q_axis: np.ndarray | None, theta: float) -> np.ndarray:
+    """Per-sample fidelity, for one block, of the universal-NOT mixture: the "yes" branch
+    through the gate, plus the sampled "no" branch at the axes ``q_axis`` (if any).  The
+    (rows, 4) x (4, 4) instrument products are einsums, off BLAS, whose thread handoff
+    has cost 8 ms a block each under two OpenBLAS threads (0.2 ms as einsums)."""
+    probe = spins.rotated_basis_states_batch(1, q_g, 1)
+    joint = np.einsum("np,nk->npk", probe, psi).reshape(-1, 4)
+    target = _target_states(q_g, theta, psi)
+    yes = gate.apply(np.einsum("ij,nj->ni", m_yes, joint)).reshape(-1, 2, 2)
+    fid = _conditional_fidelity_channel_output(yes, target)
+    if q_axis is None:
+        return fid
+    u_axis = rotations.su2_from_quaternion(q_axis)
+    # U|0>, the random coherent axis state, and U|1>, the prepared flipped state
+    chi, chi_flip = u_axis[:, :, 0], u_axis[:, :, 1]
+    pair = np.einsum("ni,nj->nij", chi, chi).reshape(-1, 4)
+    no = np.einsum("ij,nj->ni", m_no, joint)
+    weight = 3.0 * np.abs(np.einsum("ni,ni->n", pair.conj(), no)) ** 2
+    return fid + weight * np.abs(np.einsum("ni,ni->n", target.conj(), chi_flip)) ** 2
 
 
 def _exact_target_samples(strategy: ExactTarget, theta: float,
-                          rng: np.random.Generator, n: int) -> np.ndarray:
-    q_g = rotations.haar_quaternions(rng, n)
-    psi = sample_pure_states(rng, n, spins.dim(strategy.two_k))
-    out = _target_states(q_g, theta, psi)
-    return np.abs(np.einsum("ni,ni->n", out, out.conj())) ** 2
+                          rng: np.random.Generator, n: int):
+    dk = spins.dim(strategy.two_k)
+    for q, psi in _draws(rng, n, None, dk, _JOINT_FLOATS * dk * dk):
+        out = _target_states(q, theta, psi)
+        yield np.abs(np.einsum("ni,ni->n", out, out.conj())) ** 2
 
 
 def _strategy_samples(strategy: StrategyDescriptor, theta: float,
-                      rng: np.random.Generator, n: int,
-                      q_g: np.ndarray | None = None) -> np.ndarray:
+                      rng: np.random.Generator, n: int, q_g: np.ndarray | None = None):
+    """The per-block sample arrays of ``strategy``'s sampler, an iterator that draws each
+    block when it is reached; ``q_g`` is one fixed training rotation or None for Haar."""
     if isinstance(strategy, ExactTarget):
         return _exact_target_samples(strategy, theta, rng, n)
     if isinstance(strategy, HeisenbergStrategy):
@@ -229,7 +236,7 @@ def _strategy_samples(strategy: StrategyDescriptor, theta: float,
         # the conditional operation is unitary: its exact state average is (2 F_e + 1)/3
         fe = mo.mo_fidelity_samples(strategy.two_j, strategy.two_m, strategy.xi_two_n, theta,
                                     strategy.theta_prime, 1, rng, n, q_g=q_g)
-        return (2.0 * fe + 1.0) / 3.0
+        return ((2.0 * block + 1.0) / 3.0 for block in fe)
     if isinstance(strategy, UNotMixture):
         return _unot_mixture_samples(strategy, theta, rng, n, q_g=q_g)
     raise TypeError(f"unknown strategy {strategy!r}")
@@ -247,7 +254,7 @@ def mc_average_fidelity(strategy: StrategyDescriptor, theta: float, n_samples: i
     spins._check_theta(theta)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seq.spawn(1)[0])
-    return FidelityEstimate.from_samples(_strategy_samples(strategy, theta, rng, n_samples))
+    return FidelityEstimate.from_blocks(_strategy_samples(strategy, theta, rng, n_samples))
 
 
 def per_rotation_fidelity(strategy: StrategyDescriptor, theta: float, g_quaternion,
@@ -260,6 +267,5 @@ def per_rotation_fidelity(strategy: StrategyDescriptor, theta: float, g_quaterni
         raise ValueError(f"g_quaternion must be a finite unit quaternion of shape (4,), "
                          f"got {g_quaternion!r}")
     rng = np.random.default_rng(seed)
-    q_g = np.broadcast_to(q, (n_samples, 4)).copy()
-    return FidelityEstimate.from_samples(_strategy_samples(strategy, theta, rng, n_samples,
-                                                           q_g=q_g))
+    return FidelityEstimate.from_blocks(_strategy_samples(strategy, theta, rng, n_samples,
+                                                          q_g=q))

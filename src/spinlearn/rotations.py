@@ -43,6 +43,17 @@ def _euler_zyz_and_moduli(q: np.ndarray) -> tuple[np.ndarray, ...]:
     return alpha % (2.0 * np.pi), beta, gamma % (2.0 * np.pi), cos_half, sin_half
 
 
+def _alpha_phase_and_moduli(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega, |(w, z)|, |(x, y)|): omega = e^(i alpha) of the ZYZ angle alpha, read off the
+    quaternion as (y - ix)(w + iz) / (|(x, y)| |(w, z)|) with no Euler angle, and 1 where
+    either modulus is below 1e-15 (beta = 0 or pi, where alpha is a convention)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    cos_half, sin_half = np.hypot(w, z), np.hypot(x, y)
+    degenerate = np.minimum(sin_half, cos_half) < 1e-15
+    omega = (y - 1j * x) * (w + 1j * z) / np.where(degenerate, 1.0, cos_half * sin_half)
+    return np.where(degenerate, 1.0, omega), cos_half, sin_half
+
+
 def su2_from_quaternion(q: np.ndarray) -> np.ndarray:
     """2x2 SU(2) matrix (batched over leading axes) for quaternion(s) ``q``."""
     q = np.asarray(q, dtype=float)

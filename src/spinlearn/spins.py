@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rotations import _euler_zyz_and_moduli, euler_zyz_from_quaternion
+from .rotations import _alpha_phase_and_moduli, _euler_zyz_and_moduli, euler_zyz_from_quaternion
 
 
 class InvalidQuantumNumbersError(ValueError):
@@ -108,6 +108,29 @@ def rotation_y_irrep(two_j: int, beta) -> np.ndarray:
     return np.einsum("ik,...k,jk->...ij", vecs, phases, vecs.conj())
 
 
+@lru_cache(maxsize=None)
+def _cos_beta_law(two_j: int, two_m: int, xi_two_n: int) -> tuple[np.ndarray, ...]:
+    """(density, cdf, nodes, levels): Chebyshev series in x = cos(beta) of the density
+    |d^j_{xi m}|^2 and of its exact integral from -1, and the CDF at 4j + 9 evenly
+    spaced nodes (made non-decreasing), the bracket table of ``mo._cos_beta_quantiles``.
+
+    In x the density is a polynomial of degree 2j: its Chebyshev coefficients are the
+    cosine-series coefficients in beta, the autocorrelation of the amplitude's
+    Jy-eigenbasis weights (frequency = eigenvalue difference)."""
+    from numpy.polynomial import chebyshev
+
+    _, vecs = _jy_eigensystem(two_j)
+    weights = vecs[basis_index(two_j, xi_two_n)] * vecs[basis_index(two_j, two_m)].conj()
+    lags = np.correlate(weights, weights, "full")[two_j:].real  # frequencies 0..2j
+    density = np.concatenate([lags[:1], 2.0 * lags[1:]])
+    cdf = chebyshev.chebint(density, lbnd=-1.0)
+    nodes = np.linspace(-1.0, 1.0, 2 * two_j + 9)
+    levels = np.maximum.accumulate(chebyshev.chebval(nodes, cdf))
+    for table in (density, cdf, nodes, levels):
+        table.setflags(write=False)
+    return density, cdf, nodes, levels
+
+
 def rotation_irrep_euler(two_j: int, alpha, beta, gamma) -> np.ndarray:
     """Irrep matrix exp(-i a Jz) exp(-i b Jy) exp(-i c Jz); batched over angles."""
     m = m_values(two_j)
@@ -134,25 +157,41 @@ def wigner_d_columns(two_j: int, quaternions: np.ndarray, two_m
     and pi, never overflows; bit for bit the scalar call), the others the column of
     exp(-i beta Jy) from the Jy eigenbasis, one BLAS matmul, O(d^2) per row.
     Raises InvalidQuantumNumbersError for a ``two_m`` out of range or of wrong parity."""
+    alpha, _, gamma, cos_half, sin_half = _euler_zyz_and_moduli(quaternions)
+    return alpha, gamma, _real_columns(two_j, two_m, cos_half, sin_half)
+
+
+def wigner_d_omega_columns(two_j: int, quaternions: np.ndarray, two_m
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, r): omega = e^(i alpha) read off the quaternions with no Euler angle
+    (1 where beta = 0 or pi: r is one-hot there, up to rounding in rows m != j, so alpha
+    is a convention) and the real columns r of ``wigner_d_columns``, bit for bit."""
+    omega, cos_half, sin_half = _alpha_phase_and_moduli(quaternions)
+    return omega, _real_columns(two_j, two_m, cos_half, sin_half)
+
+
+def _real_columns(two_j: int, two_m, cos_half: np.ndarray, sin_half: np.ndarray) -> np.ndarray:
+    """The columns r of ``wigner_d_columns`` from the two quaternion moduli |(w, z)| and
+    |(x, y)|, whose ratio is tan(beta/2); beta = 2 atan2 is taken only for rows m != j."""
     check_two_j(two_j)
     two_m_arr = np.asarray(two_m)
     if (two_m_arr.dtype.kind not in "iu" or np.any(np.abs(two_m_arr) > two_j)
             or np.any((two_j - two_m_arr) % 2)):
         raise InvalidQuantumNumbersError(f"two_m={two_m!r} invalid for two_j={two_j}")
-    alpha, beta, gamma, cos_half, sin_half = _euler_zyz_and_moduli(quaternions)
-    top = np.broadcast_to(two_m_arr == two_j, alpha.shape)
+    top = np.broadcast_to(two_m_arr == two_j, cos_half.shape)
     if top.all():
-        return alpha, gamma, _coherent_columns(two_j, cos_half, sin_half)
+        return _coherent_columns(two_j, cos_half, sin_half)
     # the other rows: one matmul, a lone row twice (BLAS gemv rounds unlike gemm)
     rest = np.flatnonzero(~top)
     rows = np.repeat(rest, 2) if len(rest) == 1 else rest
+    beta = 2.0 * np.arctan2(sin_half[rows], cos_half[rows])
     vals, vecs = _jy_eigensystem(two_j)
-    rotated = np.exp(-1j * np.multiply.outer(beta[rows], vals))
+    rotated = np.exp(-1j * np.multiply.outer(beta, vals))
     rotated *= vecs.conj()[(two_j - np.broadcast_to(two_m_arr, top.shape)[rows]) // 2]
     out = np.empty(top.shape + (two_j + 1,))
     out[top] = _coherent_columns(two_j, cos_half[top], sin_half[top])
     out[rest] = (rotated @ vecs.T)[:len(rest)].real
-    return alpha, gamma, out
+    return out
 
 
 def _coherent_columns(two_j: int, cos_half: np.ndarray, sin_half: np.ndarray) -> np.ndarray:
@@ -186,8 +225,15 @@ def rotated_basis_states_batch(two_j: int, quaternions: np.ndarray, two_m) -> np
 
 @lru_cache(maxsize=None)
 def _log_sqrt_binomials(two_j: int) -> np.ndarray:
-    lnfact = np.array([_lnfact(i) for i in range(two_j + 1)])
-    out = 0.5 * (lnfact[-1] - lnfact - lnfact[::-1])
+    """log sqrt(C(2j, k)), k = 0..2j, each the log of the exact integer C(2j, k), stepped
+    as C(2j, k + 1) = C(2j, k) (2j - k) / (k + 1): a difference of log-gammas near 2.0e3
+    carries their rounding (5e-14 at 2j = 400), and ``math.comb`` per k takes 80 s at
+    2j = 2e4."""
+    comb, logs = 1, []
+    for k in range(two_j + 1):
+        logs.append(0.5 * math.log(comb))
+        comb = comb * (two_j - k) // (k + 1)
+    out = np.array(logs)
     out.setflags(write=False)
     return out
 

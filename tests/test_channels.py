@@ -53,6 +53,24 @@ def test_fidelity_estimate_from_samples(rng):
         FidelityEstimate.from_samples(np.array([]))
 
 
+def test_fidelity_estimate_from_blocks_merges_random_splits(rng):
+    # the streaming samplers fold (count, mean, M2) block by block: any split of the
+    # samples, empty and one-sample blocks included, gives from_samples' estimate
+    f = rng.uniform(0.2, 0.9, 5000)
+    whole = FidelityEstimate.from_samples(f)
+    for _ in range(50):
+        cuts = np.sort(rng.integers(0, len(f) + 1, size=rng.integers(1, 40)))
+        merged = FidelityEstimate.from_blocks(np.split(f, cuts))
+        assert merged.n_samples == whole.n_samples
+        assert abs(merged.value - whole.value) <= 1e-15
+        assert abs(merged.std_error - whole.std_error) <= 1e-15
+    one = FidelityEstimate.from_blocks([f[:0], f[:1]])
+    assert one.value == f[0] and one.std_error == 0.0
+    assert FidelityEstimate.from_blocks([np.array([1.0 + 1e-12])] * 2).value == 1.0
+    with pytest.raises(ValueError, match="n_samples"):
+        FidelityEstimate.from_blocks([f[:0]])
+
+
 def test_apply_choi_identity_and_depolarizing(rng):
     rho = _random_state(rng, 2)
     assert np.allclose(apply_choi(identity_choi(2), rho), rho, atol=1e-12)

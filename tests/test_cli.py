@@ -176,11 +176,19 @@ def _peak_rss_mib(*args):
     ["spin-k", "--two-j", "400", "--two-k", "2", "3", "--theta", "1.0", "--seed", "5"],
 ], ids=["verify", "spin-k"])
 def test_readme_sampler_commands_peak_rss_is_bounded(argv):
-    # every Monte-Carlo sampler scores in fixed blocks, so at n = 1e5 a README command
-    # stays well under 32 MiB above the bare import (about 22 and 15 MiB; whole-batch
-    # MO scoring and 65,536-row universal-NOT blocks put verify at about 54)
+    # every Monte-Carlo sampler streams its blocks, so at n = 1e5 a README command stays
+    # well under 16 MiB above the bare import (about 11 and 7 MiB; drawing every input
+    # first put them at about 22 and 15, whole-batch MO scoring verify at about 54)
     bare = _peak_rss_mib("-c", "import spinlearn.cli")
-    assert _peak_rss_mib("-m", "spinlearn.cli", *argv) - bare < 32.0
+    assert _peak_rss_mib("-m", "spinlearn.cli", *argv) - bare < 16.0
+
+
+def test_spin_k_peak_rss_does_not_grow_with_n():
+    # nothing n-long is built: 1e6 samples peak within 3 MiB of 1e5 (an n-long draw
+    # and fidelity array put them 75 MiB apart)
+    argv = ["-m", "spinlearn.cli", "spin-k", "--two-j", "400", "--two-k", "2", "3",
+            "--theta", "1.0", "--seed", "5", "--n-samples"]
+    assert _peak_rss_mib(*argv, "1000000") - _peak_rss_mib(*argv, "100000") < 3.0
 
 
 def _strict_json(text):

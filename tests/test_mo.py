@@ -233,7 +233,7 @@ def test_mo_fidelity_samples_validation():
         mo_fidelity_samples(4, 4, 4, 1.0, 1.0, 1, rng, 0)
     with pytest.raises(ValueError, match="two_k"):
         mo_fidelity_samples(4, 4, 4, 1.0, 1.0, 0, rng, 10)
-    fe = mo_fidelity_samples(4, 2, 0, 1.0, 0.5, 3, rng, 100)
+    fe = np.concatenate(list(mo_fidelity_samples(4, 2, 0, 1.0, 0.5, 3, rng, 100)))
     assert fe.shape == (100,) and np.all((fe >= 0.0) & (fe <= 1.0 + 1e-12))
 
 
@@ -337,14 +337,12 @@ def test_axis_scores_match_the_quaternion_route(fixed_g, two_j, two_m, xi_two_n,
     # conjugated z-rotations and their relative angle, on the same draws (Haar g,
     # or a per_rotation_fidelity q_g); h is rebuilt from its axis, which gamma
     # does not enter
-    n, theta, theta_prime = 3000, 2.0, 1.3
+    n, theta, theta_prime = 3000, 2.0, 1.3  # one block: rotations, then POVM outcomes
     q = np.array([0.3, 0.1, -0.5, 0.8]) / np.linalg.norm([0.3, 0.1, -0.5, 0.8])
-    q_g = np.broadcast_to(q, (n, 4)).copy() if fixed_g else None
-    fe = mo_fidelity_samples(two_j, two_m, xi_two_n, theta, theta_prime, two_k,
-                             np.random.default_rng(23), n, q_g=q_g)
+    fe, = mo_fidelity_samples(two_j, two_m, xi_two_n, theta, theta_prime, two_k,
+                              np.random.default_rng(23), n, q_g=q if fixed_g else None)
     rng = np.random.default_rng(23)
-    if q_g is None:
-        q_g = haar_quaternions(rng, n)
+    q_g = np.broadcast_to(q, (n, 4)) if fixed_g else haar_quaternions(rng, n)
     n_h = _povm_outcome_offsets(two_j, two_m, xi_two_n, n, rng)
     a = np.arctan2(n_h[:, 1], n_h[:, 0])
     b = np.arctan2(np.hypot(n_h[:, 0], n_h[:, 1]), n_h[:, 2])
@@ -355,6 +353,27 @@ def test_axis_scores_match_the_quaternion_route(fixed_g, two_j, two_m, xi_two_n,
         oracles.conjugated_z_rotation(quat_multiply(q_g, q_h), theta_prime),
         oracles.conjugated_z_rotation(q_g, theta))
     assert np.max(np.abs(fe - mo._character_ratio(two_k, tau) ** 2)) < 1e-14
+
+
+@pytest.mark.parametrize("two_j, two_m, xi_two_n", [(40, 38, 36), (8, 4, 2), (3, 1, -1)])
+def test_newton_quantiles_match_the_bisection(two_j, two_m, xi_two_n):
+    # safeguarded Newton against the 55-step bisection it replaced, on the same Chebyshev
+    # CDF: to 1e-15, except where the density is too small for the rounded CDF to fix
+    # cos(beta) that well (up to 2e-13 at these points, e.g. density 5e-5 at 0.899 for
+    # (40, 38, 36)); there both are roots of the rounded CDF and may differ by
+    # its rounding, 4 eps sum |c_k|, over the density
+    from numpy.polynomial.chebyshev import chebval
+
+    u = np.sort(np.random.default_rng(31).uniform(0.0, 1.0, 20000))
+    x = mo._cos_beta_quantiles(two_j, two_m, xi_two_n, u)
+    reference = oracles.cos_beta_quantiles_by_bisection(two_j, two_m, xi_two_n, u)
+    density, cdf, _, _ = spins._cos_beta_law(two_j, two_m, xi_two_n)
+    with np.errstate(divide="ignore"):
+        rounding = (4.0 * np.finfo(float).eps * np.abs(cdf).sum()
+                    / np.abs(chebval(reference, density)))
+    assert np.all(np.abs(x - reference) <= 1e-15 + rounding)
+    assert np.mean(np.abs(x - reference) <= 1e-15) > 0.98
+    assert np.all(np.diff(x) >= 0.0) and np.all(np.abs(x) <= 1.0)
 
 
 def test_mo_oracle_memory_is_bounded():

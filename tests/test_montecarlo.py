@@ -20,6 +20,7 @@ from spinlearn.strategies import (
 )
 
 N = 100000
+_FIXED_Q = np.array([0.3, 0.1, -0.5, 0.8]) / np.linalg.norm([0.3, 0.1, -0.5, 0.8])
 
 
 def test_exact_target_is_one_with_zero_variance():
@@ -176,10 +177,9 @@ def test_same_seed_gives_identical_estimate():
     MOStrategy(two_j=8, two_m=4, xi_two_n=2, theta_prime=1.0),
 ], ids=["heisenberg", "thermal", "kraus", "unot", "xyz", "mo", "mo_inverse_cdf"])
 def test_oracle_memory_does_not_grow_with_n(strategy):
-    # every sampler scores its samples in the blocks of channels._blocks, so from
-    # n = 2e4 to 8e4 only the O(n) inputs and fidelities grow, 80-120 bytes a sample
-    # (whole-batch arrays grew the peak about 4x, by 130-600 MiB; blocks of 65,536
-    # universal-NOT rows, of 2^18 / 6 xyz amplitudes or a whole MO batch, by 10-26 MiB)
+    # every sampler draws, scores and folds one block of channels._blocks at a time, so
+    # from n = 2e4 to 8e4 nothing grows (drawing every input first grew the peak by
+    # 80-120 bytes a sample, 5-7 MiB here; whole-batch arrays by 130-600 MiB)
     def peak_mib(n):
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -190,51 +190,105 @@ def test_oracle_memory_does_not_grow_with_n(strategy):
             tracemalloc.stop()
 
     peak_mib(10)  # fill the gate and Choi caches first
-    assert peak_mib(80000) - peak_mib(20000) < 8.0
+    assert peak_mib(80000) - peak_mib(20000) < 1.0
+
+
+def _draw_block(strategy, rng, size, q_fixed):
+    """One block's draws in the samplers' fixed order: training rotations (or ``q_fixed``
+    broadcast), target states, then the thermal 2m or the universal-NOT axes; for MO
+    the training rotations and then the POVM outcome axes."""
+    q = haar_quaternions(rng, size) if q_fixed is None else np.broadcast_to(q_fixed, (size, 4))
+    if isinstance(strategy, MOStrategy):
+        return q, mo._povm_outcome_offsets(strategy.two_j, strategy.two_m, strategy.xi_two_n,
+                                           size, rng)
+    inner = strategy.inner if isinstance(strategy, ThermalWrapped) else strategy
+    psi = montecarlo.sample_pure_states(rng, size, spins.dim(getattr(inner, "two_k", 1)))
+    if isinstance(strategy, ThermalWrapped):
+        weights = memory.thermal_state(inner.two_j, strategy.gamma).weights
+        index = rng.choice(spins.dim(inner.two_j), size=size, p=weights)
+        return q, psi, spins.two_m_values(inner.two_j)[index]
+    if isinstance(strategy, UNotMixture):
+        return q, psi, haar_quaternions(rng, size)
+    return q, psi
+
+
+def _block_scorer(strategy, theta):
+    """The library's scorer of one block of ``_draw_block``'s draws."""
+    if isinstance(strategy, MOStrategy):
+        return lambda q, n_h: (2.0 * mo._mo_scores(q, n_h, theta, strategy.theta_prime, 1)
+                               + 1.0) / 3.0
+    if isinstance(strategy, UNotMixture):
+        gate = heisenberg.heisenberg_unitary(1, 1, theta)
+        m_yes, m_no = optimal._unot_instrument(strategy.alpha)
+        return lambda q, psi, axis: montecarlo._unot_scores(gate, m_yes, m_no, q, psi, axis,
+                                                            theta)
+    if isinstance(strategy, (CaseChoiStrategy, DiscreteXYZ)):
+        two_j, two_m, channel = ((strategy.two_j, strategy.two_m,
+                                  optimal.case_choi_channel(strategy))
+                                 if isinstance(strategy, CaseChoiStrategy)
+                                 else (2, 0, optimal.discrete_xyz_channel()))
+        kraus = np.stack(channel.kraus)
+        return lambda q, psi: montecarlo._channel_samples(
+            two_j, two_m, q, psi, theta, lambda joint: np.einsum("rij,nj->nri", kraus, joint))
+    inner = strategy.inner if isinstance(strategy, ThermalWrapped) else strategy
+    two_j, two_k = inner.two_j, inner.two_k
+    gate = heisenberg.heisenberg_unitary(two_j, two_k, theta)
+    if two_k == 1:
+        tables = montecarlo._band_tables(gate.qubit_bands())
+        return lambda q, psi, two_m=two_j: montecarlo._channel_samples(two_j, two_m, q, psi,
+                                                                       theta, tables=tables)
+    shape = (spins.dim(two_j), spins.dim(two_k))
+    return lambda q, psi: montecarlo._channel_samples(
+        two_j, two_j, q, psi, theta, lambda joint: gate.apply(joint).reshape(-1, *shape))
+
+
+def _check_sample_blocks(strategy, theta, n, width, tile, q_fixed):
+    # the samplers draw block by block, so their streams depend on the partition; what
+    # must not is the scoring: each block is the scorer on that block's own draws, made
+    # in the fixed order, and scoring all the draws in one call gives the same bits
+    blocks = channels._blocks(n, width, tile)
+    rng = np.random.default_rng(5)
+    draws = [_draw_block(strategy, rng, b.stop - b.start, q_fixed) for b in blocks]
+    score = _block_scorer(strategy, theta)
+    expected = [score(*block) for block in draws]
+    sampled = list(montecarlo._strategy_samples(strategy, theta, np.random.default_rng(5), n,
+                                                q_g=q_fixed))
+    assert len(sampled) == len(blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(sampled, expected))
+    whole = [np.concatenate(parts) for parts in zip(*draws)]
+    if q_fixed is not None:
+        whole[0] = np.broadcast_to(q_fixed, (n, 4))
+    assert np.array_equal(np.concatenate(expected), score(*whole))
 
 
 @pytest.mark.parametrize("fixed_g", [False, True])
 @pytest.mark.parametrize("budget", [1, 1000, 20000])
-@pytest.mark.parametrize("strategy, theta, width", [
-    (HeisenbergStrategy(two_j=20), 1.1, 106),
-    (HeisenbergStrategy(two_j=10, two_k=2), 0.7, 528),
-    (ThermalWrapped(HeisenbergStrategy(two_j=30), 0.5), math.pi, 126),
-    (CaseChoiStrategy(case=1, two_j=8, two_m=8, theta=math.pi), math.pi, 288),
-    (DiscreteXYZ(), 1.0, 96),
-    (UNotMixture(alpha=2.0 / 3.0), math.pi, 64),
-    (MOStrategy(two_j=3, two_m=3, xi_two_n=3, theta_prime=2.0), 1.3, 64),
-    (MOStrategy(two_j=8, two_m=4, xi_two_n=2, theta_prime=1.0), 2.0, 16),
-], ids=["heisenberg", "spin_k", "thermal", "case_choi", "xyz", "unot", "mo",
-        "mo_inverse_cdf"])
-def test_sample_blocks_leave_samples_bit_identical(monkeypatch, strategy, theta, width,
+@pytest.mark.parametrize("strategy, theta, width, tile", [
+    (HeisenbergStrategy(two_j=20), 1.1, 106, 64),
+    (HeisenbergStrategy(two_j=10, two_k=2), 0.7, 528, 1),
+    (ThermalWrapped(HeisenbergStrategy(two_j=30), 0.5), math.pi, 126, 64),
+    (CaseChoiStrategy(case=1, two_j=8, two_m=8, theta=math.pi), math.pi, 288, 1),
+    (DiscreteXYZ(), 1.0, 96, 1),
+    (UNotMixture(alpha=2.0 / 3.0), math.pi, 64, 1),
+    (MOStrategy(two_j=3, two_m=3, xi_two_n=3, theta_prime=2.0), 1.3, 64, 1),
+    (MOStrategy(two_j=8, two_m=4, xi_two_n=2, theta_prime=1.0), 2.0, 64, 1),
+], ids=["heisenberg", "spin_k", "thermal", "case_choi", "xyz", "unot",
+        "mo", "mo_inverse_cdf"])
+def test_sample_blocks_leave_samples_bit_identical(monkeypatch, strategy, theta, width, tile,
                                                     budget, fixed_g):
     # ``width`` float64s a row: 16 per joint amplitude (16 dp dk), 2 dp + 64 on the band
-    # path, 64 per universal-NOT row and MO score, 16 per MO outcome axis.  A budget of 1
-    # gives 2-row blocks (the last absorbs the lone row of n = 251), 1000 and 20000 give
-    # 2-1250-row blocks; band blocks are whole 64-row tiles: one at 1 and 1000, three at
-    # 20000.  Every block comes from channels._blocks, so none is a lone row.
-    n = 251
-    assert n % max(2, -(-budget // width)) != 0
-    q_g = None
-    if fixed_g:  # the per_rotation_fidelity path
-        q = np.array([0.3, 0.1, -0.5, 0.8])
-        q_g = np.broadcast_to(q / np.linalg.norm(q), (n, 4)).copy()
-
-    def samples(block_floats):
-        monkeypatch.setattr(channels, "_BLOCK_FLOATS", block_floats)
-        return montecarlo._strategy_samples(strategy, theta, np.random.default_rng(5), n,
-                                            q_g=q_g)
-
-    assert np.array_equal(samples(budget), samples(1 << 60))
+    # path, 64 per universal-NOT row and MO score.  A budget of 1 gives 2-row blocks (the
+    # last absorbs the lone row of n = 251), 1000 and 20000 give 16-209-row blocks, or
+    # one block at 64 floats and 20000; band blocks are whole 64-row tiles: one at 1 and
+    # 1000, three at 20000.  Every block comes from channels._blocks, so none is a lone row.
+    monkeypatch.setattr(channels, "_BLOCK_FLOATS", budget)
+    _check_sample_blocks(strategy, theta, 251, width, tile, _FIXED_Q if fixed_g else None)
 
 
-def test_default_sample_blocks_leave_samples_bit_identical(monkeypatch):
+def test_default_sample_blocks_leave_samples_bit_identical():
     # 2j = 400: band blocks of 2^18 / 866 rounded up to 320 rows (5 tiles), n not a multiple
-    strategy, n = HeisenbergStrategy(two_j=400), 3000
-    blocked = montecarlo._strategy_samples(strategy, math.pi, np.random.default_rng(6), n)
-    monkeypatch.setattr(channels, "_BLOCK_FLOATS", 1 << 60)
-    whole = montecarlo._strategy_samples(strategy, math.pi, np.random.default_rng(6), n)
-    assert np.array_equal(blocked, whole)
+    _check_sample_blocks(HeisenbergStrategy(two_j=400), math.pi, 3000, 2 * 401 + 64,
+                         montecarlo._TILE, None)
 
 
 def _joint_vector_reference(monkeypatch, strategy):
@@ -242,8 +296,8 @@ def _joint_vector_reference(monkeypatch, strategy):
     ``HeisenbergGate.apply``, on the same random inputs."""
     scored = montecarlo._channel_samples
 
-    def joint_vectors(two_j, two_m, q_g, psi, theta, channel=None, bands=None):
-        assert bands is not None and channel is None
+    def joint_vectors(two_j, two_m, q_g, psi, theta, channel=None, tables=None):
+        assert tables is not None and channel is None
         gate = heisenberg.heisenberg_unitary(two_j, 1, theta, strategy.f_override)
         return scored(two_j, two_m, q_g, psi, theta,
                       lambda joint: gate.apply(joint).reshape(len(joint), -1, 2))
@@ -256,14 +310,11 @@ def _joint_vector_reference(monkeypatch, strategy):
 def test_band_scores_match_joint_vector_scores(monkeypatch, two_j, path):
     inner = HeisenbergStrategy(two_j=two_j, f_override=0.9 if path == "f_override" else None)
     strategy = ThermalWrapped(inner, 0.5) if path == "thermal" else inner
-    n, q_g = 300, None
-    if path == "fixed_g":  # the per_rotation_fidelity path
-        q = np.array([0.3, 0.1, -0.5, 0.8])
-        q_g = np.broadcast_to(q / np.linalg.norm(q), (n, 4)).copy()
+    n, q_g = 300, _FIXED_Q if path == "fixed_g" else None  # the per_rotation_fidelity path
     for theta in (0.4, math.pi, 4.0):
         def samples():
-            return montecarlo._strategy_samples(strategy, theta, np.random.default_rng(8), n,
-                                                q_g=q_g)
+            return np.concatenate(list(montecarlo._strategy_samples(
+                strategy, theta, np.random.default_rng(8), n, q_g=q_g)))
         bands = samples()
         with monkeypatch.context() as patched:
             _joint_vector_reference(patched, inner)
@@ -286,9 +337,6 @@ def test_heisenberg_qubit_blocks_score_bands_without_gate_passes(monkeypatch):
     mc_average_fidelity(HeisenbergStrategy(two_j=20), 1.0, 251, seed=0)
     assert vectors == [2]
     assert blocks == [64] * 3 + [59]
-
-
-_FIXED_Q = np.array([0.3, 0.1, -0.5, 0.8]) / np.linalg.norm([0.3, 0.1, -0.5, 0.8])
 
 
 @pytest.mark.parametrize("fixed_g", [False, True])
@@ -335,8 +383,8 @@ def test_band_scores_match_exact_phases(two_j):
     import mpmath
 
     n, theta = 12, 1.0
-    samples = montecarlo._strategy_samples(HeisenbergStrategy(two_j=two_j), theta,
-                                           np.random.default_rng(19), n)
+    samples, = montecarlo._strategy_samples(HeisenbergStrategy(two_j=two_j), theta,
+                                            np.random.default_rng(19), n)  # one block
     rng = np.random.default_rng(19)
     q_g = rotations.haar_quaternions(rng, n)
     psi = montecarlo.sample_pure_states(rng, n, 2)

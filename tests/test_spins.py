@@ -371,6 +371,44 @@ def test_mixed_two_m_rows_take_their_own_path(two_j):
         assert np.max(np.abs(states[~top] - expected[~top]), initial=0.0) < 1e-12
 
 
+@pytest.mark.parametrize("two_j", [1, 4, 20, 101])
+def test_omega_columns_read_alpha_off_the_quaternion(two_j):
+    # omega = (y - ix)(w + iz) / (|(x, y)| |(w, z)|) is e^(i alpha) of the Euler route,
+    # and 1 on the degenerate rows (beta = 0 or pi, where the columns are one-hot up to
+    # rounding); the columns are wigner_d_columns' bit for bit, per-sample m included.
+    # exp(1j * alpha) is itself off by up to 1.2e-15 (alpha in [0, 2 pi) carries a few
+    # ulp of 2 pi), so omega is held to 4e-16 of 40-digit values and to 1.5e-15 of it
+    import mpmath
+    rng = np.random.default_rng(1205)
+    q = np.concatenate([_POLE_QUATERNIONS, haar_quaternions(rng, 2000)])
+    two_ms = rng.choice(two_m_values(two_j), len(q))
+    two_ms[::2] = two_j
+    alpha, _, columns = spins.wigner_d_columns(two_j, q, two_ms)
+    omega, omega_columns = spins.wigner_d_omega_columns(two_j, q, two_ms)
+    assert np.array_equal(omega_columns, columns)
+    w, x, y, z = q.T
+    degenerate = np.minimum(np.hypot(w, z), np.hypot(x, y)) < 1e-15
+    assert degenerate.sum() == len(_POLE_QUATERNIONS) and np.all(omega[degenerate] == 1.0)
+    assert np.max(np.abs(omega - np.exp(1j * alpha))[~degenerate]) < 1.5e-15
+    with mpmath.workdps(40):
+        for (w, x, y, z), value in zip(q[~degenerate][:300].tolist(), omega[~degenerate]):
+            w, x, y, z = (mpmath.mpf(v) for v in (w, x, y, z))
+            exact = (y - 1j * x) * (w + 1j * z) / (mpmath.hypot(x, y) * mpmath.hypot(w, z))
+            assert abs(exact - mpmath.mpc(value)) < 4e-16
+
+
+@pytest.mark.parametrize("two_j", [3, 100, 400])
+def test_log_sqrt_binomials_match_forty_digits(two_j):
+    # the log-gamma difference it replaced was off by up to 5e-14 at 2j = 400
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = [float(Decimal(math.comb(two_j, k)).ln() / 2) for k in range(two_j + 1)]
+    got = spins._log_sqrt_binomials(two_j)
+    assert np.all(np.abs(got - exact) <= 4e-16 * np.abs(exact))
+
+
 @pytest.mark.parametrize("bad", [5, 7, 2, -5])
 def test_rotated_basis_states_batch_rejects_invalid_two_m(bad):
     q = haar_quaternions(np.random.default_rng(1203), 4)
