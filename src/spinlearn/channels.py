@@ -56,11 +56,6 @@ class FidelityEstimate:
         std = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
         return cls(value=min(mean, 1.0), std_error=std, n_samples=n)
 
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "FidelityEstimate":
-        """``from_blocks`` of the one block ``samples``."""
-        return cls.from_blocks([samples])
-
     def n_sigma(self, reference: float) -> float:
         """|value - reference| in units of the standard error."""
         if self.std_error == 0.0:

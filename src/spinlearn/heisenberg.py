@@ -320,6 +320,7 @@ def spin_k_entanglement_fidelity_exact(two_j: int, two_k: int, theta: float) -> 
     enter: F_e = |sum_mu exp(i theta mu) <j j; k mu|U|j j; k mu>|^2 / (2k+1)^2,
     with a the gate's angle and eps_T the eigenvalue of 2 J.K on block T.
     """
+    check_two_j(two_j)
     angle = heisenberg_unitary(two_j, two_k, theta).angle
     two_ts = np.arange(abs(two_j - two_k), two_j + two_k + 1, 2)
     total = 0j

@@ -115,6 +115,7 @@ def fidelity_given_m(two_j: int, two_m: int, theta: float,
 
 def fidelity_given_m_asymptote(two_j: int, two_m: int, theta: float) -> float:
     j = _check_nonzero_j(two_j)
+    check_valid_m(two_j, two_m)
     _check_theta(theta)
     m = two_m / 2.0
     return 1.0 - (1.0 + 2.0 * j - 2.0 * m) * (1.0 - math.cos(theta)) / (3.0 * j)
@@ -262,6 +263,7 @@ def tricomi_geometric_asymptote(two_j: int, theta: float, n: int, two_m: int) ->
     _check_nonzero_j(two_j)
     _check_theta(theta)
     check_valid_m(two_j, two_m)
+    _check_count("n", n, 0)
     x = n * (1.0 - math.cos(theta))
     ratio = x / (x + two_j)
     k = (two_j - two_m) // 2

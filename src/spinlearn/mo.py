@@ -73,7 +73,12 @@ def optimal_theta_prime(two_j: int, theta: float) -> float:
     Branch-safe form of arccot[cot(theta) + (2cos(theta)+2j+1)/((2j^2+3j)
     sin(theta))] + s(theta).
     """
-    spins._check_theta(theta)
+    spins.check_two_j(two_j)
+    return _optimal_theta_prime(two_j, spins._check_theta(theta))
+
+
+def _optimal_theta_prime(two_j: int, theta: float) -> float:
+    """``optimal_theta_prime`` for arguments the caller has already checked."""
     j = two_j / 2.0
     d = (2.0 * j * j + 3.0 * j) * math.sin(theta)
     n = (2.0 * j * j + 3.0 * j) * math.cos(theta) + 2.0 * math.cos(theta) + 2.0 * j + 1.0
@@ -82,8 +87,13 @@ def optimal_theta_prime(two_j: int, theta: float) -> float:
 
 def mo_fopt_formula(two_j: int, theta: float, theta_prime: float) -> float:
     """Average MO fidelity at probe m = j, seed n = j, for the given theta'."""
+    spins.check_two_j(two_j)
     spins._check_theta(theta)
-    spins._check_theta(theta_prime, "theta_prime")
+    return _mo_fopt(two_j, theta, spins._check_theta(theta_prime, "theta_prime"))
+
+
+def _mo_fopt(two_j: int, theta: float, theta_prime: float) -> float:
+    """``mo_fopt_formula`` for arguments the caller has already checked."""
     j = two_j / 2.0
     return (
         (4.0 * j + 4.0 + (2.0 * j + 1.0) * math.cos(theta - theta_prime))
@@ -115,7 +125,7 @@ def _mo_regime(two_j: int, theta: float, problem: int) -> tuple[str, int, float]
     theta = _regime_args(two_j, theta, problem)
     if two_j == 2 and problem == 2 and abs(theta - math.pi) <= _J1_MO_THRESHOLD:
         return "mo_j1_anomalous", 0, _regime_fidelity(anomalous_mo_fidelity(theta))
-    fidelity = mo_fopt_formula(two_j, theta, optimal_theta_prime(two_j, theta))
+    fidelity = _mo_fopt(two_j, theta, _optimal_theta_prime(two_j, theta))
     return "mo_covariant", two_j, _regime_fidelity(fidelity)
 
 
@@ -129,7 +139,7 @@ def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeRep
     """
     regime, two_m, fidelity = _mo_regime(two_j, theta, problem)
     theta_prime = (math.pi if regime == "mo_j1_anomalous"
-                   else optimal_theta_prime(two_j, float(theta) % (2.0 * math.pi)))
+                   else _optimal_theta_prime(two_j, float(theta) % (2.0 * math.pi)))
     return RegimeReport(problem=problem, regime=regime, optimal_two_m=two_m,
                         fidelity=fidelity,
                         strategy=MOStrategy(two_j=two_j, two_m=two_m, xi_two_n=two_m,

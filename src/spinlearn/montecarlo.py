@@ -12,7 +12,8 @@ draws its own random inputs, is scored, and is folded into the running
 estimate (``FidelityEstimate.from_blocks``), so its memory is O(block) and
 nothing n-long is ever built.  A qubit-target gate's samples are scored
 from its four bands (``HeisenbergGate.qubit_bands``) and the probe's real Wigner-d
-column (``spins.wigner_d_omega_columns``): no joint vector, O(j) each.
+column (``spins.wigner_d_omega_columns``): no joint vector, O(j) each.  The other
+samplers act on U_g|j,m> from ``spins.rotated_basis_states_batch``; none takes Euler angles.
 """
 
 from __future__ import annotations
@@ -49,11 +50,15 @@ def _target_states(q_g: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray
         a, b = c - 1j * s * nz, -s * ny - 1j * s * nx
         up, down = psi.T
         return np.stack([a * up + b * down, a.conj() * down - b.conj() * up], axis=1)
+    # U_g R_z(theta) U_g^-1 = Omega d(beta) R_z(theta) d(beta)^T Omega^-1, Omega = diag(omega^i):
+    # the gamma factor commutes with R_z and drops out, and d(beta) is real
     two_k = psi.shape[1] - 1
-    u = spins.rotation_irrep_batch(two_k, q_g)
-    vth = np.exp(-1j * theta * spins.m_values(two_k))
-    rotated = np.einsum("nij,nj->ni", u.conj().transpose(0, 2, 1), psi)
-    return np.einsum("nij,nj->ni", u, vth[None, :] * rotated)
+    omega, cos_half, sin_half = rotations._alpha_phase_and_moduli(q_g)
+    d = spins.rotation_y_irrep(two_k, 2.0 * np.arctan2(sin_half, cos_half)).real
+    ramp = omega[:, None] ** np.arange(two_k + 1)
+    rotated = np.einsum("nji,nj->ni", d, ramp.conj() * psi)
+    rotated *= np.exp(-1j * theta * spins.m_values(two_k))
+    return ramp * np.einsum("nij,nj->ni", d, rotated)
 
 
 def _conditional_fidelity_channel_output(out: np.ndarray, target: np.ndarray) -> np.ndarray:

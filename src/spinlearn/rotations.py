@@ -1,46 +1,15 @@
-"""Unit-quaternion rotations: ZYZ Euler angles, SU(2) matrices, rotated axes, Haar sampling.
+"""Unit-quaternion rotations: SU(2) matrices, the phase e^(i alpha), rotated axes, Haar sampling.
 
 A rotation is a (..., 4) float array, one unit quaternion (w, x, y, z) per
 row, with the SU(2) identification U = w*I - i*(x*sx + y*sy + z*sz), so the
 quaternion for a rotation by ``angle`` about the unit axis ``n`` is
-(cos(angle/2), sin(angle/2)*n).  The samplers never compose two rotations:
-they read what they need off the axis ``z_axis`` and ``rotate_vectors``.
+(cos(angle/2), sin(angle/2)*n).  The samplers never compose two rotations or take
+Euler angles: they read what they need off the quaternion (``z_axis``, ``rotate_vectors``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def euler_zyz_from_quaternion(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ZYZ Euler angles (alpha, beta, gamma) of the rotation(s) ``q``.
-
-    Uses U = exp(-i*alpha*sz/2) exp(-i*beta*sy/2) exp(-i*gamma*sz/2) with
-    beta in [0, pi].  At the coordinate singularities beta = 0, pi the
-    gamma angle is set to 0.
-    """
-    return _euler_zyz_and_moduli(q)[:3]
-
-
-def _euler_zyz_and_moduli(q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(alpha, beta, gamma, |(w, z)|, |(x, y)|): the Euler angles and the two moduli
-    whose ratio is tan(beta/2), each hypot evaluated once."""
-    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
-    cos_half, sin_half = np.hypot(w, z), np.hypot(x, y)
-    beta = 2.0 * np.arctan2(sin_half, cos_half)
-    half_sum = np.arctan2(z, w)          # (alpha + gamma)/2
-    half_diff = np.arctan2(-x, y)        # (alpha - gamma)/2
-    alpha = half_sum + half_diff
-    gamma = half_sum - half_diff
-    degenerate = np.minimum(sin_half, cos_half) < 1e-15
-    if np.ndim(degenerate) == 0:
-        if degenerate:
-            alpha = 2.0 * np.where(beta < 1.0, half_sum, half_diff)
-            gamma = np.zeros_like(gamma)
-    else:
-        alpha = np.where(degenerate, 2.0 * np.where(beta < 1.0, half_sum, half_diff), alpha)
-        gamma = np.where(degenerate, 0.0, gamma)
-    return alpha % (2.0 * np.pi), beta, gamma % (2.0 * np.pi), cos_half, sin_half
 
 
 def _alpha_phase_and_moduli(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

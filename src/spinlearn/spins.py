@@ -3,7 +3,8 @@
 Half-integer spins are carried everywhere as ``two_j = 2j`` integers so the
 special values j = 1/2, 1 dispatch exactly.  The |j,m> basis is ordered with
 m descending, m = j, j-1, ..., -j, and Clebsch-Gordan coefficients follow the
-Condon-Shortley phase convention.
+Condon-Shortley phase convention.  Rotated states are read off unit quaternions with
+no Euler angle: ``rotated_basis_states_batch`` is the SU(2) representation itself.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rotations import _alpha_phase_and_moduli, _euler_zyz_and_moduli, euler_zyz_from_quaternion
+from .rotations import _alpha_phase_and_moduli
 
 
 class InvalidQuantumNumbersError(ValueError):
@@ -131,48 +132,23 @@ def _cos_beta_law(two_j: int, two_m: int, xi_two_n: int) -> tuple[np.ndarray, ..
     return density, cdf, nodes, levels
 
 
-def rotation_irrep_euler(two_j: int, alpha, beta, gamma) -> np.ndarray:
-    """Irrep matrix exp(-i a Jz) exp(-i b Jy) exp(-i c Jz); batched over angles."""
-    m = m_values(two_j)
-    dmat = rotation_y_irrep(two_j, beta)
-    alpha = np.asarray(alpha, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    left = np.exp(-1j * alpha[..., None] * m)
-    right = np.exp(-1j * gamma[..., None] * m)
-    return left[..., :, None] * dmat * right[..., None, :]
-
-
-def rotation_irrep_batch(two_j: int, quaternions: np.ndarray) -> np.ndarray:
-    """(..., 2j+1, 2j+1) unitaries representing the rotations ``quaternions`` (..., 4)."""
-    alpha, beta, gamma = euler_zyz_from_quaternion(quaternions)
-    return rotation_irrep_euler(two_j, alpha, beta, gamma)
-
-
-def wigner_d_columns(two_j: int, quaternions: np.ndarray, two_m
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(alpha, gamma, r): ZYZ Euler angles and real Wigner-d columns, r[:, i] =
-    d^j_(j-i, m)(beta), so U_g|j,m> at index i is exp(-i (alpha j + gamma m))
-    exp(i alpha i) r[:, i]; ``two_m`` scalar or per sample.  Rows with m = j take
-    the binomial column in log space (``_coherent_columns``, O(d), exact at beta = 0
-    and pi, never overflows; bit for bit the scalar call), the others the column of
-    exp(-i beta Jy) from the Jy eigenbasis, one BLAS matmul, O(d^2) per row.
-    Raises InvalidQuantumNumbersError for a ``two_m`` out of range or of wrong parity."""
-    alpha, _, gamma, cos_half, sin_half = _euler_zyz_and_moduli(quaternions)
-    return alpha, gamma, _real_columns(two_j, two_m, cos_half, sin_half)
-
-
 def wigner_d_omega_columns(two_j: int, quaternions: np.ndarray, two_m
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, r): omega = e^(i alpha) read off the quaternions with no Euler angle
-    (1 where beta = 0 or pi: r is one-hot there, up to rounding in rows m != j, so alpha
-    is a convention) and the real columns r of ``wigner_d_columns``, bit for bit."""
+    """(omega, r): omega = e^(i alpha) read off the quaternions with no Euler angle (1 where
+    beta = 0 or pi: r is one-hot there, up to rounding in rows m != j, so alpha is a
+    convention) and the real Wigner-d columns r[:, i] = d^j_(j-i, m)(beta), so U_g|j,m> is
+    e^(i phi) omega^i r[:, i] at index i; ``two_m`` scalar or per sample, else
+    InvalidQuantumNumbersError."""
     omega, cos_half, sin_half = _alpha_phase_and_moduli(quaternions)
     return omega, _real_columns(two_j, two_m, cos_half, sin_half)
 
 
 def _real_columns(two_j: int, two_m, cos_half: np.ndarray, sin_half: np.ndarray) -> np.ndarray:
-    """The columns r of ``wigner_d_columns`` from the two quaternion moduli |(w, z)| and
-    |(x, y)|, whose ratio is tan(beta/2); beta = 2 atan2 is taken only for rows m != j."""
+    """The columns r of ``wigner_d_omega_columns`` from the two quaternion moduli |(w, z)|
+    and |(x, y)|, whose ratio is tan(beta/2).  Rows with m = j take the binomial column in
+    log space (``_coherent_columns``, O(d), exact at beta = 0 and pi, never overflows; bit
+    for bit the scalar call), the others the column of exp(-i beta Jy), beta = 2 atan2,
+    from the Jy eigenbasis, one BLAS matmul, O(d^2) per row."""
     check_two_j(two_j)
     two_m_arr = np.asarray(two_m)
     if (two_m_arr.dtype.kind not in "iu" or np.any(np.abs(two_m_arr) > two_j)
@@ -214,13 +190,16 @@ def _coherent_columns(two_j: int, cos_half: np.ndarray, sin_half: np.ndarray) ->
 
 
 def rotated_basis_states_batch(two_j: int, quaternions: np.ndarray, two_m) -> np.ndarray:
-    """(n, 2j+1) states U_g|j,m>: the phases of ``wigner_d_columns``, each taken
-    directly (no running product to drift), times its real column."""
-    alpha, gamma, column = wigner_d_columns(two_j, quaternions, two_m)
-    out = np.exp(1j * np.multiply.outer(alpha, np.arange(two_j + 1)))
-    out *= np.exp(-0.5j * (two_j * alpha + np.asarray(two_m) * gamma))[:, None]
-    out *= column
-    return out
+    """(n, 2j+1) states U_g|j,m> of the SU(2) representation (-q gives (-1)^(2j) times q's):
+    e^(-i (s (j+m-i) + t (j-m-i))) r_i at index i, s = atan2(z, w) and t = atan2(-x, y), r the
+    columns of ``wigner_d_omega_columns``; integer multipliers, no angle reduced mod 2 pi, and
+    at beta = 0 (pi), where t (s) is arbitrary, r is one-hot where its multiplier is 0."""
+    w, x, y, z = np.moveaxis(np.asarray(quaternions, dtype=float), -1, 0)
+    column = _real_columns(two_j, two_m, np.hypot(w, z), np.hypot(x, y))
+    two_m = np.asarray(two_m)[..., None]
+    up = (two_j + two_m) // 2 - np.arange(two_j + 1)  # j + m - i; j - m - i = up - 2m
+    phase = np.arctan2(z, w)[:, None] * up + np.arctan2(-x, y)[:, None] * (up - two_m)
+    return np.exp(-1j * phase) * column
 
 
 @lru_cache(maxsize=None)
@@ -236,10 +215,6 @@ def _log_sqrt_binomials(two_j: int) -> np.ndarray:
     out = np.array(logs)
     out.setflags(write=False)
     return out
-
-
-def _lnfact(n: int) -> float:
-    return math.lgamma(n + 1)
 
 
 def clebsch_gordan(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
@@ -264,7 +239,7 @@ def clebsch_gordan(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
     def f(two_n: int) -> float:
         if two_n % 2 != 0:
             raise InvalidQuantumNumbersError("half-integer factorial argument")
-        return _lnfact(two_n // 2)
+        return math.lgamma(two_n // 2 + 1)
 
     log_pref = 0.5 * (
         math.log(two_J + 1.0)

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings
 settings.register_profile(
     "suite",
     deadline=None,
+    derandomize=True,  # the same examples on every run, so a failure reproduces
     max_examples=25,
     suppress_health_check=[HealthCheck.too_slow],
 )

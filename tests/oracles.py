@@ -73,6 +73,29 @@ def relative_rotation_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return rotation_angle(quat_multiply(quat_conjugate(p), q))
 
 
+def euler_zyz_angles(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ZYZ Euler angles (alpha, beta, gamma) of quaternion(s) ``q``, with
+    U = exp(-i alpha sz/2) exp(-i beta sy/2) exp(-i gamma sz/2) exactly: alpha, gamma =
+    s +- t from the half-sum s = atan2(z, w) and half-difference t = atan2(-x, y), not
+    reduced mod 2 pi, so they name q itself and not -q (at beta = 0 or pi the free one of
+    s, t cancels from the product)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    half_sum, half_diff = np.arctan2(z, w), np.arctan2(-x, y)
+    beta = 2.0 * np.arctan2(np.hypot(x, y), np.hypot(w, z))
+    return half_sum + half_diff, beta, half_sum - half_diff
+
+
+def rotation_irrep(two_j: int, q: np.ndarray) -> np.ndarray:
+    """(..., 2j+1, 2j+1) dense spin-j representation exp(-i alpha Jz) exp(-i beta Jy)
+    exp(-i gamma Jz) of quaternion(s) ``q`` from ``euler_zyz_angles``: the SU(2)
+    representation, D(-q) = (-1)^(2j) D(q), O(d^3) per rotation."""
+    alpha, beta, gamma = euler_zyz_angles(q)
+    m = spins.m_values(two_j)
+    left = np.exp(-1j * alpha[..., None] * m)
+    right = np.exp(-1j * gamma[..., None] * m)
+    return left[..., :, None] * spins.rotation_y_irrep(two_j, beta) * right[..., None, :]
+
+
 # Choi operators follow the trace-preservation convention Tr_out[C] = I_in, laid out as
 # (input (x) output): C[(i,a),(j,b)] = <a| N(|i><j|) |b> for a channel N.
 HERMITICITY_TOL = 1e-10

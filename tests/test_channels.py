@@ -42,22 +42,22 @@ def test_fidelity_estimate_bounds():
 
 def test_fidelity_estimate_from_samples(rng):
     f = rng.uniform(0.2, 0.9, 1000)
-    est = FidelityEstimate.from_samples(f)
+    est = FidelityEstimate.from_blocks([f])
     assert est.n_samples == 1000
     assert est.value == pytest.approx(float(np.mean(f)), abs=1e-15)
     assert est.std_error == pytest.approx(float(np.std(f, ddof=1)) / math.sqrt(1000), rel=1e-12)
-    one = FidelityEstimate.from_samples(f[:1])
+    one = FidelityEstimate.from_blocks([f[:1]])
     assert one.value == f[0] and one.std_error == 0.0
-    assert FidelityEstimate.from_samples(np.array([1.0 + 1e-12])).value == 1.0
+    assert FidelityEstimate.from_blocks([np.array([1.0 + 1e-12])]).value == 1.0
     with pytest.raises(ValueError, match="n_samples"):
-        FidelityEstimate.from_samples(np.array([]))
+        FidelityEstimate.from_blocks([np.array([])])
 
 
 def test_fidelity_estimate_from_blocks_merges_random_splits(rng):
     # the streaming samplers fold (count, mean, M2) block by block: any split of the
-    # samples, empty and one-sample blocks included, gives from_samples' estimate
+    # samples, empty and one-sample blocks included, gives the one-block estimate
     f = rng.uniform(0.2, 0.9, 5000)
-    whole = FidelityEstimate.from_samples(f)
+    whole = FidelityEstimate.from_blocks([f])
     for _ in range(50):
         cuts = np.sort(rng.integers(0, len(f) + 1, size=rng.integers(1, 40)))
         merged = FidelityEstimate.from_blocks(np.split(f, cuts))

@@ -352,6 +352,16 @@ def test_spin_zero_memory_has_no_asymptote():
     assert 0.0 <= spin_k_fidelity(0, 2, 1.0, "exact") <= 1.0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: spin_k_fidelity(-4, 3, 2.0, "exact"),
+    lambda: spin_k_entanglement_fidelity_exact(-2, 2, 1.0),
+], ids=["spin_k_fidelity", "entanglement_fidelity_exact"])
+def test_negative_memory_spin_is_named(call):
+    # at the parent these returned 0.2 and 0.0
+    with pytest.raises(spins.InvalidQuantumNumbersError, match="^two_j must"):
+        call()
+
+
 @pytest.mark.parametrize("two_k,theta,target", [(2, math.pi, 1.0), (3, math.pi / 2, 2.0)])
 def test_spin_k_exact_asymptotic_rate(two_k, theta, target):
     two_j = 400

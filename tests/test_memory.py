@@ -613,14 +613,25 @@ def test_non_positive_or_nan_gamma_rejected(gamma):
     (lambda: tricomi_distribution(4, 1.0, 2.5), "n"),
     (lambda: tricomi_distribution(4, math.nan, 3), "theta"),
     (lambda: tricomi_geometric_asymptote(4, math.nan, 3, 4), "theta"),
+    (lambda: tricomi_geometric_asymptote(6, math.pi, -3, 6), "n"),
+    (lambda: tricomi_geometric_asymptote(3, 1.0, -1, 3), "n"),
+    (lambda: tricomi_geometric_asymptote(3, 1.0, 2.5, 3), "n"),
     (lambda: thermal_fidelity_asymptote(4, math.nan, 0.5), "theta"),
     (lambda: thermal_advantage_threshold(4, math.nan), "theta"),
 ], ids=["recycled_nan", "reoptimized_inf", "n_uses_float", "thermal_nan", "given_m_nan",
         "given_m_asymptote_inf", "persistence_nan", "t_max_float", "longevity_inf",
         "t_max_negative", "tricomi_n_float", "tricomi_nan", "tricomi_asymptote_nan",
-        "thermal_asymptote_nan", "threshold_nan"])
+        "tricomi_asymptote_n_pole", "tricomi_asymptote_n_negative",
+        "tricomi_asymptote_n_float", "thermal_asymptote_nan", "threshold_nan"])
 def test_bad_angle_or_count_is_named(call, name):
     # at the parent these returned nan, a wrong number of uses, or raised an
-    # error naming no argument (TypeError, "math domain error")
+    # error naming no argument (TypeError, "math domain error", ZeroDivisionError)
     with pytest.raises(ValueError, match=rf"^{name} must"):
         call()
+
+
+@pytest.mark.parametrize("two_m", [5, -7, 2])
+def test_given_m_asymptote_rejects_an_invalid_two_m(two_m):
+    # at the parent 2m = 5 returned 1.102 and 2m = -7 returned -0.124
+    with pytest.raises(InvalidQuantumNumbersError, match=f"two_m={two_m}"):
+        fidelity_given_m_asymptote(3, two_m, 1.0)

@@ -418,6 +418,28 @@ def test_formula_helpers_name_a_non_finite_theta(call, theta):
         call(theta)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: optimal_theta_prime(-1, 2.0),
+    lambda: mo_fopt_formula(-3, 1.0, 1.0),
+], ids=["optimal_theta_prime", "mo_fopt_formula"])
+def test_formula_helpers_name_a_negative_spin(call):
+    # at the parent these returned 4.28 and raised a bare ZeroDivisionError
+    with pytest.raises(InvalidQuantumNumbersError, match="^two_j must"):
+        call()
+
+
+def test_regime_dispatch_checks_its_arguments_once(monkeypatch):
+    # the sweep calls _mo_regime once per row: the formula helpers it calls must not
+    # repeat the checks that _regime_args has already made
+    calls = []
+    for name in ("check_two_j", "_check_theta"):
+        original = getattr(spins, name)
+        monkeypatch.setattr(spins, name,
+                            lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    mo_average_fidelity(5, 2.0)
+    assert sorted(calls) == ["_check_theta", "check_two_j"]
+
+
 @pytest.mark.parametrize("theta_prime", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("call", [
     lambda tp: gamma_weights(1.0, tp),

@@ -354,6 +354,21 @@ def test_axis_target_states_match_the_quaternion_route(fixed_g):
         assert np.max(np.abs(montecarlo._target_states(q_g, theta, psi) - expected)) < 1e-14
 
 
+@pytest.mark.parametrize("two_k", [2, 3, 4])
+def test_spin_k_target_states_match_the_dense_irrep(two_k):
+    # Omega d(beta) R_z(theta) d(beta)^T Omega^-1 psi against D(g) R_z(theta) D(g)^dag psi
+    # of the dense oracle irrep, on Haar draws and at beta = 0 and pi
+    rng = np.random.default_rng(20)
+    q_g = np.concatenate([[[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0], _FIXED_Q],
+                          rotations.haar_quaternions(rng, 200)])
+    psi = montecarlo.sample_pure_states(rng, len(q_g), two_k + 1)
+    u = oracles.rotation_irrep(two_k, q_g)
+    for theta in (0.4, math.pi, 4.0):
+        v = u * np.exp(-1j * theta * spins.m_values(two_k)) @ u.conj().transpose(0, 2, 1)
+        expected = np.einsum("nij,nj->ni", v, psi)
+        assert np.max(np.abs(montecarlo._target_states(q_g, theta, psi) - expected)) < 1e-13
+
+
 @pytest.mark.parametrize("two_j", [1, 2, 20, 101])
 @pytest.mark.parametrize("path", ["heisenberg", "thermal", "fixed_g"])
 def test_band_scores_match_the_complex_band_oracle(two_j, path):
@@ -367,9 +382,9 @@ def test_band_scores_match_the_complex_band_oracle(two_j, path):
     psi = montecarlo.sample_pure_states(rng, n, 2)
     bands = heisenberg.heisenberg_unitary(two_j, 1, 2.0).qubit_bands()
     target = montecarlo._target_states(q_g, 2.0, psi)
-    alpha, _, column = spins.wigner_d_columns(two_j, q_g, two_m)
-    scores = montecarlo._band_scores(montecarlo._band_tables(bands), column,
-                                     np.exp(1j * alpha), psi, target)
+    omega, column = spins.wigner_d_omega_columns(two_j, q_g, two_m)
+    scores = montecarlo._band_scores(montecarlo._band_tables(bands), column, omega, psi,
+                                     target)
     probe = spins.rotated_basis_states_batch(two_j, q_g, two_m)
     assert np.max(np.abs(scores - oracles.band_fidelities(bands, probe, psi, target))) < 1e-14
 
@@ -388,7 +403,7 @@ def test_band_scores_match_exact_phases(two_j):
     rng = np.random.default_rng(19)
     q_g = rotations.haar_quaternions(rng, n)
     psi = montecarlo.sample_pure_states(rng, n, 2)
-    _, _, columns = spins.wigner_d_columns(two_j, q_g, two_j)
+    _, columns = spins.wigner_d_omega_columns(two_j, q_g, two_j)
     d0, d1, up, lo = (np.asarray(b).tolist()
                       for b in heisenberg.heisenberg_unitary(two_j, 1, theta).qubit_bands())
     with mpmath.workdps(40):

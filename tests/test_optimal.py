@@ -12,6 +12,7 @@ from oracles import (
     choi_from_kraus,
     covariant_choi_build,
     kraus_from_choi,
+    rotation_irrep,
     unot_channel,
     unot_mixture_channel,
 )
@@ -189,7 +190,7 @@ def test_choi_build_covariance(rng):
     for _ in range(20):
         g = haar_quaternions(rng, 1)[0]
         u_out = su2_from_quaternion(g)
-        u_in = np.kron(spins.rotation_irrep_batch(4, g), u_out)
+        u_in = np.kron(rotation_irrep(4, g), u_out)
         lhs = apply_choi(choi, u_in @ rho @ u_in.conj().T)
         rhs = u_out @ apply_choi(choi, rho) @ u_out.conj().T
         assert np.max(np.abs(lhs - rhs)) < 1e-9

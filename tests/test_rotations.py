@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from oracles import (
     axis_angle_quaternion,
     conjugated_z_rotation,
+    euler_zyz_angles,
     quat_conjugate,
     quat_multiply,
     relative_rotation_angle,
     z_rotation_quaternion,
 )
 from spinlearn.rotations import (
-    euler_zyz_from_quaternion,
     haar_quaternions,
     rotate_vectors,
     su2_from_quaternion,
@@ -52,15 +52,17 @@ def test_composition_matches_matrix_product(rng):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_euler_round_trip(seed):
     g = haar_quaternions(np.random.default_rng(seed), 1)[0]
-    g2 = _from_euler_zyz(*euler_zyz_from_quaternion(g))
+    g2 = _from_euler_zyz(*euler_zyz_angles(g))
     assert np.max(np.abs(_matrices(g) - _matrices(g2))) < 1e-12
+    assert np.max(np.abs(g - g2)) < 1e-12  # unreduced angles: q itself, not -q
 
 
 @pytest.mark.parametrize("axis,angle", [([0, 0, 1], 0.7), ([0, 1, 0], math.pi), ([0, 0, 1], 0.0)])
 def test_euler_round_trip_degenerate(axis, angle):
     g = axis_angle_quaternion(axis, angle)
-    g2 = _from_euler_zyz(*euler_zyz_from_quaternion(g))
+    g2 = _from_euler_zyz(*euler_zyz_angles(g))
     assert np.max(np.abs(_matrices(g) - _matrices(g2))) < 1e-12
+    assert np.max(np.abs(g - g2)) < 1e-12  # unreduced angles: q itself, not -q
 
 
 def test_su2_matches_rotation_action(rng):

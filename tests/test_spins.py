@@ -10,26 +10,42 @@ from oracles import (
     axis_angle_quaternion,
     coupled_basis_vectors,
     decomposition_overlaps,
+    euler_zyz_angles,
     quat_multiply,
+    rotation_irrep,
 )
 from spinlearn import spins
-from spinlearn.rotations import euler_zyz_from_quaternion, haar_quaternions, z_axis
+from spinlearn.rotations import haar_quaternions, su2_from_quaternion, z_axis
 from spinlearn.spins import (
     InvalidQuantumNumbersError,
     clebsch_gordan,
     coupling_decomposition,
     dim,
-    rotation_irrep_batch,
     spin_operators,
     two_m_values,
 )
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+# quaternions with beta = 0 exactly (first two) and beta = pi exactly (last three)
+_POLE_QUATERNIONS = np.array([
+    [1.0, 0.0, 0.0, 0.0],
+    [math.cos(0.3), 0.0, 0.0, math.sin(0.3)],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [0.0, math.cos(0.2), math.sin(0.2), 0.0],
+])
 
 
 def _coherent_state(two_j: int, q: np.ndarray) -> np.ndarray:
     """U_g|j,j> for one quaternion."""
     return spins.rotated_basis_states_batch(two_j, q[None], two_j)[0]
+
+
+def _states_irrep(two_j: int, q: np.ndarray) -> np.ndarray:
+    """(n, d, d) matrices U_g whose column k is rotated_basis_states_batch at the k-th 2m."""
+    q = np.atleast_2d(q)
+    return np.stack([spins.rotated_basis_states_batch(two_j, q, two_m)
+                     for two_m in two_m_values(two_j)], axis=-1)
 
 
 def test_pauli_half():
@@ -55,13 +71,13 @@ def test_commutators_and_casimir(two_j):
 
 
 def test_irrep_identity_and_z_rotation():
-    assert np.allclose(rotation_irrep_batch(5, IDENTITY), np.eye(6), atol=1e-12)
-    u = rotation_irrep_batch(1, axis_angle_quaternion([0, 0, 1], 0.8))
+    assert np.allclose(_states_irrep(5, IDENTITY)[0], np.eye(6), atol=1e-12)
+    u = _states_irrep(1, axis_angle_quaternion([0, 0, 1], 0.8))[0]
     assert np.allclose(u, np.diag([np.exp(-0.4j), np.exp(0.4j)]), atol=1e-12)
 
 
 def test_irrep_pi_about_y_spin1():
-    u = rotation_irrep_batch(2, axis_angle_quaternion([0, 1, 0], math.pi))
+    u = _states_irrep(2, axis_angle_quaternion([0, 1, 0], math.pi))[0]
     out = u[:, 0]  # image of |1,1>
     target = np.zeros(3)
     target[2] = 1.0  # |1,-1>
@@ -72,22 +88,44 @@ def test_irrep_pi_about_y_spin1():
 def test_irrep_matches_matrix_exponential(two_j, rng):
     jx, jy, jz = spin_operators(two_j)
     g = haar_quaternions(rng, 1)[0]
-    alpha, beta, gamma = euler_zyz_from_quaternion(g)
+    alpha, beta, gamma = euler_zyz_angles(g)
     oracle = expm(-1j * alpha * jz) @ expm(-1j * beta * jy) @ expm(-1j * gamma * jz)
-    assert np.max(np.abs(rotation_irrep_batch(two_j, g) - oracle)) < 1e-12
+    assert np.max(np.abs(rotation_irrep(two_j, g) - oracle)) < 1e-12
+    assert np.max(np.abs(_states_irrep(two_j, g)[0] - oracle)) < 1e-12
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 5])
 def test_irrep_unitary_and_homomorphic(two_j, rng):
+    # the oracle is the SU(2) representation itself: no sign freedom at half-integer j
     d = dim(two_j)
     for _ in range(100):
         g, h = haar_quaternions(rng, 2)
-        ug, uh = rotation_irrep_batch(two_j, g), rotation_irrep_batch(two_j, h)
+        ug, uh = rotation_irrep(two_j, g), rotation_irrep(two_j, h)
         assert np.max(np.abs(ug.conj().T @ ug - np.eye(d))) < 1e-10
-        ugh = rotation_irrep_batch(two_j, quat_multiply(g, h))
-        # equality up to a global phase (sign for half-integer spins)
-        overlap = abs(np.trace(ugh.conj().T @ (ug @ uh))) / d
-        assert abs(overlap - 1.0) < 1e-9
+        ugh = rotation_irrep(two_j, quat_multiply(g, h))
+        assert np.max(np.abs(ugh - ug @ uh)) < 1e-9
+
+
+def test_spin_half_states_are_the_su2_columns():
+    # U_g|1/2, +-1/2> is the first (second) column of U_g itself, sign included
+    q = np.concatenate([_POLE_QUATERNIONS, haar_quaternions(np.random.default_rng(1206), 2000)])
+    u = su2_from_quaternion(q)
+    for column, two_m in enumerate((1, -1)):
+        states = spins.rotated_basis_states_batch(1, q, two_m)
+        assert np.max(np.abs(states - u[:, :, column])) < 1e-15
+
+
+@pytest.mark.parametrize("two_j", [1, 3, 5, 20])
+def test_rotated_states_compose_as_su2(two_j):
+    # D(g) D(h)|j,m> = D(gh)|j,m> with D read off rotated_basis_states_batch alone
+    rng = np.random.default_rng(1207)
+    g = np.concatenate([_POLE_QUATERNIONS, haar_quaternions(rng, 200)])
+    h = haar_quaternions(rng, len(g))
+    ug, gh = _states_irrep(two_j, g), quat_multiply(g, h)
+    for two_m in two_m_values(two_j):
+        direct = spins.rotated_basis_states_batch(two_j, gh, two_m)
+        composed = np.einsum("nij,nj->ni", ug, spins.rotated_basis_states_batch(two_j, h, two_m))
+        assert np.max(np.abs(composed - direct)) < 1e-12
 
 
 def test_haar_schur_integral():
@@ -318,16 +356,6 @@ def test_spin_zero_memory_has_no_coupling_decomposition():
         coupling_decomposition(0, 0, 1.0)
 
 
-# quaternions with beta = 0 exactly (first two) and beta = pi exactly (last three)
-_POLE_QUATERNIONS = np.array([
-    [1.0, 0.0, 0.0, 0.0],
-    [math.cos(0.3), 0.0, 0.0, math.sin(0.3)],
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [0.0, math.cos(0.2), math.sin(0.2), 0.0],
-])
-
-
 @pytest.mark.parametrize("two_j", [1, 2, 3, 20, 400])
 def test_coherent_column_matches_irrep_batch(two_j):
     # the dense irrep costs O(d^3) per rotation, so few random rotations at 2j = 400
@@ -335,7 +363,7 @@ def test_coherent_column_matches_irrep_batch(two_j):
     q = np.concatenate([_POLE_QUATERNIONS, haar_quaternions(np.random.default_rng(1201), n_random)])
     states = spins.rotated_basis_states_batch(two_j, q, two_j)
     assert np.all(np.isfinite(states))
-    assert np.max(np.abs(states - spins.rotation_irrep_batch(two_j, q)[:, :, 0])) < 1e-12
+    assert np.max(np.abs(states - rotation_irrep(two_j, q)[:, :, 0])) < 1e-12
 
 
 @pytest.mark.parametrize("two_j", [1, 4, 7, 20])
@@ -343,7 +371,7 @@ def test_per_sample_m_matches_irrep_columns(two_j):
     rng = np.random.default_rng(1202)
     q = np.concatenate([_POLE_QUATERNIONS, haar_quaternions(rng, 300)])
     two_ms = rng.choice(two_m_values(two_j), len(q))
-    irrep = spins.rotation_irrep_batch(two_j, q)
+    irrep = rotation_irrep(two_j, q)
     states = spins.rotated_basis_states_batch(two_j, q, two_ms)
     expected = irrep[np.arange(len(q)), :, (two_j - two_ms) // 2]
     assert np.max(np.abs(states - expected)) < 1e-12
@@ -358,7 +386,7 @@ def test_mixed_two_m_rows_take_their_own_path(two_j):
     rng = np.random.default_rng(1204)
     q = np.concatenate([_POLE_QUATERNIONS, haar_quaternions(rng, 60)])
     coherent = spins.rotated_basis_states_batch(two_j, q, two_j)
-    irrep = spins.rotation_irrep_batch(two_j, q)
+    irrep = rotation_irrep(two_j, q)
     mixed = rng.choice(two_m_values(two_j), len(q))
     mixed[::3] = two_j
     lone = np.full(len(q), two_j)
@@ -373,20 +401,22 @@ def test_mixed_two_m_rows_take_their_own_path(two_j):
 
 @pytest.mark.parametrize("two_j", [1, 4, 20, 101])
 def test_omega_columns_read_alpha_off_the_quaternion(two_j):
-    # omega = (y - ix)(w + iz) / (|(x, y)| |(w, z)|) is e^(i alpha) of the Euler route,
+    # omega = (y - ix)(w + iz) / (|(x, y)| |(w, z)|) is e^(i alpha) of the Euler oracle,
     # and 1 on the degenerate rows (beta = 0 or pi, where the columns are one-hot up to
-    # rounding); the columns are wigner_d_columns' bit for bit, per-sample m included.
-    # exp(1j * alpha) is itself off by up to 1.2e-15 (alpha in [0, 2 pi) carries a few
-    # ulp of 2 pi), so omega is held to 4e-16 of 40-digit values and to 1.5e-15 of it
+    # rounding); the columns are bit for bit those that rotated_basis_states_batch reads
+    # off the same moduli, per-sample m included.  exp(1j * alpha) is itself off by up to
+    # 1.2e-15 (alpha, up to 2 pi in size, carries a few ulp of 2 pi), so omega is held to
+    # 4e-16 of 40-digit values and to 1.5e-15 of it
     import mpmath
     rng = np.random.default_rng(1205)
     q = np.concatenate([_POLE_QUATERNIONS, haar_quaternions(rng, 2000)])
     two_ms = rng.choice(two_m_values(two_j), len(q))
     two_ms[::2] = two_j
-    alpha, _, columns = spins.wigner_d_columns(two_j, q, two_ms)
+    alpha, _, _ = euler_zyz_angles(q)
     omega, omega_columns = spins.wigner_d_omega_columns(two_j, q, two_ms)
-    assert np.array_equal(omega_columns, columns)
     w, x, y, z = q.T
+    columns = spins._real_columns(two_j, two_ms, np.hypot(w, z), np.hypot(x, y))
+    assert np.array_equal(omega_columns, columns)
     degenerate = np.minimum(np.hypot(w, z), np.hypot(x, y)) < 1e-15
     assert degenerate.sum() == len(_POLE_QUATERNIONS) and np.all(omega[degenerate] == 1.0)
     assert np.max(np.abs(omega - np.exp(1j * alpha))[~degenerate]) < 1.5e-15
