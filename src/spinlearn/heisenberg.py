@@ -4,7 +4,9 @@ The memory spin j and the target spin k interact through the rotationally
 invariant coupling J.K; the gate is diagonal on total-spin blocks, which
 makes its action cheap at any j.  For a qubit target the interaction angle
 is the optimised function f(theta); for larger targets the angle is theta
-itself (the large-j heuristic).
+itself (the large-j heuristic), reduced to [-pi, pi]: theta - 2 pi gives
+the same target up to a phase, and theta and 2 pi - theta, a rotation and
+its inverse, then give the same fidelity.
 
 The gate acts sector by sector of total M: contract the amplitudes with the
 sector's Clebsch-Gordan table g, multiply by the block phases, contract with
@@ -190,9 +192,6 @@ class HeisenbergGate:
         even, odd = self.apply(np.arange(self.dim_total) % 2 == np.arange(2)[:, None])
         return even[0::2], odd[1::2], odd[0::2], even[1::2]
 
-    def matrix(self) -> np.ndarray:
-        return self.apply(np.eye(self.dim_total, dtype=complex)).T
-
 
 def heisenberg_unitary(two_j: int, two_k: int, theta: float,
                        f_override: float | None = None) -> HeisenbergGate:
@@ -202,7 +201,7 @@ def heisenberg_unitary(two_j: int, two_k: int, theta: float,
     elif two_k == 1:
         angle = f_angle(two_j, theta)
     else:
-        angle = float(theta)
+        angle = math.remainder(theta, 2.0 * math.pi)
     return HeisenbergGate(two_j=two_j, two_k=two_k, theta=float(theta), angle=angle)
 
 
@@ -234,26 +233,11 @@ def entanglement_fidelity_given_m(two_j: int, two_m: int, theta: float,
     return a0 + a1 * m + a2 * m * m
 
 
-def heisenberg_entanglement_fidelity(two_j: int, theta: float,
-                                     f_override: float | None = None) -> float:
-    """Closed-form entanglement fidelity of the optimal-coupling realization."""
-    check_two_j(two_j)
-    _check_theta(theta)
-    j = two_j / 2.0
-    f = f_angle(two_j, theta) if f_override is None else _check_theta(f_override, "f_override")
-    n = 1.0 + 2.0 * j
-    return (
-        1.0 + 2.0 * j + 4.0 * j * j
-        + 2.0 * j * math.cos(f)
-        + n * math.cos(theta)
-        + 2.0 * j * n * math.cos(theta - f)
-    ) / (2.0 * n * n)
-
-
 def heisenberg_average_fidelity(two_j: int, theta: float,
                                 f_override: float | None = None) -> float:
+    """Average fidelity of the gate with the aligned coherent memory |j,j>."""
     return average_from_entanglement(
-        heisenberg_entanglement_fidelity(two_j, theta, f_override), 2)
+        entanglement_fidelity_given_m(two_j, two_j, theta, f_override), 2)
 
 
 def per_input_fidelity(two_j: int, theta: float, polar: float, azimuth: float = 0.0) -> float:
@@ -321,6 +305,7 @@ def spin_k_entanglement_fidelity_exact(two_j: int, two_k: int, theta: float) -> 
     with a the gate's angle and eps_T the eigenvalue of 2 J.K on block T.
     """
     check_two_j(two_j)
+    _check_target_spin(two_k)
     angle = heisenberg_unitary(two_j, two_k, theta).angle
     two_ts = np.arange(abs(two_j - two_k), two_j + two_k + 1, 2)
     total = 0j

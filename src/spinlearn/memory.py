@@ -50,13 +50,6 @@ class SignedWeights:
         if self.weights.shape != (dim(self.two_j),):
             raise ValueError("weight vector has wrong length")
 
-    def weight_at(self, two_m: int) -> float:
-        check_valid_m(self.two_j, two_m)
-        return float(self.weights[(self.two_j - two_m) // 2])
-
-    def total_variation(self, other: "SignedWeights") -> float:
-        return 0.5 * float(np.sum(np.abs(self.weights - other.weights)))
-
 
 @dataclass(frozen=True)
 class MemoryDistribution(SignedWeights):

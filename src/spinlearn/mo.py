@@ -73,7 +73,7 @@ def optimal_theta_prime(two_j: int, theta: float) -> float:
     Branch-safe form of arccot[cot(theta) + (2cos(theta)+2j+1)/((2j^2+3j)
     sin(theta))] + s(theta).
     """
-    spins.check_two_j(two_j)
+    spins._check_nonzero_j(two_j)
     return _optimal_theta_prime(two_j, spins._check_theta(theta))
 
 
@@ -87,7 +87,7 @@ def _optimal_theta_prime(two_j: int, theta: float) -> float:
 
 def mo_fopt_formula(two_j: int, theta: float, theta_prime: float) -> float:
     """Average MO fidelity at probe m = j, seed n = j, for the given theta'."""
-    spins.check_two_j(two_j)
+    spins._check_nonzero_j(two_j)
     spins._check_theta(theta)
     return _mo_fopt(two_j, theta, spins._check_theta(theta_prime, "theta_prime"))
 
@@ -302,22 +302,25 @@ def spin_k_mo_fidelity(two_j: int, two_k: int, theta: float, n_samples: int,
     return _average_estimate(fe, two_k), spin_k_mo_asymptote(two_j, two_k, theta)
 
 
-def spin_k_mo_quadrature(two_j: int, two_k: int, theta: float,
-                         grid: int = 20001) -> float:
-    """Quadrature reference for the spin-k MO fidelity (independent of the
-    Monte-Carlo sampler; the outcome-axis azimuth drops out exactly); needs
-    2j >= 0, a target 2k >= 1 and at least 2 ``grid`` points."""
-    spins.check_two_j(two_j)
+def spin_k_mo_quadrature(two_j: int, two_k: int, theta: float) -> float:
+    """Exact spin-k MO average fidelity, independent of the Monte-Carlo sampler.
+
+    With u = sin^2(beta/2) of the estimate offset the outcome density is
+    (2j+1)(1-u)^(2j) (the azimuth drops out) and cos(tau/2) = +-(1 - 2 sin^2(theta/2) u),
+    so the squared character, even in cos(tau/2), is a polynomial of degree 4k in u.
+    The (2k+1)-node Gauss-Jacobi rule of that density is exact for it: its nodes and
+    weights come from the eigenpairs of the Jacobi matrix of the shifted Jacobi
+    polynomials P^(2j, 0)(2u - 1) (Golub-Welsch).  Needs 2j >= 1 and a target 2k >= 1.
+    """
+    spins._check_nonzero_j(two_j)
     spins._check_target_spin(two_k)
     spins._check_theta(theta)
-    if grid < 2:
-        raise ValueError(f"grid must be at least 2 points, got {grid!r}")
-    x = np.linspace(0.0, 1.0, grid)  # cos^2(beta/2) of the estimate offset
-    beta = 2.0 * np.arccos(np.sqrt(np.clip(x, 0.0, 1.0)))
-    density = (two_j + 1) * x**two_j
-    half = theta / 2.0
-    cos_tau_half = np.abs(math.cos(half) ** 2 + math.sin(half) ** 2 * np.cos(beta))
+    n = np.arange(2 * two_k + 1.0)  # recurrence of the monic P^(2j, 0)(2u - 1)
+    s = 2.0 * n + two_j
+    diag = (2.0 * n * (n + two_j + 1.0) + two_j) / (s * (s + 2.0))
+    off = n[1:] * (n[1:] + two_j) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
+    u, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    cos_tau_half = np.abs(1.0 - 2.0 * math.sin(theta / 2.0) ** 2 * u)
     tau = 2.0 * np.arccos(np.clip(cos_tau_half, 0.0, 1.0))
-    fe = _character_ratio(two_k, tau) ** 2
-    val = np.trapezoid(fe * density, x)
-    return average_from_entanglement(float(val), two_k + 1)
+    fe = vecs[0] ** 2 @ _character_ratio(two_k, tau) ** 2
+    return average_from_entanglement(float(fe), two_k + 1)

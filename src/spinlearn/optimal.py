@@ -217,10 +217,6 @@ def _alpha_from_t_plus(two_j: int, t_plus: float) -> float:
     return ((two_j + 2.0) - (two_j + 1.0) * t_plus) / (two_j + 3.0)
 
 
-def _beta_from_t_minus(two_j: int, t_minus: float) -> float:
-    return (two_j - (two_j + 1.0) * t_minus) / (two_j - 1.0)
-
-
 def case_fidelity(case: int, two_j: int, two_m: int, theta: float
                   ) -> tuple[float, CovariantChoiParams]:
     """Stationary-point entanglement fidelity and parameters for one Lagrange case.
@@ -228,7 +224,8 @@ def case_fidelity(case: int, two_j: int, two_m: int, theta: float
     Case 1: alpha = beta = 0, rank-one M saturating both constraints.
     Case 2: beta = 0, the shrunk-block weight rides on the stretched block.
     Case 3: alpha, beta at their maxima, M = 0 (needs two_j >= 2).
-    Case 4: alpha = 0 mirror of case 2 (needs two_j >= 2); never optimal.
+    The alpha = 0 mirror of case 2 is never optimal and has no case here;
+    the test oracle ``brute_force_optimum`` searches the whole family.
     """
     check_valid_m(two_j, two_m)
     coeff = coupling_decomposition(two_j, two_m, theta)
@@ -254,19 +251,6 @@ def case_fidelity(case: int, two_j: int, two_m: int, theta: float
         params = CovariantChoiParams(alpha=(2 * j + 2) / (2 * j + 3),
                                      beta=2 * j / (2 * j - 1),
                                      m_matrix=np.zeros((2, 2), dtype=complex))
-    elif case == 4:
-        if two_j < 2:
-            raise CaseNotApplicableError("case 4 requires a spin j-1 block")
-        d4 = (2 * j + 1) / (2 * j - 1) * abs(coeff.b) ** 2 - abs(coeff.c_minus) ** 2
-        if d4 <= 1e-14:
-            raise CaseNotApplicableError("case 4 stationary point does not exist here")
-        v_minus = math.sqrt(_t_plus_max(two_j)) * abs(coeff.c_plus * coeff.c_minus) / d4
-        t_minus = v_minus**2
-        beta = _beta_from_t_minus(two_j, t_minus)
-        if beta < -1e-12:
-            raise CaseNotApplicableError("case 4 weight beta is negative here")
-        m = _rank_one_m(_t_plus_max(two_j), t_minus, coeff)
-        params = CovariantChoiParams(alpha=0.0, beta=max(beta, 0.0), m_matrix=m)
     else:
         raise ValueError(f"unknown case {case}")
     return covariant_fidelity(params, two_j, two_m, theta), params

@@ -290,10 +290,6 @@ class CouplingCoeffs:
     c_plus: complex
     c_minus: complex
 
-    def norm_sq(self) -> float:
-        return float(abs(self.a) ** 2 + abs(self.b) ** 2
-                     + abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2)
-
 
 def coupling_decomposition(two_j: int, two_m: int, theta: float) -> CouplingCoeffs:
     """Block coefficients (a, b, c+, c-) for probe index m and angle theta.

@@ -179,9 +179,14 @@ def stinespring_channel(unitary: np.ndarray, dim_keep: int) -> KrausChannel:
     return KrausChannel(kraus=tuple(u), dim_in=total, dim_out=dim_keep)
 
 
+def gate_matrix(gate: heisenberg.HeisenbergGate) -> np.ndarray:
+    """The dense gate, column by column from ``apply`` on the identity."""
+    return gate.apply(np.eye(gate.dim_total, dtype=complex)).T
+
+
 def gate_channel(gate: heisenberg.HeisenbergGate) -> KrausChannel:
     """Interact, then trace out the memory: Kraus form of the gate's learning channel."""
-    return stinespring_channel(gate.matrix(), dim(gate.two_k))
+    return stinespring_channel(gate_matrix(gate), dim(gate.two_k))
 
 
 def identity_choi(d: int) -> ChoiOperator:
@@ -322,7 +327,8 @@ def brute_force_optimum(two_j: int, two_m: int, theta: float,
     t_minus_max = optimal._t_minus_pinned(two_j)
 
     def fe(tp: float, tm: float) -> float:
-        shrunk = optimal._beta_from_t_minus(two_j, tm) * b2 if two_j >= 2 else 0.0
+        beta = (two_j - (two_j + 1.0) * tm) / (two_j - 1.0) if two_j >= 2 else 0.0
+        shrunk = beta * b2
         return 0.5 * (optimal._alpha_from_t_plus(two_j, tp) * a2 + shrunk
                       + (math.sqrt(tp) * cp + math.sqrt(tm) * cm) ** 2)
 
@@ -397,7 +403,7 @@ def unot_mixture_channel(alpha: float, theta: float) -> KrausChannel:
     optimized spin-spin gate ("yes") or the 2-to-1 universal NOT ("no")."""
     m_yes, m_no = optimal._unot_instrument(alpha)
     gate = heisenberg.heisenberg_unitary(1, 1, theta)
-    kraus = list(stinespring_channel(gate.matrix() @ m_yes, 2).kraus)
+    kraus = list(stinespring_channel(gate_matrix(gate) @ m_yes, 2).kraus)
     if alpha > 0.0:
         kraus.extend(k @ m_no for k in unot_channel().kraus)
     return KrausChannel(kraus=tuple(kraus), dim_in=4, dim_out=2)
@@ -467,7 +473,7 @@ def complementary_step(two_j: int, theta: float, dist: MemoryDistribution,
 def stinespring_complementary_populations(two_j: int, theta: float,
                                           dist: MemoryDistribution) -> MemoryDistribution:
     """The step by the dense route: trace the gate against a maximally mixed target."""
-    u = heisenberg.heisenberg_unitary(two_j, 1, theta).matrix()
+    u = gate_matrix(heisenberg.heisenberg_unitary(two_j, 1, theta))
     d = dim(two_j)
     rho = np.kron(np.diag(dist.weights).astype(complex), 0.5 * np.eye(2))
     out = u @ rho @ u.conj().T

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import coupled_basis_vectors, coupling_sectors_by_racah, gate_channel
+from oracles import coupled_basis_vectors, coupling_sectors_by_racah, gate_channel, gate_matrix
 from spinlearn import heisenberg, optimal, spins
 from spinlearn.heisenberg import (
+    entanglement_fidelity_given_m,
     f_angle,
-    heisenberg_entanglement_fidelity,
     heisenberg_unitary,
     interaction_time,
     per_input_fidelity,
@@ -60,12 +60,12 @@ def test_f_angle_continuous_across_pi():
 
 def test_gate_identity_at_zero():
     gate = heisenberg_unitary(5, 1, 0.0)
-    assert np.allclose(gate.matrix(), np.eye(12), atol=1e-12)
+    assert np.allclose(gate_matrix(gate), np.eye(12), atol=1e-12)
 
 
 def test_gate_unitary_and_isotropic():
     gate = heisenberg_unitary(4, 1, 2.1)
-    u = gate.matrix()
+    u = gate_matrix(gate)
     assert np.max(np.abs(u.conj().T @ u - np.eye(10))) < 1e-10
     jp = spins.spin_operators(4)
     jt = spins.spin_operators(1)
@@ -96,7 +96,7 @@ def test_qubit_slice_path_matches_sector_loop(monkeypatch, two_j):
 @pytest.mark.parametrize("two_j", [*range(1, 13), 33, 100])
 def test_qubit_bands_rebuild_the_dense_gate(two_j):
     # the gate conserves total M: its four bands hold every nonzero entry, with the bits
-    # of matrix(), whose columns come from the same apply
+    # of gate_matrix, whose columns come from the same apply
     i = np.arange(two_j + 1)
     for theta, f_override in [(0.0, None), (1.0, None), (math.pi, None), (5.0, None),
                               (1.0, 2.3)]:
@@ -108,7 +108,7 @@ def test_qubit_bands_rebuild_the_dense_gate(two_j):
         dense[2 * i[1:], 2 * i[1:] - 1] = up[1:]
         dense[2 * i[:-1] + 1, 2 * i[:-1] + 2] = lo[:-1]
         assert up[0] == 0 and lo[-1] == 0
-        assert np.array_equal(dense, gate.matrix())
+        assert np.array_equal(dense, gate_matrix(gate))
 
 
 def test_qubit_bands_need_a_qubit_target():
@@ -137,7 +137,7 @@ def test_apply_rejects_wrong_vector_length(two_k):
 
 def test_gate_qubit_pair_diagonal_on_total_spin_blocks():
     # two spin-1/2 particles: the gate is diagonal in the singlet/triplet basis
-    u = heisenberg_unitary(1, 1, 2.4).matrix()
+    u = gate_matrix(heisenberg_unitary(1, 1, 2.4))
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     blocks = np.vstack([coupled_basis_vectors(1, 1, 2), singlet[None, :]])
     in_coupled = blocks @ u @ blocks.T
@@ -154,14 +154,14 @@ def test_gate_matches_matrix_exponential():
     jp = spins.spin_operators(two_j)
     coupling = sum(np.kron(a, 2.0 * b) for a, b in zip(jp, spins.spin_operators(1)))
     oracle = expm(-1j * f_angle(two_j, theta) * coupling / (two_j + 1))
-    assert np.max(np.abs(heisenberg_unitary(two_j, 1, theta).matrix() - oracle)) < 1e-10
+    assert np.max(np.abs(gate_matrix(heisenberg_unitary(two_j, 1, theta)) - oracle)) < 1e-10
 
 
 def test_gate_block_structure():
     # U = e^{ih} [e^{-if} P_+ + P_-] on the two total-spin blocks
     two_j, theta = 5, 2.3
     f = f_angle(two_j, theta)
-    u = heisenberg_unitary(two_j, 1, theta).matrix()
+    u = gate_matrix(heisenberg_unitary(two_j, 1, theta))
     pp = coupled_basis_vectors(two_j, 1, two_j + 1)
     pm = coupled_basis_vectors(two_j, 1, two_j - 1)
     proj_p = pp.T @ pp
@@ -197,16 +197,16 @@ def test_gate_three_term_expansion_j5():
 
 
 def test_closed_form_fidelity_values():
-    assert heisenberg_entanglement_fidelity(7, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert heisenberg_entanglement_fidelity(3, math.pi) == pytest.approx(0.5625, abs=1e-12)
-    suboptimal = heisenberg_entanglement_fidelity(4, math.pi, f_override=math.pi / 2)
+    assert entanglement_fidelity_given_m(7, 7, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert entanglement_fidelity_given_m(3, 3, math.pi) == pytest.approx(0.5625, abs=1e-12)
+    suboptimal = entanglement_fidelity_given_m(4, 4, math.pi, f_override=math.pi / 2)
     assert suboptimal < 0.64 - 1e-6
 
 
 @pytest.mark.parametrize("two_j", list(range(1, 41)))
 def test_closed_form_equals_case1_optimum(two_j):
     for theta in np.linspace(0.0, 2 * math.pi, 50, endpoint=False):
-        fh = heisenberg_entanglement_fidelity(two_j, float(theta))
+        fh = entanglement_fidelity_given_m(two_j, two_j, float(theta))
         f1 = optimal.case1_entanglement_fidelity(two_j, two_j, float(theta))
         assert abs(fh - f1) < 1e-12
 
@@ -216,8 +216,8 @@ def test_f_maximizes_closed_form():
         for theta in (0.7, 2.0, 2.9, 4.5):
             f = f_angle(two_j, theta)
             eps = 1e-5
-            deriv = (heisenberg_entanglement_fidelity(two_j, theta, f + eps)
-                     - heisenberg_entanglement_fidelity(two_j, theta, f - eps)) / (2 * eps)
+            deriv = (entanglement_fidelity_given_m(two_j, two_j, theta, f + eps)
+                     - entanglement_fidelity_given_m(two_j, two_j, theta, f - eps)) / (2 * eps)
             assert abs(deriv) < 1e-6
 
 
@@ -362,6 +362,27 @@ def test_negative_memory_spin_is_named(call):
         call()
 
 
+@pytest.mark.parametrize("two_k", [0, -1])
+def test_spin_k_exact_sum_names_a_bad_target(two_k):
+    # at the parent 2k = 0 returned 0.9999999999999987 and 2k = -1 raised an error
+    # naming two_j
+    with pytest.raises(spins.InvalidQuantumNumbersError, match="two_k"):
+        spin_k_entanglement_fidelity_exact(2, two_k, 1.0)
+
+
+@pytest.mark.parametrize("two_k", [2, 3, 4])
+def test_spin_k_fidelity_is_symmetric_about_pi(two_k):
+    # 2 pi - theta is the inverse of the rotation by theta, up to a phase, and the gate
+    # learns a rotation and its inverse equally well; at the parent the gate's angle was
+    # theta itself, and spin_k_fidelity(8, 2, 5.983) read 0.9158 against 0.9907 at
+    # 2 pi - 5.983
+    for two_j in (1, 2, 3, 8, 40):
+        for theta in np.linspace(0.0, 2.0 * math.pi, 37):
+            gap = (spin_k_fidelity(two_j, two_k, float(theta))
+                   - spin_k_fidelity(two_j, two_k, 2.0 * math.pi - float(theta)))
+            assert abs(gap) < 1e-14
+
+
 @pytest.mark.parametrize("two_k,theta,target", [(2, math.pi, 1.0), (3, math.pi / 2, 2.0)])
 def test_spin_k_exact_asymptotic_rate(two_k, theta, target):
     two_j = 400
@@ -395,8 +416,8 @@ def test_spin_k_qubit_consistency(two_j, two_k, theta):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: heisenberg.heisenberg_entanglement_fidelity(4, math.nan),
-    lambda: heisenberg.heisenberg_entanglement_fidelity(4, math.nan, f_override=1.0),
+    lambda: heisenberg.entanglement_fidelity_given_m(4, 4, math.nan),
+    lambda: heisenberg.entanglement_fidelity_given_m(4, 4, math.nan, f_override=1.0),
     lambda: heisenberg.heisenberg_average_fidelity(4, math.inf),
     lambda: heisenberg.f_angle(4, math.nan),
     lambda: heisenberg.entanglement_fidelity_given_m(4, 2, math.nan, f_override=1.0),
@@ -421,7 +442,7 @@ def test_non_finite_theta_is_named(call):
     lambda f: heisenberg_unitary(4, 2, 1.0, f),
     lambda f: heisenberg.entanglement_fidelity_coefficients(4, 1.0, f),
     lambda f: heisenberg.entanglement_fidelity_given_m(4, 2, 1.0, f),
-    lambda f: heisenberg_entanglement_fidelity(4, 1.0, f),
+    lambda f: entanglement_fidelity_given_m(4, 4, 1.0, f),
     lambda f: heisenberg.heisenberg_average_fidelity(4, 1.0, f_override=f),
 ], ids=["unitary", "unitary_spin_k", "coefficients", "given_m", "entanglement", "average"])
 def test_non_finite_f_override_is_named(call, f_override):

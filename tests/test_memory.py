@@ -52,7 +52,7 @@ def test_kernel_column_stochastic(two_j, theta):
 def test_step_theta_zero_is_identity():
     d = point_mass(8, 4)
     out = complementary_step(8, 0.0, d)
-    assert d.total_variation(out) < 1e-15
+    assert 0.5 * np.abs(d.weights - out.weights).sum() < 1e-15
 
 
 def test_step_point_mass_explicit_coefficients():
@@ -61,8 +61,8 @@ def test_step_point_mass_explicit_coefficients():
     out = complementary_step(two_j, math.pi, point_mass(two_j, 4))
     j, m = 2.0, 2.0
     expected_down = (j + m) * (1 + j - m) / (1 + 2 * j) ** 2 * 2.0
-    assert out.weight_at(2) == pytest.approx(expected_down, abs=1e-14)
-    assert out.weight_at(4) == pytest.approx(1.0 - expected_down, abs=1e-14)
+    assert out.weights[1] == pytest.approx(expected_down, abs=1e-14)  # 2m = 2
+    assert out.weights[0] == pytest.approx(1.0 - expected_down, abs=1e-14)  # 2m = 4
     out.validate()
 
 
@@ -74,7 +74,7 @@ def test_exact_kernel_equals_stinespring_over_fifty_steps_at_pi():
     for _ in range(50):
         a = complementary_step(two_j, math.pi, a)
         b = stinespring_complementary_populations(two_j, math.pi, b)
-    assert a.total_variation(b) < 1e-8
+    assert 0.5 * np.abs(a.weights - b.weights).sum() < 1e-8
 
 
 def test_exact_kernel_equals_stinespring_any_angle():
@@ -84,7 +84,7 @@ def test_exact_kernel_equals_stinespring_any_angle():
         for _ in range(4):
             a = complementary_step(two_j, theta, a, "exact")
             b = stinespring_complementary_populations(two_j, theta, b)
-        assert a.total_variation(b) < 1e-12
+        assert 0.5 * np.abs(a.weights - b.weights).sum() < 1e-12
 
 
 @pytest.mark.parametrize("two_j,theta", [(1, 1.0), (2, 2.0), (3, 0.7), (4, 1.0)])
@@ -107,7 +107,7 @@ def test_unknown_kernel_kind():
 
 def test_tricomi_point_mass_at_zero_steps():
     d = tricomi_distribution(12, 1.7, 0)
-    assert d.weight_at(12) == 1.0
+    assert d.weights[0] == 1.0  # 2m = 12
 
 
 @pytest.mark.parametrize("two_j,theta,n", [(200, math.pi, 20), (200, math.pi, 90),
@@ -117,7 +117,7 @@ def test_tricomi_matches_leading_chain(two_j, theta, n):
     ch = point_mass(two_j, two_j)
     for _ in range(n):
         ch = complementary_step(two_j, theta, ch, "leading")
-    assert tri.total_variation(ch) < 1e-8
+    assert 0.5 * np.abs(tri.weights - ch.weights).sum() < 1e-8
 
 
 def _leading_chain_exact(two_j, theta, n):
@@ -162,7 +162,7 @@ def test_tricomi_geometric_asymptote_top_weights():
     tri = tricomi_distribution(two_j, theta, n)
     for k in range(5):
         two_m = two_j - 2 * k
-        got = tri.weight_at(two_m)
+        got = tri.weights[k]
         asym = tricomi_geometric_asymptote(two_j, theta, n, two_m)
         assert abs(got - asym) < 0.05 * asym
 
@@ -195,8 +195,6 @@ def test_tricomi_weights_are_signed_not_a_distribution():
     tri = tricomi_distribution(20, math.pi, 15)
     assert isinstance(tri, SignedWeights) and not isinstance(tri, MemoryDistribution)
     assert tri.weights.min() < -0.05
-    assert tri.weight_at(20) == tri.weights[0]
-    assert tri.total_variation(tri) == 0.0
 
 
 # --- per-state fidelity and recycling ---------------------------------------
@@ -309,7 +307,7 @@ def test_longevity_edges_and_scaling():
 
 def test_thermal_state_weights():
     w = thermal_state(4, 10.0)
-    assert w.weight_at(4) > 1.0 - 1e-8
+    assert w.weights[0] > 1.0 - 1e-8  # 2m = 4
     w = thermal_state(2, 0.5)
     expect = np.exp([1.0, 0.0, -1.0])
     expect /= expect.sum()

@@ -30,6 +30,7 @@ from spinlearn.mo import (
     optimal_theta_prime,
     spin_k_mo_asymptote,
     spin_k_mo_fidelity,
+    spin_k_mo_quadrature,
 )
 from spinlearn.rotations import haar_quaternions
 from spinlearn.spins import InvalidQuantumNumbersError
@@ -200,10 +201,44 @@ def test_spin_k_mo_trivial_and_ratios():
 
 
 def test_spin_k_mo_against_quadrature():
-    from spinlearn.mo import spin_k_mo_quadrature
-
     est, _ = spin_k_mo_fidelity(8, 2, math.pi, 100000, 21)
     assert est.n_sigma(spin_k_mo_quadrature(8, 2, math.pi)) < 4.0
+
+
+def _spin_k_mo_by_moments(two_j, two_k, theta):
+    """The spin-k MO average fidelity at 50 digits: the squared character, a polynomial
+    in u = sin^2(beta/2) through cos(tau/2) = 1 - 2 sin^2(theta/2) u, integrated term by
+    term against the outcome density (2j+1)(1-u)^(2j), whose moments are
+    E[u^(p+1)] = E[u^p] (p+1)/(2j+p+2)."""
+    import mpmath
+    from numpy.polynomial import polynomial as P
+
+    with mpmath.workdps(50):
+        c = np.array([mpmath.mpf(1), -2 * mpmath.sin(mpmath.mpf(theta) / 2) ** 2])
+        prev, cur = np.array([mpmath.mpf(1)]), 2 * c  # Chebyshev U_0, U_1 of cos(tau/2)
+        for _ in range(two_k - 1):
+            prev, cur = cur, P.polysub(P.polymul(2 * c, cur), prev)
+        fe, moment = mpmath.mpf(0), mpmath.mpf(1)
+        for p, coef in enumerate(P.polymul(cur, cur) / (two_k + 1) ** 2):
+            fe += coef * moment
+            moment *= mpmath.mpf(p + 1) / (two_j + p + 2)
+        return float(((two_k + 1) * fe + 1) / (two_k + 2))
+
+
+def test_spin_k_mo_quadrature_matches_the_exact_moment_sum():
+    # the 20,001-point trapezoid it replaced was off by +2.6e-8 at (8, 2, pi) and by
+    # +2.57e-5 at (400, 2, pi)
+    worst = 0.0
+    for two_j in (1, 2, 3, 8, 20, 100, 400):
+        for two_k in (1, 2, 3, 4, 8):
+            for theta in (0.0, 0.3, 1.0, math.pi / 2, 2.5, math.pi, 4.0, 5.9):
+                worst = max(worst, abs(spin_k_mo_quadrature(two_j, two_k, theta)
+                                       - _spin_k_mo_by_moments(two_j, two_k, theta)))
+    assert worst < 1e-13
+
+
+def test_spin_k_mo_quadrature_at_the_verify_point():
+    assert abs(spin_k_mo_quadrature(8, 2, math.pi) - 37 / 65) <= 4 * math.ulp(37 / 65)
 
 
 @pytest.mark.parametrize("two_j, theta", [(3, math.pi), (8, 2.0), (40, 1.0)])
@@ -453,13 +488,23 @@ def test_non_finite_theta_prime_is_named(call, theta_prime):
         call(theta_prime)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: optimal_theta_prime(0, 1.0),
+    lambda: mo_fopt_formula(0, 1.0, 1.0),
+], ids=["optimal_theta_prime", "mo_fopt_formula"])
+def test_formula_helpers_reject_a_spin_zero_memory(call):
+    # at the parent these returned 0.0 and 0.7405
+    with pytest.raises(InvalidQuantumNumbersError, match="two_j=0"):
+        call()
+
+
 @pytest.mark.parametrize("kwargs, message", [
-    ({"two_k": 0}, "two_k"), ({"grid": 1}, "^grid must be"), ({"grid": 0}, "^grid must be"),
+    ({"two_k": 0}, "two_k"), ({"two_j": 0}, "two_j=0"), ({"theta": math.nan}, "^theta must be"),
     ({"two_j": -1}, "^two_j must be"),
 ])
 def test_spin_k_mo_quadrature_names_its_bad_argument(kwargs, message):
-    # unchecked, 2k = 0 returned 1.0000000020833, a fidelity above 1, grid = 1
-    # returned 0.333 and 2j = -1 returned nan
+    # unchecked, 2k = 0 returned 1.0000000020833, a fidelity above 1, 2j = 0
+    # returned 0.4796 and 2j = -1 returned nan
     args = {"two_j": 4, "two_k": 1, "theta": 1.0, **kwargs}
     with pytest.raises(ValueError, match=message):
         mo.spin_k_mo_quadrature(**args)

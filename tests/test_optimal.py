@@ -152,7 +152,7 @@ def test_conjugation_operator_is_the_exact_signed_permutation(two_j):
 
 
 def test_spin_zero_memory_rejected_by_cases():
-    for case in (1, 2, 3, 4):
+    for case in (1, 2, 3):
         with pytest.raises(spins.InvalidQuantumNumbersError, match="two_j=0"):
             case_fidelity(case, 0, 0, 1.0)
     with pytest.raises(spins.InvalidQuantumNumbersError, match="two_j=0"):
@@ -244,25 +244,14 @@ def test_case3_values():
         assert fe == pytest.approx(closed, abs=1e-12)
 
 
-def test_case4_matches_closed_form():
-    for two_j, two_m, theta in ((4, 2, 3.0), (6, 0, 2.95)):
-        j = two_j / 2
-        c = spins.coupling_decomposition(two_j, two_m, theta)
-        d4 = (2 * j + 1) / (2 * j - 1) * abs(c.b) ** 2 - abs(c.c_minus) ** 2
-        closed = j / (2 * j - 1) * abs(c.b) ** 2 * (1 + (j + 1) / j * abs(c.c_plus) ** 2 / d4)
-        fe, _ = case_fidelity(4, two_j, two_m, theta)
-        assert fe == pytest.approx(closed, abs=1e-12)
-
-
 def test_case_applicability_errors():
     with pytest.raises(CaseNotApplicableError):
         case_fidelity(3, 1, 1, 2.0)
     with pytest.raises(CaseNotApplicableError):
-        case_fidelity(4, 1, 1, 2.0)
-    with pytest.raises(CaseNotApplicableError):
         case_fidelity(2, 1, 1, 0.5)  # far from pi: no stationary point
-    with pytest.raises(ValueError):
-        case_fidelity(5, 4, 4, 1.0)
+    for case in (4, 5):  # the alpha = 0 mirror of case 2 is never optimal and has no case
+        with pytest.raises(ValueError, match=f"^unknown case {case}$"):
+            case_fidelity(case, 4, 2, 3.0)
 
 
 def test_delta_thresholds():
@@ -375,7 +364,7 @@ def test_brute_force_dominates_every_case(rng):
         two_m = int(rng.choice(spins.two_m_values(two_j)))
         theta = float(rng.uniform(0.0, 2 * math.pi))
         best = brute_force_optimum(two_j, two_m, theta, grid_resolution=48)
-        for case in (1, 2, 3, 4):
+        for case in (1, 2, 3):
             try:
                 fe, _ = case_fidelity(case, two_j, two_m, theta)
             except CaseNotApplicableError:

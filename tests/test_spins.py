@@ -329,7 +329,8 @@ def test_coupling_normalization(two_j, theta):
         if abs(two_m) > two_j:
             continue
         c = coupling_decomposition(two_j, two_m, theta)
-        assert c.norm_sq() == pytest.approx(1.0, abs=1e-10)
+        norm_sq = abs(c.a) ** 2 + abs(c.b) ** 2 + abs(c.c_plus) ** 2 + abs(c.c_minus) ** 2
+        assert norm_sq == pytest.approx(1.0, abs=1e-10)
 
 
 def test_coupling_matches_cg_expansion():
