@@ -3,7 +3,9 @@
 Angles are given on the command line in units of pi (``--theta 1.0`` is a
 half turn) so the special points are exact; spins are given as ``--two-j``
 integers.  Output is CSV or JSON with 12 significant digits, and identical
-(config, seed) pairs produce byte-identical files.
+(config, seed) pairs produce byte-identical files.  numpy is bound lazily
+(``spinlearn._numpy``): ``optimal``, ``benchmark`` and ``thermal`` never execute it,
+except in the j = 1/2 and j = 1 windows, whose 2 x 2 block matrix M is a numpy array.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import heisenberg, memory, mo, montecarlo, optimal
+from . import heisenberg, memory, mo, montecarlo, optimal, spins
+from ._numpy import np
 from .mo import spin_k_mo_quadrature  # public here too: callers of cli use this name
 from .strategies import DiscreteXYZ, HeisenbergStrategy, MOStrategy, UNotMixture
 
@@ -27,7 +28,7 @@ EXIT_USAGE = 2
 def _fmt_value(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if spins._is_integer(x):
         return str(int(x))
     if isinstance(x, float):
         return format(x, ".12g")
@@ -39,7 +40,6 @@ _fmt_float = "{:.12g}".format  # format(x, ".12g") without a Python frame per ce
 # The cell formatters of the row values' exact types; _fmt_value is the fallback.
 _CELL_FORMAT = {
     float: _fmt_float,
-    np.float64: _fmt_float,
     int: str,
     bool: _fmt_value,
 }
@@ -53,9 +53,9 @@ def _json_value(x):
 
 def _json_cell(x):
     """A row value as JSON: floats at the CSV's 12 digits, integers as int."""
-    if _CELL_FORMAT.get(type(x)) is _fmt_float:
+    if isinstance(x, float):
         return _json_value(float(_fmt_float(x)))
-    return int(x) if isinstance(x, np.integer) else x
+    return int(x) if not isinstance(x, int) and spins._is_integer(x) else x  # bool stays bool
 
 
 def write_rows(rows: list[dict], fmt: str, out: str | None) -> None:
@@ -264,8 +264,12 @@ def _sweep_thetas(args) -> list[float]:
     if args.theta is not None:
         thetas = [args.theta * math.pi]
     else:
-        thetas = np.linspace(args.theta_min * math.pi, args.theta_max * math.pi,
-                             args.theta_grid).tolist()
+        lo, hi, n = args.theta_min * math.pi, args.theta_max * math.pi, args.theta_grid
+        div = max(n - 1, 1)
+        step = (hi - lo) / div  # np.linspace's arithmetic, so the grid is bit for bit its own
+        thetas = [(i * step if step else i / div * (hi - lo)) + lo for i in range(n)]
+        if n > 1:
+            thetas[-1] = hi
     if any(not (0.0 <= th < 2.0 * math.pi + 1e-12) for th in thetas):
         raise ValueError("theta must lie in [0, 2*pi)")
     return thetas

@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import spins
+from ._numpy import np
 from .channels import average_from_entanglement
 from .spins import (_check_nonzero_j, _check_target_spin, _check_theta, check_two_j,
                     check_valid_m, clebsch_gordan, dim, two_m_values)

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-import numpy as np
 
 from . import heisenberg, mo
+from ._numpy import np
 from .channels import average_from_entanglement
-from .spins import _check_nonzero_j, _check_theta, check_valid_m, dim, two_m_values
+from .spins import _check_nonzero_j, _check_theta, _is_integer, check_valid_m, dim, two_m_values
 
 _SCAN_CHUNK = 4096  # uses per array when scanning for a crossing
 
@@ -264,7 +264,7 @@ def tricomi_geometric_asymptote(two_j: int, theta: float, n: int, two_m: int) ->
 
 
 def _check_count(name: str, value: int, low: int) -> None:
-    if not isinstance(value, (int, np.integer)) or value < low:
+    if not _is_integer(value) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

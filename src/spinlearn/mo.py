@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import rotations, spins
+from ._numpy import np
 from .channels import FidelityEstimate, _blocks, average_from_entanglement
 from .optimal import RegimeReport, _regime_args, _regime_fidelity
 from .spins import check_valid_m, clebsch_gordan

@@ -19,9 +19,9 @@ samplers act on U_g|j,m> from ``spins.rotated_basis_states_batch``; none takes E
 from __future__ import annotations
 
 import math
-import numpy as np
 
 from . import heisenberg, memory, mo, optimal, rotations, spins
+from ._numpy import np
 from .channels import FidelityEstimate, _blocks
 from .strategies import (
     CaseChoiStrategy,

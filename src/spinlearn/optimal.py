@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import spins
+from ._numpy import np
 from .channels import KrausChannel, average_from_entanglement
 from .spins import CouplingCoeffs, check_valid_m, coupling_decomposition, dim
 from .strategies import (
@@ -33,14 +32,6 @@ from .strategies import (
     StrategyDescriptor,
     UNotMixture,
 )
-
-PAULI = {
-    "i": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 class CaseNotApplicableError(ValueError):
     """Raised when a stationary case does not exist for the given spin/angle."""
@@ -375,7 +366,8 @@ def discrete_xyz_channel() -> KrausChannel:
     """Kraus form of the three-outcome measure-and-flip strategy (j = 1)."""
     kraus = []
     for axis, state in discrete_xyz_projectors():
-        flip = -1j * (axis[0] * PAULI["x"] + axis[1] * PAULI["y"] + axis[2] * PAULI["z"])
+        flip = -1j * np.array([[axis[2], axis[0] - 1j * axis[1]],  # -i n.sigma
+                               [axis[0] + 1j * axis[1], -axis[2]]])
         bra = np.kron(state.conj()[None, :], np.eye(2, dtype=complex))
         kraus.append(flip @ bra)
     return KrausChannel(kraus=tuple(kraus), dim_in=6, dim_out=2)

@@ -9,7 +9,7 @@ Euler angles: they read what they need off the quaternion (``z_axis``, ``rotate_
 
 from __future__ import annotations
 
-import numpy as np
+from ._numpy import np
 
 
 def _alpha_phase_and_moduli(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

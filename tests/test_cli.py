@@ -1,11 +1,16 @@
 import json
 import math
+import random
+import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from spinlearn import cli
+from test_readme_golden import GOLDEN, README_COMMANDS
 
 
 def run_cli(args):
@@ -171,16 +176,27 @@ def _peak_rss_mib(*args):
     return int(proc.stdout) / (2**20 if sys.platform == "darwin" else 1024)  # bytes or KiB
 
 
+# the package with numpy executed: a bare `import spinlearn.cli` no longer executes it
+_LOADED_PACKAGE = ("-c", "import spinlearn.cli, numpy; numpy.zeros(1)")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--n-samples", "100000", "--seed", "7"],
     ["spin-k", "--two-j", "400", "--two-k", "2", "3", "--theta", "1.0", "--seed", "5"],
 ], ids=["verify", "spin-k"])
 def test_readme_sampler_commands_peak_rss_is_bounded(argv):
     # every Monte-Carlo sampler streams its blocks, so at n = 1e5 a README command stays
-    # well under 16 MiB above the bare import (about 11 and 7 MiB; drawing every input
-    # first put them at about 22 and 15, whole-batch MO scoring verify at about 54)
-    bare = _peak_rss_mib("-c", "import spinlearn.cli")
-    assert _peak_rss_mib("-m", "spinlearn.cli", *argv) - bare < 16.0
+    # well under 16 MiB above the loaded package (about 13 and 9 MiB). Above an import that
+    # executed numpy, drawing every input first put them at about 22 and 15, whole-batch MO
+    # scoring verify at about 54.
+    loaded = _peak_rss_mib(*_LOADED_PACKAGE)
+    assert _peak_rss_mib("-m", "spinlearn.cli", *argv) - loaded < 16.0
+
+
+def test_readme_optimal_command_peaks_under_the_loaded_package():
+    # numpy is never executed: 16.8 MiB against 28.2 MiB for the loaded package
+    optimal = _peak_rss_mib("-m", "spinlearn.cli", *README_COMMANDS["optimal"])
+    assert optimal <= _peak_rss_mib(*_LOADED_PACKAGE) - 8.0
 
 
 def test_spin_k_peak_rss_does_not_grow_with_n():
@@ -253,3 +269,101 @@ def test_thermal_with_nan_gamma_exits_two(capsys):
 def test_spin_zero_target_exits_two(capsys):
     assert run_cli(["spin-k", "--two-j", "4", "--two-k", "0", "--theta", "0.5"]) == 2
     assert capsys.readouterr().err == "error: target must be at least a qubit (two_k >= 1)\n"
+
+
+# In a fresh interpreter: whether `import spinlearn.cli` and then each command left numpy
+# executed, and each command's stdout.  In-process tests run with numpy imported already.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import spinlearn.cli as cli
+loaded, outs = ["numpy._core" in sys.modules], []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        assert cli.main(argv) == 0
+    loaded.append("numpy._core" in sys.modules)
+    outs.append(buf.getvalue())
+print(json.dumps([loaded, outs]))
+"""
+
+
+def _fresh_cli(argvs):
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(proc.stdout)
+
+
+def _in_process(argv, capsys):
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_closed_form_commands_never_execute_numpy(capsys):
+    argvs = [README_COMMANDS[c] for c in ("optimal", "benchmark", "thermal")]
+    # 2j = 3, 4: the j = 1/2 case-2 window and the j = 1 anomalous regime build the
+    # 2 x 2 block M of their Choi parameters, so sweeps through them execute numpy
+    argvs += [["benchmark", "--two-j", "3", "4", "--theta-grid", "9", "--format", fmt]
+              for fmt in ("csv", "json")]
+    loaded, outs = _fresh_cli(argvs)
+    assert loaded == [False] * 6
+    assert outs == [_in_process(argv, capsys) for argv in argvs]
+
+
+@pytest.mark.parametrize("command", ["recycle", "spin-k", "verify"])
+def test_array_commands_execute_numpy_on_first_use(command, capsys):
+    loaded, outs = _fresh_cli([README_COMMANDS[command]])
+    assert loaded == [False, True]
+    assert outs == [(GOLDEN / f"{command}.out").read_text()]
+
+
+def _python_prints(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60).stdout
+
+
+def test_numpy_imported_first_is_the_binding():
+    assert _python_prints("import sys, types, numpy, spinlearn.optimal as o; "
+                          "print(o.np is sys.modules['numpy'] and type(o.np) is types.ModuleType)"
+                          ) == "True\n"
+
+
+def test_missing_numpy_fails_the_import():
+    # sys.modules["numpy"] = None is how the import system marks a module as absent
+    assert _python_prints("import sys; sys.modules['numpy'] = None\n"
+                          "try:\n    import spinlearn.cli\n"
+                          "except ModuleNotFoundError as exc:\n    print(exc.name)") == "numpy\n"
+
+
+def _grid(lo, hi, n):
+    args = SimpleNamespace(two_j=[1], theta=None, theta_min=lo, theta_max=hi, theta_grid=n)
+    return [struct.pack("<d", t) for t in cli._sweep_thetas(args)]
+
+
+def _linspace(lo, hi, n):
+    return [struct.pack("<d", t) for t in np.linspace(lo * math.pi, hi * math.pi, n).tolist()]
+
+
+def test_sweep_grid_is_numpy_linspace_bit_for_bit():
+    cases = [(0.0, 1.0, n) for n in range(1, 401)]
+    r = random.Random(22)
+    for _ in range(2000):
+        lo = r.uniform(0.0, 1.99)
+        cases.append((lo, r.uniform(lo, 1.99), r.randint(1, 300)))
+    cases += [(a, a, n) for a in (0.0, 0.25, 1.0, 1.9) for n in (1, 2, 5)]
+    cases.append((0.0, 5e-324, 10))  # the step underflows to zero: numpy divides first
+    for lo, hi, n in cases:
+        assert _grid(lo, hi, n) == _linspace(lo, hi, n), (lo, hi, n)
+
+
+def test_cells_print_alike_in_csv_and_json(tmp_path):
+    row = {"yes": True, "no": False, "int": 3, "np_int": np.int64(7), "float": 1 / 3,
+           "np_float": np.float64(2 / 3), "str": "case1", "nan": math.nan, "inf": math.inf,
+           "ninf": -math.inf}
+    csv_out, json_out = tmp_path / "row.csv", tmp_path / "row.json"
+    cli.write_rows([row], "csv", str(csv_out))
+    cli.write_rows([row], "json", str(json_out))
+    assert csv_out.read_text().split("\n")[1] == (
+        "true,false,3,7,0.333333333333,0.666666666667,case1,nan,inf,-inf")
+    (cells,) = _strict_json(json_out.read_text())
+    assert [(v, type(v)) for v in cells.values()] == [
+        (True, bool), (False, bool), (3, int), (7, int), (0.333333333333, float),
+        (0.666666666667, float), ("case1", str), ("nan", str), ("inf", str), ("-inf", str)]

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from oracles import coupled_basis_vectors, coupling_sectors_by_racah, gate_channel, gate_matrix
-from spinlearn import heisenberg, optimal, spins
+from spinlearn import heisenberg, mo, optimal, spins
 from spinlearn.heisenberg import (
     entanglement_fidelity_given_m,
     f_angle,
@@ -359,6 +359,20 @@ def test_spin_zero_memory_has_no_asymptote():
 def test_negative_memory_spin_is_named(call):
     # at the parent these returned 0.2 and 0.0
     with pytest.raises(spins.InvalidQuantumNumbersError, match="^two_j must"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spin_k_fidelity(4, 1.5, 1.0, "exact"),
+    lambda: spin_k_fidelity(4, 1.5, 1.0, "asymptotic"),
+    lambda: mo.spin_k_mo_quadrature(4, 1.5, 1.0),
+    lambda: spin_k_mo_asymptote(4, 1.5, 1.0),
+    lambda: mo.spin_k_mo_fidelity(4, 1.5, 1.0, 10, 0),
+], ids=["exact", "asymptotic", "mo_quadrature", "mo_asymptote", "mo_fidelity"])
+def test_non_integer_target_is_named(call):
+    # at the parent the exact form named two_j and the others returned 0.8563, 0.8346,
+    # 0.7127 and an estimate
+    with pytest.raises(spins.InvalidQuantumNumbersError, match="^two_k must be an integer"):
         call()
 
 

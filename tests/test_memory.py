@@ -628,6 +628,11 @@ def test_bad_angle_or_count_is_named(call, name):
         call()
 
 
+def test_numpy_integer_counts_are_accepted():
+    assert np.array_equal(recycled_fidelity(4, 1.0, np.int64(3)), recycled_fidelity(4, 1.0, 3))
+    assert persistence(4, math.pi, t_max=np.int32(5)) == persistence(4, math.pi, t_max=5)
+
+
 @pytest.mark.parametrize("two_m", [5, -7, 2])
 def test_given_m_asymptote_rejects_an_invalid_two_m(two_m):
     # at the parent 2m = 5 returned 1.102 and 2m = -7 returned -0.124

@@ -446,6 +446,9 @@ def test_discrete_xyz_completeness_and_channel():
     ch = discrete_xyz_channel()
     tot = sum(k.conj().T @ k for k in ch.kraus)
     assert np.max(np.abs(tot - np.eye(6))) < 1e-12
+    for kraus, (axis, state) in zip(ch.kraus, projectors):  # the pi rotation -i n.sigma
+        flip = -2j * sum(a * s for a, s in zip(axis, spins.spin_operators(1)))
+        assert np.array_equal(kraus, flip @ np.kron(state.conj()[None, :], np.eye(2)))
     # the discrete strategy is not covariant pointwise: only its Haar average
     # reproduces the anomalous closed form (checked by the Monte-Carlo oracle);
     # at the aligned rotation the z outcome fires with certainty

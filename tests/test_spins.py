@@ -351,6 +351,17 @@ def test_invalid_m_raises():
         coupling_decomposition(2, 1, 1.0)  # parity
 
 
+@pytest.mark.parametrize("two_j", [4, np.int64(4), np.uint8(4)])
+def test_numpy_integers_are_spins(two_j):
+    assert spins.check_two_j(two_j) == 4 and type(spins.check_two_j(two_j)) is int
+
+
+@pytest.mark.parametrize("two_j", [4.0, np.float64(4.0), "4", None])
+def test_non_integer_spin_is_named(two_j):
+    with pytest.raises(InvalidQuantumNumbersError, match="^two_j must be a non-negative integer"):
+        spins.check_two_j(two_j)
+
+
 def test_spin_zero_memory_has_no_coupling_decomposition():
     # the j - 1/2 route does not exist at j = 0 (it divided by j)
     with pytest.raises(InvalidQuantumNumbersError, match="two_j=0"):
