@@ -4,8 +4,8 @@ Angles are given on the command line in units of pi (``--theta 1.0`` is a
 half turn) so the special points are exact; spins are given as ``--two-j``
 integers.  Output is CSV or JSON with 12 significant digits, and identical
 (config, seed) pairs produce byte-identical files.  numpy is bound lazily
-(``spinlearn._numpy``): ``optimal``, ``benchmark`` and ``thermal`` never execute it,
-except in the j = 1/2 and j = 1 windows, whose 2 x 2 block matrix M is a numpy array.
+(``spinlearn._numpy``): ``optimal``, ``benchmark`` and ``thermal`` at one ``--theta`` never
+execute it, except in the j = 1/2 and j = 1 windows, whose 2 x 2 block M is a numpy array.
 """
 
 from __future__ import annotations
@@ -264,12 +264,8 @@ def _sweep_thetas(args) -> list[float]:
     if args.theta is not None:
         thetas = [args.theta * math.pi]
     else:
-        lo, hi, n = args.theta_min * math.pi, args.theta_max * math.pi, args.theta_grid
-        div = max(n - 1, 1)
-        step = (hi - lo) / div  # np.linspace's arithmetic, so the grid is bit for bit its own
-        thetas = [(i * step if step else i / div * (hi - lo)) + lo for i in range(n)]
-        if n > 1:
-            thetas[-1] = hi
+        thetas = np.linspace(args.theta_min * math.pi, args.theta_max * math.pi,
+                             args.theta_grid).tolist()
     if any(not (0.0 <= th < 2.0 * math.pi + 1e-12) for th in thetas):
         raise ValueError("theta must lie in [0, 2*pi)")
     return thetas

@@ -1,10 +1,7 @@
 import json
 import math
-import random
-import struct
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -299,12 +296,8 @@ def _in_process(argv, capsys):
 
 def test_closed_form_commands_never_execute_numpy(capsys):
     argvs = [README_COMMANDS[c] for c in ("optimal", "benchmark", "thermal")]
-    # 2j = 3, 4: the j = 1/2 case-2 window and the j = 1 anomalous regime build the
-    # 2 x 2 block M of their Choi parameters, so sweeps through them execute numpy
-    argvs += [["benchmark", "--two-j", "3", "4", "--theta-grid", "9", "--format", fmt]
-              for fmt in ("csv", "json")]
     loaded, outs = _fresh_cli(argvs)
-    assert loaded == [False] * 6
+    assert loaded == [False] * 4
     assert outs == [_in_process(argv, capsys) for argv in argvs]
 
 
@@ -326,32 +319,21 @@ def test_numpy_imported_first_is_the_binding():
                           ) == "True\n"
 
 
+def test_running_threads_get_numpy_at_once_where_lazy_loading_races():
+    executed = _python_prints("import sys, threading\n"
+                              "stop = threading.Event()\n"
+                              "threading.Thread(target=stop.wait).start()\n"
+                              "import spinlearn.optimal\n"
+                              "print('numpy._core' in sys.modules)\n"
+                              "stop.set()")
+    assert executed == f"{sys.version_info < (3, 12, 3)}\n"
+
+
 def test_missing_numpy_fails_the_import():
     # sys.modules["numpy"] = None is how the import system marks a module as absent
     assert _python_prints("import sys; sys.modules['numpy'] = None\n"
                           "try:\n    import spinlearn.cli\n"
                           "except ModuleNotFoundError as exc:\n    print(exc.name)") == "numpy\n"
-
-
-def _grid(lo, hi, n):
-    args = SimpleNamespace(two_j=[1], theta=None, theta_min=lo, theta_max=hi, theta_grid=n)
-    return [struct.pack("<d", t) for t in cli._sweep_thetas(args)]
-
-
-def _linspace(lo, hi, n):
-    return [struct.pack("<d", t) for t in np.linspace(lo * math.pi, hi * math.pi, n).tolist()]
-
-
-def test_sweep_grid_is_numpy_linspace_bit_for_bit():
-    cases = [(0.0, 1.0, n) for n in range(1, 401)]
-    r = random.Random(22)
-    for _ in range(2000):
-        lo = r.uniform(0.0, 1.99)
-        cases.append((lo, r.uniform(lo, 1.99), r.randint(1, 300)))
-    cases += [(a, a, n) for a in (0.0, 0.25, 1.0, 1.9) for n in (1, 2, 5)]
-    cases.append((0.0, 5e-324, 10))  # the step underflows to zero: numpy divides first
-    for lo, hi, n in cases:
-        assert _grid(lo, hi, n) == _linspace(lo, hi, n), (lo, hi, n)
 
 
 def test_cells_print_alike_in_csv_and_json(tmp_path):
