@@ -317,7 +317,9 @@ def spin_k_entanglement_fidelity_exact(two_j: int, two_k: int, theta: float) -> 
 
 
 def spin_k_fidelity(two_j: int, two_k: int, theta: float, mode: str = "exact") -> float:
-    """Average fidelity for rotating a spin-k target, exact or leading order."""
+    """Average fidelity of the Heisenberg gate on a spin-k target, exact or leading order: a
+    heuristic, not the optimum.  Over 2j <= 40, 2k <= 8, theta in pi/24, ..., pi the exact one is
+    under ``mo.spin_k_mo_quadrature`` at 1,372 of 7,680 points, worst -0.102 at (18, 8, pi)."""
     k = _check_target_spin(two_k)
     _check_theta(theta)
     if mode == "exact":

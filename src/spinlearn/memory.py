@@ -16,7 +16,8 @@ moment closure: the fidelity from |j,m> is quadratic in m, and the first two
 moments of m close under the ``exact`` kernel, so each use costs O(1) at any
 j.  Both schedules take the same factor: f = f(theta) on the fixed schedule
 (and so in ``persistence`` and ``longevity``), the re-tuned angle f_t on the
-reoptimized one (it maximizes a sinusoid in closed form).
+reoptimized one (it maximizes a sinusoid in closed form).  The fixed schedule's evaluator
+takes an array of uses, or one in ``math``: ``spinlearn recycle`` never executes numpy.
 (The ``leading`` kernel truncates at m = -j, so its moments do not close;
 the alternating sum gives its n-step distribution, as signed weights: one
 Taylor shift of exact integers, by additions and subtractions only.)
@@ -74,16 +75,6 @@ def _rate(two_j: int, angle: float) -> float:
     return (1.0 - math.cos(angle)) / (two_j + 1.0) ** 2
 
 
-def _moments(two_j: int, angle: float, steps, mean_m, mean_m2):
-    """<m> and <m^2> after ``steps`` kernel steps at this interaction angle: each
-    step multiplies <m> by 1 - 2c and <m^2> - j(j+1)/3 by 1 - 6c, c = ``_rate``."""
-    c = _rate(two_j, angle)
-    m2_inf = two_j * (two_j + 2.0) / 12.0
-    if two_j > 1:  # at 2j = 1, m^2 = 1/4 in every state (and 1 - 6c reaches -2)
-        mean_m2 = m2_inf + (mean_m2 - m2_inf) * (1.0 - 6.0 * c) ** steps
-    return mean_m * (1.0 - 2.0 * c) ** steps, mean_m2
-
-
 def _fidelity_from_moments(two_j: int, theta: float, mean_m, mean_m2,
                            f_override: float | None = None):
     """Average fidelity from a memory with these moments of m."""
@@ -91,11 +82,20 @@ def _fidelity_from_moments(two_j: int, theta: float, mean_m, mean_m2,
     return average_from_entanglement(a0 + a1 * mean_m + a2 * mean_m2, 2)
 
 
-def _fixed_schedule(two_j: int, theta: float, steps):
-    """Average fidelity of the use after ``steps`` uses on the fixed schedule."""
+def _fixed_schedule(two_j: int, theta: float):
+    """F(s), the average fidelity after s uses on the fixed schedule, for an int, ``math.inf``
+    or an array of s: each use multiplies <m> by r1 = 1 - 2c and <m^2> - j(j+1)/3 by
+    r2 = 1 - 6c (c = ``_rate``), and c, (a0, a1, a2) and j(j+1)/3 are computed once."""
     j = _check_nonzero_j(two_j)
-    moments = _moments(two_j, heisenberg.f_angle(two_j, theta), steps, j, j * j)
-    return _fidelity_from_moments(two_j, theta, *moments)
+    c = _rate(two_j, heisenberg.f_angle(two_j, theta))
+    a0, a1, a2 = heisenberg.entanglement_fidelity_coefficients(two_j, theta)
+    r1, r2, m2_inf = 1.0 - 2.0 * c, 1.0 - 6.0 * c, two_j * (two_j + 2.0) / 12.0
+
+    def fidelity(steps):  # at 2j = 1, m^2 = 1/4 in every state (and r2 reaches -2)
+        mean_m2 = m2_inf + (j * j - m2_inf) * r2 ** steps if two_j > 1 else j * j
+        # average_from_entanglement(fe, 2), bit for bit, without a call per use
+        return (2 * (a0 + a1 * (j * r1 ** steps) + a2 * mean_m2) + 1.0) / 3.0
+    return fidelity
 
 
 def fidelity_given_m(two_j: int, two_m: int, theta: float,
@@ -132,16 +132,19 @@ def recycled_fidelity(two_j: int, theta: float, n_uses: int,
     _check_theta(theta)
     _check_count("n_uses", n_uses, 1)
     if not reoptimize_f:
-        return _fixed_schedule(two_j, theta, np.arange(n_uses))
+        return _fixed_schedule(two_j, theta)(np.arange(n_uses))
     out = np.empty(n_uses)
     j = _check_nonzero_j(two_j)
     cos, sin = math.cos(theta), math.sin(theta)
-    mean_m, mean_m2 = j, j * j
+    mean_m, mean_m2, m2_inf = j, j * j, two_j * (two_j + 2.0) / 12.0
     for t in range(n_uses):
         f_t = math.atan2((two_j + 1.0) * mean_m * sin,
                          j * (j + 1.0) * (1.0 + cos) - mean_m2 * (1.0 - cos))
         out[t] = _fidelity_from_moments(two_j, theta, mean_m, mean_m2, f_t)
-        mean_m, mean_m2 = _moments(two_j, f_t, 1, mean_m, mean_m2)
+        c = _rate(two_j, f_t)  # one use of the fixed schedule's moment steps, at angle f_t
+        mean_m *= 1.0 - 2.0 * c
+        if two_j > 1:
+            mean_m2 = m2_inf + (mean_m2 - m2_inf) * (1.0 - 6.0 * c)
     return out
 
 
@@ -154,13 +157,14 @@ def _uses_before(two_j: int, theta: float, fails, level: float, cap: int) -> tup
     with rho = max(|r1|, |r2|) < 1; with c = 0, F is constant.  At 2j = 1,
     m^2 = 1/4 in every state, so C = 0 and rho = |r1|.
     """
-    f_inf = _fixed_schedule(two_j, theta, math.inf)
-    tail = abs(_fixed_schedule(two_j, theta, 0) - f_inf)
+    schedule = _fixed_schedule(two_j, theta)
+    f_inf = schedule(math.inf)
+    tail = abs(schedule(0) - f_inf)
     c = _rate(two_j, heisenberg.f_angle(two_j, theta))
     rho = abs(1.0 - 2.0 * c) if two_j == 1 else max(abs(1.0 - 2.0 * c), abs(1.0 - 6.0 * c))
     for start in range(0, cap, _SCAN_CHUNK):
         s = np.arange(start, min(start + _SCAN_CHUNK, cap))
-        hit = np.flatnonzero(fails(_fixed_schedule(two_j, theta, s), level))
+        hit = np.flatnonzero(fails(schedule(s), level))
         if hit.size:
             return start + int(hit[0]), False
         if c == 0.0 or (rho < 1.0 and tail * rho ** int(s[-1]) < abs(f_inf - level)):

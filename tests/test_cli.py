@@ -244,6 +244,34 @@ def test_recycle_at_spin_half_with_positive_cos_theta_prints_rows(tmp_path):
     assert all(b <= a for a, b in zip(f_t, f_t[1:]))
 
 
+@pytest.mark.parametrize("n_uses", [1, 60, 500])
+def test_recycle_rows_are_the_library_schedule(n_uses):
+    # the CLI evaluates the schedule use by use in math, the library on an array:
+    # the two powers differ by a few ulp (2j = 1 keeps m^2 constant; theta = 0 gives c = 0)
+    from spinlearn import memory, mo
+
+    two_js = [1, 2, 3, 200, 20000]
+    for theta_pi in (0.0, 0.3, 1.0, 1.999):
+        argv = ["recycle", "--two-j", *map(str, two_js), "--theta", str(theta_pi),
+                "--n-uses", str(n_uses)]
+        args = cli.build_parser().parse_args(argv)
+        (theta,) = cli._sweep_thetas(args)
+        rows = cli.cmd_recycle(args, [theta])
+        assert len(rows) == len(two_js) * n_uses
+        for k, two_j in enumerate(two_js):
+            fm = mo.mo_average_fidelity(two_j, theta)
+            expected = memory.recycled_fidelity(two_j, theta, n_uses)
+            for row, f in zip(rows[k * n_uses:(k + 1) * n_uses], expected.tolist()):
+                assert (row["two_j"], type(row["f_t"])) == (two_j, float)
+                assert abs(row["f_t"] - f) <= 4 * math.ulp(f), (two_j, theta_pi, row["t"])
+                assert row["above_benchmark"] is (f > fm)
+
+
+def test_recycle_without_uses_exits_two(capsys):
+    assert run_cli(["recycle", "--two-j", "200", "--theta", "1.0", "--n-uses", "0"]) == 2
+    assert capsys.readouterr().err == "error: n_uses must be an integer >= 1, got 0\n"
+
+
 def test_spin_zero_memory_exits_two(capsys):
     assert run_cli(["benchmark", "--two-j", "0", "--theta", "1.0"]) == 2
     assert "two_j" in capsys.readouterr().err
@@ -268,44 +296,38 @@ def test_spin_zero_target_exits_two(capsys):
     assert capsys.readouterr().err == "error: target must be at least a qubit (two_k >= 1)\n"
 
 
-# In a fresh interpreter: whether `import spinlearn.cli` and then each command left numpy
-# executed, and each command's stdout.  In-process tests run with numpy imported already.
-_NUMPY_PROBE = """
+# In a fresh interpreter: whether `import spinlearn.cli` and then one README command left
+# numpy executed and `spinlearn.montecarlo` loaded, and the command's stdout.  In-process
+# tests run with both loaded already.
+_LOAD_PROBE = """
 import contextlib, io, json, sys
 import spinlearn.cli as cli
-loaded, outs = ["numpy._core" in sys.modules], []
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()) as buf:
-        assert cli.main(argv) == 0
-    loaded.append("numpy._core" in sys.modules)
-    outs.append(buf.getvalue())
-print(json.dumps([loaded, outs]))
+loaded = lambda: ["numpy._core" in sys.modules, "spinlearn.montecarlo" in sys.modules]
+before = loaded()
+with contextlib.redirect_stdout(io.StringIO()) as buf:
+    assert cli.main(json.loads(sys.argv[1])) == 0
+print(json.dumps([before, loaded(), buf.getvalue()]))
 """
 
 
-def _fresh_cli(argvs):
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+def _fresh_cli(command):
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, json.dumps(README_COMMANDS[command])],
                           capture_output=True, text=True, check=True, timeout=300)
-    return json.loads(proc.stdout)
+    before, after, out = json.loads(proc.stdout)
+    assert before == [False, False]
+    assert out == (GOLDEN / f"{command}.out").read_text()
+    return after
 
 
-def _in_process(argv, capsys):
-    assert cli.main(argv) == 0
-    return capsys.readouterr().out
+def test_closed_form_commands_never_execute_numpy():
+    for command in ("optimal", "benchmark", "thermal", "recycle"):
+        assert _fresh_cli(command) == [False, False], command
 
 
-def test_closed_form_commands_never_execute_numpy(capsys):
-    argvs = [README_COMMANDS[c] for c in ("optimal", "benchmark", "thermal")]
-    loaded, outs = _fresh_cli(argvs)
-    assert loaded == [False] * 4
-    assert outs == [_in_process(argv, capsys) for argv in argvs]
-
-
-@pytest.mark.parametrize("command", ["recycle", "spin-k", "verify"])
-def test_array_commands_execute_numpy_on_first_use(command, capsys):
-    loaded, outs = _fresh_cli([README_COMMANDS[command]])
-    assert loaded == [False, True]
-    assert outs == [(GOLDEN / f"{command}.out").read_text()]
+@pytest.mark.parametrize("command", ["spin-k", "verify"])
+def test_array_commands_execute_numpy_on_first_use(command):
+    # only verify samples strategies, so only verify loads the Monte-Carlo layer
+    assert _fresh_cli(command) == [True, command == "verify"]
 
 
 def _python_prints(code):

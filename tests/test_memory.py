@@ -415,7 +415,11 @@ def test_spin_half_scan_stops_once_the_tail_cannot_cross(monkeypatch, theta, thr
     # rho the scan went through all 2,442 chunks of 10^7 uses
     calls = []
     fixed = memory._fixed_schedule
-    monkeypatch.setattr(memory, "_fixed_schedule", lambda *a: calls.append(a) or fixed(*a))
+
+    def counted(*args):  # counts evaluations of the schedule, one per chunk after F_inf and F_0
+        schedule = fixed(*args)
+        return lambda steps: calls.append(steps) or schedule(steps)
+    monkeypatch.setattr(memory, "_fixed_schedule", counted)
     assert longevity(1, theta, threshold, t_max=10**7) == 10**7
     assert len(calls) <= 4
 
