@@ -310,24 +310,41 @@ print(json.dumps([before, loaded(), buf.getvalue()]))
 """
 
 
-def _fresh_cli(command):
-    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, json.dumps(README_COMMANDS[command])],
+def _fresh_cli(argv):
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, json.dumps(argv)],
                           capture_output=True, text=True, check=True, timeout=300)
     before, after, out = json.loads(proc.stdout)
     assert before == [False, False]
+    return after, out
+
+
+def _fresh_readme_cli(command):
+    after, out = _fresh_cli(README_COMMANDS[command])
     assert out == (GOLDEN / f"{command}.out").read_text()
     return after
 
 
 def test_closed_form_commands_never_execute_numpy():
     for command in ("optimal", "benchmark", "thermal", "recycle"):
-        assert _fresh_cli(command) == [False, False], command
+        assert _fresh_readme_cli(command) == [False, False], command
 
 
-@pytest.mark.parametrize("command", ["spin-k", "verify"])
-def test_array_commands_execute_numpy_on_first_use(command):
+# recycle at one --theta runs in math (README recycle is closed-form above); over an angle
+# grid the angles are spaced by np.linspace, so the grid run executes numpy on first use
+_RECYCLE_GRID = ["recycle", "--two-j", "200", "--theta-grid", "3", "--n-uses", "4"]
+
+
+@pytest.mark.parametrize("command", ["recycle", "spin-k", "verify"])
+def test_array_commands_execute_numpy_on_first_use(command, capsys):
+    if command == "recycle":
+        after, out = _fresh_cli(_RECYCLE_GRID)
+        assert run_cli(_RECYCLE_GRID) == 0
+        assert out == capsys.readouterr().out
+        assert len(out.strip().split("\n")) == 1 + 3 * 4
+    else:
+        after = _fresh_readme_cli(command)
     # only verify samples strategies, so only verify loads the Monte-Carlo layer
-    assert _fresh_cli(command) == [True, command == "verify"]
+    assert after == [True, command == "verify"]
 
 
 def _python_prints(code):
