@@ -5,7 +5,7 @@ half turn) so the special points are exact; spins are given as ``--two-j``
 integers.  Output is CSV or JSON with 12 significant digits, and identical
 (config, seed) pairs produce byte-identical files.  numpy is bound lazily
 (``spinlearn._numpy``): ``optimal``, ``benchmark``, ``thermal`` and ``recycle`` at one ``--theta``
-never execute it, but ``optimal`` and ``benchmark`` do for the 2 x 2 M of the j = 1/2, 1 windows.
+never execute it, the j = 1/2 and j = 1 windows of ``optimal`` and ``benchmark`` included.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def cmd_thermal(args, thetas: list[float]) -> list[dict]:
     for two_j in args.two_j:
         for theta in thetas:
             fm = mo.mo_average_fidelity(two_j, theta, args.problem)
-            gamma_star = memory.thermal_advantage_threshold(two_j, theta)
+            gamma_star = memory.thermal_advantage_threshold(two_j, theta, args.problem)
             for gamma in gammas:
                 ft = memory.thermal_fidelity(two_j, theta, gamma)
                 rows.append({
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fidelities and benchmarks for learning rotations from a spin memory.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, theta_default_max=1.0):
+    def common(p, problem=True):
         p.add_argument("--two-j", type=int, nargs="+", required=True,
                        help="spin as twice-j integers (one or more)")
         p.add_argument("--theta", type=float, default=None,
@@ -287,17 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta-grid", type=int, default=50,
                        help="number of grid points over [theta-min, theta-max]")
         p.add_argument("--theta-min", type=float, default=0.0)
-        p.add_argument("--theta-max", type=float, default=theta_default_max)
-        p.add_argument("--problem", type=int, choices=(1, 2), default=2)
-        p.add_argument("--n-samples", type=int, default=100000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--theta-max", type=float, default=1.0)
+        if problem:
+            p.add_argument("--problem", type=int, choices=(1, 2), default=2)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("optimal", help="optimal quantum fidelity sweep")
-    common(p)
-    p = sub.add_parser("benchmark", help="quantum vs classical-memory benchmark")
-    common(p)
+    common(sub.add_parser("optimal", help="optimal quantum fidelity sweep"))
+    common(sub.add_parser("benchmark", help="quantum vs classical-memory benchmark"))
     p = sub.add_parser("recycle", help="fidelity vs number of memory uses")
     common(p)
     p.add_argument("--n-uses", type=int, default=100)
@@ -307,8 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spin-k", help="higher-spin targets; f_exact is the Heisenberg-gate "
                        "heuristic, not the quantum optimum: below MO at 1,372 of 7,680 points "
                        "of 2j <= 40, 2k <= 8, theta <= pi (worst -0.102 at 2j = 18, 2k = 8, pi)")
-    common(p)
+    common(p, problem=False)
     p.add_argument("--two-k", type=int, nargs="+", default=[2])
+    p.add_argument("--n-samples", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("verify", help="closed-form vs Monte-Carlo oracle suite")
     p.add_argument("--n-samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
@@ -319,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.n_samples < 1:
-            raise ValueError("n_samples must be positive")
         if args.command == "verify":
             return cmd_verify(args)
         write_rows(SWEEPS[args.command](args, _sweep_thetas(args)), args.fmt, args.out)

@@ -346,15 +346,15 @@ def thermal_fidelity_asymptote(two_j: int, theta: float, gamma: float) -> float:
     return 1.0 - (1.0 - math.cos(theta)) / (3.0 * j * math.tanh(gamma))
 
 
-def thermal_advantage_threshold(two_j: int, theta: float) -> float:
+def thermal_advantage_threshold(two_j: int, theta: float, problem: int = 2) -> float:
     """Temperature parameter gamma* where the thermal strategy meets the
-    classical benchmark; tends to (1/2) ln 3 for large spins.
+    classical benchmark of the given problem; tends to (1/2) ln 3 for large spins.
 
-    ``math.inf`` means no finite gamma gives a strict advantage (theta = 0;
-    2j in {1, 2} at theta = pi): not even the aligned memory beats the benchmark.
+    ``math.inf`` means no finite gamma gives a strict advantage (theta = 0; theta = pi
+    at 2j = 1, and at 2j = 2 in problem 2): not even the aligned memory beats it.
     """
     _check_theta(theta)
-    benchmark = mo.mo_average_fidelity(two_j, theta)
+    benchmark = mo.mo_average_fidelity(two_j, theta, problem)
 
     def gap(gamma: float) -> float:
         return thermal_fidelity(two_j, theta, gamma) - benchmark

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import rotations, spins
 from ._numpy import np
 from .channels import FidelityEstimate, _blocks, average_from_entanglement
-from .optimal import RegimeReport, _regime_args, _regime_fidelity
+from .optimal import RegimeReport, _j1_flip_fidelity, _regime_args, _regime_fidelity
 from .spins import check_valid_m, clebsch_gordan
 from .strategies import MOStrategy
 
@@ -105,8 +105,7 @@ def _mo_fopt(two_j: int, theta: float, theta_prime: float) -> float:
 
 def anomalous_mo_fidelity(theta: float) -> float:
     """j = 1 average fidelity of the aligned-orbital strategy: 1/3 + (2/5)sin^2(theta/2)."""
-    spins._check_theta(theta)
-    return 1.0 / 3.0 + 0.4 * math.sin(theta / 2.0) ** 2
+    return _j1_flip_fidelity(spins._check_theta(theta))
 
 
 # With theta' at its optimum, the covariant and aligned-orbital fidelities
@@ -123,7 +122,7 @@ def _mo_regime(two_j: int, theta: float, problem: int) -> tuple[str, int, float]
     """(regime, probe 2m, average fidelity) of the classical-memory optimum."""
     theta = _regime_args(two_j, theta, problem)
     if two_j == 2 and problem == 2 and abs(theta - math.pi) <= _J1_MO_THRESHOLD:
-        return "mo_j1_anomalous", 0, _regime_fidelity(anomalous_mo_fidelity(theta))
+        return "mo_j1_anomalous", 0, _regime_fidelity(_j1_flip_fidelity(theta))
     fidelity = _mo_fopt(two_j, theta, _optimal_theta_prime(two_j, theta))
     return "mo_covariant", two_j, _regime_fidelity(fidelity)
 

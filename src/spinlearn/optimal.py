@@ -294,17 +294,25 @@ def delta_one() -> float:
     return _DELTA_ONE
 
 
+def _j1_flip_fidelity(theta: float) -> float:
+    """1/3 + (2/5) sin^2(theta/2), the j = 1 measure-and-flip average fidelity: the quantum
+    optimum of problem 2 within delta_one() of pi, the classical one within arccos(11/19)."""
+    return 1.0 / 3.0 + 0.4 * math.sin(theta / 2.0) ** 2
+
+
 def _optimal_regime(two_j: int, theta: float, problem: int) -> tuple[str, int, float]:
-    """(regime, optimal 2m, average fidelity) of the quantum optimum."""
+    """(regime, optimal 2m, average fidelity) of the quantum optimum, in closed form.  In the
+    j = 1/2 window case 2 gives (7 + 14x - 3x^2) / (18(1 + 2x)), x = cos(theta), here written
+    in y = 1 + 2x, which rounds less; in the j = 1 window case 3 gives ``_j1_flip_fidelity``."""
     theta = _regime_args(two_j, theta, problem)
     dist = abs(theta - math.pi)
     if two_j == 1 and dist <= _DELTA_HALF:
-        regime, two_m, fe = "case2_mixture", 1, case_fidelity(2, 1, 1, theta)[0]
-    elif two_j == 2 and problem == 2 and dist <= _DELTA_ONE:
-        regime, two_m, fe = "j1_anomalous_problem2", 0, case_fidelity(3, 2, 0, theta)[0]
-    else:
-        regime, two_m, fe = "case1", two_j, _case1_fidelity(two_j, two_j, theta)
-    return regime, two_m, _regime_fidelity(average_from_entanglement(fe, 2))
+        y = 1.0 + 2.0 * math.cos(theta)
+        return "case2_mixture", 1, _regime_fidelity(17.0 / 36.0 - (y + 1.0 / y) / 24.0)
+    if two_j == 2 and problem == 2 and dist <= _DELTA_ONE:
+        return "j1_anomalous_problem2", 0, _regime_fidelity(_j1_flip_fidelity(theta))
+    fe = _case1_fidelity(two_j, two_j, theta)
+    return "case1", two_j, _regime_fidelity(average_from_entanglement(fe, 2))
 
 
 def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport:

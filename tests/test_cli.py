@@ -80,6 +80,19 @@ def test_thermal_rows(tmp_path):
     assert float(rows[0]["advantage"]) < 0 < float(rows[1]["advantage"])
 
 
+def test_thermal_advantage_is_positive_exactly_beyond_gamma_star():
+    # gamma_star is against the benchmark of the row's problem: against the problem-2
+    # one, 44 of these 2,496 rows printed a positive advantage below gamma_star
+    for problem in ("1", "2"):
+        args = cli.build_parser().parse_args(
+            ["thermal", "--two-j", "1", "2", "3", "8", "--theta-grid", "39", "--theta-max", "1.9",
+             "--problem", problem, "--gamma", "0.3", "0.55", "0.8", "1.0", "1.2", "2", "5", "20"])
+        rows = cli.cmd_thermal(args, cli._sweep_thetas(args))
+        assert len(rows) == 4 * 39 * 8
+        for r in rows:
+            assert (r["advantage"] > 0) == (r["gamma"] > r["gamma_star"]), r
+
+
 def test_thermal_without_advantage_reports_inf(tmp_path):
     # j = 1 at theta = pi: no finite gamma beats the benchmark
     out = tmp_path / "thermal.csv"
@@ -126,7 +139,7 @@ def test_byte_identical_reruns(tmp_path):
 def test_csv_json_round_trip(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.json"
-    args = ["benchmark", "--two-j", "4", "--theta-grid", "7", "--seed", "1"]
+    args = ["benchmark", "--two-j", "4", "--theta-grid", "7"]
     run_cli(args + ["--format", "csv", "--out", str(a)])
     run_cli(args + ["--format", "json", "--out", str(b)])
     csv_rows = _read_csv(a)
@@ -272,6 +285,43 @@ def test_recycle_without_uses_exits_two(capsys):
     assert capsys.readouterr().err == "error: n_uses must be an integer >= 1, got 0\n"
 
 
+_SWEEP_FLAGS = {"--two-j", "--theta", "--theta-grid", "--theta-min", "--theta-max", "--out",
+                "--format"}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    (sub,) = [a for a in cli.build_parser()._actions if a.choices and "verify" in a.choices]
+    flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "optimal": _SWEEP_FLAGS | {"--problem"},
+        "benchmark": _SWEEP_FLAGS | {"--problem"},
+        "recycle": _SWEEP_FLAGS | {"--problem", "--n-uses"},
+        "thermal": _SWEEP_FLAGS | {"--problem", "--gamma"},
+        "spin-k": _SWEEP_FLAGS | {"--two-k", "--n-samples", "--seed"},
+        "verify": {"--n-samples", "--seed", "--out"},
+    }
+    assert sum(map(len, flags.values())) == 47
+
+
+@pytest.mark.parametrize("argv", [
+    ["benchmark", "--two-j", "3", "--theta", "1.0", "--seed", "1"],
+    ["thermal", "--two-j", "3", "--theta", "1.0", "--n-samples", "10"],
+    ["spin-k", "--two-j", "3", "--theta", "1.0", "--problem", "1"],
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_spin_k_without_samples_exits_two(n, capsys):
+    assert run_cli(["spin-k", "--two-j", "4", "--theta", "0.5", "--n-samples", n]) == 2
+    assert capsys.readouterr().err == "error: n_samples must be positive\n"
+
+
 def test_spin_zero_memory_exits_two(capsys):
     assert run_cli(["benchmark", "--two-j", "0", "--theta", "1.0"]) == 2
     assert "two_j" in capsys.readouterr().err
@@ -324,9 +374,16 @@ def _fresh_readme_cli(command):
     return after
 
 
-def test_closed_form_commands_never_execute_numpy():
+def test_closed_form_commands_never_execute_numpy(capsys):
     for command in ("optimal", "benchmark", "thermal", "recycle"):
         assert _fresh_readme_cli(command) == [False, False], command
+    # the j = 1/2 case-2 window and the j = 1 problem-2 window are closed forms too
+    for argv in (["benchmark", "--two-j", "1", "--theta", "0.9"],
+                 ["optimal", "--two-j", "2", "--theta", "1.0", "--problem", "2"]):
+        after, out = _fresh_cli(argv)
+        assert after == [False, False], argv
+        assert run_cli(argv) == 0
+        assert out == capsys.readouterr().out
 
 
 # recycle at one --theta runs in math (README recycle is closed-form above); over an angle

@@ -455,6 +455,18 @@ def test_thermal_threshold_reports_no_advantage(two_j, theta):
     assert thermal_advantage_threshold(two_j, theta) == math.inf
 
 
+@pytest.mark.parametrize("theta_pi,gamma_star", [(1.0, 1.0923219), (0.9, 1.0030071),
+                                                  (0.75, 0.8053719)])
+def test_thermal_threshold_meets_the_benchmark_of_its_problem(theta_pi, gamma_star):
+    # the problem-1 benchmark at 2j = 2 lies below the problem-2 one near pi: against
+    # the problem-2 benchmark these read inf, inf and 1.4693105
+    theta = theta_pi * math.pi
+    got = thermal_advantage_threshold(2, theta, problem=1)
+    assert got == pytest.approx(gamma_star, abs=1e-7)
+    fm = mo_average_fidelity(2, theta, 1)
+    assert thermal_fidelity(2, theta, 0.99 * got) < fm < thermal_fidelity(2, theta, 1.01 * got)
+
+
 def test_thermal_threshold_beyond_gamma_eight():
     # 2j = 1 just below the angle where the aligned memory stops beating the
     # benchmark: the threshold lies past the initial bracket [1e-3, 8]

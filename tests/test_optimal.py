@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
@@ -347,6 +348,60 @@ def test_equality_points():
     th = math.pi - 0.1
     assert optimal_average_fidelity(2, th, 2) == pytest.approx(
         mo.mo_average_fidelity(2, th, 2), abs=1e-12)
+
+
+def _window(delta):
+    """At least 2,001 angles over |theta - pi| <= delta: both edges (or the float next to an
+    edge inside the window), pi itself, and angles on both sides of pi."""
+    edges = [math.pi - delta, math.pi + delta]
+    thetas = np.linspace(*edges, 2001).tolist() + [math.pi]
+    thetas += [t for e in edges for t in (e, float(np.nextafter(e, math.pi)))]
+    return [t for t in thetas if abs(t - math.pi) <= delta]
+
+
+def _case2_exact(theta):
+    x = mpmath.cos(mpmath.mpf(theta))
+    return (7 + 14 * x - 3 * x * x) / (18 * (1 + 2 * x))
+
+
+def _flip_exact(theta):
+    return mpmath.mpf(1) / 3 + mpmath.mpf(2) / 5 * mpmath.sin(mpmath.mpf(theta) / 2) ** 2
+
+
+@pytest.mark.parametrize("two_j, case, two_m, delta, regime, exact", [
+    (1, 2, 1, delta_half(), "case2_mixture", _case2_exact),
+    (2, 3, 0, delta_one(), "j1_anomalous_problem2", _flip_exact),
+], ids=["j_half_case2", "j1_case3"])
+def test_window_closed_forms_match_the_choi_route(two_j, case, two_m, delta, regime, exact):
+    # the dispatcher's closed forms against the covariant Choi route they replaced, and
+    # against a 40-digit value of the same fidelity
+    thetas = _window(delta)
+    assert len(thetas) >= 2001
+    assert min(thetas) < math.pi < max(thetas)
+    with mpmath.workdps(40):
+        for theta in thetas:
+            report = optimal_fidelity(two_j, theta, problem=2)
+            assert report.regime == regime
+            f = report.fidelity
+            fe, params = case_fidelity(case, two_j, two_m, theta)
+            assert abs(f - average_from_entanglement(fe, 2)) <= 4 * math.ulp(f), theta
+            assert abs(mpmath.mpf(f) - exact(theta)) <= 2 * math.ulp(f), theta
+            if case == 2:
+                assert params.alpha == pytest.approx(case2_alpha(theta), abs=1e-12)
+
+
+@pytest.mark.parametrize("problem", [1, 2])
+def test_quantum_is_never_below_classical(problem):
+    # no tolerance: inside the j = 1 problem-2 window both optima are the one flip value
+    # (through the Choi route 255 of these angles at 2j = 2, problem 2 read -1.1e-16)
+    thetas = np.linspace(0.0, 2 * math.pi, 4001, endpoint=False).tolist() + [math.pi]
+    for two_j in (1, 2, 3, 4, 5, 8):
+        for theta in thetas:
+            gap = (optimal_average_fidelity(two_j, theta, problem)
+                   - mo.mo_average_fidelity(two_j, theta, problem))
+            assert gap >= 0.0, (two_j, theta)
+            if two_j == 2 and problem == 2 and abs(theta - math.pi) <= delta_one():
+                assert gap == 0.0, theta
 
 
 def test_brute_force_agrees_with_dispatch():
