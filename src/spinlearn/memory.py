@@ -19,8 +19,8 @@ j.  Both schedules take the same factor: f = f(theta) on the fixed schedule
 reoptimized one (it maximizes a sinusoid in closed form).  The fixed schedule's evaluator
 takes an array of uses, or one in ``math``: ``spinlearn recycle`` never executes numpy.
 (The ``leading`` kernel truncates at m = -j, so its moments do not close;
-the alternating sum gives its n-step distribution, as signed weights: one
-Taylor shift of exact integers, by additions and subtractions only.)
+the alternating sum gives its n-step distribution, as signed weights: exact
+integers from a three-term recurrence, O(n) steps with O(1) integers alive.)
 The thermal moments of m are closed forms too, O(1) at any j, so the
 advantage threshold bisects on an O(1) function.
 """
@@ -155,13 +155,18 @@ def _uses_before(two_j: int, theta: float, fails, level: float, cap: int) -> tup
     F after s uses is F_inf + B r1^s + C r2^s with r1 = 1 - 2c, r2 = 1 - 6c and
     B, C >= 0, so the chunked scan stops once (B + C) rho^s < |F_inf - level|
     with rho = max(|r1|, |r2|) < 1; with c = 0, F is constant.  At 2j = 1,
-    m^2 = 1/4 in every state, so C = 0 and rho = |r1|.
+    m^2 = 1/4 in every state, so C = 0 and rho = |r1|.  Where r1, r2 >= 0 (at
+    2j = 1, or 6c <= 1) no F is below F_inf, rounding included, so no scan is
+    needed unless F_inf itself fails.
     """
     schedule = _fixed_schedule(two_j, theta)
     f_inf = schedule(math.inf)
-    tail = abs(schedule(0) - f_inf)
     c = _rate(two_j, heisenberg.f_angle(two_j, theta))
-    rho = abs(1.0 - 2.0 * c) if two_j == 1 else max(abs(1.0 - 2.0 * c), abs(1.0 - 6.0 * c))
+    r1, r2 = 1.0 - 2.0 * c, 1.0 - 6.0 * c
+    if r1 >= 0.0 and (two_j == 1 or r2 >= 0.0) and not fails(f_inf, level):
+        return cap, True
+    tail = abs(schedule(0) - f_inf)
+    rho = abs(r1) if two_j == 1 else max(abs(r1), abs(r2))
     for start in range(0, cap, _SCAN_CHUNK):
         s = np.arange(start, min(start + _SCAN_CHUNK, cap))
         hit = np.flatnonzero(fails(schedule(s), level))
@@ -217,14 +222,15 @@ def tricomi_distribution(two_j: int, theta: float, n: int) -> SignedWeights:
 
     Evaluated in exact integer arithmetic (the sum is catastrophically
     ill-conditioned in floating point once n exceeds 2j/(1-cos theta)): with
-    (1 - cos theta)/(2j) = p/r exactly, every term is put over r^n and each
-    weight is one correctly rounded integer quotient.  The numerators
-    sum_i (-1)^(i-k) C(i, k) T(i) are the coefficients of sum_i T(i) (x - 1)^i:
-    one Taylor shift, each coefficient the remainder of a Horner division by
-    (y + 1), so n^2/2 integer subtractions and no products give them all.
-    It is the exact n-step distribution of the ``leading`` kernel, whose
-    weights turn negative where it stops approximating the memory: hence
-    ``SignedWeights``.
+    x = (1 - cos theta)/(2j) = p/r exactly, every term is put over r^n and each
+    weight is one correctly rounded integer quotient.  The weights are the
+    coefficients of Q(y) = P(y - 1), with P(z) = sum_i n!/(n-i)! (xz)^i.  As
+    n x z P - x z^2 P' = P - 1, the numerators W_k = r^n [y^k] Q obey the recurrence
+    p(k+1) W_(k+1) = ((2k-n)p - r) W_k + (n-k+1) p W_(k-1) + [k=0] r^(n+1), from
+    W_0 = r^n P(-1): O(n) exact integer steps (every division is exact), with
+    O(1) integers alive.  It is the exact n-step distribution of the ``leading``
+    kernel, whose weights turn negative where it stops approximating the memory:
+    hence ``SignedWeights``.
     """
     _check_nonzero_j(two_j)
     _check_theta(theta)
@@ -233,25 +239,18 @@ def tricomi_distribution(two_j: int, theta: float, n: int) -> SignedWeights:
     if p == 0 or n == 0:
         return point_mass(two_j, two_j)
     r *= two_j
-    top = min(n, two_j)
-    # T(i) = C(n, i) i! (p/r)^i, times the common denominator r^n
-    coeffs = [math.perm(n, i) * p**i * r ** (n - i) for i in range(n + 1)]
-    denominator = r**n
-
-    def weight(numerator: int) -> float:
+    denominator = w = term = r**n
+    for i in range(n):  # term = n!/(n-i)! (-p)^i r^(n-i), times (i - n) p / r per step
+        term = term * (i - n) * p // r
+        w += term
+    weights, w_prev = np.zeros(dim(two_j)), 0
+    for k in range(min(n, two_j) + 1):
         try:
-            return numerator / denominator
+            weights[k] = w / denominator
         except OverflowError:
             raise ValueError(f"n={n}: the alternating-sum weights overflow a float") from None
-
-    # the top weight's sum is the shortest and the first to overflow when the
-    # weights blow up, so the error comes before the shift is spent
-    weight(sum((-1) ** (i - top) * math.comb(i, top) * coeffs[i] for i in range(top, n + 1)))
-    for i in range(top + 1):  # divide coeffs[i:] by (y + 1): remainder i is final
-        for k in range(n - 1, i - 1, -1):
-            coeffs[k] -= coeffs[k + 1]
-    weights = np.zeros(dim(two_j))
-    weights[:top + 1] = [weight(c) for c in coeffs[:top + 1]]
+        w, w_prev = (((2 * k - n) * p - r) * w + (n - k + 1) * p * w_prev
+                     + (r * denominator if k == 0 else 0)) // (p * (k + 1)), w
     return SignedWeights(two_j=two_j, weights=weights)
 
 

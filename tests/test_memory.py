@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -174,11 +175,27 @@ def test_tricomi_negative_steps_rejected():
 
 @pytest.mark.parametrize("two_j,theta,n", [(400, math.pi, 200), (20, math.pi, 15), (1, math.pi, 149),
                                            (40, 1.0, 40), (7, 2.0, 30), (100, 2.0, 60),
-                                           (3, 0.3, 50), (12, 1.7, 1), (9, 5.5, 4)])
+                                           (3, 0.3, 50), (12, 1.7, 1), (9, 5.5, 4),
+                                           (300, math.pi, 300), (2, math.pi, 100),
+                                           (50, 0.7, 80), (13, 5.9, 40)])
 def test_tricomi_taylor_shift_equals_double_sum(two_j, theta, n):
-    # the same integers, so the same correctly rounded weights, bit for bit
+    # the coefficients of the Taylor shift P(y - 1), from the recurrence: the same
+    # integers, so the same correctly rounded weights, bit for bit (n = 2j, n >> 2j
+    # and angles where 1 - cos theta has an odd numerator included)
     tri = tricomi_distribution(two_j, theta, n)
     assert np.array_equal(tri.weights, tricomi_weights_by_double_sum(two_j, theta, n))
+
+
+def test_tricomi_keeps_no_list_of_numerators():
+    # each numerator has about n log2(r) bits: a list of all n + 1 of them peaked at 6 MB
+    tricomi_distribution(4, math.pi, 3)
+    tracemalloc.start()
+    try:
+        tricomi_distribution(2000, math.pi, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 @pytest.mark.parametrize("two_j,theta,first_n", [(20, math.pi, 278), (7, 2.0, 238),
@@ -587,6 +604,23 @@ def test_longevity_never_crossing_returns_cap_quickly():
     assert longevity(10, 0.0, 0.9) == 1_000_000_010  # idle kernel: the fidelity is constant
     assert longevity(400, 0.5, 0.9) == int(10 * 400**2 / (1.0 - math.cos(0.5))) + 10
     assert time.perf_counter() - start < 1.0
+
+
+def test_longevity_above_the_asymptote_evaluates_no_array_of_uses(monkeypatch):
+    # r1, r2 >= 0 and F_inf above the threshold: no use can fail, so no chunk is scanned
+    arrays, schedule = [], memory._fixed_schedule
+
+    def counting(two_j, theta):
+        fidelity = schedule(two_j, theta)
+
+        def counted(steps):
+            if isinstance(steps, np.ndarray):
+                arrays.append(steps.size)
+            return fidelity(steps)
+        return counted
+    monkeypatch.setattr(memory, "_fixed_schedule", counting)
+    assert longevity(20000, math.pi, 0.5) == 2_000_000_010
+    assert arrays == []
 
 
 @given(spins_upto_200, angles, st.floats(min_value=0.01, max_value=20.0))
