@@ -1,8 +1,8 @@
 """Kraus channels, fidelities and the block rule of the Monte-Carlo samplers.
 
 A channel is the record ``KrausChannel`` of its Kraus operators, each a
-(dim_out, dim_in) matrix; the library builds them directly (the covariant case
-channels of ``optimal`` read theirs off the coupled families) and never forms
+(dim_out, dim_in) matrix; the library builds them directly (the case-1 channel
+of ``optimal`` reads its own off the Heisenberg gate) and never forms
 a Choi matrix.  ``FidelityEstimate`` is the one Monte-Carlo estimator, fed
 block by block, and ``_blocks`` the one rule by which every sampler splits its
 samples.

@@ -124,7 +124,7 @@ def cmd_benchmark(args, thetas: list[float]) -> list[dict]:
 
 def cmd_recycle(args, thetas: list[float]) -> list[dict]:
     """Fidelity degradation over repeated memory uses, with the crossing step."""
-    memory._check_count("n_uses", args.n_uses, 1)
+    spins._check_count("n_uses", args.n_uses, 1)
     rows = []
     for two_j in args.two_j:
         for theta in thetas:

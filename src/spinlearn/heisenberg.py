@@ -43,6 +43,16 @@ def f_angle(two_j: int, theta: float) -> float:
     return ang % (2.0 * math.pi)
 
 
+def _f_angle_from_moments(two_j: int, theta: float, mean_m: float, mean_m2: float) -> float:
+    """The angle f maximizing the qubit-target fidelity from a memory with these moments of
+    m, for arguments the caller has already checked.  That fidelity is P + Q cos f + R sin f,
+    so f = atan2(R, Q) = atan2((2j+1)<m> sin theta, j(j+1)(1 + cos theta) - <m^2>(1 - cos theta)):
+    f(theta) at m = j (up to 2 pi), 0 (the identity gate) at m = 0."""
+    j = two_j / 2.0
+    return math.atan2((two_j + 1.0) * mean_m * math.sin(theta),
+                      j * (j + 1.0) * (1.0 + math.cos(theta)) - mean_m2 * (1.0 - math.cos(theta)))
+
+
 def interaction_time(two_j: int, theta: float, coupling_alpha: float,
                      hbar: float = 1.0) -> float:
     """Evolution time t = f(theta) / ((2j+1) alpha hbar) realizing the gate; a
@@ -194,6 +204,8 @@ class HeisenbergGate:
 
 def heisenberg_unitary(two_j: int, two_k: int, theta: float,
                        f_override: float | None = None) -> HeisenbergGate:
+    check_two_j(two_j)
+    _check_target_spin(two_k)
     _check_theta(theta)
     if f_override is not None:
         angle = float(_check_theta(f_override, "f_override"))

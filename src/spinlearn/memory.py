@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from . import heisenberg, mo
 from ._numpy import np
 from .channels import average_from_entanglement
-from .spins import _check_nonzero_j, _check_theta, _is_integer, check_valid_m, dim, two_m_values
+from .spins import _check_count, _check_nonzero_j, _check_theta, check_valid_m, dim, two_m_values
 
 _SCAN_CHUNK = 4096  # uses per array when scanning for a crossing
 
@@ -121,9 +121,9 @@ def recycled_fidelity(two_j: int, theta: float, n_uses: int,
     ``reoptimize_f`` re-tunes the interaction angle for the current mixed
     memory at every step (excluded from the headline results; the fixed
     schedule is asymptotically as good).  The fidelity of a use is
-    P + Q cos f + R sin f in the angle f, so the re-tuned angle is
-    atan2(R, Q) = atan2((2j+1)<m> sin theta, j(j+1)(1 + cos theta) - <m^2>(1 - cos theta)),
-    which is f(theta) at the pure state.  The angle is greedy, best for the
+    P + Q cos f + R sin f in the angle f, so the re-tuned angle is atan2(R, Q), which
+    ``heisenberg._f_angle_from_moments`` reads off <m> and <m^2>: f(theta) at the pure
+    state.  The angle is greedy, best for the
     current use only: from 2j = 2 on the reoptimized schedule is never worse
     than the fixed one, but at 2j = 1 a greedy angle can leave a worse memory
     behind, and a later use falls below the fixed schedule's (by 1.9e-3 at
@@ -135,11 +135,9 @@ def recycled_fidelity(two_j: int, theta: float, n_uses: int,
         return _fixed_schedule(two_j, theta)(np.arange(n_uses))
     out = np.empty(n_uses)
     j = _check_nonzero_j(two_j)
-    cos, sin = math.cos(theta), math.sin(theta)
     mean_m, mean_m2, m2_inf = j, j * j, two_j * (two_j + 2.0) / 12.0
     for t in range(n_uses):
-        f_t = math.atan2((two_j + 1.0) * mean_m * sin,
-                         j * (j + 1.0) * (1.0 + cos) - mean_m2 * (1.0 - cos))
+        f_t = heisenberg._f_angle_from_moments(two_j, theta, mean_m, mean_m2)
         out[t] = _fidelity_from_moments(two_j, theta, mean_m, mean_m2, f_t)
         c = _rate(two_j, f_t)  # one use of the fixed schedule's moment steps, at angle f_t
         mean_m *= 1.0 - 2.0 * c
@@ -264,11 +262,6 @@ def tricomi_geometric_asymptote(two_j: int, theta: float, n: int, two_m: int) ->
     ratio = x / (x + two_j)
     k = (two_j - two_m) // 2
     return (two_j / (x + two_j)) * ratio**k
-
-
-def _check_count(name: str, value: int, low: int) -> None:
-    if not _is_integer(value) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_gamma(gamma: float) -> None:

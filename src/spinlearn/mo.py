@@ -225,8 +225,7 @@ def mo_fidelity_samples(two_j: int, two_m: int, xi_two_n: int, theta: float,
     spins._check_target_spin(two_k)
     spins._check_theta(theta)
     spins._check_theta(theta_prime, "theta_prime")
-    if n < 1:
-        raise ValueError("n_samples must be positive")
+    spins._check_count("n_samples", n, 1)
     check_valid_m(two_j, two_m)
     check_valid_m(two_j, xi_two_n)
 

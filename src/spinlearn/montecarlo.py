@@ -14,6 +14,8 @@ nothing n-long is ever built.  A qubit-target gate's samples are scored
 from its four bands (``HeisenbergGate.qubit_bands``) and the probe's real Wigner-d
 column (``spins.wigner_d_omega_columns``): no joint vector, O(j) each.  The other
 samplers act on U_g|j,m> from ``spins.rotated_basis_states_batch``; none takes Euler angles.
+The Kraus sampler runs the discrete xyz channel and the case-1 channel, whose Kraus
+operators ``optimal.case_choi_channel`` reads off the Heisenberg gate at the angle f_m.
 """
 
 from __future__ import annotations
@@ -254,8 +256,7 @@ def mc_average_fidelity(strategy: StrategyDescriptor, theta: float, n_samples: i
     ``seed`` may be an integer or a numpy SeedSequence; the samples are drawn
     from its first spawned child, so a fixed seed is exactly reproducible.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    spins._check_count("n_samples", n_samples, 1)
     spins._check_theta(theta)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seq.spawn(1)[0])
@@ -266,6 +267,7 @@ def per_rotation_fidelity(strategy: StrategyDescriptor, theta: float, g_quaterni
                           n_samples: int, seed) -> FidelityEstimate:
     """State-averaged fidelity at one fixed training rotation (covariance probe);
     ``g_quaternion`` must be one finite unit quaternion (w, x, y, z), norm within 1e-12 of 1."""
+    spins._check_count("n_samples", n_samples, 1)
     spins._check_theta(theta)
     q = np.asarray(g_quaternion, dtype=float)
     if q.shape != (4,) or not np.all(np.isfinite(q)) or abs(np.linalg.norm(q) - 1.0) > 1e-12:

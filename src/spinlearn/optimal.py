@@ -1,17 +1,16 @@
-"""Optimal quantum strategies from the covariant-channel parameterization.
+"""Optimal quantum strategies: closed forms, regime dispatch and the channels realizing them.
 
 The learning channel's Choi operator lives on (probe-in (x) out (x) qubit-in);
 after absorbing the conjugate representations it block-diagonalizes over the
 total spin, leaving two scalars (alpha, beta) on the stretched/shrunk blocks
-and a 2x2 matrix M on the doubly-degenerate spin-j block.  Everything here is
-written in those coordinates.
+and a 2x2 matrix M on the doubly-degenerate spin-j block.  ``case_fidelity``
+gives the stationary points in those coordinates and is the test reference
+of the closed forms; the dense Choi operator they describe is built only by the
+test oracle ``covariant_choi_build``.
 
-The total-spin families are an orthonormal basis in which the Choi operator
-is alpha on the top family, beta on the bottom one and M on the plus/minus
-pair, so its spectrum and Kraus operators are read off the families without
-forming the Choi matrix: the Kraus operators are the family rows, mapped back
-to the channel layout by the signed permutation e^{i pi Jy} (x) I (x) sy and
-weighted by the square roots of alpha, beta and the eigenvalues of M.
+The case-1 channel is the spin-spin gate: for probe index m it is the Heisenberg
+gate at the angle f_m of ``heisenberg._f_angle_from_moments`` with the probe traced
+out, so ``case_choi_channel`` reads its Kraus operators off the gate.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from . import spins
+from . import heisenberg, spins
 from ._numpy import np
 from .channels import KrausChannel, average_from_entanglement
 from .spins import CouplingCoeffs, check_valid_m, coupling_decomposition, dim
@@ -49,38 +47,10 @@ class CovariantChoiParams:
     beta: float | None
     m_matrix: np.ndarray
 
-    def m_diag(self) -> tuple[float, float]:
-        return float(self.m_matrix[0, 0].real), float(self.m_matrix[1, 1].real)
-
 
 def _check_beta(params: CovariantChoiParams, two_j: int) -> None:
     if two_j >= 2 and params.beta is None:
         raise ValueError(f"beta is None, but two_j={two_j} has a spin j-1 block")
-
-
-def tp_residuals(params: CovariantChoiParams, two_j: int) -> tuple[float, float]:
-    """Residuals of the two trace-preservation constraints (second is the
-    degenerate one-block form when two_j == 1)."""
-    _check_beta(params, two_j)
-    j = two_j / 2.0
-    t_plus, t_minus = params.m_diag()
-    r1 = (2 * j + 3) / (2 * j + 2) * params.alpha + (2 * j + 1) / (2 * j + 2) * t_plus - 1.0
-    if two_j == 1:
-        r2 = (2 * j + 1) / (2 * j) * t_minus - 1.0
-    else:
-        r2 = (2 * j - 1) / (2 * j) * params.beta + (2 * j + 1) / (2 * j) * t_minus - 1.0
-    return float(r1), float(r2)
-
-
-def validate_params(params: CovariantChoiParams, two_j: int, tol: float = 1e-9) -> None:
-    r1, r2 = tp_residuals(params, two_j)
-    if abs(r1) > tol or abs(r2) > tol:
-        raise ValueError(f"trace-preservation constraints violated: {r1:.2e}, {r2:.2e}")
-    if params.alpha < -tol or (params.beta is not None and params.beta < -tol):
-        raise ValueError("block weights must be non-negative")
-    lam = np.linalg.eigvalsh(params.m_matrix)[0]  # M is Hermitian by construction
-    if lam < -tol:
-        raise ValueError(f"M is not positive semidefinite (min eig {lam:.2e})")
 
 
 @dataclass(frozen=True)
@@ -106,71 +76,6 @@ def _regime_fidelity(fidelity: float) -> float:
     if not (1.0 / 3.0 - 1e-12 <= fidelity <= 1.0 + 1e-12):
         raise ValueError(f"fidelity {fidelity} outside [1/3, 1]")
     return fidelity
-
-
-# ---------------------------------------------------------------------------
-# Coupled basis on (probe, out, in)
-# ---------------------------------------------------------------------------
-
-def _raw_total_family(two_j: int, two_k_route: int, two_t: int) -> np.ndarray:
-    """Vectors |T,M> built by coupling (probe, in) -> K_route, then with out.
-
-    Returns a (2T+1, (2j+1)*4) array over total M descending; components are
-    laid out on (probe, out, in).  A row has at most four nonzero components,
-    each one product <K|probe, in> <T|K, out>, scattered into place.
-    """
-    inner = spins._pair_coupling_table(two_j, 1, two_k_route)       # (probe, in)
-    outer = spins._pair_coupling_table(two_k_route, 1, two_t)       # (K, out)
-    fam = np.zeros((dim(two_t), dim(two_j), 2, 2))
-    k, out = np.nonzero(outer)
-    t = (two_t - two_k_route + 2 * k - 1 + 2 * out) // 2  # M_T = M_K + m_out
-    for i in (0, 1):
-        # the one probe index p with m_p + m_in = M_K, where it exists
-        p = (two_j - two_k_route + 2 * k + 1 - 2 * i) // 2
-        ok = (p >= 0) & (p <= two_j)
-        t_ok, k_ok, out_ok, p_ok = t[ok], k[ok], out[ok], p[ok]
-        fam[t_ok, p_ok, out_ok, i] = outer[k_ok, out_ok] * inner[p_ok, i]
-    return fam.reshape(dim(two_t), -1)
-
-
-@lru_cache(maxsize=None)
-def _coupled_basis(two_j: int) -> dict:
-    """Total-spin families on (probe, out, in), coupling (probe, in) first.
-
-    The spin-j multiplicity pair ("plus" via K = j+1/2, "minus" via
-    K = j-1/2) is kept real; in it the block trace over the output qubit is
-    diagonal, which is what makes the two trace-preservation constraints
-    block-local.  The stretched/shrunk families ("top", "bottom") enter the
-    Choi operator only through their projectors, so their global phases do
-    not matter.
-    """
-    out = {
-        "top": _raw_total_family(two_j, two_j + 1, two_j + 2),
-        "plus": _raw_total_family(two_j, two_j + 1, two_j),
-        "minus": _raw_total_family(two_j, two_j - 1, two_j),
-        "bottom": _raw_total_family(two_j, two_j - 1, two_j - 2) if two_j >= 2 else None,
-    }
-    for fam in out.values():
-        if fam is not None:
-            fam.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _conjugation_operator(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """e^{i pi Jy} (x) I (x) sy on (probe, out, in) as (index, phase).
-
-    The operator is a signed permutation: row r holds its one entry,
-    phase[r], in column index[r].  Since d^j_{m'm}(pi) = (-1)^(j-m)
-    delta_{m',-m}, e^{i pi Jy} sends probe row p to column 2j - p with sign
-    (-1)^p, and sy sends qubit row q to column 1 - q with phase -i, +i.
-    """
-    p, o, q = np.indices((dim(two_j), 2, 2)).reshape(3, -1)
-    index = ((two_j - p) * 2 + o) * 2 + (1 - q)
-    phase = np.where(p % 2 == 0, 1.0, -1.0) * np.where(q == 0, -1j, 1j)
-    index.setflags(write=False)
-    phase.setflags(write=False)
-    return index, phase
 
 
 def covariant_fidelity(params: CovariantChoiParams, two_j: int, two_m: int,
@@ -382,27 +287,18 @@ def discrete_xyz_channel() -> KrausChannel:
 
 
 def case_choi_channel(strategy: CaseChoiStrategy) -> KrausChannel:
-    """Kraus form of a stationary case's covariant channel, straight from the families.
-
-    The Choi operator is sum_r v_r v_r^dag over sqrt(alpha) x the top rows,
-    sqrt(beta) x the bottom rows and sqrt(mu_i) x the u_i-combination of the
-    plus and minus rows, for each eigenpair (mu_i, u_i) of M (conjugated, as
-    in the block coefficients), and a row v on (probe, out, in) is the Kraus
-    operator K[out, (probe, in)].  Weights of at most 1e-12 are dropped, as a
-    Kraus form read off the Choi spectrum drops eigenvalues (the test oracle
-    ``kraus_from_choi``); ``validate_params`` is the CP/TP check.
-    """
-    two_j = strategy.two_j
-    _, params = case_fidelity(strategy.case, two_j, strategy.two_m, strategy.theta)
-    validate_params(params, two_j)
-    fam = _coupled_basis(two_j)
-    mu, u = np.linalg.eigh(np.conj(params.m_matrix))
-    rows = [math.sqrt(w) * f for w, f in ((params.alpha, fam["top"]),
-                                          (params.beta or 0.0, fam["bottom"])) if w > 1e-12]
-    rows += [math.sqrt(w) * (v[0] * fam["plus"] + v[1] * fam["minus"])
-             for w, v in zip(mu, u.T) if w > 1e-12]
-    index, phase = _conjugation_operator(two_j)
-    dp = dim(two_j)
-    kraus = (np.concatenate(rows)[:, index] * phase).reshape(-1, dp, 2, 2)
-    return KrausChannel(kraus=tuple(kraus.transpose(0, 2, 1, 3).reshape(-1, 2, 2 * dp)),
-                        dim_in=2 * dp, dim_out=2)
+    """Kraus form of the case-1 covariant channel for probe index m: the Heisenberg gate G
+    at the angle f_m, then a trace over the probe, so K_p = (<p| (x) I) G, the rows
+    (p, out) of G read off one ``apply`` on the identity.  Cases 2 and 3 are not built
+    here: they raise a ValueError naming ``case``."""
+    if strategy.case != 1:
+        raise ValueError(f"case must be 1 (the gate channel), got {strategy.case!r}")
+    two_j, two_m, theta = strategy.two_j, strategy.two_m, strategy.theta
+    check_valid_m(two_j, two_m)
+    spins._check_nonzero_j(two_j)
+    m = two_m / 2.0
+    angle = heisenberg._f_angle_from_moments(two_j, spins._check_theta(theta), m, m * m)
+    gate = heisenberg.heisenberg_unitary(two_j, 1, theta, f_override=angle)
+    g = gate.apply(np.eye(gate.dim_total, dtype=complex)).T
+    return KrausChannel(kraus=tuple(g.reshape(dim(two_j), 2, -1)), dim_in=gate.dim_total,
+                        dim_out=2)

@@ -1,7 +1,9 @@
 """Descriptors naming the concrete learning strategies built elsewhere.
 
 These are inert records; the Monte-Carlo oracle and the regime dispatchers
-use them to say *which* strategy realizes a fidelity.
+use them to say *which* strategy realizes a fidelity.  ``CaseChoiStrategy``
+names the case-1 covariant channel at probe index m, which
+``optimal.case_choi_channel`` builds from the Heisenberg gate; its ``case`` must be 1.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -233,6 +234,85 @@ def coupling_sectors_by_racah(two_j: int, two_k: int):
     return tuple(out)
 
 
+def tp_residuals(params: optimal.CovariantChoiParams, two_j: int) -> tuple[float, float]:
+    """Residuals of the two trace-preservation constraints (second is the
+    degenerate one-block form when two_j == 1)."""
+    optimal._check_beta(params, two_j)
+    j = two_j / 2.0
+    t_plus, t_minus = (float(params.m_matrix[i, i].real) for i in (0, 1))
+    r1 = (2 * j + 3) / (2 * j + 2) * params.alpha + (2 * j + 1) / (2 * j + 2) * t_plus - 1.0
+    if two_j == 1:
+        r2 = (2 * j + 1) / (2 * j) * t_minus - 1.0
+    else:
+        r2 = (2 * j - 1) / (2 * j) * params.beta + (2 * j + 1) / (2 * j) * t_minus - 1.0
+    return float(r1), float(r2)
+
+
+def validate_params(params: optimal.CovariantChoiParams, two_j: int, tol: float = 1e-9) -> None:
+    r1, r2 = tp_residuals(params, two_j)
+    if abs(r1) > tol or abs(r2) > tol:
+        raise ValueError(f"trace-preservation constraints violated: {r1:.2e}, {r2:.2e}")
+    if params.alpha < -tol or (params.beta is not None and params.beta < -tol):
+        raise ValueError("block weights must be non-negative")
+    lam = np.linalg.eigvalsh(params.m_matrix)[0]  # M is Hermitian by construction
+    if lam < -tol:
+        raise ValueError(f"M is not positive semidefinite (min eig {lam:.2e})")
+
+
+def _raw_total_family(two_j: int, two_k_route: int, two_t: int) -> np.ndarray:
+    """Vectors |T,M> built by coupling (probe, in) -> K_route, then with out.
+
+    Returns a (2T+1, (2j+1)*4) array over total M descending; components are
+    laid out on (probe, out, in).  A row has at most four nonzero components,
+    each one product <K|probe, in> <T|K, out>, scattered into place.
+    """
+    inner = spins._pair_coupling_table(two_j, 1, two_k_route)       # (probe, in)
+    outer = spins._pair_coupling_table(two_k_route, 1, two_t)       # (K, out)
+    fam = np.zeros((dim(two_t), dim(two_j), 2, 2))
+    k, out = np.nonzero(outer)
+    t = (two_t - two_k_route + 2 * k - 1 + 2 * out) // 2  # M_T = M_K + m_out
+    for i in (0, 1):
+        # the one probe index p with m_p + m_in = M_K, where it exists
+        p = (two_j - two_k_route + 2 * k + 1 - 2 * i) // 2
+        ok = (p >= 0) & (p <= two_j)
+        t_ok, k_ok, out_ok, p_ok = t[ok], k[ok], out[ok], p[ok]
+        fam[t_ok, p_ok, out_ok, i] = outer[k_ok, out_ok] * inner[p_ok, i]
+    return fam.reshape(dim(two_t), -1)
+
+
+@lru_cache(maxsize=None)
+def _coupled_basis(two_j: int) -> dict:
+    """Total-spin families on (probe, out, in), coupling (probe, in) first.
+
+    The spin-j multiplicity pair ("plus" via K = j+1/2, "minus" via
+    K = j-1/2) is kept real; in it the block trace over the output qubit is
+    diagonal, which is what makes the two trace-preservation constraints
+    block-local.  The stretched/shrunk families ("top", "bottom") enter the
+    Choi operator only through their projectors, so their global phases do
+    not matter.
+    """
+    return {
+        "top": _raw_total_family(two_j, two_j + 1, two_j + 2),
+        "plus": _raw_total_family(two_j, two_j + 1, two_j),
+        "minus": _raw_total_family(two_j, two_j - 1, two_j),
+        "bottom": _raw_total_family(two_j, two_j - 1, two_j - 2) if two_j >= 2 else None,
+    }
+
+
+def _conjugation_operator(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """e^{i pi Jy} (x) I (x) sy on (probe, out, in) as (index, phase).
+
+    The operator is a signed permutation: row r holds its one entry,
+    phase[r], in column index[r].  Since d^j_{m'm}(pi) = (-1)^(j-m)
+    delta_{m',-m}, e^{i pi Jy} sends probe row p to column 2j - p with sign
+    (-1)^p, and sy sends qubit row q to column 1 - q with phase -i, +i.
+    """
+    p, o, q = np.indices((dim(two_j), 2, 2)).reshape(3, -1)
+    index = ((two_j - p) * 2 + o) * 2 + (1 - q)
+    phase = np.where(p % 2 == 0, 1.0, -1.0) * np.where(q == 0, -1j, 1j)
+    return index, phase
+
+
 def _test_vector(two_j: int, two_m: int, theta: float) -> np.ndarray:
     """|j,-m> (x) (I (x) -i sy)(V_theta (x) I)|Phi+>, laid out on (probe, out, in)."""
     vec = np.zeros((dim(two_j), 2, 2), dtype=complex)
@@ -245,13 +325,13 @@ def decomposition_overlaps(two_j: int, two_m: int, theta: float) -> np.ndarray:
     """Expansion of |j,-m> (x) |Phi*_theta> in the route basis: (a, b, q+, q-).
 
     Oracle counterpart of coupling_decomposition.  The stretched/shrunk
-    families of ``optimal._coupled_basis`` have no phase convention of their
+    families of ``_coupled_basis`` have no phase convention of their
     own, so their global phases are fixed once, at (m = j, theta = 1.1) for a
     and (m = j - 1, theta = 1.1) for b; elsewhere (a, b) must then match
     coupling_decomposition.  (q+, q-) are the complex conjugates of its
     (c_plus, c_minus), which are expressed in the conjugate multiplicity basis.
     """
-    basis = optimal._coupled_basis(two_j)
+    basis = _coupled_basis(two_j)
 
     def ov(key, two_t, tm, th):
         fam = basis[key]
@@ -273,21 +353,21 @@ def decomposition_overlaps(two_j: int, two_m: int, theta: float) -> np.ndarray:
 def covariant_choi_build(params: optimal.CovariantChoiParams, two_j: int) -> ChoiOperator:
     """Dense Choi operator of the covariant channel with the given blocks.
 
-    Oracle for ``optimal.case_choi_channel``, which never forms this matrix.
-    Returns it in the standard (input = probe (x) qubit, output = qubit)
+    Oracle for ``optimal.case_choi_channel``, the Heisenberg gate at the angle
+    f_m, which never forms this matrix.  Returns it in the standard (input = probe (x) qubit, output = qubit)
     layout with Tr_out = I_in; raises if the parameters violate CP or TP.
     The families are conjugated and reordered by indexing before the block
     products, so entries between different total M stay exact zeros.
     """
-    optimal.validate_params(params, two_j)
+    validate_params(params, two_j)
     dp = dim(two_j)
     d_total = dp * 4
-    index, phase = optimal._conjugation_operator(two_j)
+    index, phase = _conjugation_operator(two_j)
     # reorder slots (probe, out, in) -> ((probe, in), out)
     to_choi = np.arange(d_total).reshape(dp, 2, 2).transpose(0, 2, 1).reshape(-1)
     index, phase = index[to_choi], phase[to_choi]
     fam = {name: None if f is None else f[:, index] * phase
-           for name, f in optimal._coupled_basis(two_j).items()}
+           for name, f in _coupled_basis(two_j).items()}
 
     c_mat = np.zeros((d_total, d_total), dtype=complex)
     c_mat += params.alpha * fam["top"].T @ fam["top"].conj()

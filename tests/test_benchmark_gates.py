@@ -4,18 +4,24 @@
 Each workload runs in a fresh process, as the benchmark runs it.  The
 deterministic workloads run at full size; every workload also runs at
 ``--tiny`` size under the tracer, which wraps every name the benchmark
-reports on, and the Monte-Carlo workload once more untraced.
+reports on, and the Monte-Carlo workload once more untraced.  The case-channel
+gates of ``exact-cli`` also run in this process, at full size.
 """
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import spinlearn
+from spinlearn import optimal, spins
+from spinlearn.channels import entanglement_fidelity
+from spinlearn.strategies import CaseChoiStrategy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -58,6 +64,26 @@ def test_tiny_traced_workload_runs_clean(workload, tmp_path):
 
 def test_tiny_mc_oracle_runs_clean(tmp_path):
     _run(tmp_path, "mc-oracle", "--tiny", "--mode", "plain")
+
+
+@pytest.mark.parametrize("two_j", [32, 64, 128])
+def test_case_channel_gates_hold_at_full_size(two_j):
+    # exact-cli's checks of optimal.case_choi_channel (case 1, m = j, theta = pi), in
+    # process: trace preservation, 2j + 1 Kraus operators and the reference fidelity
+    with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
+        reference = json.load(fh)
+    key = f"optimal.case_choi_channel.2j{two_j}"
+    channel = optimal.case_choi_channel(CaseChoiStrategy(1, two_j, two_j, math.pi))
+    tp = sum(k.conj().T @ k for k in channel.kraus)
+    assert np.max(np.abs(tp - np.eye(channel.dim_in))) < 1e-9
+    assert len(channel.kraus) == two_j + 1 == reference[f"{key}/n_kraus"]
+    probe = np.zeros(spins.dim(two_j), dtype=complex)
+    probe[0] = 1.0
+    target = np.diag(np.exp(-0.5j * math.pi * np.array([1.0, -1.0])))
+    fe = entanglement_fidelity(channel, probe, target).value
+    for expected in (reference[f"{key}/entanglement_fidelity"],
+                     optimal.case_fidelity(1, two_j, two_j, math.pi)[0]):
+        assert abs(fe - expected) <= 1e-9 * expected
 
 
 def _resolve(name):

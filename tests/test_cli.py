@@ -245,7 +245,7 @@ def test_verify_json_writes_non_finite_floats_as_strings(tmp_path):
 @pytest.mark.parametrize("n", ["0", "-5"])
 def test_verify_without_samples_exits_two(n, capsys):
     assert run_cli(["verify", "--n-samples", n]) == 2
-    assert capsys.readouterr().err == "error: n_samples must be positive\n"
+    assert capsys.readouterr().err == f"error: n_samples must be an integer >= 1, got {n}\n"
 
 
 def test_recycle_at_spin_half_with_positive_cos_theta_prints_rows(tmp_path):
@@ -319,7 +319,7 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
 @pytest.mark.parametrize("n", ["0", "-5"])
 def test_spin_k_without_samples_exits_two(n, capsys):
     assert run_cli(["spin-k", "--two-j", "4", "--theta", "0.5", "--n-samples", n]) == 2
-    assert capsys.readouterr().err == "error: n_samples must be positive\n"
+    assert capsys.readouterr().err == f"error: n_samples must be an integer >= 1, got {n}\n"
 
 
 def test_spin_zero_memory_exits_two(capsys):

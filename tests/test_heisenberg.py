@@ -384,6 +384,19 @@ def test_spin_k_exact_sum_names_a_bad_target(two_k):
         spin_k_entanglement_fidelity_exact(2, two_k, 1.0)
 
 
+@pytest.mark.parametrize("two_j, two_k, name", [
+    (-4, 2, "^two_j must be a non-negative integer"),
+    (2.5, 2, "^two_j must be a non-negative integer"),
+    (4, -1, r"^target must be at least a qubit \(two_k >= 1\)"),
+    (4, 0, r"^target must be at least a qubit \(two_k >= 1\)"),
+])
+def test_gate_names_a_bad_spin_when_built(two_j, two_k, name):
+    # at the parent each call returned a gate, and the first apply raised "two_j must
+    # be a non-negative integer, got -1" whichever spin was bad
+    with pytest.raises(spins.InvalidQuantumNumbersError, match=name):
+        heisenberg_unitary(two_j, two_k, 1.0)
+
+
 @pytest.mark.parametrize("two_k", [2, 3, 4])
 def test_spin_k_fidelity_is_symmetric_about_pi(two_k):
     # 2 pi - theta is the inverse of the rotation by theta, up to a phase, and the gate

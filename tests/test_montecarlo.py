@@ -68,13 +68,33 @@ def test_thermal_wrapped_matches_exact_sum():
 
 
 def test_case_choi_strategies_match_covariant_fidelity():
-    for case, two_j, two_m, theta in [(1, 4, 4, math.pi), (2, 1, 1, 2.9), (3, 4, 0, 2.8)]:
-        fe, _ = optimal.case_fidelity(case, two_j, two_m, theta)
-        strat = CaseChoiStrategy(case=case, two_j=two_j, two_m=two_m, theta=theta)
-        est = mc_average_fidelity(strat, theta, 50000, seed=200 + case)
-        assert est.n_sigma(average_from_entanglement(fe, 2)) < 4.0
-    with pytest.raises(ValueError):
+    fe, _ = optimal.case_fidelity(1, 4, 4, math.pi)
+    est = mc_average_fidelity(CaseChoiStrategy(1, 4, 4, math.pi), math.pi, 50000, seed=201)
+    assert est.n_sigma(average_from_entanglement(fe, 2)) < 4.0
+    with pytest.raises(ValueError, match="different angle"):
         mc_average_fidelity(CaseChoiStrategy(1, 4, 4, 1.0), 2.0, 100, seed=0)
+    # cases 2 and 3 have no library channel: their Kraus operators come from the dense
+    # Choi oracle, and their exact entanglement fidelity is case_fidelity's
+    for case, two_j, two_m, theta in [(2, 1, 1, 2.9), (3, 4, 0, 2.8)]:
+        fe, params = optimal.case_fidelity(case, two_j, two_m, theta)
+        choi = oracles.covariant_choi_build(params, two_j)
+        channel = channels.KrausChannel(kraus=tuple(oracles.kraus_from_choi(choi)),
+                                        dim_in=choi.dim_in, dim_out=2)
+        probe = np.zeros(spins.dim(two_j), dtype=complex)
+        probe[spins.basis_index(two_j, two_m)] = 1.0
+        v = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+        assert abs(entanglement_fidelity(channel, probe, v).value - fe) < 1e-12
+
+
+@pytest.mark.parametrize("case", [2, 3])
+def test_case_choi_strategy_other_than_case_1_is_named(case):
+    # at the parent cases 2 and 3 built Kraus families from the covariant Choi blocks;
+    # now the error comes before any Clebsch-Gordan table is built
+    strategy = CaseChoiStrategy(case, 77, 77, 2.8)
+    before = spins._pair_coupling_table.cache_info().misses
+    with pytest.raises(ValueError, match="^case must be 1"):
+        mc_average_fidelity(strategy, 2.8, 100, seed=0)
+    assert spins._pair_coupling_table.cache_info().misses == before
 
 
 def test_fidelity_reduction_relation_on_random_points(rng):
@@ -165,6 +185,21 @@ def test_same_seed_gives_identical_estimate():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n_samples"):
             mc_average_fidelity(strategy, 2.0, n, seed=0)
+
+
+@pytest.mark.parametrize("n_samples", [2.5, "10", 0])
+@pytest.mark.parametrize("call", [
+    lambda n: mc_average_fidelity(HeisenbergStrategy(two_j=3), 2.0, n, seed=0),
+    lambda n: mc_average_fidelity(MOStrategy(3, 3, 3, 2.0), 2.0, n, seed=0),
+    lambda n: per_rotation_fidelity(HeisenbergStrategy(two_j=3), 2.0, _FIXED_Q, n, seed=0),
+    lambda n: mo.mo_mc_oracle(3, mo.MOParams(two_m=3, xi_two_n=3, theta_prime=2.0), 2.0, n, 0),
+    lambda n: mo.spin_k_mo_fidelity(4, 2, 2.0, n, 0),
+], ids=["mc_average", "mc_average_mo", "per_rotation", "mo_mc_oracle", "spin_k_mo"])
+def test_a_bad_sample_count_is_named(call, n_samples):
+    # at the parent 2.5 raised numpy's bare "'float' object cannot be interpreted as an
+    # integer", and "10" in mc_average_fidelity "'<' not supported"
+    with pytest.raises(ValueError, match=rf"^n_samples must be an integer >= 1, got {n_samples!r}"):
+        call(n_samples)
 
 
 @pytest.mark.parametrize("strategy", [

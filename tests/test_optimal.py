@@ -6,6 +6,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from oracles import (
+    _conjugation_operator,
     apply_channel,
     apply_choi,
     brute_force_optimum,
@@ -14,8 +15,10 @@ from oracles import (
     covariant_choi_build,
     kraus_from_choi,
     rotation_irrep,
+    tp_residuals,
     unot_channel,
     unot_mixture_channel,
+    validate_params,
 )
 from spinlearn import channels, mo, spins
 from spinlearn.channels import KrausChannel, average_from_entanglement, entanglement_fidelity
@@ -23,7 +26,6 @@ from spinlearn.memory import _bisect
 from spinlearn.optimal import (
     CaseNotApplicableError,
     CovariantChoiParams,
-    _conjugation_operator,
     case1_entanglement_fidelity,
     case2_alpha,
     case_choi_channel,
@@ -35,8 +37,6 @@ from spinlearn.optimal import (
     discrete_xyz_projectors,
     optimal_average_fidelity,
     optimal_fidelity,
-    tp_residuals,
-    validate_params,
 )
 from spinlearn.montecarlo import mc_average_fidelity
 from spinlearn.rotations import haar_quaternions, su2_from_quaternion
@@ -114,9 +114,9 @@ def test_case_choi_kraus_round_trip(case, two_j, two_m, theta):
 
 
 def _round_trip_points():
-    """142 (case, two_j, two_m, theta): cases 1-3 wherever they exist, 2j in
-    {1, 2, 3, 8, 32, 128}, m in {j, 0 or 1/2, -j}, theta in {0.5, 1.5, 2.9, pi}."""
-    for two_j in (1, 2, 3, 8, 32, 128):
+    """(case, two_j, two_m, theta): cases 1-3 wherever they exist, 2j in
+    {1, 2, 3, 8, 32, 64, 128}, m in {j, 0 or 1/2, -j}, theta in {0.5, 1.5, 2.9, pi}."""
+    for two_j in (1, 2, 3, 8, 32, 64, 128):
         for two_m in sorted({two_j, two_j % 2, -two_j}, reverse=True):
             for theta in (0.5, 1.5, 2.9, math.pi):
                 for case in (1, 2, 3):
@@ -127,14 +127,34 @@ def _round_trip_points():
                     yield case, two_j, two_m, theta
 
 
+def _gate_route_error(two_j, two_m, theta):
+    """Largest entry of the case-1 channel's Choi matrix minus the dense oracle's."""
+    _, params = case_fidelity(1, two_j, two_m, theta)
+    channel = case_choi_channel(CaseChoiStrategy(1, two_j, two_m, theta))
+    assert len(channel.kraus) == two_j + 1
+    back = choi_from_kraus(channel.kraus, channel.dim_in, channel.dim_out)
+    return np.max(np.abs(back.matrix - covariant_choi_build(params, two_j).matrix))
+
+
 @pytest.mark.parametrize("case, two_j, two_m, theta", list(_round_trip_points()))
 def test_case_choi_channel_kraus_equal_the_dense_choi_oracle(case, two_j, two_m, theta):
-    _, params = case_fidelity(case, two_j, two_m, theta)
-    oracle = covariant_choi_build(params, two_j)
-    channel = case_choi_channel(CaseChoiStrategy(case, two_j, two_m, theta))
-    back = choi_from_kraus(channel.kraus, channel.dim_in, channel.dim_out)
-    assert np.max(np.abs(back.matrix - oracle.matrix)) < 1e-13
-    assert len(channel.kraus) == len(kraus_from_choi(oracle))
+    # case 1 is the gate at f_m, which shares only the Clebsch-Gordan tables with the
+    # oracle's families; Racah's sum rounds more as 2j grows (test_spins), and over every
+    # m at these angles the routes differ by 1.3e-13 at 2j = 64 and 2.9e-13 at 2j = 128.
+    # Cases 2 and 3 have no library channel: their Kraus operators come from the oracle
+    if case != 1:
+        with pytest.raises(ValueError, match="^case must be 1"):
+            case_choi_channel(CaseChoiStrategy(case, two_j, two_m, theta))
+        return
+    assert _gate_route_error(two_j, two_m, theta) < (1e-13 if two_j <= 32 else 1e-12)
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5, 8, 9, 32])
+def test_case_choi_channel_is_the_gate_at_f_m_on_an_angle_grid(two_j):
+    # every m and 37 angles in [0, 2 pi], at m = 0 the identity gate
+    assert max(_gate_route_error(two_j, int(two_m), float(theta))
+               for two_m in spins.two_m_values(two_j)
+               for theta in np.linspace(0.0, 2.0 * math.pi, 37)) < 1e-13
 
 
 @pytest.mark.parametrize("two_j", range(13))

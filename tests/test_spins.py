@@ -295,6 +295,20 @@ def test_pair_coupling_table_holds_the_coupled_basis_coefficients(two_j1, two_j2
         assert np.array_equal(spins._pair_coupling_table(two_j1, two_j2, two_J), want)
 
 
+@pytest.mark.parametrize("two_j", [1, 2, 8, 32, 64, 128, 400])
+def test_pair_coupling_table_meets_the_spin_half_closed_form(two_j):
+    # <j m1; 1/2 m2 | j +- 1/2, M> = +-sqrt((j +- M + 1/2)/(2j+1)) for m2 = +1/2 and
+    # sqrt((j -+ M + 1/2)/(2j+1)) for m2 = -1/2: Racah's sum misses it by 2.1e-15 at
+    # 2j = 8, 1.7e-14 at 32, 5.3e-14 at 64, 1.1e-13 at 128 and 4.9e-13 at 400
+    two_big_m = two_m_values(two_j)[:, None] + np.array([1, -1])
+    spin = np.array([1, -1])  # m2 = +1/2, -1/2
+    plus = np.sqrt((two_j + 1 + spin * two_big_m) / (2.0 * two_j + 2))
+    minus = -spin * np.sqrt((two_j + 1 - spin * two_big_m) / (2.0 * two_j + 2))
+    bound = 4e-15 * two_j
+    assert np.max(np.abs(spins._pair_coupling_table(two_j, 1, two_j + 1) - plus)) < bound
+    assert np.max(np.abs(spins._pair_coupling_table(two_j, 1, two_j - 1) - minus)) < bound
+
+
 def test_cg_invalid_raises_and_vanishing_returns_zero():
     with pytest.raises(InvalidQuantumNumbersError):
         clebsch_gordan(1, 1, 1, 1, 0, 0)  # M != m1 + m2
