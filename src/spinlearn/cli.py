@@ -1,11 +1,12 @@
 """Command-line front end: parameter sweeps, figure data, verification.
 
-Angles are given on the command line in units of pi (``--theta 1.0`` is a
-half turn) so the special points are exact; spins are given as ``--two-j``
-integers.  Output is CSV or JSON with 12 significant digits, and identical
-(config, seed) pairs produce byte-identical files.  numpy is bound lazily
-(``spinlearn._numpy``): ``optimal``, ``benchmark``, ``thermal`` and ``recycle`` at one ``--theta``
-never execute it, the j = 1/2 and j = 1 windows of ``optimal`` and ``benchmark`` included.
+Angles are given in units of pi (``--theta 1.0`` is a half turn) so the special points
+are exact; spins are given as ``--two-j`` integers.  Output is CSV or JSON with 12
+significant digits, and identical (config, seed) pairs produce byte-identical files.  A
+sweep is built a block of rows at a time (``_Sweep``): ``optimal`` and ``benchmark`` map
+one regime evaluator per 2j over the angle grid, and the CSV writer formats the grid once.
+numpy is bound lazily (``spinlearn._numpy``): ``optimal``, ``benchmark``, ``thermal`` and
+``recycle`` at one ``--theta`` never execute it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ EXIT_USAGE = 2
 
 
 def _fmt_value(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if spins._is_integer(x):
         return str(int(x))
     if isinstance(x, float):
@@ -35,13 +34,12 @@ def _fmt_value(x) -> str:
     return str(x)
 
 
-_fmt_float = "{:.12g}".format  # format(x, ".12g") without a Python frame per cell
-
-# The cell formatters of the row values' exact types; _fmt_value is the fallback.
+# The cell formatters of the row values' exact types; _fmt_value is the fallback (a column
+# of floats is formatted whole, in _csv_cells).
 _CELL_FORMAT = {
-    float: _fmt_float,
     int: str,
-    bool: _fmt_value,
+    str: str,
+    bool: ("false", "true").__getitem__,  # False and True index the tuple as 0 and 1
 }
 
 
@@ -54,20 +52,77 @@ def _json_value(x):
 def _json_cell(x):
     """A row value as JSON: floats at the CSV's 12 digits, integers as int."""
     if isinstance(x, float):
-        return _json_value(float(_fmt_float(x)))
+        return _json_value(float(format(x, ".12g")))
     return int(x) if not isinstance(x, int) and spins._is_integer(x) else x  # bool stays bool
 
 
-def write_rows(rows: list[dict], fmt: str, out: str | None) -> None:
-    """Emit rows in deterministic order as CSV or JSON."""
+class _Sweep:
+    """Rows held as blocks of columns: ``len`` is the row count, iteration and indexing
+    yield the row dicts.  A block has one column per field: a list of its rows' values, a
+    tuple of them that other blocks share too (the angle grid), or one value for all rows."""
+
+    def __init__(self, fields: list[str]):
+        self.fields, self.blocks, self._rows = fields, [], 0
+
+    def add(self, n: int, *columns) -> None:
+        if len(columns) != len(self.fields) or {len(c) for c in columns
+                                                if isinstance(c, (list, tuple))} - {n}:
+            raise ValueError(f"a block of {n} rows needs {len(self.fields)} columns of {n}")
+        self.blocks.append((n, columns))
+        self._rows += n
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __getitem__(self, index):  # O(rows): a list of the row dicts, indexed
+        return list(self)[index]
+
+    def __iter__(self):
+        for n, columns in self.blocks:
+            for values in zip(*(c if isinstance(c, (list, tuple)) else [c] * n
+                                for c in columns)):
+                yield dict(zip(self.fields, values))
+
+
+def _csv_text(sweep: _Sweep) -> str:
+    """The rows as CSV.  A tuple column is formatted once for all the blocks that share it,
+    a value that a block's rows share once per block."""
+    lines, shared = [",".join(sweep.fields)], {}
+    for n, columns in sweep.blocks:
+        cells = []
+        for c in columns:
+            if isinstance(c, tuple):
+                if id(c) not in shared:  # the sweep keeps c alive, so its id is not reused
+                    shared[id(c)] = _csv_cells(c)
+                cells.append(shared[id(c)])
+            else:
+                cells.append(_csv_cells(c) if isinstance(c, list) else [_csv_cells([c])[0]] * n)
+        lines.extend(map(",".join, zip(*cells)))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _csv_cells(values) -> list[str]:
+    """A column's CSV cells.  Floats go through one %-format of the whole column: "%.12g" % x
+    is format(x, ".12g"), character for character, without a call per cell."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
+    if len(kinds) == 1:
+        return list(map(_CELL_FORMAT.get(kinds.pop(), _fmt_value), values))
+    cell = _CELL_FORMAT.get
+    return [cell(type(v), _fmt_value)(v) for v in values]
+
+
+def write_rows(rows, fmt: str, out: str | None) -> None:
+    """Emit rows, a list of row dicts or a ``_Sweep``, in order as CSV or JSON."""
     if not rows:
         raise ValueError("nothing to write")
-    fields = list(rows[0].keys())
     if fmt == "csv":
-        cell = _CELL_FORMAT.get
-        lines = [",".join(fields)]
-        lines.extend(",".join([cell(type(r[f]), _fmt_value)(r[f]) for f in fields]) for r in rows)
-        text = "\n".join(lines) + "\n"
+        if not isinstance(rows, _Sweep):
+            rows, dicts = _Sweep(list(rows[0])), rows
+            rows.add(len(dicts), *([r[f] for r in dicts] for f in rows.fields))
+        text = _csv_text(rows)
     elif fmt == "json":
         clean = [{f: _json_cell(v) for f, v in r.items()} for r in rows]
         text = json.dumps(clean, indent=2) + "\n"
@@ -84,117 +139,86 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def cmd_optimal(args, thetas: list[float]) -> list[dict]:
+def cmd_optimal(args, thetas: list[float]) -> _Sweep:
     """Data behind the optimal-fidelity curves (solid lines of the figures)."""
-    rows = []
+    rows = _Sweep(["two_j", "j", "theta_pi", "theta", "problem", "regime", "optimal_two_m",
+                   "f_quantum"])
+    grid, theta_pi = tuple(thetas), tuple(theta / math.pi for theta in thetas)
     for two_j in args.two_j:
-        for theta in thetas:
-            report = optimal.optimal_fidelity(two_j, theta, args.problem)
-            rows.append({
-                "two_j": two_j,
-                "j": two_j / 2.0,
-                "theta_pi": theta / math.pi,
-                "theta": theta,
-                "problem": args.problem,
-                "regime": report.regime,
-                "optimal_two_m": report.optimal_two_m,
-                "f_quantum": report.fidelity,
-            })
+        regime = optimal._regime_at(two_j, args.problem)  # one evaluator per spin
+        regimes, two_ms, fidelities = map(list, zip(*map(regime, thetas)))
+        rows.add(len(thetas), two_j, two_j / 2.0, theta_pi, grid, args.problem, regimes,
+                 two_ms, fidelities)
     return rows
 
 
-def cmd_benchmark(args, thetas: list[float]) -> list[dict]:
+def cmd_benchmark(args, thetas: list[float]) -> _Sweep:
     """Quantum optimum vs the classical measure-and-operate benchmark."""
-    rows = []
+    rows = _Sweep(["two_j", "j", "theta_pi", "theta", "f_quantum", "f_mo", "advantage"])
+    grid, theta_pi = tuple(thetas), tuple(theta / math.pi for theta in thetas)
     for two_j in args.two_j:
-        for theta in thetas:
-            fq = optimal.optimal_average_fidelity(two_j, theta, args.problem)
-            fm = mo.mo_average_fidelity(two_j, theta, args.problem)
-            rows.append({
-                "two_j": two_j,
-                "j": two_j / 2.0,
-                "theta_pi": theta / math.pi,
-                "theta": theta,
-                "f_quantum": fq,
-                "f_mo": fm,
-                "advantage": fq - fm,
-            })
+        quantum = optimal._regime_at(two_j, args.problem)
+        classical = mo._mo_regime_at(two_j, args.problem)
+        fq = [quantum(theta)[2] for theta in thetas]
+        fm = [classical(theta)[2] for theta in thetas]
+        rows.add(len(thetas), two_j, two_j / 2.0, theta_pi, grid, fq, fm,
+                 [q - m for q, m in zip(fq, fm)])
     return rows
 
 
-def cmd_recycle(args, thetas: list[float]) -> list[dict]:
+def cmd_recycle(args, thetas: list[float]) -> _Sweep:
     """Fidelity degradation over repeated memory uses, with the crossing step."""
     spins._check_count("n_uses", args.n_uses, 1)
-    rows = []
+    rows = _Sweep(["two_j", "theta_pi", "t", "f_t", "f_mo", "above_benchmark",
+                   "crossing_step"])
+    uses = tuple(range(1, args.n_uses + 1))
     for two_j in args.two_j:
         for theta in thetas:
             schedule = memory._fixed_schedule(two_j, theta)  # recycled_fidelity, one use at a time
             fm = mo.mo_average_fidelity(two_j, theta, args.problem)
-            crossed = False
-            for t, ft in enumerate(map(schedule, range(args.n_uses)), start=1):
-                above = ft > fm
-                crossing = (not above) and not crossed
-                if crossing:
-                    crossed = True
-                rows.append({
-                    "two_j": two_j,
-                    "theta_pi": theta / math.pi,
-                    "t": t,
-                    "f_t": ft,
-                    "f_mo": fm,
-                    "above_benchmark": above,
-                    "crossing_step": crossing,
-                })
+            f_t = list(map(schedule, range(args.n_uses)))
+            above = [ft > fm for ft in f_t]
+            crossing = [False] * args.n_uses
+            if False in above:
+                crossing[above.index(False)] = True
+            rows.add(args.n_uses, two_j, theta / math.pi, uses, f_t, fm, above, crossing)
     return rows
 
 
-def cmd_thermal(args, thetas: list[float]) -> list[dict]:
+def cmd_thermal(args, thetas: list[float]) -> _Sweep:
     """Thermal-probe fidelity sweep and the advantage threshold gamma*."""
-    gammas = args.gamma or [0.2, 0.4, 0.5493, 0.7, 1.0, 2.0]
-    rows = []
+    gammas = tuple(args.gamma or (0.2, 0.4, 0.5493, 0.7, 1.0, 2.0))
+    rows = _Sweep(["two_j", "theta_pi", "gamma", "f_thermal", "f_mo", "advantage",
+                   "gamma_star"])
     for two_j in args.two_j:
         for theta in thetas:
             fm = mo.mo_average_fidelity(two_j, theta, args.problem)
             gamma_star = memory.thermal_advantage_threshold(two_j, theta, args.problem)
-            for gamma in gammas:
-                ft = memory.thermal_fidelity(two_j, theta, gamma)
-                rows.append({
-                    "two_j": two_j,
-                    "theta_pi": theta / math.pi,
-                    "gamma": gamma,
-                    "f_thermal": ft,
-                    "f_mo": fm,
-                    "advantage": ft - fm,
-                    "gamma_star": gamma_star,
-                })
+            f_thermal = [memory.thermal_fidelity(two_j, theta, gamma) for gamma in gammas]
+            rows.add(len(gammas), two_j, theta / math.pi, gammas, f_thermal, fm,
+                     [f - fm for f in f_thermal], gamma_star)
     return rows
 
 
-def cmd_spin_k(args, thetas: list[float]) -> list[dict]:
+def cmd_spin_k(args, thetas: list[float]) -> _Sweep:
     """Higher-spin targets: the Heisenberg-gate heuristic, its asymptote and the MO baseline."""
-    rows = []
+    rows = _Sweep(["two_j", "two_k", "theta_pi", "f_exact", "f_asymptotic", "f_mo_mc",
+                   "f_mo_std_error", "f_mo_asymptotic", "error_ratio_mo_quantum"])
+    theta_pi = tuple(theta / math.pi for theta in thetas)
     seed_seq = np.random.SeedSequence(args.seed)
     for two_j in args.two_j:
         for two_k in args.two_k:
+            cells = []
             for theta in thetas:
                 f_exact = heisenberg.spin_k_fidelity(two_j, two_k, theta, "exact")
                 f_asym = heisenberg.spin_k_fidelity(two_j, two_k, theta, "asymptotic")
                 est, mo_asym = mo.spin_k_mo_fidelity(
                     two_j, two_k, theta, args.n_samples, seed_seq.spawn(1)[0])
                 err_q = 1.0 - f_exact  # 0/0 at the identity rotation: no ratio there
-                rows.append({
-                    "two_j": two_j,
-                    "two_k": two_k,
-                    "theta_pi": theta / math.pi,
-                    "f_exact": f_exact,
-                    "f_asymptotic": f_asym,
-                    "f_mo_mc": est.value,
-                    "f_mo_std_error": est.std_error,
-                    "f_mo_asymptotic": mo_asym,
-                    "error_ratio_mo_quantum": ((1.0 - est.value) / err_q
-                                               if math.cos(theta) < 1.0 and err_q > 0
-                                               else math.nan),
-                })
+                cells.append((f_exact, f_asym, est.value, est.std_error, mo_asym,
+                              (1.0 - est.value) / err_q if math.cos(theta) < 1.0 and err_q > 0
+                              else math.nan))
+            rows.add(len(thetas), two_j, two_k, theta_pi, *map(list, zip(*cells)))
     return rows
 
 

@@ -43,14 +43,16 @@ def f_angle(two_j: int, theta: float) -> float:
     return ang % (2.0 * math.pi)
 
 
-def _f_angle_from_moments(two_j: int, theta: float, mean_m: float, mean_m2: float) -> float:
+def _f_angle_from_moments(two_j: int, sin_t: float, cos_t: float, mean_m: float,
+                          mean_m2: float) -> float:
     """The angle f maximizing the qubit-target fidelity from a memory with these moments of
-    m, for arguments the caller has already checked.  That fidelity is P + Q cos f + R sin f,
-    so f = atan2(R, Q) = atan2((2j+1)<m> sin theta, j(j+1)(1 + cos theta) - <m^2>(1 - cos theta)):
-    f(theta) at m = j (up to 2 pi), 0 (the identity gate) at m = 0."""
+    m, given sin theta and cos theta, for arguments the caller has already checked.  That
+    fidelity is P + Q cos f + R sin f, so f = atan2(R, Q) = atan2((2j+1)<m> sin theta,
+    j(j+1)(1 + cos theta) - <m^2>(1 - cos theta)): f(theta) at m = j (up to 2 pi), 0 (the
+    identity gate) at m = 0."""
     j = two_j / 2.0
-    return math.atan2((two_j + 1.0) * mean_m * math.sin(theta),
-                      j * (j + 1.0) * (1.0 + math.cos(theta)) - mean_m2 * (1.0 - math.cos(theta)))
+    return math.atan2((two_j + 1.0) * mean_m * sin_t,
+                      j * (j + 1.0) * (1.0 + cos_t) - mean_m2 * (1.0 - cos_t))
 
 
 def interaction_time(two_j: int, theta: float, coupling_alpha: float,
@@ -227,11 +229,17 @@ def entanglement_fidelity_coefficients(two_j: int, theta: float, f_override: flo
     check_two_j(two_j)
     _check_theta(theta)
     f = f_angle(two_j, theta) if f_override is None else _check_theta(f_override, "f_override")
+    return _coefficients(two_j, math.sin(theta), math.cos(theta), f)
+
+
+def _coefficients(two_j: int, sin_t: float, cos_t: float, f: float) -> tuple[float, float, float]:
+    """``entanglement_fidelity_coefficients`` given sin theta and cos theta, for arguments the
+    caller has already checked."""
     j = two_j / 2.0
     n = two_j + 1.0
     abs_a_sq = ((j + 1.0) ** 2 + j * j + 2.0 * j * (j + 1.0) * math.cos(f)) / (n * n)
-    return (0.5 * abs_a_sq * (1.0 + math.cos(theta)), math.sin(theta) * math.sin(f) / n,
-            (1.0 - math.cos(f)) * (1.0 - math.cos(theta)) / (n * n))
+    return (0.5 * abs_a_sq * (1.0 + cos_t), sin_t * math.sin(f) / n,
+            (1.0 - math.cos(f)) * (1.0 - cos_t) / (n * n))
 
 
 def entanglement_fidelity_given_m(two_j: int, two_m: int, theta: float,

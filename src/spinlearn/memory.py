@@ -75,10 +75,10 @@ def _rate(two_j: int, angle: float) -> float:
     return (1.0 - math.cos(angle)) / (two_j + 1.0) ** 2
 
 
-def _fidelity_from_moments(two_j: int, theta: float, mean_m, mean_m2,
-                           f_override: float | None = None):
-    """Average fidelity from a memory with these moments of m."""
-    a0, a1, a2 = heisenberg.entanglement_fidelity_coefficients(two_j, theta, f_override)
+def _fidelity_from_moments(coefficients: tuple[float, float, float], mean_m, mean_m2):
+    """Average fidelity from a memory with these moments of m, for the gate's
+    ``entanglement_fidelity_coefficients`` (a0, a1, a2)."""
+    a0, a1, a2 = coefficients
     return average_from_entanglement(a0 + a1 * mean_m + a2 * mean_m2, 2)
 
 
@@ -136,9 +136,11 @@ def recycled_fidelity(two_j: int, theta: float, n_uses: int,
     out = np.empty(n_uses)
     j = _check_nonzero_j(two_j)
     mean_m, mean_m2, m2_inf = j, j * j, two_j * (two_j + 2.0) / 12.0
+    sin_t, cos_t = math.sin(theta), math.cos(theta)  # once a call, not once a use
     for t in range(n_uses):
-        f_t = heisenberg._f_angle_from_moments(two_j, theta, mean_m, mean_m2)
-        out[t] = _fidelity_from_moments(two_j, theta, mean_m, mean_m2, f_t)
+        f_t = heisenberg._f_angle_from_moments(two_j, sin_t, cos_t, mean_m, mean_m2)
+        out[t] = _fidelity_from_moments(heisenberg._coefficients(two_j, sin_t, cos_t, f_t),
+                                        mean_m, mean_m2)
         c = _rate(two_j, f_t)  # one use of the fixed schedule's moment steps, at angle f_t
         mean_m *= 1.0 - 2.0 * c
         if two_j > 1:
@@ -328,7 +330,8 @@ def thermal_fidelity(two_j: int, theta: float, gamma: float) -> float:
     _check_nonzero_j(two_j)
     _check_theta(theta)
     _check_gamma(gamma)
-    return float(_fidelity_from_moments(two_j, theta, *_thermal_moments(two_j, gamma)))
+    return float(_fidelity_from_moments(heisenberg.entanglement_fidelity_coefficients(two_j, theta),
+                                        *_thermal_moments(two_j, gamma)))
 
 
 def thermal_fidelity_asymptote(two_j: int, theta: float, gamma: float) -> float:

@@ -4,7 +4,8 @@ The optimal classical strategy measures the probe with a covariant
 coherent-state POVM and applies a conditional rotation about the estimated
 axis.  Its entanglement fidelity reduces to three angular-momentum overlap
 terms weighted by trigonometric factors of the target angle theta and the
-conditional angle theta'.
+conditional angle theta'.  As in ``optimal``, one evaluator per spin dispatches the
+optimum (``_mo_regime_at``) over the closed forms of ``_covariant_at``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 from . import rotations, spins
 from ._numpy import np
 from .channels import FidelityEstimate, _blocks, average_from_entanglement
-from .optimal import RegimeReport, _j1_flip_fidelity, _regime_args, _regime_fidelity
+from .optimal import (_TWO_PI, RegimeReport, _check_regime_args, _j1_flip_fidelity,
+                      _regime_fidelity)
 from .spins import check_valid_m, clebsch_gordan
 from .strategies import MOStrategy
 
@@ -73,34 +75,33 @@ def optimal_theta_prime(two_j: int, theta: float) -> float:
     sin(theta))] + s(theta).
     """
     spins._check_nonzero_j(two_j)
-    return _optimal_theta_prime(two_j, spins._check_theta(theta))
-
-
-def _optimal_theta_prime(two_j: int, theta: float) -> float:
-    """``optimal_theta_prime`` for arguments the caller has already checked."""
-    j = two_j / 2.0
-    d = (2.0 * j * j + 3.0 * j) * math.sin(theta)
-    n = (2.0 * j * j + 3.0 * j) * math.cos(theta) + 2.0 * math.cos(theta) + 2.0 * j + 1.0
-    return math.atan2(d, n) % (2.0 * math.pi)
+    return _covariant_at(two_j)[0](spins._check_theta(theta))
 
 
 def mo_fopt_formula(two_j: int, theta: float, theta_prime: float) -> float:
     """Average MO fidelity at probe m = j, seed n = j, for the given theta'."""
     spins._check_nonzero_j(two_j)
     spins._check_theta(theta)
-    return _mo_fopt(two_j, theta, spins._check_theta(theta_prime, "theta_prime"))
+    return _covariant_at(two_j)[1](theta, spins._check_theta(theta_prime, "theta_prime"))
 
 
-def _mo_fopt(two_j: int, theta: float, theta_prime: float) -> float:
-    """``mo_fopt_formula`` for arguments the caller has already checked."""
+def _covariant_at(two_j: int):
+    """(theta -> ``optimal_theta_prime``, (theta, theta') -> ``mo_fopt_formula``) for
+    arguments the caller has already checked."""
     j = two_j / 2.0
-    return (
-        (4.0 * j + 4.0 + (2.0 * j + 1.0) * math.cos(theta - theta_prime))
-        / (3.0 * (2.0 * j + 3.0))
-        + ((2.0 * j + 1.0) * (math.cos(theta) + math.cos(theta_prime))
-           + math.cos(theta + theta_prime) + 1.0)
-        / (3.0 * (j + 1.0) * (2.0 * j + 3.0))
-    )
+    k, twice_j = 2.0 * j * j + 3.0 * j, 2.0 * j
+    four_j_plus_4, twice_j_plus_1 = 4.0 * j + 4.0, 2.0 * j + 1.0
+    norm_0, norm_1 = 3.0 * (2.0 * j + 3.0), 3.0 * (j + 1.0) * (2.0 * j + 3.0)
+
+    def theta_prime(theta: float) -> float:
+        c = math.cos(theta)
+        return math.atan2(k * math.sin(theta), k * c + 2.0 * c + twice_j + 1.0) % _TWO_PI
+
+    def fidelity(theta: float, theta_prime: float) -> float:
+        return ((four_j_plus_4 + twice_j_plus_1 * math.cos(theta - theta_prime)) / norm_0
+                + (twice_j_plus_1 * (math.cos(theta) + math.cos(theta_prime))
+                   + math.cos(theta + theta_prime) + 1.0) / norm_1)
+    return theta_prime, fidelity
 
 
 def anomalous_mo_fidelity(theta: float) -> float:
@@ -118,13 +119,19 @@ def j1_mo_threshold() -> float:
     return _J1_MO_THRESHOLD
 
 
-def _mo_regime(two_j: int, theta: float, problem: int) -> tuple[str, int, float]:
-    """(regime, probe 2m, average fidelity) of the classical-memory optimum."""
-    theta = _regime_args(two_j, theta, problem)
-    if two_j == 2 and problem == 2 and abs(theta - math.pi) <= _J1_MO_THRESHOLD:
-        return "mo_j1_anomalous", 0, _regime_fidelity(_j1_flip_fidelity(theta))
-    fidelity = _mo_fopt(two_j, theta, _optimal_theta_prime(two_j, theta))
-    return "mo_covariant", two_j, _regime_fidelity(fidelity)
+def _mo_regime_at(two_j: int, problem: int):
+    """theta -> (regime, probe 2m, average fidelity) of the classical-memory optimum at this
+    spin; each theta is checked finite and reduced mod 2 pi."""
+    _check_regime_args(two_j, problem)
+    anomalous, check_theta = two_j == 2 and problem == 2, spins._check_theta
+    theta_prime, fidelity = _covariant_at(two_j)
+
+    def regime(theta: float) -> tuple[str, int, float]:
+        theta = float(check_theta(theta)) % _TWO_PI
+        if anomalous and abs(theta - math.pi) <= _J1_MO_THRESHOLD:
+            return "mo_j1_anomalous", 0, _regime_fidelity(_j1_flip_fidelity(theta))
+        return "mo_covariant", two_j, _regime_fidelity(fidelity(theta, theta_prime(theta)))
+    return regime
 
 
 def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport:
@@ -135,9 +142,9 @@ def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeRep
     when theta is within the computed threshold of pi.  Needs two_j >= 1 and
     a finite theta.
     """
-    regime, two_m, fidelity = _mo_regime(two_j, theta, problem)
+    regime, two_m, fidelity = _mo_regime_at(two_j, problem)(theta)
     theta_prime = (math.pi if regime == "mo_j1_anomalous"
-                   else _optimal_theta_prime(two_j, float(theta) % (2.0 * math.pi)))
+                   else _covariant_at(two_j)[0](float(theta) % _TWO_PI))
     return RegimeReport(problem=problem, regime=regime, optimal_two_m=two_m,
                         fidelity=fidelity,
                         strategy=MOStrategy(two_j=two_j, two_m=two_m, xi_two_n=two_m,
@@ -145,7 +152,7 @@ def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeRep
 
 
 def mo_average_fidelity(two_j: int, theta: float, problem: int = 2) -> float:
-    return _mo_regime(two_j, theta, problem)[2]
+    return _mo_regime_at(two_j, problem)(theta)[2]
 
 
 def _povm_outcome_offsets(two_j: int, two_m: int, xi_two_n: int, n_samples: int,

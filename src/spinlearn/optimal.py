@@ -4,9 +4,10 @@ The learning channel's Choi operator lives on (probe-in (x) out (x) qubit-in);
 after absorbing the conjugate representations it block-diagonalizes over the
 total spin, leaving two scalars (alpha, beta) on the stretched/shrunk blocks
 and a 2x2 matrix M on the doubly-degenerate spin-j block.  ``case_fidelity``
-gives the stationary points in those coordinates and is the test reference
-of the closed forms; the dense Choi operator they describe is built only by the
-test oracle ``covariant_choi_build``.
+gives the stationary points in those coordinates and is the test reference of the
+closed forms, which one evaluator per spin, ``_regime_at``, reads for the scalar calls
+and the CLI sweeps alike; the dense Choi operator is built only by the test oracle
+``covariant_choi_build``.
 
 The case-1 channel is the spin-spin gate: for probe index m it is the Heisenberg
 gate at the angle f_m of ``heisenberg._f_angle_from_moments`` with the probe traced
@@ -62,13 +63,14 @@ class RegimeReport:
     strategy: StrategyDescriptor
 
 
-def _regime_args(two_j: int, theta: float, problem: int) -> float:
-    """theta reduced to [0, 2pi) after the arguments of a regime dispatcher are checked."""
+_TWO_PI = 2.0 * math.pi
+
+
+def _check_regime_args(two_j: int, problem: int) -> None:
+    """The checks a regime evaluator makes once, before any theta."""
     if problem not in (1, 2):
         raise ValueError("problem must be 1 or 2")
     spins._check_nonzero_j(two_j)
-    spins._check_theta(theta)
-    return float(theta) % (2.0 * math.pi)
 
 
 def _regime_fidelity(fidelity: float) -> float:
@@ -155,18 +157,19 @@ def case_fidelity(case: int, two_j: int, two_m: int, theta: float
 def case1_entanglement_fidelity(two_j: int, two_m: int, theta: float) -> float:
     """Closed form of the case-1 fidelity, (|A| + |B|)^2 / (2j+1)^2."""
     check_valid_m(two_j, two_m)
-    return _case1_fidelity(two_j, two_m, spins._check_theta(theta))
+    return _case1_at(two_j, two_m)(spins._check_theta(theta))
 
 
-def _case1_fidelity(two_j: int, two_m: int, theta: float) -> float:
-    """``case1_entanglement_fidelity`` for arguments the caller has already checked."""
-    j = two_j / 2.0
-    m = two_m / 2.0
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    a_mag = abs(complex(c * (j + 1.0), s * m))
-    b_mag = abs(complex(c * j, -s * m))
-    return (a_mag + b_mag) ** 2 / (2 * j + 1) ** 2
+def _case1_at(two_j: int, two_m: int):
+    """theta -> ``case1_entanglement_fidelity`` for arguments the caller has already
+    checked, with j + 1, m and (2j+1)^2 computed once."""
+    j, m = two_j / 2.0, two_m / 2.0
+    j_plus_1, norm = j + 1.0, (2 * j + 1) ** 2
+
+    def fidelity(theta: float) -> float:  # |x + iy| is hypot(x, y), as for complex(x, y)
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        return (abs(c * j_plus_1 + s * m * 1j) + abs(c * j - s * m * 1j)) ** 2 / norm
+    return fidelity
 
 
 def case2_alpha(theta: float) -> float:
@@ -205,19 +208,24 @@ def _j1_flip_fidelity(theta: float) -> float:
     return 1.0 / 3.0 + 0.4 * math.sin(theta / 2.0) ** 2
 
 
-def _optimal_regime(two_j: int, theta: float, problem: int) -> tuple[str, int, float]:
-    """(regime, optimal 2m, average fidelity) of the quantum optimum, in closed form.  In the
-    j = 1/2 window case 2 gives (7 + 14x - 3x^2) / (18(1 + 2x)), x = cos(theta), here written
-    in y = 1 + 2x, which rounds less; in the j = 1 window case 3 gives ``_j1_flip_fidelity``."""
-    theta = _regime_args(two_j, theta, problem)
-    dist = abs(theta - math.pi)
-    if two_j == 1 and dist <= _DELTA_HALF:
-        y = 1.0 + 2.0 * math.cos(theta)
-        return "case2_mixture", 1, _regime_fidelity(17.0 / 36.0 - (y + 1.0 / y) / 24.0)
-    if two_j == 2 and problem == 2 and dist <= _DELTA_ONE:
-        return "j1_anomalous_problem2", 0, _regime_fidelity(_j1_flip_fidelity(theta))
-    fe = _case1_fidelity(two_j, two_j, theta)
-    return "case1", two_j, _regime_fidelity(average_from_entanglement(fe, 2))
+def _regime_at(two_j: int, problem: int):
+    """theta -> (regime, optimal 2m, average fidelity) of the quantum optimum at this spin;
+    each theta is checked finite and reduced mod 2 pi.  In the j = 1/2 window case 2 gives
+    (7 + 14x - 3x^2) / (18(1 + 2x)), x = cos(theta), here in y = 1 + 2x, which rounds
+    less; in the j = 1 window case 3 gives ``_j1_flip_fidelity``; elsewhere case 1."""
+    _check_regime_args(two_j, problem)
+    window = _DELTA_HALF if two_j == 1 else _DELTA_ONE if two_j == 2 and problem == 2 else None
+    case1, check_theta = _case1_at(two_j, two_j), spins._check_theta
+
+    def regime(theta: float) -> tuple[str, int, float]:
+        theta = float(check_theta(theta)) % _TWO_PI
+        if window is not None and abs(theta - math.pi) <= window:
+            if two_j == 1:
+                y = 1.0 + 2.0 * math.cos(theta)
+                return "case2_mixture", 1, _regime_fidelity(17.0 / 36.0 - (y + 1.0 / y) / 24.0)
+            return "j1_anomalous_problem2", 0, _regime_fidelity(_j1_flip_fidelity(theta))
+        return "case1", two_j, _regime_fidelity(average_from_entanglement(case1(theta), 2))
+    return regime
 
 
 def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport:
@@ -227,9 +235,9 @@ def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport
     optimizes the probe.  They differ only for j = 1 near theta = pi.  Needs
     two_j >= 1 and a finite theta.
     """
-    regime, two_m, fidelity = _optimal_regime(two_j, theta, problem)
+    regime, two_m, fidelity = _regime_at(two_j, problem)(theta)
     if regime == "case2_mixture":
-        strategy = UNotMixture(alpha=case2_alpha(float(theta) % (2.0 * math.pi)))
+        strategy = UNotMixture(alpha=case2_alpha(float(theta) % _TWO_PI))
     elif regime == "j1_anomalous_problem2":
         strategy = DiscreteXYZ()
     else:
@@ -239,7 +247,7 @@ def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport
 
 
 def optimal_average_fidelity(two_j: int, theta: float, problem: int = 2) -> float:
-    return _optimal_regime(two_j, theta, problem)[2]
+    return _regime_at(two_j, problem)(theta)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +305,8 @@ def case_choi_channel(strategy: CaseChoiStrategy) -> KrausChannel:
     check_valid_m(two_j, two_m)
     spins._check_nonzero_j(two_j)
     m = two_m / 2.0
-    angle = heisenberg._f_angle_from_moments(two_j, spins._check_theta(theta), m, m * m)
+    spins._check_theta(theta)
+    angle = heisenberg._f_angle_from_moments(two_j, math.sin(theta), math.cos(theta), m, m * m)
     gate = heisenberg.heisenberg_unitary(two_j, 1, theta, f_override=angle)
     g = gate.apply(np.eye(gate.dim_total, dtype=complex)).T
     return KrausChannel(kraus=tuple(g.reshape(dim(two_j), 2, -1)), dim_in=gate.dim_total,

@@ -109,12 +109,24 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
-def _min_eigenvalue(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
+def _min_eigenvalue(a: np.ndarray, labels: np.ndarray | None = None) -> float:
+    """Smallest eigenvalue of the Hermitian part of ``a``.  With a block label per index,
+    and every entry between different labels an exact zero, it is taken block by block
+    (blocks of one size in one stacked ``eigvalsh``); otherwise from the dense matrix."""
+    h = 0.5 * (a + a.conj().T)
+    if labels is None or np.any(a[labels[:, None] != labels[None, :]]):
+        return float(np.linalg.eigvalsh(h)[0])
+    _, block, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    lowest = math.inf
+    for size in np.unique(sizes):
+        idx = np.stack([np.flatnonzero(block == b) for b in np.flatnonzero(sizes == size)])
+        lowest = min(lowest, float(np.linalg.eigvalsh(h[idx[:, :, None], idx[:, None, :]]).min()))
+    return lowest
 
 
-def is_positive_semidefinite(a: np.ndarray, tol: float = POSITIVITY_TOL) -> bool:
-    return is_hermitian(a, tol) and _min_eigenvalue(a) >= -tol
+def is_positive_semidefinite(a: np.ndarray, tol: float = POSITIVITY_TOL,
+                             labels: np.ndarray | None = None) -> bool:
+    return is_hermitian(a, tol) and _min_eigenvalue(a, labels) >= -tol
 
 
 @dataclass(frozen=True)
@@ -136,16 +148,19 @@ class ChoiOperator:
     def trace_out_output(self) -> np.ndarray:
         return np.einsum("iaja->ij", self.reshaped())
 
-    def is_completely_positive(self, tol: float = CHOI_POSITIVITY_TOL) -> bool:
-        return is_positive_semidefinite(self.matrix, tol)
+    def is_completely_positive(self, tol: float = CHOI_POSITIVITY_TOL,
+                               labels: np.ndarray | None = None) -> bool:
+        """``labels``: a block label per index, as in ``_min_eigenvalue``."""
+        return is_positive_semidefinite(self.matrix, tol, labels)
 
     def is_trace_preserving(self, tol: float = TRACE_PRESERVATION_TOL) -> bool:
         return bool(np.max(np.abs(self.trace_out_output() - np.eye(self.dim_in))) <= tol)
 
     def validate(self, cp_tol: float = CHOI_POSITIVITY_TOL,
-                 tp_tol: float = TRACE_PRESERVATION_TOL) -> None:
-        if not self.is_completely_positive(cp_tol):
-            raise ValueError(f"Choi operator not CP (min eig {_min_eigenvalue(self.matrix):.3e})")
+                 tp_tol: float = TRACE_PRESERVATION_TOL, labels: np.ndarray | None = None) -> None:
+        if not self.is_completely_positive(cp_tol, labels):
+            raise ValueError("Choi operator not CP "
+                             f"(min eig {_min_eigenvalue(self.matrix, labels):.3e})")
         if not self.is_trace_preserving(tp_tol):
             resid = np.max(np.abs(self.trace_out_output() - np.eye(self.dim_in)))
             raise ValueError(f"Choi operator not TP (residual {resid:.3e})")
@@ -357,7 +372,9 @@ def covariant_choi_build(params: optimal.CovariantChoiParams, two_j: int) -> Cho
     f_m, which never forms this matrix.  Returns it in the standard (input = probe (x) qubit, output = qubit)
     layout with Tr_out = I_in; raises if the parameters violate CP or TP.
     The families are conjugated and reordered by indexing before the block
-    products, so entries between different total M stay exact zeros.
+    products, so entries between different total M stay exact zeros, and the CP
+    check takes the eigenvalues block by block: index ((p, in), out) has total
+    M label p + in - out, at most four indices a label.
     """
     validate_params(params, two_j)
     dp = dim(two_j)
@@ -384,7 +401,8 @@ def covariant_choi_build(params: optimal.CovariantChoiParams, two_j: int) -> Cho
                 c_mat += m_build[r, s] * pair[r].T @ pair[s].conj()
 
     choi = ChoiOperator(matrix=c_mat, dim_in=dp * 2, dim_out=2)
-    choi.validate()
+    p, q_in, out = np.indices((dp, 2, 2)).reshape(3, -1)
+    choi.validate(labels=p + q_in - out)
     return choi
 
 
@@ -610,7 +628,8 @@ def thermal_fidelity_by_weights(two_j: int, theta: float, gamma: float) -> float
     """``thermal_fidelity`` from the moments of m summed over the 2j+1 Gibbs weights."""
     weights = thermal_state(two_j, gamma).weights
     m = two_m_values(two_j) / 2.0
-    return float(_fidelity_from_moments(two_j, theta, weights @ m, weights @ (m * m)))
+    return float(_fidelity_from_moments(heisenberg.entanglement_fidelity_coefficients(two_j, theta),
+                                        weights @ m, weights @ (m * m)))
 
 
 def band_fidelities(bands, probe: np.ndarray, psi: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 from oracles import (
     ChoiOperator,
+    _min_eigenvalue,
     apply_channel,
     apply_choi,
     channel_choi,
@@ -115,6 +116,15 @@ def test_cp_check_finds_a_negative_eigenvalue_inside_one_block(rng):
     assert connected_components(mat != 0, directed=False)[0] == 5
     assert not ChoiOperator(matrix=mat, dim_in=6, dim_out=2).is_completely_positive()
     assert np.linalg.eigvalsh(mat)[0] == pytest.approx(-1e-6, abs=1e-12)
+
+
+def test_block_cp_check_reads_its_labels_or_falls_back_to_dense(rng):
+    mat = _hidden_negative_block_matrix(rng)
+    labels = connected_components(mat != 0, directed=False)[1]
+    assert not ChoiOperator(matrix=mat, dim_in=6, dim_out=2).is_completely_positive(labels=labels)
+    assert _min_eigenvalue(mat, labels) == pytest.approx(-1e-6, abs=1e-12)
+    # one label per index leaves nonzero entries between labels: the dense check decides
+    assert _min_eigenvalue(mat, np.arange(12)) == _min_eigenvalue(mat)
 
 
 def test_kraus_choi_round_trip(rng):

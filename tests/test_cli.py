@@ -445,3 +445,38 @@ def test_cells_print_alike_in_csv_and_json(tmp_path):
     assert [(v, type(v)) for v in cells.values()] == [
         (True, bool), (False, bool), (3, int), (7, int), (0.333333333333, float),
         (0.666666666667, float), ("case1", str), ("nan", str), ("inf", str), ("-inf", str)]
+
+
+@pytest.mark.parametrize("command, per_two_j", [("optimal", 1), ("benchmark", 2)])
+def test_sweep_checks_each_spin_once_per_evaluator(command, per_two_j, monkeypatch, capsys):
+    # a 100 x 200 sweep makes one evaluator per spin (two for benchmark): two_j is
+    # checked there, not on each of the 20,000 rows
+    from spinlearn import spins
+
+    calls = []
+    original = spins.check_two_j
+    monkeypatch.setattr(spins, "check_two_j", lambda two_j: calls.append(two_j) or original(two_j))
+    assert run_cli([command, "--two-j", *map(str, range(1, 101)), "--theta-grid", "200"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 100 * 200
+    assert sorted(calls) == sorted(list(range(1, 101)) * per_two_j)
+
+
+def test_block_rows_print_as_their_row_dicts(tmp_path):
+    # the block writer formats a shared (tuple) grid once and a block's shared value once per
+    # block; the text is the one the rows print as plain dicts, 0.0 and -0.0, True and 1 included
+    rows = cli._Sweep(["two_j", "grid", "flag", "value", "label"])
+    grid = (0.0, -0.0, 1.0, 2.5)
+    rows.add(4, 1, grid, True, [1, True, 0.0, -0.0], "a")
+    rows.add(4, -0.0, grid, 1, [np.float64(0.5), math.nan, -math.inf, 7], "b")
+    assert len(rows) == 8
+    assert rows[6] == {"two_j": -0.0, "grid": 1.0, "flag": 1, "value": -math.inf, "label": "b"}
+    for fmt in ("csv", "json"):
+        blocks, dicts = tmp_path / f"blocks.{fmt}", tmp_path / f"dicts.{fmt}"
+        cli.write_rows(rows, fmt, str(blocks))
+        cli.write_rows(list(rows), fmt, str(dicts))
+        assert blocks.read_text() == dicts.read_text()
+    assert (tmp_path / "blocks.csv").read_text().splitlines()[1:] == [
+        "1,0,true,1,a", "1,-0,true,true,a", "1,1,true,0,a", "1,2.5,true,-0,a",
+        "-0,0,1,0.5,b", "-0,-0,1,nan,b", "-0,1,1,-inf,b", "-0,2.5,1,7,b"]
+    with pytest.raises(ValueError, match="a block of 3 rows needs 5 columns of 3"):
+        rows.add(3, 1, grid, True, [1, 2, 3], "c")

@@ -272,6 +272,22 @@ def test_recycled_reoptimized_schedule_never_worse():
             assert np.all(reopt >= base - 1e-12), (two_j, theta)
 
 
+def test_reoptimized_recycling_keeps_the_parent_floats():
+    # sin(theta) and cos(theta) are evaluated once a call, not once a use, and every bit
+    # stays: the digest is the SHA-256 of the float.hex of each sequence over 9 spins x
+    # 28 angles x 3 lengths (756 sequences), made when they were evaluated at each use
+    import hashlib
+
+    digest = hashlib.sha256()
+    for two_j in (1, 2, 3, 5, 8, 20, 101, 400, 20000):
+        for theta in [2.0 * math.pi * k / 27 for k in range(27)] + [math.pi]:
+            for n_uses in (1, 7, 50):
+                seq = recycled_fidelity(two_j, theta, n_uses, reoptimize_f=True)
+                digest.update(" ".join(float(f).hex() for f in seq).encode() + b"\n")
+    assert digest.hexdigest() == ("d703fae265fc9849eeacde46fc5fc1bd"
+                                  "ceb74ad175a2834ca0250eb856269c10")
+
+
 def test_spin_half_reoptimized_second_use_never_worse():
     # the first use leaves the same memory on both schedules, so the greedy
     # angle of use 2 cannot lose; later uses can (the recycled_fidelity docstring)

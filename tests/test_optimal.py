@@ -20,7 +20,7 @@ from oracles import (
     unot_mixture_channel,
     validate_params,
 )
-from spinlearn import channels, mo, spins
+from spinlearn import channels, mo, optimal, spins
 from spinlearn.channels import KrausChannel, average_from_entanglement, entanglement_fidelity
 from spinlearn.memory import _bisect
 from spinlearn.optimal import (
@@ -595,3 +595,51 @@ def test_case2_alpha_takes_every_angle_the_dispatcher_sends():
         assert report.regime == "case2_mixture"
         assert 0.0 <= report.strategy.alpha <= 2 / 3
         assert report.strategy.alpha == case2_alpha(theta)
+
+
+# SHA-256 of "<F_quantum.hex()> <F_MO.hex()>\n" over the grid below, made with
+# optimal_average_fidelity and mo_average_fidelity before the regime evaluators existed
+_PARENT_REGIME_DIGEST = "13c1f28e68a6bfca87333face63d1bf09eea158ca4e0af2b91b5ee7825fc387f"
+
+
+def test_regime_evaluators_keep_the_parent_floats():
+    # every bit of both optima, not only the 12 printed digits: 2j in 1..100, 400, 20000,
+    # 4,000 angles over [0, 2 pi) plus pi, the three window edges either side of pi, 7.5
+    # and -1.0, both problems (817,836 points)
+    import hashlib
+
+    thetas = [2.0 * math.pi * k / 4000 for k in range(4000)]
+    for delta in (delta_half(), delta_one(), mo.j1_mo_threshold()):
+        thetas += [math.pi - delta, math.pi + delta]
+    thetas += [math.pi, 7.5, -1.0]
+    digest = hashlib.sha256()
+    for problem in (1, 2):
+        for two_j in [*range(1, 101), 400, 20000]:
+            quantum = optimal._regime_at(two_j, problem)
+            classical = mo._mo_regime_at(two_j, problem)
+            digest.update("".join(f"{quantum(t)[2].hex()} {classical(t)[2].hex()}\n"
+                                  for t in thetas).encode())
+    assert digest.hexdigest() == _PARENT_REGIME_DIGEST
+
+
+@pytest.mark.parametrize("two_j, theta, problem, error, message", [
+    (0, 1.0, 2, spins.InvalidQuantumNumbersError, "^two_j=0: a spin-0 memory"),
+    (2.5, 1.0, 2, spins.InvalidQuantumNumbersError, "^two_j must be a non-negative integer"),
+    (4, 1.0, 3, ValueError, "^problem must be 1 or 2$"),
+    (4, math.nan, 2, ValueError, "^theta must be finite, got nan$"),
+    (4, -math.inf, 1, ValueError, "^theta must be finite, got -inf$"),
+], ids=["spin_0", "non_integer", "problem_3", "nan", "inf"])
+@pytest.mark.parametrize("scalar, evaluator", [
+    (optimal_average_fidelity, optimal._regime_at),
+    (mo.mo_average_fidelity, mo._mo_regime_at),
+], ids=["quantum", "classical"])
+def test_regime_evaluators_raise_as_the_scalar_calls(two_j, theta, problem, error, message,
+                                                     scalar, evaluator):
+    # two_j and problem are checked when the evaluator is made, theta at each call
+    with pytest.raises(error, match=message) as from_scalar:
+        scalar(two_j, theta, problem)
+    with pytest.raises(error, match=message) as from_evaluator:
+        regime = evaluator(two_j, problem)
+        assert math.isfinite(theta) is False  # only a bad theta gets this far
+        regime(theta)
+    assert type(from_evaluator.value) is type(from_scalar.value)
