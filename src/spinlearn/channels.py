@@ -11,13 +11,13 @@ samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._record import Record, record
 
 
-@dataclass(frozen=True)
-class FidelityEstimate:
+@record
+class FidelityEstimate(Record):
     """A fidelity value with Monte-Carlo error bars; n_samples == 0 is exact."""
 
     value: float
@@ -89,8 +89,8 @@ def maximally_entangled(d: int) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class KrausChannel:
+@record
+class KrausChannel(Record):
     """A channel given by an explicit Kraus decomposition, (dim_out, dim_in) operators."""
 
     kraus: tuple

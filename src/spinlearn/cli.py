@@ -12,7 +12,6 @@ numpy is bound lazily (``spinlearn._numpy``): ``optimal``, ``benchmark``, ``ther
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -124,6 +123,8 @@ def write_rows(rows, fmt: str, out: str | None) -> None:
             rows.add(len(dicts), *([r[f] for r in dicts] for f in rows.fields))
         text = _csv_text(rows)
     elif fmt == "json":
+        import json  # bound here, not at module level: only JSON output needs it
+
         clean = [{f: _json_cell(v) for f, v in r.items()} for r in rows]
         text = json.dumps(clean, indent=2) + "\n"
     else:
@@ -260,6 +261,8 @@ def _verify_checks(n_samples: int, seed: int) -> list[dict]:
 
 def cmd_verify(args) -> int:
     """Closed forms against their Monte-Carlo oracles, as one JSON report."""
+    import json
+
     checks = _verify_checks(args.n_samples, args.seed)
     all_pass = all(c["pass"] for c in checks)
     report = {

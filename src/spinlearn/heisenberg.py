@@ -19,11 +19,11 @@ g and phases, which gives the per-sector loop's results bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import spins
 from ._numpy import np
+from ._record import Record, record
 from .channels import average_from_entanglement
 from .spins import (_check_nonzero_j, _check_target_spin, _check_theta, check_two_j,
                     check_valid_m, clebsch_gordan, dim, two_m_values)
@@ -157,8 +157,8 @@ def _apply_qubit_sectors(out: np.ndarray, two_j: int, angle: float) -> None:
         a1 += np.multiply(w1, g[1, 1], out=acc)
 
 
-@dataclass(frozen=True)
-class HeisenbergGate:
+@record
+class HeisenbergGate(Record):
     """Unitary exp[-i * angle * 2 J.K / (2j+1)] on the (j (x) k) space."""
 
     two_j: int

@@ -28,18 +28,18 @@ advantage threshold bisects on an O(1) function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import heisenberg, mo
 from ._numpy import np
+from ._record import Record, record
 from .channels import average_from_entanglement
 from .spins import _check_count, _check_nonzero_j, _check_theta, check_valid_m, dim, two_m_values
 
-_SCAN_CHUNK = 4096  # uses per array when scanning for a crossing
+_SCAN_CHUNK = 256  # about the uses per array when searching or scanning for a crossing
 
 
-@dataclass(frozen=True)
-class SignedWeights:
+@record
+class SignedWeights(Record):
     """Real weights over the magnetic index m (descending order), of either sign:
     the alternating-sum populations are negative where they leave the regime
     in which they approximate the recycled memory."""
@@ -52,7 +52,7 @@ class SignedWeights:
             raise ValueError("weight vector has wrong length")
 
 
-@dataclass(frozen=True)
+@record
 class MemoryDistribution(SignedWeights):
     """Probability weights over the magnetic index m (descending order)."""
 
@@ -152,33 +152,47 @@ def _uses_before(two_j: int, theta: float, fails, level: float, cap: int) -> tup
     """Uses of the fixed schedule before the first whose fidelity F has
     ``fails(F, level)``, looking at most ``cap`` uses ahead, and whether none failed.
 
-    F after s uses is F_inf + B r1^s + C r2^s with r1 = 1 - 2c, r2 = 1 - 6c and
-    B, C >= 0, so the chunked scan stops once (B + C) rho^s < |F_inf - level|
-    with rho = max(|r1|, |r2|) < 1; with c = 0, F is constant.  At 2j = 1,
-    m^2 = 1/4 in every state, so C = 0 and rho = |r1|.  Where r1, r2 >= 0 (at
-    2j = 1, or 6c <= 1) no F is below F_inf, rounding included, so no scan is
-    needed unless F_inf itself fails.
+    F after s uses is F_inf + B r1^s + C r2^s with r1 = 1 - 2c >= 0, r2 = 1 - 6c and
+    B, C >= 0; at 2j = 1, m^2 = 1/4 in every state, so C = 0.  Where r2 >= 0 too (at 2j = 1,
+    or 6c <= 1) F is non-increasing in s (pow's rounding can swap only uses whose F agree
+    to an ulp): nothing fails unless F_inf does, and a search that samples about
+    _SCAN_CHUNK evenly spaced uses of [lo, hi), hi - 1 last, and keeps the gap before the
+    first failing one takes O(log cap) passes.  Its uses are int64: from 2^63 on,
+    r^s <= 2^-1024 for every r < 1, and F is F_inf to rounding.  r2 < 0 only at 2j = 2
+    with c > 1/6, where rho = max(r1, -r2) <= 2/3: a scan from s = 0 stops once
+    (B + C) rho^s < |F_inf - level|.  Both evaluate F on arrays of s, in one way.
     """
     schedule = _fixed_schedule(two_j, theta)
     f_inf = schedule(math.inf)
     c = _rate(two_j, heisenberg.f_angle(two_j, theta))
     r1, r2 = 1.0 - 2.0 * c, 1.0 - 6.0 * c
-    if r1 >= 0.0 and (two_j == 1 or r2 >= 0.0) and not fails(f_inf, level):
-        return cap, True
-    tail = abs(schedule(0) - f_inf)
-    rho = abs(r1) if two_j == 1 else max(abs(r1), abs(r2))
+    if two_j == 1 or r2 >= 0.0:
+        if not fails(f_inf, level):
+            return cap, True
+        lo = 0
+        hi = end = min(cap, 2**63 - 1)  # the uses before lo pass, and use hi fails or is the end
+        while lo < hi:
+            step = max((hi - 1 - lo) // (_SCAN_CHUNK - 1), 1)
+            s = np.append(np.arange(lo, hi - 1, step), hi - 1)
+            hit = np.flatnonzero(fails(schedule(s), level))
+            if not hit.size:
+                break
+            k = int(hit[0])
+            lo, hi = (int(s[k - 1]) + 1 if k else lo), int(s[k])
+        return (hi, False) if hi < end else (cap, True)
+    tail, rho = abs(schedule(0) - f_inf), max(r1, -r2)
     for start in range(0, cap, _SCAN_CHUNK):
         s = np.arange(start, min(start + _SCAN_CHUNK, cap))
         hit = np.flatnonzero(fails(schedule(s), level))
         if hit.size:
             return start + int(hit[0]), False
-        if c == 0.0 or (rho < 1.0 and tail * rho ** int(s[-1]) < abs(f_inf - level)):
+        if tail * rho ** int(s[-1]) < abs(f_inf - level):
             break
     return cap, True
 
 
-@dataclass(frozen=True)
-class PersistenceReport:
+@record
+class PersistenceReport(Record):
     steps: int
     asymptote: float
     capped: bool
@@ -350,9 +364,10 @@ def thermal_advantage_threshold(two_j: int, theta: float, problem: int = 2) -> f
     """
     _check_theta(theta)
     benchmark = mo.mo_average_fidelity(two_j, theta, problem)
+    coefficients = heisenberg.entanglement_fidelity_coefficients(two_j, theta)
 
-    def gap(gamma: float) -> float:
-        return thermal_fidelity(two_j, theta, gamma) - benchmark
+    def gap(gamma: float) -> float:  # thermal_fidelity, bit for bit, without its set-up
+        return _fidelity_from_moments(coefficients, *_thermal_moments(two_j, gamma)) - benchmark
 
     hi = 8.0
     while gap(hi) <= 0.0:

@@ -11,10 +11,10 @@ optimum (``_mo_regime_at``) over the closed forms of ``_covariant_at``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import rotations, spins
 from ._numpy import np
+from ._record import Record, record
 from .channels import FidelityEstimate, _blocks, average_from_entanglement
 from .optimal import (_TWO_PI, RegimeReport, _check_regime_args, _j1_flip_fidelity,
                       _regime_fidelity)
@@ -22,8 +22,8 @@ from .spins import check_valid_m, clebsch_gordan
 from .strategies import MOStrategy
 
 
-@dataclass(frozen=True)
-class MOParams:
+@record
+class MOParams(Record):
     """Probe index m, measurement seed index n, and conditional angle theta'."""
 
     two_m: int

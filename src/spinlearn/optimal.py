@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import heisenberg, spins
 from ._numpy import np
+from ._record import Record, record
 from .channels import KrausChannel, average_from_entanglement
 from .spins import CouplingCoeffs, check_valid_m, coupling_decomposition, dim
 from .strategies import (
@@ -36,8 +36,8 @@ class CaseNotApplicableError(ValueError):
     """Raised when a stationary case does not exist for the given spin/angle."""
 
 
-@dataclass(frozen=True)
-class CovariantChoiParams:
+@record
+class CovariantChoiParams(Record):
     """Block coordinates (alpha, beta, M) of a covariant learning channel.
 
     ``beta`` is None for two_j == 1, where the spin j-1 block does not exist
@@ -54,8 +54,8 @@ def _check_beta(params: CovariantChoiParams, two_j: int) -> None:
         raise ValueError(f"beta is None, but two_j={two_j} has a spin j-1 block")
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+@record
+class RegimeReport(Record):
     problem: int
     regime: str
     optimal_two_m: int

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._numpy import np
+from ._record import Record, record
 from .rotations import _alpha_phase_and_moduli
 
 
@@ -294,8 +294,8 @@ def _pair_coupling_table(two_j1: int, two_j2: int, two_J: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class CouplingCoeffs:
+@record
+class CouplingCoeffs(Record):
     """Coefficients of |j,-m> (x) |Phi*_theta> on the four covariant blocks."""
 
     a: complex

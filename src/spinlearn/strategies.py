@@ -8,62 +8,55 @@ names the case-1 covariant channel at probe index m, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from ._record import Record, record
 
 
-@dataclass(frozen=True)
-class ExactTarget:
+@record
+class ExactTarget(Record):
     """Oracle strategy that applies the target gate itself (fidelity 1)."""
 
     two_k: int = 1
 
 
-@dataclass(frozen=True)
-class HeisenbergStrategy:
+@record
+class HeisenbergStrategy(Record):
     two_j: int
     two_k: int = 1
     f_override: float | None = None
 
 
-@dataclass(frozen=True)
-class CaseChoiStrategy:
+@record
+class CaseChoiStrategy(Record):
     case: int
     two_j: int
     two_m: int
     theta: float
 
 
-@dataclass(frozen=True)
-class MOStrategy:
+@record
+class MOStrategy(Record):
     two_j: int
     two_m: int
     xi_two_n: int
     theta_prime: float
 
 
-@dataclass(frozen=True)
-class UNotMixture:
+@record
+class UNotMixture(Record):
     alpha: float
 
 
-@dataclass(frozen=True)
-class DiscreteXYZ:
+@record
+class DiscreteXYZ(Record):
     pass
 
 
-@dataclass(frozen=True)
-class ThermalWrapped:
+@record
+class ThermalWrapped(Record):
     inner: "StrategyDescriptor"
     gamma: float
 
 
-StrategyDescriptor = Union[
-    ExactTarget,
-    HeisenbergStrategy,
-    CaseChoiStrategy,
-    MOStrategy,
-    UNotMixture,
-    DiscreteXYZ,
-    ThermalWrapped,
-]
+# The strategy classes, for isinstance checks and annotations (a plain tuple: no typing import)
+StrategyDescriptor = (ExactTarget, HeisenbergStrategy, CaseChoiStrategy, MOStrategy,
+                      UNotMixture, DiscreteXYZ, ThermalWrapped)

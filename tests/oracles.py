@@ -14,7 +14,8 @@ import numpy as np
 
 from spinlearn import heisenberg, mo, optimal, rotations, spins
 from spinlearn.channels import KrausChannel, maximally_entangled
-from spinlearn.memory import MemoryDistribution, _fidelity_from_moments, thermal_state
+from spinlearn.memory import (MemoryDistribution, _fidelity_from_moments, _fixed_schedule,
+                              _rate, thermal_state)
 from spinlearn.montecarlo import (_conditional_fidelity_channel_output, _target_states,
                                   sample_pure_states)
 from spinlearn.spins import _check_nonzero_j, coupling_decomposition, dim, two_m_values
@@ -630,6 +631,30 @@ def thermal_fidelity_by_weights(two_j: int, theta: float, gamma: float) -> float
     m = two_m_values(two_j) / 2.0
     return float(_fidelity_from_moments(heisenberg.entanglement_fidelity_coefficients(two_j, theta),
                                         weights @ m, weights @ (m * m)))
+
+
+def uses_before_by_scan(two_j: int, theta: float, fails, level: float, cap: int
+                        ) -> tuple[int, bool]:
+    """``memory._uses_before`` by a scan of every use from s = 0, 4,096 uses per array,
+    that stops only at a failing use, at the cap, or once (B + C) rho^s < |F_inf - level|
+    (rho = max(|r1|, |r2|), or |r1| at 2j = 1): O(steps) where the library's search is
+    O(log cap).  No scan is needed where F is non-increasing and F_inf passes."""
+    schedule = _fixed_schedule(two_j, theta)
+    f_inf = schedule(math.inf)
+    c = _rate(two_j, heisenberg.f_angle(two_j, theta))
+    r1, r2 = 1.0 - 2.0 * c, 1.0 - 6.0 * c
+    if r1 >= 0.0 and (two_j == 1 or r2 >= 0.0) and not fails(f_inf, level):
+        return cap, True
+    tail = abs(schedule(0) - f_inf)
+    rho = abs(r1) if two_j == 1 else max(abs(r1), abs(r2))
+    for start in range(0, cap, 4096):
+        s = np.arange(start, min(start + 4096, cap))
+        hit = np.flatnonzero(fails(schedule(s), level))
+        if hit.size:
+            return start + int(hit[0]), False
+        if c == 0.0 or (rho < 1.0 and tail * rho ** int(s[-1]) < abs(f_inf - level)):
+            break
+    return cap, True
 
 
 def band_fidelities(bands, probe: np.ndarray, psi: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,6 +410,17 @@ def _python_prints(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=60).stdout
 
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_typing_and_json():
+    # -S skips the site-packages .pth hooks, which may import typing on their own; numpy's
+    # directory goes on the path by hand, for spinlearn._numpy to find it
+    path = os.pathsep.join(str(Path(m.__file__).parents[1]) for m in (cli, np))
+    code = ("import sys, spinlearn.cli; "
+            "print([m for m in ('dataclasses', 'inspect', 'typing', 'json') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout == "[]\n"
 
 def test_numpy_imported_first_is_the_binding():
     assert _python_prints("import sys, types, numpy, spinlearn.optimal as o; "

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -16,6 +18,7 @@ from oracles import (
     stinespring_complementary_populations,
     thermal_fidelity_by_weights,
     tricomi_weights_by_double_sum,
+    uses_before_by_scan,
 )
 from spinlearn import memory, optimal
 from spinlearn.channels import entanglement_fidelity
@@ -456,6 +459,70 @@ def test_spin_half_scan_stops_once_the_tail_cannot_cross(monkeypatch, theta, thr
     assert longevity(1, theta, threshold, t_max=10**7) == 10**7
     assert len(calls) <= 4
 
+
+
+_FAR_CROSSING = """
+import numpy as np
+from spinlearn import memory, mo
+rep = memory.persistence(20000, 1e-3)
+f = memory._fixed_schedule(20000, 1e-3)(np.array([rep.steps - 1, rep.steps]))
+print(rep.capped, bool(f[0] > mo.mo_average_fidelity(20000, 1e-3) >= f[1]), rep.steps)
+"""
+
+
+def test_persistence_finds_a_far_crossing_quickly():
+    # about 2e10 uses ahead under a cap of 8e10: a scan of 4,096 uses per array did not
+    # return within 20 s; a search over the non-increasing F takes a few passes
+    out = subprocess.run([sys.executable, "-c", _FAR_CROSSING], capture_output=True, text=True,
+                         check=True, timeout=10).stdout.split()
+    assert out[:2] == ["False", "True"]
+    assert 10**10 < int(out[2]) < 4 * 10**10
+
+
+
+def test_search_takes_caps_beyond_int64():
+    # persistence's default cap here is 9e19 uses; the search looks at most 2^63 - 1 ahead
+    rep = persistence(20000, 3e-8)
+    assert (rep.steps, rep.capped) == (0, False) and 4 * rep.asymptote > 2**63
+    level = mo_average_fidelity(200, math.pi)
+    assert memory._uses_before(200, math.pi, np.less_equal, level, 2**70) == (50, False)
+    assert memory._uses_before(200, math.pi, np.less, 0.4, 2**70) == (2**70, True)
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 6, 8, 16, 32, 64, 128, 256, 400])
+def test_search_equals_the_chunked_scan(monkeypatch, two_j):
+    # every angle of the grid, for persistence and two longevity thresholds; the capped
+    # longevity rows (t_max) keep the scan short where the crossing is far
+    def runs():
+        for theta in np.linspace(0.0, 2 * math.pi, 64, endpoint=False):
+            rep = persistence(two_j, float(theta))
+            yield rep.steps, rep.capped
+            yield longevity(two_j, float(theta), 0.9, t_max=10**6)
+            yield longevity(two_j, float(theta), 0.99, t_max=10**6)
+    got = list(runs())
+    monkeypatch.setattr(memory, "_uses_before", uses_before_by_scan)
+    assert got == list(runs())
+
+
+def _threshold_by_thermal_fidelity(two_j, theta):
+    """``thermal_advantage_threshold`` with a ``thermal_fidelity`` call at every step."""
+    benchmark = mo_average_fidelity(two_j, theta)
+
+    def gap(gamma):
+        return thermal_fidelity(two_j, theta, gamma) - benchmark
+
+    hi = 8.0
+    while gap(hi) <= 0.0:
+        if hi > 1e3:
+            return math.inf
+        hi *= 2.0
+    return memory._bisect(gap, 1e-3, hi, tol=1e-10)
+
+
+@pytest.mark.parametrize("two_j", [20, 200, 2000, 20000])
+@pytest.mark.parametrize("theta", [math.pi, 2.0, 0.3])
+def test_thermal_threshold_with_coefficients_once_is_bit_identical(two_j, theta):
+    assert thermal_advantage_threshold(two_j, theta) == _threshold_by_thermal_fidelity(two_j,
+                                                                                        theta)
 
 def test_spin_zero_memory_rejected_by_kernel():
     with pytest.raises(InvalidQuantumNumbersError, match="two_j"):

@@ -464,8 +464,8 @@ def test_formula_helpers_name_a_negative_spin(call):
 
 
 def test_regime_dispatch_checks_its_arguments_once(monkeypatch):
-    # the sweep calls _mo_regime once per row: the formula helpers it calls must not
-    # repeat the checks that _regime_args has already made
+    # the sweep calls _mo_regime_at once per 2j: the formula helpers it calls must not
+    # repeat the checks that _check_regime_args has already made
     calls = []
     for name in ("check_two_j", "_check_theta"):
         original = getattr(spins, name)
