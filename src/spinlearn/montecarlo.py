@@ -16,6 +16,7 @@ column (``spins.wigner_d_omega_columns``): no joint vector, O(j) each.  The othe
 samplers act on U_g|j,m> from ``spins.rotated_basis_states_batch``; none takes Euler angles.
 The Kraus sampler runs the discrete xyz channel and the case-1 channel, whose Kraus
 operators ``optimal.case_choi_channel`` reads off the Heisenberg gate at the angle f_m.
+The tests' covariance probe (``oracles.per_rotation_fidelity``) drives the samplers' ``q_g``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .channels import FidelityEstimate, _blocks
 from .strategies import (
     CaseChoiStrategy,
     DiscreteXYZ,
-    ExactTarget,
     HeisenbergStrategy,
     MOStrategy,
     StrategyDescriptor,
@@ -190,13 +190,16 @@ def _unot_mixture_samples(strategy: UNotMixture, theta: float,
 def _unot_scores(gate, m_yes: np.ndarray, m_no: np.ndarray, q_g: np.ndarray,
                  psi: np.ndarray, q_axis: np.ndarray | None, theta: float) -> np.ndarray:
     """Per-sample fidelity, for one block, of the universal-NOT mixture: the "yes" branch
-    through the gate, plus the sampled "no" branch at the axes ``q_axis`` (if any).  The
-    (rows, 4) x (4, 4) instrument products are einsums, off BLAS, whose thread handoff
-    has cost 8 ms a block each under two OpenBLAS threads (0.2 ms as einsums)."""
+    through the gate, plus the sampled "no" branch at the axes ``q_axis`` (if any).  Each
+    instrument product is four broadcast multiply-adds, one per column of ``joint``: each
+    row on its own and off BLAS, whose (rows, 4) x (4, 4) calls cost 8 ms a block each
+    under two OpenBLAS threads (per 4,096-row block, 0.26 ms as an einsum, 0.1 ms here)."""
     probe = spins.rotated_basis_states_batch(1, q_g, 1)
     joint = np.einsum("np,nk->npk", probe, psi).reshape(-1, 4)
     target = _target_states(q_g, theta, psi)
-    yes = gate.apply(np.einsum("ij,nj->ni", m_yes, joint)).reshape(-1, 2, 2)
+    product = lambda m: (m[:, :1] * joint[:, 0] + m[:, 1:2] * joint[:, 1]
+                         + m[:, 2:3] * joint[:, 2] + m[:, 3:] * joint[:, 3]).T
+    yes = gate.apply(product(m_yes)).reshape(-1, 2, 2)
     fid = _conditional_fidelity_channel_output(yes, target)
     if q_axis is None:
         return fid
@@ -204,25 +207,14 @@ def _unot_scores(gate, m_yes: np.ndarray, m_no: np.ndarray, q_g: np.ndarray,
     # U|0>, the random coherent axis state, and U|1>, the prepared flipped state
     chi, chi_flip = u_axis[:, :, 0], u_axis[:, :, 1]
     pair = np.einsum("ni,nj->nij", chi, chi).reshape(-1, 4)
-    no = np.einsum("ij,nj->ni", m_no, joint)
-    weight = 3.0 * np.abs(np.einsum("ni,ni->n", pair.conj(), no)) ** 2
+    weight = 3.0 * np.abs(np.einsum("ni,ni->n", pair.conj(), product(m_no))) ** 2
     return fid + weight * np.abs(np.einsum("ni,ni->n", target.conj(), chi_flip)) ** 2
-
-
-def _exact_target_samples(strategy: ExactTarget, theta: float,
-                          rng: np.random.Generator, n: int):
-    dk = spins.dim(strategy.two_k)
-    for q, psi in _draws(rng, n, None, dk, _JOINT_FLOATS * dk * dk):
-        out = _target_states(q, theta, psi)
-        yield np.abs(np.einsum("ni,ni->n", out, out.conj())) ** 2
 
 
 def _strategy_samples(strategy: StrategyDescriptor, theta: float,
                       rng: np.random.Generator, n: int, q_g: np.ndarray | None = None):
     """The per-block sample arrays of ``strategy``'s sampler, an iterator that draws each
     block when it is reached; ``q_g`` is one fixed training rotation or None for Haar."""
-    if isinstance(strategy, ExactTarget):
-        return _exact_target_samples(strategy, theta, rng, n)
     if isinstance(strategy, HeisenbergStrategy):
         return _heisenberg_samples(strategy, theta, rng, n, q_g=q_g)
     if isinstance(strategy, ThermalWrapped):
@@ -262,17 +254,3 @@ def mc_average_fidelity(strategy: StrategyDescriptor, theta: float, n_samples: i
     rng = np.random.default_rng(seq.spawn(1)[0])
     return FidelityEstimate.from_blocks(_strategy_samples(strategy, theta, rng, n_samples))
 
-
-def per_rotation_fidelity(strategy: StrategyDescriptor, theta: float, g_quaternion,
-                          n_samples: int, seed) -> FidelityEstimate:
-    """State-averaged fidelity at one fixed training rotation (covariance probe);
-    ``g_quaternion`` must be one finite unit quaternion (w, x, y, z), norm within 1e-12 of 1."""
-    spins._check_count("n_samples", n_samples, 1)
-    spins._check_theta(theta)
-    q = np.asarray(g_quaternion, dtype=float)
-    if q.shape != (4,) or not np.all(np.isfinite(q)) or abs(np.linalg.norm(q) - 1.0) > 1e-12:
-        raise ValueError(f"g_quaternion must be a finite unit quaternion of shape (4,), "
-                         f"got {g_quaternion!r}")
-    rng = np.random.default_rng(seed)
-    return FidelityEstimate.from_blocks(_strategy_samples(strategy, theta, rng, n_samples,
-                                                          q_g=q))

@@ -1,7 +1,8 @@
 """Descriptors naming the concrete learning strategies built elsewhere.
 
 These are inert records; the Monte-Carlo oracle and the regime dispatchers
-use them to say *which* strategy realizes a fidelity.  ``CaseChoiStrategy``
+use them to say *which* strategy realizes a fidelity, and
+``montecarlo.mc_average_fidelity`` samples each of the six.  ``CaseChoiStrategy``
 names the case-1 covariant channel at probe index m, which
 ``optimal.case_choi_channel`` builds from the Heisenberg gate; its ``case`` must be 1.
 """
@@ -9,13 +10,6 @@ names the case-1 covariant channel at probe index m, which
 from __future__ import annotations
 
 from ._record import Record, record
-
-
-@record
-class ExactTarget(Record):
-    """Oracle strategy that applies the target gate itself (fidelity 1)."""
-
-    two_k: int = 1
 
 
 @record
@@ -58,5 +52,5 @@ class ThermalWrapped(Record):
 
 
 # The strategy classes, for isinstance checks and annotations (a plain tuple: no typing import)
-StrategyDescriptor = (ExactTarget, HeisenbergStrategy, CaseChoiStrategy, MOStrategy,
-                      UNotMixture, DiscreteXYZ, ThermalWrapped)
+StrategyDescriptor = (HeisenbergStrategy, CaseChoiStrategy, MOStrategy, UNotMixture,
+                      DiscreteXYZ, ThermalWrapped)

@@ -12,8 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from spinlearn import heisenberg, mo, optimal, rotations, spins
-from spinlearn.channels import KrausChannel, maximally_entangled
+from spinlearn import heisenberg, mo, montecarlo, optimal, rotations, spins
+from spinlearn._record import Record, record
+from spinlearn.channels import FidelityEstimate, KrausChannel, maximally_entangled
 from spinlearn.memory import (MemoryDistribution, _fidelity_from_moments, _fixed_schedule,
                               _rate, thermal_state)
 from spinlearn.montecarlo import (_conditional_fidelity_channel_output, _target_states,
@@ -668,3 +669,41 @@ def band_fidelities(bands, probe: np.ndarray, psi: np.ndarray, target: np.ndarra
     amp[:, 1:] += t0 * s1 * up[1:] * probe[:, :-1]
     amp[:, :-1] += t1 * s0 * lo[:-1] * probe[:, 1:]
     return np.sum(np.abs(amp) ** 2, axis=1)
+
+
+@record
+class ExactTarget(Record):
+    """Oracle strategy that applies the target gate itself (fidelity 1)."""
+
+    two_k: int = 1
+
+
+def _exact_target_samples(strategy: ExactTarget, theta: float, rng: np.random.Generator,
+                          n: int):
+    dk = dim(strategy.two_k)
+    for q, psi in montecarlo._draws(rng, n, None, dk, montecarlo._JOINT_FLOATS * dk * dk):
+        out = _target_states(q, theta, psi)
+        yield np.abs(np.einsum("ni,ni->n", out, out.conj())) ** 2
+
+
+def exact_target_fidelity(strategy: ExactTarget, theta: float, n_samples: int,
+                          seed) -> FidelityEstimate:
+    """``mc_average_fidelity`` of ``ExactTarget``: |<V psi|V psi>|^2 on the library's
+    blocks of draws and target states V_(theta,g) psi, seeded the same way."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return FidelityEstimate.from_blocks(_exact_target_samples(strategy, theta, rng, n_samples))
+
+
+def per_rotation_fidelity(strategy, theta: float, g_quaternion, n_samples: int,
+                          seed) -> FidelityEstimate:
+    """State-averaged fidelity at one fixed training rotation (covariance probe);
+    ``g_quaternion`` must be one finite unit quaternion (w, x, y, z), norm within 1e-12 of 1."""
+    spins._check_count("n_samples", n_samples, 1)
+    spins._check_theta(theta)
+    q = np.asarray(g_quaternion, dtype=float)
+    if q.shape != (4,) or not np.all(np.isfinite(q)) or abs(np.linalg.norm(q) - 1.0) > 1e-12:
+        raise ValueError(f"g_quaternion must be a finite unit quaternion of shape (4,), "
+                         f"got {g_quaternion!r}")
+    rng = np.random.default_rng(seed)
+    return FidelityEstimate.from_blocks(montecarlo._strategy_samples(strategy, theta, rng,
+                                                                     n_samples, q_g=q))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinlearn import cli
+from spinlearn import cli, memory
 from test_readme_golden import GOLDEN, README_COMMANDS
 
 
@@ -71,6 +71,29 @@ def test_recycle_crossing(tmp_path):
         optimal.optimal_average_fidelity(200, math.pi), abs=1e-10)
     above = [r["above_benchmark"] == "true" for r in rows]
     assert all(above[:50]) and not any(above[50:])
+
+
+def test_recycle_advantage_lasts_half_j_uses(tmp_path):
+    out = tmp_path / "rec.csv"
+    assert run_cli(["recycle", "--two-j", "20", "40", "--theta", "1.0", "--n-uses", "12",
+                    "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    for two_j in (20, 40):
+        mine = [r for r in rows if int(r["two_j"]) == two_j]
+        assert [int(r["t"]) for r in mine] == list(range(1, 13))
+        # the advantage lasts j/2 uses and is lost at use j/2 + 1, for good
+        lost = two_j // 4 + 1
+        assert [int(r["t"]) for r in mine if r["crossing_step"] == "true"] == [lost]
+        assert [r["above_benchmark"] == "true" for r in mine] == [t < lost for t in range(1, 13)]
+        assert memory.persistence(two_j, math.pi).steps == two_j // 4
+
+
+def test_thermal_threshold_at_j_ten(tmp_path):
+    out = tmp_path / "thermal.csv"
+    assert run_cli(["thermal", "--two-j", "20", "--theta", "1.0", "--gamma", "1.0",
+                    "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    assert row["gamma_star"] == "0.589192365371"  # gamma*(20, pi) = 0.5891923653710438
 
 
 def test_thermal_rows(tmp_path):

@@ -7,12 +7,12 @@ import pytest
 import oracles
 from spinlearn import channels, heisenberg, memory, mo, montecarlo, optimal, rotations, spins
 from spinlearn.channels import average_from_entanglement, entanglement_fidelity
-from spinlearn.montecarlo import mc_average_fidelity, per_rotation_fidelity
+from oracles import per_rotation_fidelity
+from spinlearn.montecarlo import mc_average_fidelity
 from spinlearn.rotations import haar_quaternions
 from spinlearn.strategies import (
     CaseChoiStrategy,
     DiscreteXYZ,
-    ExactTarget,
     HeisenbergStrategy,
     MOStrategy,
     ThermalWrapped,
@@ -24,10 +24,10 @@ _FIXED_Q = np.array([0.3, 0.1, -0.5, 0.8]) / np.linalg.norm([0.3, 0.1, -0.5, 0.8
 
 
 def test_exact_target_is_one_with_zero_variance():
-    est = mc_average_fidelity(ExactTarget(), 1.3, 2000, seed=0)
+    est = oracles.exact_target_fidelity(oracles.ExactTarget(), 1.3, 2000, seed=0)
     assert est.value == pytest.approx(1.0, abs=1e-12)
     assert est.std_error < 1e-12
-    est = mc_average_fidelity(ExactTarget(two_k=3), 2.1, 500, seed=0)
+    est = oracles.exact_target_fidelity(oracles.ExactTarget(two_k=3), 2.1, 500, seed=0)
     assert est.value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -41,6 +41,23 @@ def test_headline_classical_value():
     est = mc_average_fidelity(MOStrategy(two_j=3, two_m=3, xi_two_n=3, theta_prime=tp),
                               math.pi, N, seed=102)
     assert est.n_sigma(29 / 45) < 4.0
+
+
+@pytest.mark.parametrize("two_j", [8, 20])
+@pytest.mark.parametrize("kind", ["heisenberg", "mo"])
+def test_half_turn_strategies_match_their_closed_forms(kind, two_j):
+    # the quantum optimum and the MO benchmark at theta = pi, at spins above the
+    # headline j = 3/2; n and the seeds were fixed before the first run
+    if kind == "heisenberg":
+        strategy, seed = HeisenbergStrategy(two_j=two_j), 300 + two_j
+        expect = optimal.optimal_average_fidelity(two_j, math.pi)
+    else:
+        tp = mo.optimal_theta_prime(two_j, math.pi)
+        strategy = MOStrategy(two_j=two_j, two_m=two_j, xi_two_n=two_j, theta_prime=tp)
+        seed, expect = 400 + two_j, mo.mo_average_fidelity(two_j, math.pi)
+    est = mc_average_fidelity(strategy, math.pi, 50000, seed=seed)
+    assert est.std_error > 0.0
+    assert est.n_sigma(expect) < 4.0
 
 
 def test_unot_mixture_values():

@@ -1,5 +1,6 @@
 """The package's frozen records (``spinlearn._record``): equality, hashing, immutability,
-repr, construction, validation and copying, for each of the 17 record classes."""
+repr, construction, validation and copying, for each of the library's 16 record classes
+and the test oracles' ``ExactTarget``."""
 
 import copy
 import pickle
@@ -7,15 +8,16 @@ import pickle
 import numpy as np
 import pytest
 
+from oracles import ExactTarget
 from spinlearn.channels import FidelityEstimate, KrausChannel
 from spinlearn.heisenberg import HeisenbergGate
 from spinlearn.memory import MemoryDistribution, PersistenceReport, SignedWeights
 from spinlearn.mo import MOParams
 from spinlearn.optimal import CovariantChoiParams, RegimeReport
 from spinlearn.spins import CouplingCoeffs
-from spinlearn.strategies import (CaseChoiStrategy, DiscreteXYZ, ExactTarget,
-                                  HeisenbergStrategy, MOStrategy, StrategyDescriptor,
-                                  ThermalWrapped, UNotMixture)
+from spinlearn.strategies import (CaseChoiStrategy, DiscreteXYZ, HeisenbergStrategy,
+                                  MOStrategy, StrategyDescriptor, ThermalWrapped,
+                                  UNotMixture)
 
 W3 = np.array([0.5, 0.25, 0.25])
 W5 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
