@@ -136,8 +136,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:  # a usage error, not a failed check: exit 2, not 1
+            raise ValueError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
 
 
 def cmd_optimal(args, thetas: list[float]) -> _Sweep:
@@ -345,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        spins._check_count("seed", getattr(args, "seed", 0), 0)  # only spin-k and verify take one
         if args.command == "verify":
             return cmd_verify(args)
         write_rows(SWEEPS[args.command](args, _sweep_thetas(args)), args.fmt, args.out)

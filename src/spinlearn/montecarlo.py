@@ -14,8 +14,9 @@ nothing n-long is ever built.  A qubit-target gate's samples are scored
 from its four bands (``HeisenbergGate.qubit_bands``) and the probe's real Wigner-d
 column (``spins.wigner_d_omega_columns``): no joint vector, O(j) each.  The other
 samplers act on U_g|j,m> from ``spins.rotated_basis_states_batch``; none takes Euler angles.
-The Kraus sampler runs the discrete xyz channel and the case-1 channel, whose Kraus
-operators ``optimal.case_choi_channel`` reads off the Heisenberg gate at the angle f_m.
+Three samplers run every strategy: the Heisenberg gate, MO and the Kraus families (the
+discrete xyz channel, the case-1 channel ``optimal.case_choi_channel`` reads off the gate
+at f_m, and ``optimal.unot_mixture_channel``, whose universal NOT is integrated exactly).
 The tests' covariance probe (``oracles.per_rotation_fidelity``) drives the samplers' ``q_g``.
 """
 
@@ -25,7 +26,7 @@ import math
 
 from . import heisenberg, memory, mo, optimal, rotations, spins
 from ._numpy import np
-from .channels import FidelityEstimate, _blocks
+from .channels import FidelityEstimate, KrausChannel, _blocks
 from .strategies import (
     CaseChoiStrategy,
     DiscreteXYZ,
@@ -168,47 +169,12 @@ def _heisenberg_samples(strategy: HeisenbergStrategy, theta: float,
         yield _channel_samples(two_j, two_m, q, psi, theta, channel, tables)
 
 
-def _kraus_samples(kraus: np.ndarray, two_j: int, two_m: int, theta: float,
+def _kraus_samples(channel: KrausChannel, two_j: int, two_m: int, theta: float,
                    rng: np.random.Generator, n: int, q_g: np.ndarray | None = None):
-    """Generic measure/operate action from a stacked Kraus family."""
-    channel = lambda joint: np.einsum("rij,nj->nri", kraus, joint)
+    """Generic measure/operate action of a Kraus channel on U_g|j,m> (x) psi."""
+    score = lambda joint: np.einsum("rij,nj->nri", channel.kraus, joint)
     for q, psi in _draws(rng, n, q_g, 2, _JOINT_FLOATS * spins.dim(two_j) * 2):
-        yield _channel_samples(two_j, two_m, q, psi, theta, channel)
-
-
-def _unot_mixture_samples(strategy: UNotMixture, theta: float,
-                          rng: np.random.Generator, n: int, q_g: np.ndarray | None = None):
-    m_yes, m_no = optimal._unot_instrument(strategy.alpha)
-    gate = heisenberg.heisenberg_unitary(1, 1, theta)
-    for q, psi in _draws(rng, n, q_g, 2, _JOINT_FLOATS * 4):
-        # "no" branch: universal NOT evaluated by sampling its defining
-        # coherent-state integral (uniform axis, density weight 3|<nn|.>|^2)
-        q_axis = rotations.haar_quaternions(rng, len(q)) if strategy.alpha > 0.0 else None
-        yield _unot_scores(gate, m_yes, m_no, q, psi, q_axis, theta)
-
-
-def _unot_scores(gate, m_yes: np.ndarray, m_no: np.ndarray, q_g: np.ndarray,
-                 psi: np.ndarray, q_axis: np.ndarray | None, theta: float) -> np.ndarray:
-    """Per-sample fidelity, for one block, of the universal-NOT mixture: the "yes" branch
-    through the gate, plus the sampled "no" branch at the axes ``q_axis`` (if any).  Each
-    instrument product is four broadcast multiply-adds, one per column of ``joint``: each
-    row on its own and off BLAS, whose (rows, 4) x (4, 4) calls cost 8 ms a block each
-    under two OpenBLAS threads (per 4,096-row block, 0.26 ms as an einsum, 0.1 ms here)."""
-    probe = spins.rotated_basis_states_batch(1, q_g, 1)
-    joint = np.einsum("np,nk->npk", probe, psi).reshape(-1, 4)
-    target = _target_states(q_g, theta, psi)
-    product = lambda m: (m[:, :1] * joint[:, 0] + m[:, 1:2] * joint[:, 1]
-                         + m[:, 2:3] * joint[:, 2] + m[:, 3:] * joint[:, 3]).T
-    yes = gate.apply(product(m_yes)).reshape(-1, 2, 2)
-    fid = _conditional_fidelity_channel_output(yes, target)
-    if q_axis is None:
-        return fid
-    u_axis = rotations.su2_from_quaternion(q_axis)
-    # U|0>, the random coherent axis state, and U|1>, the prepared flipped state
-    chi, chi_flip = u_axis[:, :, 0], u_axis[:, :, 1]
-    pair = np.einsum("ni,nj->nij", chi, chi).reshape(-1, 4)
-    weight = 3.0 * np.abs(np.einsum("ni,ni->n", pair.conj(), product(m_no))) ** 2
-    return fid + weight * np.abs(np.einsum("ni,ni->n", target.conj(), chi_flip)) ** 2
+        yield _channel_samples(two_j, two_m, q, psi, theta, score)
 
 
 def _strategy_samples(strategy: StrategyDescriptor, theta: float,
@@ -225,19 +191,18 @@ def _strategy_samples(strategy: StrategyDescriptor, theta: float,
     if isinstance(strategy, CaseChoiStrategy):
         if abs((strategy.theta - theta) % (2 * math.pi)) > 1e-12:
             raise ValueError("strategy was built for a different angle")
-        channel = optimal.case_choi_channel(strategy)
-        kraus = np.stack(channel.kraus)
-        return _kraus_samples(kraus, strategy.two_j, strategy.two_m, theta, rng, n, q_g=q_g)
+        return _kraus_samples(optimal.case_choi_channel(strategy), strategy.two_j,
+                              strategy.two_m, theta, rng, n, q_g=q_g)
     if isinstance(strategy, DiscreteXYZ):
-        kraus = np.stack(optimal.discrete_xyz_channel().kraus)
-        return _kraus_samples(kraus, 2, 0, theta, rng, n, q_g=q_g)
+        return _kraus_samples(optimal.discrete_xyz_channel(), 2, 0, theta, rng, n, q_g=q_g)
+    if isinstance(strategy, UNotMixture):
+        return _kraus_samples(optimal.unot_mixture_channel(strategy.alpha, theta), 1, 1, theta,
+                              rng, n, q_g=q_g)
     if isinstance(strategy, MOStrategy):
         # the conditional operation is unitary: its exact state average is (2 F_e + 1)/3
         fe = mo.mo_fidelity_samples(strategy.two_j, strategy.two_m, strategy.xi_two_n, theta,
                                     strategy.theta_prime, 1, rng, n, q_g=q_g)
         return ((2.0 * block + 1.0) / 3.0 for block in fe)
-    if isinstance(strategy, UNotMixture):
-        return _unot_mixture_samples(strategy, theta, rng, n, q_g=q_g)
     raise TypeError(f"unknown strategy {strategy!r}")
 
 

@@ -11,7 +11,8 @@ and the CLI sweeps alike; the dense Choi operator is built only by the test orac
 
 The case-1 channel is the spin-spin gate: for probe index m it is the Heisenberg
 gate at the angle f_m of ``heisenberg._f_angle_from_moments`` with the probe traced
-out, so ``case_choi_channel`` reads its Kraus operators off the gate.
+out, so ``case_choi_channel`` reads its Kraus operators off the gate; ``unot_mixture_channel``
+builds the j = 1/2 case-2 optimum, a measurement and then the gate or the universal NOT.
 """
 
 from __future__ import annotations
@@ -263,6 +264,20 @@ def _unot_instrument(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     p0 = np.outer(singlet, singlet.conj())
     p1 = np.eye(4, dtype=complex) - p0
     return math.sqrt(max(1.0 - 4.0 * alpha / 3.0, 0.0)) * p1 + p0, math.sqrt(4.0 * alpha / 3.0) * p1
+
+
+def unot_mixture_channel(alpha: float, theta: float) -> KrausChannel:
+    """Kraus form of the j = 1/2 universal-NOT mixture: on "yes" K_p = (<p| (x) I) G m_yes for
+    the gate G at theta, read off one ``apply``; on "no" the 2-to-1 universal NOT, the integral
+    int dn 3 |-n><-n| <nn|.|nn>, as sqrt(1/2) |-n><nn| m_no at the axes n = +-z, +-x, +-y (axis
+    i ^ 1 the antipode of axis i): that is exact, as the integrand has degree 3 in n and the
+    octahedron is a spherical 3-design (the mean of its six axes is exact to degree 3)."""
+    m_yes, m_no = _unot_instrument(alpha)
+    g = heisenberg.heisenberg_unitary(1, 1, theta).apply(m_yes.T).T
+    r = math.sqrt(0.5)
+    axes = np.array([[1.0, 0.0], [0.0, 1.0], [r, r], [r, -r], [r, 1j * r], [r, -1j * r]])
+    no = [r * np.outer(axes[i ^ 1], np.kron(n, n).conj()) @ m_no for i, n in enumerate(axes)]
+    return KrausChannel(kraus=(*g.reshape(2, 2, 4), *no), dim_in=4, dim_out=2)
 
 
 def discrete_xyz_projectors() -> list[tuple[np.ndarray, np.ndarray]]:

@@ -1,4 +1,4 @@
-"""Unit-quaternion rotations: SU(2) matrices, the phase e^(i alpha), rotated axes, Haar sampling.
+"""Unit-quaternion rotations: the phase e^(i alpha), rotated axes, Haar sampling.
 
 A rotation is a (..., 4) float array, one unit quaternion (w, x, y, z) per
 row, with the SU(2) identification U = w*I - i*(x*sx + y*sy + z*sz), so the
@@ -21,18 +21,6 @@ def _alpha_phase_and_moduli(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     degenerate = np.minimum(sin_half, cos_half) < 1e-15
     omega = (y - 1j * x) * (w + 1j * z) / np.where(degenerate, 1.0, cos_half * sin_half)
     return np.where(degenerate, 1.0, omega), cos_half, sin_half
-
-
-def su2_from_quaternion(q: np.ndarray) -> np.ndarray:
-    """2x2 SU(2) matrix (batched over leading axes) for quaternion(s) ``q``."""
-    q = np.asarray(q, dtype=float)
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    out = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = w - 1j * z
-    out[..., 0, 1] = -y - 1j * x
-    out[..., 1, 0] = y - 1j * x
-    out[..., 1, 1] = w + 1j * z
-    return out
 
 
 def z_axis(q: np.ndarray) -> np.ndarray:

@@ -22,6 +22,18 @@ from spinlearn.montecarlo import (_conditional_fidelity_channel_output, _target_
 from spinlearn.spins import _check_nonzero_j, coupling_decomposition, dim, two_m_values
 
 
+def su2_from_quaternion(q: np.ndarray) -> np.ndarray:
+    """2x2 SU(2) matrix (batched over leading axes) for quaternion(s) ``q``."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    out = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = w - 1j * z
+    out[..., 0, 1] = -y - 1j * x
+    out[..., 1, 0] = y - 1j * x
+    out[..., 1, 1] = w + 1j * z
+    return out
+
+
 def quat_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product, broadcasting over leading axes; last axis is (w,x,y,z)."""
     w1, x1, y1, z1 = np.moveaxis(p, -1, 0)

@@ -347,6 +347,26 @@ def test_spin_k_without_samples_exits_two(n, capsys):
     assert capsys.readouterr().err == f"error: n_samples must be an integer >= 1, got {n}\n"
 
 
+@pytest.mark.parametrize("argv", [["spin-k", "--two-j", "4", "--theta", "0.5", "--seed", "-3"],
+                                  ["verify", "--n-samples", "100", "--seed", "-1"]],
+                         ids=["spin-k", "verify"])
+def test_a_negative_seed_is_named(argv, capsys):
+    # at the parent numpy's "expected non-negative integer" named no argument
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: seed must be an integer >= 0, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("argv", [["optimal", "--two-j", "3", "--theta", "1.0"],
+                                  ["verify", "--n-samples", "100", "--seed", "0"]],
+                         ids=["optimal", "verify"])
+def test_an_unwritable_out_exits_two(argv, tmp_path, capsys):
+    # at the parent a traceback and exit 1, the code of a failed verify check
+    out = tmp_path / "missing" / "x"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write --out {str(out)!r}: "
+                                       "No such file or directory\n")
+
+
 def test_spin_zero_memory_exits_two(capsys):
     assert run_cli(["benchmark", "--two-j", "0", "--theta", "1.0"]) == 2
     assert "two_j" in capsys.readouterr().err

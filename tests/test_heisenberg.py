@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import coupled_basis_vectors, coupling_sectors_by_racah, gate_channel, gate_matrix
+from oracles import (coupled_basis_vectors, coupling_sectors_by_racah, gate_channel, gate_matrix,
+                     su2_from_quaternion)
 from spinlearn import heisenberg, mo, optimal, spins
 from spinlearn.heisenberg import (
     entanglement_fidelity_given_m,
@@ -20,7 +21,7 @@ from spinlearn.heisenberg import (
     worst_case_fidelity,
 )
 from spinlearn.mo import spin_k_mo_asymptote
-from spinlearn.rotations import haar_quaternions, su2_from_quaternion
+from spinlearn.rotations import haar_quaternions
 
 
 def _f_literal(two_j, theta):

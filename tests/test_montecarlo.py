@@ -63,6 +63,9 @@ def test_half_turn_strategies_match_their_closed_forms(kind, two_j):
 def test_unot_mixture_values():
     est = mc_average_fidelity(UNotMixture(alpha=2 / 3), math.pi, N, seed=103)
     assert est.n_sigma(5 / 9) < 4.0
+    # the universal NOT is six exact Kraus operators, not a Haar axis sampled with the
+    # weight 3 |<nn|.>|^2, whose standard error here was 1.3e-3
+    assert est.std_error < 5e-4
     # alpha = 0 reduces to the plain interaction gate
     a = mc_average_fidelity(UNotMixture(alpha=0.0), 2.2, 50000, seed=104)
     b = optimal.case1_entanglement_fidelity(1, 1, 2.2)
@@ -247,8 +250,8 @@ def test_oracle_memory_does_not_grow_with_n(strategy):
 
 def _draw_block(strategy, rng, size, q_fixed):
     """One block's draws in the samplers' fixed order: training rotations (or ``q_fixed``
-    broadcast), target states, then the thermal 2m or the universal-NOT axes; for MO
-    the training rotations and then the POVM outcome axes."""
+    broadcast), target states, then the thermal 2m; for MO the training rotations and
+    then the POVM outcome axes."""
     q = haar_quaternions(rng, size) if q_fixed is None else np.broadcast_to(q_fixed, (size, 4))
     if isinstance(strategy, MOStrategy):
         return q, mo._povm_outcome_offsets(strategy.two_j, strategy.two_m, strategy.xi_two_n,
@@ -259,8 +262,6 @@ def _draw_block(strategy, rng, size, q_fixed):
         weights = memory.thermal_state(inner.two_j, strategy.gamma).weights
         index = rng.choice(spins.dim(inner.two_j), size=size, p=weights)
         return q, psi, spins.two_m_values(inner.two_j)[index]
-    if isinstance(strategy, UNotMixture):
-        return q, psi, haar_quaternions(rng, size)
     return q, psi
 
 
@@ -269,16 +270,14 @@ def _block_scorer(strategy, theta):
     if isinstance(strategy, MOStrategy):
         return lambda q, n_h: (2.0 * mo._mo_scores(q, n_h, theta, strategy.theta_prime, 1)
                                + 1.0) / 3.0
-    if isinstance(strategy, UNotMixture):
-        gate = heisenberg.heisenberg_unitary(1, 1, theta)
-        m_yes, m_no = optimal._unot_instrument(strategy.alpha)
-        return lambda q, psi, axis: montecarlo._unot_scores(gate, m_yes, m_no, q, psi, axis,
-                                                            theta)
-    if isinstance(strategy, (CaseChoiStrategy, DiscreteXYZ)):
-        two_j, two_m, channel = ((strategy.two_j, strategy.two_m,
-                                  optimal.case_choi_channel(strategy))
-                                 if isinstance(strategy, CaseChoiStrategy)
-                                 else (2, 0, optimal.discrete_xyz_channel()))
+    if isinstance(strategy, (CaseChoiStrategy, DiscreteXYZ, UNotMixture)):
+        if isinstance(strategy, CaseChoiStrategy):
+            two_j, two_m = strategy.two_j, strategy.two_m
+            channel = optimal.case_choi_channel(strategy)
+        elif isinstance(strategy, DiscreteXYZ):
+            two_j, two_m, channel = 2, 0, optimal.discrete_xyz_channel()
+        else:
+            two_j, two_m, channel = 1, 1, optimal.unot_mixture_channel(strategy.alpha, theta)
         kraus = np.stack(channel.kraus)
         return lambda q, psi: montecarlo._channel_samples(
             two_j, two_m, q, psi, theta, lambda joint: np.einsum("rij,nj->nri", kraus, joint))
@@ -329,7 +328,7 @@ def _check_sample_blocks(strategy, theta, n, width, tile, q_fixed):
 def test_sample_blocks_leave_samples_bit_identical(monkeypatch, strategy, theta, width, tile,
                                                     budget, fixed_g):
     # ``width`` float64s a row: 16 per joint amplitude (16 dp dk), 2 dp + 64 on the band
-    # path, 64 per universal-NOT row and MO score.  A budget of 1 gives 2-row blocks (the
+    # path, 64 per MO score.  A budget of 1 gives 2-row blocks (the
     # last absorbs the lone row of n = 251), 1000 and 20000 give 16-209-row blocks, or
     # one block at 64 floats and 20000; band blocks are whole 64-row tiles: one at 1 and
     # 1000, three at 20000.  Every block comes from channels._blocks, so none is a lone row.
@@ -401,7 +400,7 @@ def test_axis_target_states_match_the_quaternion_route(fixed_g):
            else rotations.haar_quaternions(rng, n))
     psi = montecarlo.sample_pure_states(rng, n, 2)
     for theta in (0.4, math.pi, 4.0):
-        v = rotations.su2_from_quaternion(oracles.conjugated_z_rotation(q_g, theta))
+        v = oracles.su2_from_quaternion(oracles.conjugated_z_rotation(q_g, theta))
         expected = np.einsum("nij,nj->ni", v, psi)
         assert np.max(np.abs(montecarlo._target_states(q_g, theta, psi) - expected)) < 1e-14
 

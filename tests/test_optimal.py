@@ -15,6 +15,7 @@ from oracles import (
     covariant_choi_build,
     kraus_from_choi,
     rotation_irrep,
+    su2_from_quaternion,
     tp_residuals,
     unot_channel,
     unot_mixture_channel,
@@ -39,7 +40,7 @@ from spinlearn.optimal import (
     optimal_fidelity,
 )
 from spinlearn.montecarlo import mc_average_fidelity
-from spinlearn.rotations import haar_quaternions, su2_from_quaternion
+from spinlearn.rotations import haar_quaternions
 from spinlearn.strategies import CaseChoiStrategy, DiscreteXYZ, HeisenbergStrategy, UNotMixture
 
 
@@ -505,6 +506,18 @@ def test_unot_mixture_channel_is_tp():
         unot_mixture_channel(0.9, 1.0)
 
 
+@pytest.mark.parametrize("alpha, theta", [
+    (0.0, 2.2), (2 / 3, math.pi), *((case2_alpha(theta), theta) for theta in (2.5, 2.9, 3.6))])
+def test_unot_mixture_channel_matches_the_pauli_transfer_oracle(alpha, theta):
+    # the six octahedron axes integrate the universal NOT's degree-3 coherent-state
+    # integrand exactly (a spherical 3-design); 2.5, 2.9 and 3.6 lie in the j = 1/2 window
+    ch = optimal.unot_mixture_channel(alpha, theta)
+    choi = channel_choi(ch)
+    assert np.max(np.abs(choi.matrix - channel_choi(unot_mixture_channel(alpha, theta)).matrix)
+                  ) < 1e-12
+    assert np.max(np.abs(choi.trace_out_output() - np.eye(4))) < 1e-12
+
+
 def test_unot_mixture_fidelity_closed_form():
     # exact channel evaluation reproduces the case-2 optimum at theta = pi
     ch = unot_mixture_channel(2 / 3, math.pi)
@@ -564,6 +577,7 @@ def test_unot_instrument_names_alpha_outside_its_range(alpha):
     # at the parent the Monte-Carlo sampler took these silently (0.642 at 0.9,
     # 0.536 at -0.1)
     for call in (lambda: unot_mixture_channel(alpha, 1.0),
+                 lambda: optimal.unot_mixture_channel(alpha, 1.0),
                  lambda: mc_average_fidelity(UNotMixture(alpha=alpha), 1.0, 100, seed=0)):
         with pytest.raises(ValueError, match="^alpha must lie in"):
             call()

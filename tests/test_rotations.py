@@ -12,12 +12,12 @@ from oracles import (
     quat_conjugate,
     quat_multiply,
     relative_rotation_angle,
+    su2_from_quaternion,
     z_rotation_quaternion,
 )
 from spinlearn.rotations import (
     haar_quaternions,
     rotate_vectors,
-    su2_from_quaternion,
     z_axis,
 )
 

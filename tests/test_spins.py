@@ -13,9 +13,10 @@ from oracles import (
     euler_zyz_angles,
     quat_multiply,
     rotation_irrep,
+    su2_from_quaternion,
 )
 from spinlearn import spins
-from spinlearn.rotations import haar_quaternions, su2_from_quaternion, z_axis
+from spinlearn.rotations import haar_quaternions, z_axis
 from spinlearn.spins import (
     InvalidQuantumNumbersError,
     clebsch_gordan,
