@@ -3,8 +3,8 @@
 Angles are given in units of pi (``--theta 1.0`` is a half turn) so the special points
 are exact; spins are given as ``--two-j`` integers.  Output is CSV or JSON with 12
 significant digits, and identical (config, seed) pairs produce byte-identical files.  A
-sweep is built a block of rows at a time (``_Sweep``): ``optimal`` and ``benchmark`` map
-one regime evaluator per 2j over the angle grid, and the CSV writer formats the grid once.
+sweep is built a block of rows at a time (``_Sweep``): ``optimal`` and ``benchmark`` call
+one grid evaluator per 2j on the whole angle grid, and the CSV writer formats the grid once.
 numpy is bound lazily (``spinlearn._numpy``): ``optimal``, ``benchmark``, ``thermal`` and
 ``recycle`` at one ``--theta`` never execute it.
 """
@@ -149,8 +149,7 @@ def cmd_optimal(args, thetas: list[float]) -> _Sweep:
                    "f_quantum"])
     grid, theta_pi = tuple(thetas), tuple(theta / math.pi for theta in thetas)
     for two_j in args.two_j:
-        regime = optimal._regime_at(two_j, args.problem)  # one evaluator per spin
-        regimes, two_ms, fidelities = map(list, zip(*map(regime, thetas)))
+        regimes, two_ms, fidelities = optimal._regimes(two_j, args.problem, grid)
         rows.add(len(thetas), two_j, two_j / 2.0, theta_pi, grid, args.problem, regimes,
                  two_ms, fidelities)
     return rows
@@ -161,10 +160,8 @@ def cmd_benchmark(args, thetas: list[float]) -> _Sweep:
     rows = _Sweep(["two_j", "j", "theta_pi", "theta", "f_quantum", "f_mo", "advantage"])
     grid, theta_pi = tuple(thetas), tuple(theta / math.pi for theta in thetas)
     for two_j in args.two_j:
-        quantum = optimal._regime_at(two_j, args.problem)
-        classical = mo._mo_regime_at(two_j, args.problem)
-        fq = [quantum(theta)[2] for theta in thetas]
-        fm = [classical(theta)[2] for theta in thetas]
+        fq = optimal._regimes(two_j, args.problem, grid)[2]
+        fm = mo._mo_regimes(two_j, args.problem, grid)[2]
         rows.add(len(thetas), two_j, two_j / 2.0, theta_pi, grid, fq, fm,
                  [q - m for q, m in zip(fq, fm)])
     return rows

@@ -13,7 +13,11 @@ sector's Clebsch-Gordan table g, multiply by the block phases, contract with
 g again.  For a qubit target every sector but the two stretched ones is a
 contiguous pair of product indices, so all of them run at once as
 arithmetic on two strided slices, in the same two stages and with the same
-g and phases, which gives the per-sector loop's results bit for bit.
+g and phases, which gives the per-sector loop's results bit for bit.  Those
+sectors are slices of the two pair tables of total spin j +- 1/2.
+
+``per_input_fidelity`` takes an array of polar angles through one ``apply``,
+so ``worst_case_fidelity`` evaluates its whole coarse grid in one call.
 """
 
 from __future__ import annotations
@@ -110,12 +114,19 @@ def _apply_sectors(out: np.ndarray, two_j: int, two_k: int, angle: float, sector
 
 
 @lru_cache(maxsize=None)
-def _qubit_pair_tables(two_j: int) -> np.ndarray:
-    """g[t, p] of the 2j two-pair sectors of a qubit target, stacked as (2, 2, 2j)."""
-    sectors = _coupling_sectors(two_j, 1)[1:-1]
-    g = np.array([s[2] for s in sectors]).transpose(1, 2, 0).copy()
+def _qubit_sectors(two_j: int):
+    """The sectors of ``_coupling_sectors(two_j, 1)``, sliced off its two pair tables of
+    total spin j +- 1/2: the stretched M = +-(j + 1/2) as sectors, the 2j two-pair ones as
+    their 2T (j - 1/2, j + 1/2) and g[t, p] stacked as (2, 2, 2j)."""
+    high = spins._pair_coupling_table(two_j, 1, two_j + 1)
+    stretched = ((np.array([0]), np.array([two_j + 1]), high[:1, :1]),
+                 (np.array([2 * two_j + 1]), np.array([two_j + 1]), high[-1:, 1:]))
+    if two_j == 0:
+        return stretched, None, None
+    low = spins._pair_coupling_table(two_j, 1, two_j - 1)
+    g = np.array([[t[:-1, 1], t[1:, 0]] for t in (low, high)])
     g.setflags(write=False)
-    return g
+    return stretched, np.array([two_j - 1, two_j + 1]), g
 
 
 def _apply_qubit_sectors(out: np.ndarray, two_j: int, angle: float) -> None:
@@ -130,12 +141,11 @@ def _apply_qubit_sectors(out: np.ndarray, two_j: int, angle: float) -> None:
     allocated once per call, so the extra memory is bounded whatever the
     batch; a single vector is one block.
     """
-    sectors = _coupling_sectors(two_j, 1)
-    _apply_sectors(out, two_j, 1, angle, (sectors[0], sectors[-1]))
+    stretched, two_ts, g = _qubit_sectors(two_j)
+    _apply_sectors(out, two_j, 1, angle, stretched)
     if two_j == 0:
         return
-    g = _qubit_pair_tables(two_j)
-    phases = _block_phases(two_j, 1, sectors[1][1], angle)
+    phases = _block_phases(two_j, 1, two_ts, angle)
     rows = out.reshape(-1, out.shape[-1])
     step = max(1, min(len(rows), _PAIR_BLOCK_ELEMENTS // two_j))
     buffers = np.empty((3, step, two_j), dtype=complex)
@@ -259,23 +269,30 @@ def heisenberg_average_fidelity(two_j: int, theta: float,
         entanglement_fidelity_given_m(two_j, two_j, theta, f_override), 2)
 
 
-def per_input_fidelity(two_j: int, theta: float, polar: float, azimuth: float = 0.0) -> float:
-    """Exact fidelity for one target state at polar/azimuth angles from the axis.
+def per_input_fidelity(two_j: int, theta: float, polar, azimuth: float = 0.0):
+    """Exact fidelity for target states at polar/azimuth angles from the axis.
 
     The memory holds the coherent state |j,j> along z, the rotation axis; the
     target state is cos(polar/2)|up> + exp(i azimuth) sin(polar/2)|down>.  By
     covariance, any other axis gives the same value at the same relative angles.
+    A scalar ``polar`` gives a float, an array of them an array: one ``apply`` on all
+    the states, each value with the bits of its own call.
     """
     gate = heisenberg_unitary(two_j, 1, theta)
-    _check_theta(polar, "polar")
+    polars = np.asarray(polar, dtype=float)
+    flat = polars.ravel().tolist()
+    for p in flat:
+        _check_theta(p, "polar")
     _check_theta(azimuth, "azimuth")
-    psi = np.array([math.cos(polar / 2.0),
-                    np.exp(1j * azimuth) * math.sin(polar / 2.0)], dtype=complex)
-    probe = np.zeros(dim(two_j), dtype=complex)
-    probe[0] = 1.0
-    target = np.diag(np.exp(-0.5j * theta * np.array([1.0, -1.0]))) @ psi
-    out = gate.apply(np.kron(probe, psi)).reshape(dim(two_j), 2)
-    return float(np.sum(np.abs(out @ target.conj()) ** 2))
+    psi = np.array([[math.cos(p / 2.0) for p in flat], [math.sin(p / 2.0) for p in flat]],
+                   dtype=complex).T
+    psi[:, 1] *= np.exp(1j * azimuth)
+    target = np.diag(np.exp(-0.5j * theta * np.array([1.0, -1.0]))) @ psi[:, :, None]
+    vec = np.zeros((len(flat), gate.dim_total), dtype=complex)
+    vec[:, :2] = psi
+    out = gate.apply(vec).reshape(len(flat), dim(two_j), 2)
+    fidelity = np.sum(np.abs((out @ target.conj())[..., 0]) ** 2, axis=-1)
+    return float(fidelity[0]) if polars.ndim == 0 else fidelity.reshape(polars.shape)
 
 
 def _golden_minimize(fun, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
@@ -301,11 +318,12 @@ def worst_case_fidelity(two_j: int, theta: float) -> tuple[float, float]:
     """Minimum per-input fidelity and the minimizing polar angle.
 
     The per-input fidelity does not depend on the azimuth, so this is a
-    golden-section search over the polar angle on a coarse-grid bracket.
+    golden-section search over the polar angle on a coarse-grid bracket, the
+    grid's 65 values from one batched ``per_input_fidelity`` call.
     """
     _check_theta(theta)
     grid = np.linspace(0.0, math.pi, 65)
-    vals = [per_input_fidelity(two_j, theta, a) for a in grid]
+    vals = per_input_fidelity(two_j, theta, grid)
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]

@@ -4,8 +4,9 @@ The optimal classical strategy measures the probe with a covariant
 coherent-state POVM and applies a conditional rotation about the estimated
 axis.  Its entanglement fidelity reduces to three angular-momentum overlap
 terms weighted by trigonometric factors of the target angle theta and the
-conditional angle theta'.  As in ``optimal``, one evaluator per spin dispatches the
-optimum (``_mo_regime_at``) over the closed forms of ``_covariant_at``.
+conditional angle theta'.  As in ``optimal``, one grid evaluator per (spin, problem),
+``_mo_regimes``, dispatches the optimum over a list of angles, taking each angle's trig
+once, for the CLI sweeps and, on a one-angle grid, for the scalar calls.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from ._numpy import np
 from ._record import Record, record
 from .channels import FidelityEstimate, _blocks, average_from_entanglement
 from .optimal import (_TWO_PI, RegimeReport, _check_regime_args, _j1_flip_fidelity,
-                      _regime_fidelity)
+                      _regime_fidelities)
 from .spins import check_valid_m, clebsch_gordan
 from .strategies import MOStrategy
 
@@ -72,36 +73,22 @@ def optimal_theta_prime(two_j: int, theta: float) -> float:
     """Conditional rotation angle maximizing the covariant MO fidelity at m = j.
 
     Branch-safe form of arccot[cot(theta) + (2cos(theta)+2j+1)/((2j^2+3j)
-    sin(theta))] + s(theta).
+    sin(theta))] + s(theta), as ``_mo_regimes`` takes it.
     """
-    spins._check_nonzero_j(two_j)
-    return _covariant_at(two_j)[0](spins._check_theta(theta))
+    j = spins._check_nonzero_j(two_j)
+    c, k = math.cos(spins._check_theta(theta)), 2.0 * j * j + 3.0 * j
+    return math.atan2(k * math.sin(theta), k * c + 2.0 * c + 2.0 * j + 1.0) % _TWO_PI
 
 
 def mo_fopt_formula(two_j: int, theta: float, theta_prime: float) -> float:
-    """Average MO fidelity at probe m = j, seed n = j, for the given theta'."""
-    spins._check_nonzero_j(two_j)
+    """Average MO fidelity at probe m = j, seed n = j, for the given theta', as
+    ``_mo_regimes`` takes it at the optimal theta'."""
+    j = spins._check_nonzero_j(two_j)
     spins._check_theta(theta)
-    return _covariant_at(two_j)[1](theta, spins._check_theta(theta_prime, "theta_prime"))
-
-
-def _covariant_at(two_j: int):
-    """(theta -> ``optimal_theta_prime``, (theta, theta') -> ``mo_fopt_formula``) for
-    arguments the caller has already checked."""
-    j = two_j / 2.0
-    k, twice_j = 2.0 * j * j + 3.0 * j, 2.0 * j
-    four_j_plus_4, twice_j_plus_1 = 4.0 * j + 4.0, 2.0 * j + 1.0
-    norm_0, norm_1 = 3.0 * (2.0 * j + 3.0), 3.0 * (j + 1.0) * (2.0 * j + 3.0)
-
-    def theta_prime(theta: float) -> float:
-        c = math.cos(theta)
-        return math.atan2(k * math.sin(theta), k * c + 2.0 * c + twice_j + 1.0) % _TWO_PI
-
-    def fidelity(theta: float, theta_prime: float) -> float:
-        return ((four_j_plus_4 + twice_j_plus_1 * math.cos(theta - theta_prime)) / norm_0
-                + (twice_j_plus_1 * (math.cos(theta) + math.cos(theta_prime))
-                   + math.cos(theta + theta_prime) + 1.0) / norm_1)
-    return theta_prime, fidelity
+    tp = spins._check_theta(theta_prime, "theta_prime")
+    return ((4.0 * j + 4.0 + (2.0 * j + 1.0) * math.cos(theta - tp)) / (3.0 * (2.0 * j + 3.0))
+            + ((2.0 * j + 1.0) * (math.cos(theta) + math.cos(tp)) + math.cos(theta + tp) + 1.0)
+            / (3.0 * (j + 1.0) * (2.0 * j + 3.0)))
 
 
 def anomalous_mo_fidelity(theta: float) -> float:
@@ -119,19 +106,34 @@ def j1_mo_threshold() -> float:
     return _J1_MO_THRESHOLD
 
 
-def _mo_regime_at(two_j: int, problem: int):
-    """theta -> (regime, probe 2m, average fidelity) of the classical-memory optimum at this
-    spin; each theta is checked finite and reduced mod 2 pi."""
+def _mo_regimes(two_j: int, problem: int, thetas
+                ) -> tuple[list[str], list[int], list[float], list[float]]:
+    """(regimes, probe 2m, average fidelities, theta') of the classical-memory optimum at
+    this spin, one per angle of ``thetas``: (2j, problem) are checked once, each theta is
+    checked finite and reduced mod 2 pi."""
     _check_regime_args(two_j, problem)
-    anomalous, check_theta = two_j == 2 and problem == 2, spins._check_theta
-    theta_prime, fidelity = _covariant_at(two_j)
-
-    def regime(theta: float) -> tuple[str, int, float]:
+    threshold = _J1_MO_THRESHOLD if two_j == 2 and problem == 2 else -1.0  # -1: no window
+    j = two_j / 2.0
+    k, twice_j = 2.0 * j * j + 3.0 * j, 2.0 * j
+    four_j_plus_4, twice_j_plus_1 = 4.0 * j + 4.0, 2.0 * j + 1.0
+    norm_0, norm_1 = 3.0 * (2.0 * j + 3.0), 3.0 * (j + 1.0) * (2.0 * j + 3.0)
+    check_theta, cos, sin, atan2 = spins._check_theta, math.cos, math.sin, math.atan2
+    regimes, two_ms, fidelities, theta_primes = [], [], [], []
+    for theta in thetas:
         theta = float(check_theta(theta)) % _TWO_PI
-        if anomalous and abs(theta - math.pi) <= _J1_MO_THRESHOLD:
-            return "mo_j1_anomalous", 0, _regime_fidelity(_j1_flip_fidelity(theta))
-        return "mo_covariant", two_j, _regime_fidelity(fidelity(theta, theta_prime(theta)))
-    return regime
+        if abs(theta - math.pi) > threshold:  # optimal_theta_prime, then mo_fopt_formula
+            c = cos(theta)
+            tp = atan2(k * sin(theta), k * c + 2.0 * c + twice_j + 1.0) % _TWO_PI
+            regime, two_m, fidelity = "mo_covariant", two_j, (
+                (four_j_plus_4 + twice_j_plus_1 * cos(theta - tp)) / norm_0
+                + (twice_j_plus_1 * (c + cos(tp)) + cos(theta + tp) + 1.0) / norm_1)
+        else:
+            regime, two_m, fidelity, tp = "mo_j1_anomalous", 0, _j1_flip_fidelity(theta), math.pi
+        regimes.append(regime)
+        two_ms.append(two_m)
+        fidelities.append(fidelity)
+        theta_primes.append(tp)
+    return regimes, two_ms, _regime_fidelities(fidelities), theta_primes
 
 
 def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport:
@@ -142,9 +144,7 @@ def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeRep
     when theta is within the computed threshold of pi.  Needs two_j >= 1 and
     a finite theta.
     """
-    regime, two_m, fidelity = _mo_regime_at(two_j, problem)(theta)
-    theta_prime = (math.pi if regime == "mo_j1_anomalous"
-                   else _covariant_at(two_j)[0](float(theta) % _TWO_PI))
+    (regime,), (two_m,), (fidelity,), (theta_prime,) = _mo_regimes(two_j, problem, (theta,))
     return RegimeReport(problem=problem, regime=regime, optimal_two_m=two_m,
                         fidelity=fidelity,
                         strategy=MOStrategy(two_j=two_j, two_m=two_m, xi_two_n=two_m,
@@ -152,7 +152,7 @@ def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeRep
 
 
 def mo_average_fidelity(two_j: int, theta: float, problem: int = 2) -> float:
-    return _mo_regime_at(two_j, problem)(theta)[2]
+    return _mo_regimes(two_j, problem, (theta,))[2][0]
 
 
 def _povm_outcome_offsets(two_j: int, two_m: int, xi_two_n: int, n_samples: int,

@@ -5,8 +5,9 @@ after absorbing the conjugate representations it block-diagonalizes over the
 total spin, leaving two scalars (alpha, beta) on the stretched/shrunk blocks
 and a 2x2 matrix M on the doubly-degenerate spin-j block.  ``case_fidelity``
 gives the stationary points in those coordinates and is the test reference of the
-closed forms, which one evaluator per spin, ``_regime_at``, reads for the scalar calls
-and the CLI sweeps alike; the dense Choi operator is built only by the test oracle
+closed forms.  One grid evaluator per (spin, problem), ``_regimes``, dispatches them over
+a list of angles in one loop of scalar ``math``, for the CLI sweeps and, on a one-angle
+grid, for the scalar calls; the dense Choi operator is built only by the test oracle
 ``covariant_choi_build``.
 
 The case-1 channel is the spin-spin gate: for probe index m it is the Heisenberg
@@ -23,7 +24,7 @@ import math
 from . import heisenberg, spins
 from ._numpy import np
 from ._record import Record, record
-from .channels import KrausChannel, average_from_entanglement
+from .channels import KrausChannel
 from .spins import CouplingCoeffs, check_valid_m, coupling_decomposition, dim
 from .strategies import (
     CaseChoiStrategy,
@@ -74,11 +75,12 @@ def _check_regime_args(two_j: int, problem: int) -> None:
     spins._check_nonzero_j(two_j)
 
 
-def _regime_fidelity(fidelity: float) -> float:
-    """An optimal average fidelity, which no strategy pushes below 1/3 or above 1."""
-    if not (1.0 / 3.0 - 1e-12 <= fidelity <= 1.0 + 1e-12):
-        raise ValueError(f"fidelity {fidelity} outside [1/3, 1]")
-    return fidelity
+def _regime_fidelities(fidelities: list[float]) -> list[float]:
+    """Optimal average fidelities, which no strategy pushes below 1/3 or above 1."""
+    for fidelity in fidelities:
+        if not 1.0 / 3.0 - 1e-12 <= fidelity <= 1.0 + 1e-12:
+            raise ValueError(f"fidelity {fidelity} outside [1/3, 1]")
+    return fidelities
 
 
 def covariant_fidelity(params: CovariantChoiParams, two_j: int, two_m: int,
@@ -156,21 +158,12 @@ def case_fidelity(case: int, two_j: int, two_m: int, theta: float
 
 
 def case1_entanglement_fidelity(two_j: int, two_m: int, theta: float) -> float:
-    """Closed form of the case-1 fidelity, (|A| + |B|)^2 / (2j+1)^2."""
+    """Closed form of the case-1 fidelity, (|A| + |B|)^2 / (2j+1)^2, as ``_regimes`` takes it
+    at m = j; |x + iy| is hypot(x, y), as for complex(x, y)."""
     check_valid_m(two_j, two_m)
-    return _case1_at(two_j, two_m)(spins._check_theta(theta))
-
-
-def _case1_at(two_j: int, two_m: int):
-    """theta -> ``case1_entanglement_fidelity`` for arguments the caller has already
-    checked, with j + 1, m and (2j+1)^2 computed once."""
-    j, m = two_j / 2.0, two_m / 2.0
-    j_plus_1, norm = j + 1.0, (2 * j + 1) ** 2
-
-    def fidelity(theta: float) -> float:  # |x + iy| is hypot(x, y), as for complex(x, y)
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        return (abs(c * j_plus_1 + s * m * 1j) + abs(c * j - s * m * 1j)) ** 2 / norm
-    return fidelity
+    spins._check_theta(theta)
+    j, m, c, s = two_j / 2.0, two_m / 2.0, math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return (abs(c * (j + 1.0) + s * m * 1j) + abs(c * j - s * m * 1j)) ** 2 / (2 * j + 1) ** 2
 
 
 def case2_alpha(theta: float) -> float:
@@ -209,24 +202,33 @@ def _j1_flip_fidelity(theta: float) -> float:
     return 1.0 / 3.0 + 0.4 * math.sin(theta / 2.0) ** 2
 
 
-def _regime_at(two_j: int, problem: int):
-    """theta -> (regime, optimal 2m, average fidelity) of the quantum optimum at this spin;
-    each theta is checked finite and reduced mod 2 pi.  In the j = 1/2 window case 2 gives
-    (7 + 14x - 3x^2) / (18(1 + 2x)), x = cos(theta), here in y = 1 + 2x, which rounds
-    less; in the j = 1 window case 3 gives ``_j1_flip_fidelity``; elsewhere case 1."""
+def _regimes(two_j: int, problem: int, thetas) -> tuple[list[str], list[int], list[float]]:
+    """(regimes, optimal 2m, average fidelities) of the quantum optimum at this spin, one
+    per angle of ``thetas``: (2j, problem) are checked once, each theta is checked finite
+    and reduced mod 2 pi.  In the j = 1/2 window case 2 gives (7 + 14x - 3x^2) / (18(1 + 2x)),
+    x = cos(theta), here in y = 1 + 2x, which rounds less; in the j = 1 window case 3 gives
+    ``_j1_flip_fidelity``; elsewhere case 1."""
     _check_regime_args(two_j, problem)
-    window = _DELTA_HALF if two_j == 1 else _DELTA_ONE if two_j == 2 and problem == 2 else None
-    case1, check_theta = _case1_at(two_j, two_j), spins._check_theta
-
-    def regime(theta: float) -> tuple[str, int, float]:
+    window = _DELTA_HALF if two_j == 1 else _DELTA_ONE if two_j == 2 and problem == 2 else -1.0
+    j = two_j / 2.0
+    j_plus_1, norm = j + 1.0, (2 * j + 1) ** 2
+    check_theta, cos, sin = spins._check_theta, math.cos, math.sin
+    regimes, two_ms, fidelities = [], [], []
+    for theta in thetas:
         theta = float(check_theta(theta)) % _TWO_PI
-        if window is not None and abs(theta - math.pi) <= window:
-            if two_j == 1:
-                y = 1.0 + 2.0 * math.cos(theta)
-                return "case2_mixture", 1, _regime_fidelity(17.0 / 36.0 - (y + 1.0 / y) / 24.0)
-            return "j1_anomalous_problem2", 0, _regime_fidelity(_j1_flip_fidelity(theta))
-        return "case1", two_j, _regime_fidelity(average_from_entanglement(case1(theta), 2))
-    return regime
+        if abs(theta - math.pi) > window:  # always, at a window of -1: case 1 at m = j
+            c, s = cos(theta / 2.0), sin(theta / 2.0)
+            fe = (abs(c * j_plus_1 + s * j * 1j) + abs(c * j - s * j * 1j)) ** 2 / norm
+            regime, two_m, fidelity = "case1", two_j, (2 * fe + 1.0) / 3.0
+        elif two_j == 1:
+            y = 1.0 + 2.0 * cos(theta)
+            regime, two_m, fidelity = "case2_mixture", 1, 17.0 / 36.0 - (y + 1.0 / y) / 24.0
+        else:
+            regime, two_m, fidelity = "j1_anomalous_problem2", 0, _j1_flip_fidelity(theta)
+        regimes.append(regime)
+        two_ms.append(two_m)
+        fidelities.append(fidelity)
+    return regimes, two_ms, _regime_fidelities(fidelities)
 
 
 def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport:
@@ -236,7 +238,7 @@ def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport
     optimizes the probe.  They differ only for j = 1 near theta = pi.  Needs
     two_j >= 1 and a finite theta.
     """
-    regime, two_m, fidelity = _regime_at(two_j, problem)(theta)
+    (regime,), (two_m,), (fidelity,) = _regimes(two_j, problem, (theta,))
     if regime == "case2_mixture":
         strategy = UNotMixture(alpha=case2_alpha(float(theta) % _TWO_PI))
     elif regime == "j1_anomalous_problem2":
@@ -248,7 +250,7 @@ def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport
 
 
 def optimal_average_fidelity(two_j: int, theta: float, problem: int = 2) -> float:
-    return _regime_at(two_j, problem)(theta)[2]
+    return _regimes(two_j, problem, (theta,))[2][0]
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,77 @@ def coupling_sectors_by_racah(two_j: int, two_k: int):
     return tuple(out)
 
 
+def clebsch_gordan_by_lgamma(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
+                             two_J: int, two_M: int) -> float:
+    """``spins.clebsch_gordan`` with one ``math.lgamma`` per factorial, after the same checks
+    (``spins.clebsch_gordan`` up to the log-factorial table)."""
+    for two_j, two_m in ((two_j1, two_m1), (two_j2, two_m2), (two_J, two_M)):
+        spins.check_valid_m(two_j, two_m)
+    if two_m1 + two_m2 != two_M:
+        raise spins.InvalidQuantumNumbersError("selection rule m1 + m2 = M violated")
+    if not (abs(two_j1 - two_j2) <= two_J <= two_j1 + two_j2):
+        raise spins.InvalidQuantumNumbersError("triangle inequality violated")
+    if (two_j1 + two_j2 + two_J) % 2 != 0:
+        raise spins.InvalidQuantumNumbersError("j1 + j2 + J must be an integer")
+
+    def f(two_n: int) -> float:
+        if two_n % 2 != 0:
+            raise spins.InvalidQuantumNumbersError("half-integer factorial argument")
+        return math.lgamma(two_n // 2 + 1)
+
+    log_pref = 0.5 * (
+        math.log(two_J + 1.0)
+        + f(two_j1 + two_j2 - two_J) + f(two_j1 - two_j2 + two_J)
+        + f(-two_j1 + two_j2 + two_J) - f(two_j1 + two_j2 + two_J + 2)
+        + f(two_J + two_M) + f(two_J - two_M)
+        + f(two_j1 - two_m1) + f(two_j1 + two_m1)
+        + f(two_j2 - two_m2) + f(two_j2 + two_m2)
+    )
+    two_kmin = max(0, two_j2 - two_J - two_m1, two_j1 + two_m2 - two_J)
+    two_kmax = min(two_j1 + two_j2 - two_J, two_j1 - two_m1, two_j2 + two_m2)
+    if two_kmax < two_kmin:
+        return 0.0
+    terms = []
+    for two_k in range(two_kmin, two_kmax + 2, 2):
+        log_den = (
+            f(two_k) + f(two_j1 + two_j2 - two_J - two_k)
+            + f(two_j1 - two_m1 - two_k) + f(two_j2 + two_m2 - two_k)
+            + f(two_J - two_j2 + two_m1 + two_k) + f(two_J - two_j1 - two_m2 + two_k)
+        )
+        sign = -1.0 if (two_k // 2) % 2 else 1.0
+        terms.append(sign * math.exp(log_pref - log_den))
+    return math.fsum(terms)
+
+
+def per_input_fidelity_by_point(two_j: int, theta: float, polar: float,
+                                azimuth: float = 0.0) -> float:
+    """``heisenberg.per_input_fidelity`` at one target state: the product state
+    |j,j> (x) psi by ``np.kron``, one ``apply``, and the contraction with the target
+    V psi as a matrix-vector product."""
+    gate = heisenberg.heisenberg_unitary(two_j, 1, theta)
+    psi = np.array([math.cos(polar / 2.0),
+                    np.exp(1j * azimuth) * math.sin(polar / 2.0)], dtype=complex)
+    probe = np.zeros(dim(two_j), dtype=complex)
+    probe[0] = 1.0
+    target = np.diag(np.exp(-0.5j * theta * np.array([1.0, -1.0]))) @ psi
+    out = gate.apply(np.kron(probe, psi)).reshape(dim(two_j), 2)
+    return float(np.sum(np.abs(out @ target.conj()) ** 2))
+
+
+def worst_case_by_point(two_j: int, theta: float) -> tuple[float, float]:
+    """``heisenberg.worst_case_fidelity`` with every value, on the 65-point grid and in
+    the golden-section search, from ``per_input_fidelity_by_point``."""
+    grid = np.linspace(0.0, math.pi, 65)
+    vals = [per_input_fidelity_by_point(two_j, theta, a) for a in grid]
+    i = int(np.argmin(vals))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    x, fx = heisenberg._golden_minimize(lambda a: per_input_fidelity_by_point(two_j, theta, a),
+                                        lo, hi)
+    if vals[i] < fx:
+        x, fx = grid[i], vals[i]
+    return float(fx), float(x)
+
+
 def tp_residuals(params: optimal.CovariantChoiParams, two_j: int) -> tuple[float, float]:
     """Residuals of the two trace-preservation constraints (second is the
     degenerate one-block form when two_j == 1)."""

@@ -517,6 +517,26 @@ def test_sweep_checks_each_spin_once_per_evaluator(command, per_two_j, monkeypat
     assert sorted(calls) == sorted(list(range(1, 101)) * per_two_j)
 
 
+# SHA-256 of stdout of `<command> --problem <p> --two-j 1 ... 100 --theta-grid 200`, measured
+# on the per-angle regime closures that the grid evaluators replaced
+_SWEEP_DIGESTS = {
+    ("benchmark", "2"): "fc526ea5ee84c52cedcd7b5934f9b91e3464075852ccab5456e5634b2c63bf97",
+    ("benchmark", "1"): "4069a5a3585ca2a6f723c413cee22658b5faf5e126f6b951af79500854ac04e2",
+    ("optimal", "2"): "71b3689d3d5378f4734c60f3b92326879a98322c2bb1c12e7f70ae1975685b7a",
+    ("optimal", "1"): "0ef2b23d2cb36281733329e005a244ee2762e7c61dfa164908e31e0b20679178",
+}
+
+
+@pytest.mark.parametrize("command, problem", list(_SWEEP_DIGESTS))
+def test_sweeps_print_the_pinned_bytes(command, problem, capsys):
+    import hashlib
+
+    assert run_cli([command, "--problem", problem, "--two-j", *map(str, range(1, 101)),
+                    "--theta-grid", "200"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == _SWEEP_DIGESTS[command, problem]
+
+
 def test_block_rows_print_as_their_row_dicts(tmp_path):
     # the block writer formats a shared (tuple) grid once and a block's shared value once per
     # block; the text is the one the rows print as plain dicts, 0.0 and -0.0, True and 1 included

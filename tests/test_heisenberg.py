@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from oracles import (coupled_basis_vectors, coupling_sectors_by_racah, gate_channel, gate_matrix,
-                     su2_from_quaternion)
+                     per_input_fidelity_by_point, su2_from_quaternion, worst_case_by_point)
 from spinlearn import heisenberg, mo, optimal, spins
 from spinlearn.heisenberg import (
     entanglement_fidelity_given_m,
@@ -115,6 +115,23 @@ def test_qubit_bands_rebuild_the_dense_gate(two_j):
 def test_qubit_bands_need_a_qubit_target():
     with pytest.raises(ValueError, match="two_k=2"):
         heisenberg_unitary(4, 2, 1.0).qubit_bands()
+
+
+@pytest.mark.parametrize("two_j", [*range(61), 128, 400])
+def test_qubit_sectors_slice_the_coupling_sectors(two_j):
+    # the qubit gate's sectors, sliced off the two pair tables, hold the sector loop's entries
+    sectors = heisenberg._coupling_sectors(two_j, 1)
+    stretched, two_ts, g = heisenberg._qubit_sectors(two_j)
+    for sliced, sector in zip(stretched, (sectors[0], sectors[-1])):
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(sliced, sector))
+    if two_j == 0:
+        assert len(sectors) == 2 and two_ts is None and g is None
+        return
+    assert g.shape == (2, 2, two_j)
+    for i, (idx, sector_ts, sector_g) in enumerate(sectors[1:-1]):
+        assert np.array_equal(idx, [2 * i + 1, 2 * i + 2])
+        assert np.array_equal(sector_ts, two_ts)
+        assert np.array_equal(sector_g, g[:, :, i])
 
 
 @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 7, 20, 64, 101])
@@ -296,6 +313,36 @@ def test_per_input_fidelity_independent_of_azimuth(two_j):
             ref = per_input_fidelity(two_j, theta, polar, 0.0)
             for azimuth in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)[1:]:
                 assert abs(per_input_fidelity(two_j, theta, polar, azimuth) - ref) <= 1e-9
+
+
+_BATCH_THETAS = (0.01, 1.0, math.pi / 2, 2.5, math.pi)
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 4, 8, 20, 50, 100, 400])
+def test_batched_per_input_fidelity_keeps_each_point_bits(two_j):
+    # one apply on 60 target states gives each state's own one-vector value, bit for bit
+    polars = np.linspace(0.0, math.pi, 60)
+    azimuth = float(np.random.default_rng(two_j).uniform(0.0, 2.0 * math.pi))
+    for theta in _BATCH_THETAS:
+        for phi in (0.0, azimuth):
+            got = per_input_fidelity(two_j, theta, polars, phi)
+            assert got.shape == polars.shape
+            assert got.tolist() == [per_input_fidelity_by_point(two_j, theta, p, phi)
+                                    for p in polars]
+    value = per_input_fidelity(two_j, 1.0, np.float64(0.7))
+    assert type(value) is float and value == per_input_fidelity_by_point(two_j, 1.0, 0.7)
+    assert per_input_fidelity(two_j, 1.0, polars.reshape(6, 10)).shape == (6, 10)
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 4, 8, 20, 50, 100, 400])
+def test_worst_case_fidelity_equals_the_per_point_search(two_j):
+    for theta in _BATCH_THETAS:
+        assert worst_case_fidelity(two_j, theta) == worst_case_by_point(two_j, theta)
+
+
+def test_one_non_finite_polar_in_a_batch_is_named():
+    with pytest.raises(ValueError, match="^polar must be finite, got nan$"):
+        per_input_fidelity(4, 1.3, [0.2, math.nan, 0.4])
 
 
 @pytest.mark.parametrize("two_j,fidelity", [(20, 0.9136113514209018), (100, 0.9805881875275371),

@@ -629,11 +629,26 @@ def test_regime_evaluators_keep_the_parent_floats():
     digest = hashlib.sha256()
     for problem in (1, 2):
         for two_j in [*range(1, 101), 400, 20000]:
-            quantum = optimal._regime_at(two_j, problem)
-            classical = mo._mo_regime_at(two_j, problem)
-            digest.update("".join(f"{quantum(t)[2].hex()} {classical(t)[2].hex()}\n"
-                                  for t in thetas).encode())
+            quantum = optimal._regimes(two_j, problem, thetas)[2]
+            classical = mo._mo_regimes(two_j, problem, thetas)[2]
+            digest.update("".join(f"{q.hex()} {m.hex()}\n"
+                                  for q, m in zip(quantum, classical)).encode())
     assert digest.hexdigest() == _PARENT_REGIME_DIGEST
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 10, 101, 400])
+def test_grid_evaluators_have_the_formula_helpers_bits(two_j):
+    # the evaluators inline case1_entanglement_fidelity at m = j, optimal_theta_prime and
+    # mo_fopt_formula: every case-1 and covariant row has the helpers' bits
+    thetas = [2.0 * math.pi * k / 500 for k in range(500)]
+    regimes, _, quantum = optimal._regimes(two_j, 1, thetas)
+    _, _, classical, theta_primes = mo._mo_regimes(two_j, 1, thetas)
+    case1 = [(t, q) for t, r, q in zip(thetas, regimes, quantum) if r == "case1"]
+    assert len(case1) >= 380
+    assert all(q == average_from_entanglement(case1_entanglement_fidelity(two_j, two_j, t), 2)
+               for t, q in case1)
+    assert theta_primes == [mo.optimal_theta_prime(two_j, t) for t in thetas]
+    assert classical == [mo.mo_fopt_formula(two_j, t, tp) for t, tp in zip(thetas, theta_primes)]
 
 
 @pytest.mark.parametrize("two_j, theta, problem, error, message", [
@@ -644,16 +659,14 @@ def test_regime_evaluators_keep_the_parent_floats():
     (4, -math.inf, 1, ValueError, "^theta must be finite, got -inf$"),
 ], ids=["spin_0", "non_integer", "problem_3", "nan", "inf"])
 @pytest.mark.parametrize("scalar, evaluator", [
-    (optimal_average_fidelity, optimal._regime_at),
-    (mo.mo_average_fidelity, mo._mo_regime_at),
+    (optimal_average_fidelity, optimal._regimes),
+    (mo.mo_average_fidelity, mo._mo_regimes),
 ], ids=["quantum", "classical"])
 def test_regime_evaluators_raise_as_the_scalar_calls(two_j, theta, problem, error, message,
                                                      scalar, evaluator):
-    # two_j and problem are checked when the evaluator is made, theta at each call
+    # two_j and problem are checked once per grid, theta at each grid point
     with pytest.raises(error, match=message) as from_scalar:
         scalar(two_j, theta, problem)
     with pytest.raises(error, match=message) as from_evaluator:
-        regime = evaluator(two_j, problem)
-        assert math.isfinite(theta) is False  # only a bad theta gets this far
-        regime(theta)
+        evaluator(two_j, problem, [2.0, theta])
     assert type(from_evaluator.value) is type(from_scalar.value)

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from oracles import (
     axis_angle_quaternion,
+    clebsch_gordan_by_lgamma,
     coupled_basis_vectors,
     decomposition_overlaps,
     euler_zyz_angles,
@@ -324,6 +325,57 @@ def test_cg_invalid_raises_and_vanishing_returns_zero():
 
 
 # --- coupling decomposition ------------------------------------------------
+
+def _valid_cg_arguments(two_j1s, two_j2s):
+    for two_j1 in two_j1s:
+        for two_j2 in two_j2s:
+            for two_J in range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2):
+                for two_m1 in range(-two_j1, two_j1 + 1, 2):
+                    for two_m2 in range(-two_j2, two_j2 + 1, 2):
+                        if abs(two_m1 + two_m2) <= two_J:
+                            yield two_j1, two_m1, two_j2, two_m2, two_J, two_m1 + two_m2
+
+
+@pytest.mark.parametrize("two_j1s, two_j2s", [(range(13), range(5)), ((100, 400), (1,))],
+                         ids=["small", "spin_half"])
+def test_cg_table_reads_keep_the_lgamma_bits(two_j1s, two_j2s):
+    # log-factorials read from the module table equal one lgamma per factorial, bit for bit
+    args = list(_valid_cg_arguments(two_j1s, two_j2s))
+    assert len(args) > 1000
+    assert [clebsch_gordan(*a) for a in args] == [clebsch_gordan_by_lgamma(*a) for a in args]
+
+
+def test_cg_rejects_what_the_lgamma_route_rejects():
+    # every argument the checks reject (half-integer, negative, out of range, unmatched M)
+    # raises the oracle's error type and message, so no table index is ever negative
+    rejected = 0
+    for two_j1 in range(-2, 4):
+        for two_m1 in range(-4, 5):
+            for two_j2 in range(-1, 3):
+                for two_m2 in range(-3, 4):
+                    for two_J in range(-1, 6):
+                        for two_M in (two_m1 + two_m2, two_m1 + two_m2 + 2):
+                            args = (two_j1, two_m1, two_j2, two_m2, two_J, two_M)
+                            try:
+                                want = clebsch_gordan_by_lgamma(*args)
+                            except InvalidQuantumNumbersError as exc:
+                                rejected += 1
+                                with pytest.raises(type(exc)) as got:
+                                    clebsch_gordan(*args)
+                                assert str(got.value) == str(exc)
+                            else:
+                                assert clebsch_gordan(*args) == want
+    assert rejected > 10000
+
+
+def test_log_factorial_table_holds_lgamma_and_refuses_negative_sizes():
+    table = spins._log_factorials(450)
+    assert table[:451] == [math.lgamma(k + 1) for k in range(451)]
+    size = len(table)
+    with pytest.raises(InvalidQuantumNumbersError, match="negative factorial argument -1"):
+        spins._log_factorials(-1)
+    assert len(spins._log_factorials(3)) == size
+
 
 def test_coupling_theta_zero():
     for two_j, two_m in ((4, 2), (1, 1), (5, -3)):
