@@ -6,7 +6,8 @@ significant digits, and identical (config, seed) pairs produce byte-identical fi
 sweep is built a block of rows at a time (``_Sweep``): ``optimal`` and ``benchmark`` call
 one grid evaluator per 2j on the whole angle grid, and the CSV writer formats the grid once.
 numpy is bound lazily (``spinlearn._numpy``): ``optimal``, ``benchmark``, ``thermal`` and
-``recycle`` at one ``--theta`` never execute it.
+``recycle`` at one ``--theta`` never execute it.  ``verify`` runs its checks in workers
+forked before numpy executes, one per core, and prints the same bytes on any core count.
 """
 
 from __future__ import annotations
@@ -223,39 +224,85 @@ def cmd_spin_k(args, thetas: list[float]) -> _Sweep:
     return rows
 
 
-def _verify_checks(n_samples: int, seed: int) -> list[dict]:
+_VERIFY_CHECKS = 7
+
+
+def _verify_check(index: int, n_samples: int, seed: int) -> dict:
+    """verify's check ``index``, sampled from child ``index`` of SeedSequence(seed): the
+    child that the check's own spawn took when the checks shared one sequence."""
     from . import montecarlo  # only verify samples strategies: the other commands never load it
-    seq = np.random.SeedSequence(seed)
-    checks = []
+    seq, pi = np.random.SeedSequence(seed, spawn_key=(index,)), math.pi
+    mc = lambda strategy, theta: montecarlo.mc_average_fidelity(strategy, theta, n_samples, seq)
+    name, estimate, expected = (
+        lambda: ("heisenberg_j3half_pi", mc(HeisenbergStrategy(two_j=3), pi), 17.0 / 24.0),
+        lambda: ("mo_j3half_pi", mc(MOStrategy(two_j=3, two_m=3, xi_two_n=3,
+                                               theta_prime=mo.optimal_theta_prime(3, pi)), pi),
+                 29.0 / 45.0),
+        lambda: ("unot_mixture_pi", mc(UNotMixture(alpha=2.0 / 3.0), pi), 5.0 / 9.0),
+        lambda: ("discrete_xyz_pi", mc(DiscreteXYZ(), pi), 11.0 / 15.0),
+        lambda: ("heisenberg_j5_theta_half_pi", mc(HeisenbergStrategy(two_j=10), 0.5 * pi),
+                 optimal.optimal_average_fidelity(10, 0.5 * pi)),
+        lambda: ("mo_j2_theta_2", mc(MOStrategy(two_j=4, two_m=4, xi_two_n=4,
+                                                theta_prime=mo.optimal_theta_prime(4, 2.0)), 2.0),
+                 mo.mo_average_fidelity(4, 2.0)),
+        lambda: ("spin_k_mo_j4_k1_pi", mo.spin_k_mo_fidelity(8, 2, pi, n_samples, seq)[0],
+                 spin_k_mo_quadrature(8, 2, pi)),
+    )[index]()
+    n_sig = float(estimate.n_sigma(expected))  # Python floats: the report needs no numpy
+    return {"name": name, "expected": float(expected), "estimate": estimate.value,
+            "std_error": estimate.std_error, "n_sigma": n_sig, "pass": n_sig <= 4.0}
 
-    def add(name: str, estimate, expected: float, sigma_budget: float = 4.0):
-        n_sig = estimate.n_sigma(expected)
-        checks.append({
-            "name": name,
-            "expected": expected,
-            "estimate": estimate.value,
-            "std_error": estimate.std_error,
-            "n_sigma": n_sig,
-            "pass": bool(n_sig <= sigma_budget),
-        })
 
-    def mc(strategy, theta):
-        return montecarlo.mc_average_fidelity(strategy, theta, n_samples, seq.spawn(1)[0])
+def _verify_checks(n_samples: int, seed: int) -> list[dict]:
+    """verify's checks in order, run by forked workers, one per available core and at most
+    one per check; run here, one after another, where one core is available or threads run
+    here (numpy's BLAS threads once it has executed), which a fork must not copy.  The
+    reports are the same."""
+    import os
+    import pickle
+    import signal
+    import threading
 
-    add("heisenberg_j3half_pi", mc(HeisenbergStrategy(two_j=3), math.pi), 17.0 / 24.0)
-    add("mo_j3half_pi",
-        mc(MOStrategy(two_j=3, two_m=3, xi_two_n=3,
-                      theta_prime=mo.optimal_theta_prime(3, math.pi)), math.pi),
-        29.0 / 45.0)
-    add("unot_mixture_pi", mc(UNotMixture(alpha=2.0 / 3.0), math.pi), 5.0 / 9.0)
-    add("discrete_xyz_pi", mc(DiscreteXYZ(), math.pi), 11.0 / 15.0)
-    add("heisenberg_j5_theta_half_pi", mc(HeisenbergStrategy(two_j=10), 0.5 * math.pi),
-        optimal.optimal_average_fidelity(10, 0.5 * math.pi))
-    add("mo_j2_theta_2", mc(MOStrategy(two_j=4, two_m=4, xi_two_n=4,
-                                       theta_prime=mo.optimal_theta_prime(4, 2.0)), 2.0),
-        mo.mo_average_fidelity(4, 2.0))
-    est, _ = mo.spin_k_mo_fidelity(8, 2, math.pi, n_samples, seq.spawn(1)[0])
-    add("spin_k_mo_j4_k1_pi", est, spin_k_mo_quadrature(8, 2, math.pi))
+    workers = (min(len(os.sched_getaffinity(0)), _VERIFY_CHECKS)
+               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    # the lazy numpy module turns plain when numpy executes
+    if workers < 2 or type(np) is type(sys) or threading.active_count() > 1:
+        return [_verify_check(i, n_samples, seed) for i in range(_VERIFY_CHECKS)]
+    jobs, queue = os.pipe()  # each worker takes check indices a byte at a time until it is empty
+    os.write(queue, bytes(range(_VERIFY_CHECKS)))
+    os.close(queue)
+    replies = {}  # pid -> the worker's pipe of pickled (index, report or exception) pairs
+    try:
+        for _ in range(workers):
+            reply, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a worker: it leaves by os._exit, past the caller's frames and buffers
+                try:
+                    done = []
+                    while job := os.read(jobs, 1):
+                        try:
+                            done.append((job[0], _verify_check(job[0], n_samples, seed)))
+                        except Exception as exc:
+                            done.append((job[0], exc))
+                    with open(write_end, "wb") as out:
+                        pickle.dump(done, out)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            replies[pid] = os.fdopen(reply, "rb")
+        payloads = [out.read() for out in replies.values()]
+        if not all(payloads):
+            raise RuntimeError("a verify worker stopped before it sent its checks")
+    finally:  # every worker is reaped; one still at work after an error here is stopped first
+        os.close(jobs)
+        for pid, out in replies.items():
+            out.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    checks = [check for _, check in sorted(pair for got in payloads for pair in pickle.loads(got))]
+    for check in checks:
+        if isinstance(check, Exception):
+            raise check  # the first failed check's exception, as the serial run raises it
     return checks
 
 
@@ -263,6 +310,7 @@ def cmd_verify(args) -> int:
     """Closed forms against their Monte-Carlo oracles, as one JSON report."""
     import json
 
+    spins._check_count("n_samples", args.n_samples, 1)  # before any worker is forked
     checks = _verify_checks(args.n_samples, args.seed)
     all_pass = all(c["pass"] for c in checks)
     report = {

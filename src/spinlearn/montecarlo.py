@@ -13,7 +13,9 @@ estimate (``FidelityEstimate.from_blocks``), so its memory is O(block) and
 nothing n-long is ever built.  A qubit-target gate's samples are scored
 from its four bands (``HeisenbergGate.qubit_bands``) and the probe's real Wigner-d
 column (``spins.wigner_d_omega_columns``): no joint vector, O(j) each.  The other
-samplers act on U_g|j,m> from ``spins.rotated_basis_states_batch``; none takes Euler angles.
+samplers act on joint vectors omega^i r_i (x) psi from the same column (the global phase
+e^(i phi) of U_g|j,m> drops out of every score), a Kraus family's operators as one matrix
+in _TILE-row BLAS calls; none takes Euler angles.
 Three samplers run every strategy: the Heisenberg gate, MO and the Kraus families (the
 discrete xyz channel, the case-1 channel ``optimal.case_choi_channel`` reads off the gate
 at f_m, and ``optimal.unot_mixture_channel``, whose universal NOT is integrated exactly).
@@ -94,12 +96,22 @@ def _channel_samples(two_j: int, two_m, q_g: np.ndarray, psi: np.ndarray, theta:
     band rows in whole _TILE-row tiles, so a split of the rows into blocks of whole tiles
     (none a lone row) leaves every score bit-identical."""
     target = _target_states(q_g, theta, psi)
+    omega, column = spins.wigner_d_omega_columns(two_j, q_g, two_m)
     if tables is not None:
-        omega, column = spins.wigner_d_omega_columns(two_j, q_g, two_m)
         return _band_scores(tables, column, omega, psi, target)
-    probe = spins.rotated_basis_states_batch(two_j, q_g, two_m)
+    probe = column * omega[:, None] ** np.arange(column.shape[1])  # e^(i phi) drops out of |.|^2
     joint = np.einsum("np,nk->npk", probe, psi).reshape(len(probe), -1)
     return _conditional_fidelity_channel_output(channel(joint), target)
+
+
+def _kraus_outputs(channel: KrausChannel, joint: np.ndarray) -> np.ndarray:
+    """(rows, r, dim_out) outputs of the r Kraus operators on the joint vectors: one
+    (dim_in, r dim_out) matrix on zero-padded _TILE-row tiles, so every BLAS call has one size."""
+    rows, width = joint.shape
+    tiles = np.zeros((rows + -rows % _TILE, width), dtype=complex)
+    tiles[:rows] = joint
+    out = tiles.reshape(-1, _TILE, width) @ np.concatenate(channel.kraus).T
+    return out.reshape(-1, len(channel.kraus), channel.dim_out)[:rows]
 
 
 # output row i of the gate reads the probe column at i + shift through the bands d0, d1, up, lo
@@ -172,9 +184,9 @@ def _heisenberg_samples(strategy: HeisenbergStrategy, theta: float,
 def _kraus_samples(channel: KrausChannel, two_j: int, two_m: int, theta: float,
                    rng: np.random.Generator, n: int, q_g: np.ndarray | None = None):
     """Generic measure/operate action of a Kraus channel on U_g|j,m> (x) psi."""
-    score = lambda joint: np.einsum("rij,nj->nri", channel.kraus, joint)
     for q, psi in _draws(rng, n, q_g, 2, _JOINT_FLOATS * spins.dim(two_j) * 2):
-        yield _channel_samples(two_j, two_m, q, psi, theta, score)
+        yield _channel_samples(two_j, two_m, q, psi, theta,
+                               lambda joint: _kraus_outputs(channel, joint))
 
 
 def _strategy_samples(strategy: StrategyDescriptor, theta: float,

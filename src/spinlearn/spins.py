@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from functools import lru_cache
 
 from ._numpy import np
@@ -230,6 +231,7 @@ def _log_sqrt_binomials(two_j: int) -> np.ndarray:
 
 
 _LOG_FACTORIALS = [0.0]  # log n! = math.lgamma(n + 1) for n = 0, 1, ..., grown on demand
+_LOG_FACTORIALS_GROWING = threading.Lock()  # held from reading the table's length to extending it
 
 
 def _log_factorials(n: int) -> list[float]:
@@ -237,7 +239,8 @@ def _log_factorials(n: int) -> list[float]:
     computed once; a negative n raises rather than reading the table from its end."""
     if n < 0:
         raise InvalidQuantumNumbersError(f"negative factorial argument {n}")
-    _LOG_FACTORIALS.extend(map(math.lgamma, range(len(_LOG_FACTORIALS) + 1, n + 2)))
+    with _LOG_FACTORIALS_GROWING:
+        _LOG_FACTORIALS.extend(map(math.lgamma, range(len(_LOG_FACTORIALS) + 1, n + 2)))
     return _LOG_FACTORIALS
 
 

@@ -445,8 +445,131 @@ def test_array_commands_execute_numpy_on_first_use(command, capsys):
         assert len(out.strip().split("\n")) == 1 + 3 * 4
     else:
         after = _fresh_readme_cli(command)
-    # only verify samples strategies, so only verify loads the Monte-Carlo layer
-    assert after == [True, command == "verify"]
+    # verify's checks run in forked workers (on a single core, in process: numpy executed and
+    # the Monte-Carlo layer loaded); the workers' own state is tested below
+    assert after == ([False, False] if command == "verify" and _VERIFY_WORKERS else
+                     [True, command == "verify"])
+
+
+# verify in a fresh interpreter, where its checks run in forked workers: argv and a patch run
+# first.  Its stdout and stderr, then on the last stderr line the exit code (or the exception
+# raised, by type and message), the forks made, whether every child was reaped, and what the
+# calling process has executed or loaded.
+_VERIFY_PROBE = """
+import json, os, signal, sys
+import spinlearn.cli as cli
+argv, patch = json.loads(sys.argv[1])
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+exec(patch)
+try:
+    outcome = cli.main(argv)
+except BaseException as exc:
+    outcome = f"{type(exc).__name__}: {exc}"
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+loaded = ["numpy._core" in sys.modules, "spinlearn.montecarlo" in sys.modules]
+print(json.dumps([outcome, len(forks), reaped, loaded]), file=sys.stderr)
+"""
+_CORES = min(len(os.sched_getaffinity(0)), 7)
+_VERIFY_WORKERS = _CORES if _CORES > 1 else 0  # the forks verify makes: none on one core
+
+
+def _probe_verify(argv, patch=""):
+    proc = subprocess.run([sys.executable, "-c", _VERIFY_PROBE, json.dumps([argv, patch])],
+                          capture_output=True, text=True, timeout=300)
+    *errors, summary = proc.stderr.splitlines()
+    return (proc.stdout, errors, *json.loads(summary))
+
+
+@pytest.mark.parametrize("n", [1, 2000, 100000])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_verify_workers_print_the_serial_bytes(seed, n, capsys):
+    # in process numpy has executed, so the checks run one after another: the reference
+    argv = ["verify", "--n-samples", str(n), "--seed", str(seed)]
+    out, errors, code, forks, reaped, loaded = _probe_verify(argv)
+    assert (errors, forks, reaped) == ([], _VERIFY_WORKERS, True)
+    assert code == run_cli(argv) == (1 if n == 1 else 0)
+    assert out == capsys.readouterr().out
+
+
+def test_verify_out_from_workers_holds_the_serial_bytes(tmp_path, capsys):
+    argv = ["verify", "--n-samples", "2000", "--seed", "7"]
+    out, errors, code, forks, reaped, loaded = _probe_verify(argv + ["--out", str(tmp_path / "w")])
+    assert (out, errors, code, forks, reaped) == ("", [], 0, _VERIFY_WORKERS, True)
+    assert run_cli(argv) == 0
+    assert (tmp_path / "w").read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_verify_workers_execute_numpy_and_load_the_monte_carlo_layer():
+    # each check reports the state of the process that ran it; the caller's stays bare
+    patch = ("check, caller = cli._verify_check, os.getpid()\n"
+             "cli._verify_check = lambda *args: {**check(*args), 'worker': [os.getpid() != caller,"
+             " 'numpy._core' in sys.modules, 'spinlearn.montecarlo' in sys.modules]}")
+    out, errors, code, forks, reaped, loaded = _probe_verify(
+        ["verify", "--n-samples", "200", "--seed", "3"], patch)
+    assert (errors, code, forks, reaped) == ([], 0, _VERIFY_WORKERS, True)
+    states = [c["worker"] for c in json.loads(out)["checks"]]
+    assert states == [[bool(_VERIFY_WORKERS), True, True]] * 7
+    assert loaded == [not _VERIFY_WORKERS] * 2
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--n-samples", "0"], "error: n_samples must be an integer >= 1, got 0"),
+    (["verify", "--seed", "-1"], "error: seed must be an integer >= 0, got -1"),
+], ids=["n-samples", "seed"])
+def test_verify_checks_its_flags_before_any_fork(argv, error):
+    out, errors, code, forks, reaped, loaded = _probe_verify(argv)
+    assert (out, errors, code, forks, reaped, loaded) == ("", [error], 2, 0, True, [False, False])
+
+
+@pytest.mark.parametrize("patch, workers", [
+    ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})", 0),
+    ("os.sched_getaffinity = lambda pid: set(range(64))", 7),
+    ("del os.fork", 0),
+    ("import threading\nthreading.Thread(target=threading.Event().wait, daemon=True).start()", 0),
+], ids=["one-cpu", "64-cpus", "no-fork", "a-thread-runs"])
+def test_verify_forks_a_worker_per_cpu_up_to_seven_or_runs_in_process(patch, workers, capsys):
+    argv = ["verify", "--n-samples", "200", "--seed", "11"]
+    out, errors, code, forks, reaped, loaded = _probe_verify(argv, patch)
+    assert (errors, code, forks, reaped) == ([], 0, workers, True)
+    assert run_cli(argv) == 0
+    assert out == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", [ValueError, ZeroDivisionError])
+def test_an_exception_in_a_verify_check_reaches_the_caller(kind, monkeypatch, capsys):
+    # the discrete xyz check (the fourth) raises, in a worker and in process alike
+    argv = ["verify", "--n-samples", "200", "--seed", "7"]
+    patch = f"def broken():\n    raise {kind.__name__}('no channel')\ncli.DiscreteXYZ = broken"
+    out, errors, outcome, forks, reaped, loaded = _probe_verify(argv, patch)
+    assert (out, forks, reaped) == ("", _VERIFY_WORKERS, True)
+
+    def broken():
+        raise kind("no channel")
+
+    monkeypatch.setattr(cli, "DiscreteXYZ", broken)
+    if kind is ValueError:  # the caller's usage error: exit 2 and its line
+        assert outcome == run_cli(argv) == 2
+        assert errors == ["error: no channel"]
+        assert capsys.readouterr().err == "error: no channel\n"
+    else:
+        assert (outcome, errors) == ("ZeroDivisionError: no channel", [])
+        with pytest.raises(ZeroDivisionError, match="^no channel$"):
+            run_cli(argv)
+
+
+def test_an_interrupted_verify_reaps_its_workers():
+    # the caller is interrupted 0.1 s into a 0.4 s run: its workers are stopped and reaped
+    patch = ("signal.signal(signal.SIGALRM, signal.default_int_handler)\n"
+             "signal.setitimer(signal.ITIMER_REAL, 0.1)")
+    out, errors, outcome, forks, reaped, loaded = _probe_verify(
+        ["verify", "--n-samples", "100000", "--seed", "7"], patch)
+    assert (out, errors, outcome, forks, reaped) == ("", [], "KeyboardInterrupt: ",
+                                                     _VERIFY_WORKERS, True)
 
 
 def _python_prints(code):

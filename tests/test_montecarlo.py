@@ -278,9 +278,8 @@ def _block_scorer(strategy, theta):
             two_j, two_m, channel = 2, 0, optimal.discrete_xyz_channel()
         else:
             two_j, two_m, channel = 1, 1, optimal.unot_mixture_channel(strategy.alpha, theta)
-        kraus = np.stack(channel.kraus)
         return lambda q, psi: montecarlo._channel_samples(
-            two_j, two_m, q, psi, theta, lambda joint: np.einsum("rij,nj->nri", kraus, joint))
+            two_j, two_m, q, psi, theta, lambda joint: montecarlo._kraus_outputs(channel, joint))
     inner = strategy.inner if isinstance(strategy, ThermalWrapped) else strategy
     two_j, two_k = inner.two_j, inner.two_k
     gate = heisenberg.heisenberg_unitary(two_j, two_k, theta)
@@ -343,15 +342,16 @@ def test_default_sample_blocks_leave_samples_bit_identical():
 
 
 def _joint_vector_reference(monkeypatch, strategy):
-    """Route the qubit-target Heisenberg sampler through the joint vectors and
-    ``HeisenbergGate.apply``, on the same random inputs."""
-    scored = montecarlo._channel_samples
-
+    """Route the qubit-target Heisenberg sampler through the joint vectors of the exact
+    probe states U_g|j,m> and ``HeisenbergGate.apply``, on the same random inputs."""
     def joint_vectors(two_j, two_m, q_g, psi, theta, channel=None, tables=None):
         assert tables is not None and channel is None
         gate = heisenberg.heisenberg_unitary(two_j, 1, theta, strategy.f_override)
-        return scored(two_j, two_m, q_g, psi, theta,
-                      lambda joint: gate.apply(joint).reshape(len(joint), -1, 2))
+        probe = spins.rotated_basis_states_batch(two_j, q_g, two_m)
+        joint = np.einsum("np,nk->npk", probe, psi).reshape(len(probe), -1)
+        return montecarlo._conditional_fidelity_channel_output(
+            gate.apply(joint).reshape(len(joint), -1, 2),
+            montecarlo._target_states(q_g, theta, psi))
 
     monkeypatch.setattr(montecarlo, "_channel_samples", joint_vectors)
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -375,6 +377,32 @@ def test_log_factorial_table_holds_lgamma_and_refuses_negative_sizes():
     with pytest.raises(InvalidQuantumNumbersError, match="negative factorial argument -1"):
         spins._log_factorials(-1)
     assert len(spins._log_factorials(3)) == size
+
+
+def test_log_factorial_table_grows_whole_under_thread_switches(monkeypatch):
+    # four threads grow a fresh table at a one-microsecond switch interval: without a lock, a
+    # switch between reading the table's length and extending it appended lgamma values at
+    # the wrong indices (in 100 of 100 such trials)
+    interval = sys.getswitchinterval()
+    expected = [math.lgamma(k + 1) for k in range(401)]
+
+    def grow(first):
+        for n in range(first, 401, 4):
+            spins._log_factorials(n)
+
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(40):
+            monkeypatch.setattr(spins, "_LOG_FACTORIALS", [0.0])
+            threads = [threading.Thread(target=grow, args=(first,)) for first in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert spins._LOG_FACTORIALS == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_coupling_theta_zero():
