@@ -13,7 +13,9 @@ forked before numpy executes, one per core, and prints the same bytes on any cor
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 from . import heisenberg, memory, mo, optimal, spins
@@ -57,9 +59,9 @@ def _json_cell(x):
 
 
 class _Sweep:
-    """Rows held as blocks of columns: ``len`` is the row count, iteration and indexing
-    yield the row dicts.  A block has one column per field: a list of its rows' values, a
-    tuple of them that other blocks share too (the angle grid), or one value for all rows."""
+    """Rows held as blocks of columns: ``len`` is the row count, iteration yields the row dicts.
+    A block has one column per field: a list of its rows' values, a tuple of them that other
+    blocks share too (the angle grid), or one value for all rows."""
 
     def __init__(self, fields: list[str]):
         self.fields, self.blocks, self._rows = fields, [], 0
@@ -73,9 +75,6 @@ class _Sweep:
 
     def __len__(self) -> int:
         return self._rows
-
-    def __getitem__(self, index):  # O(rows): a list of the row dicts, indexed
-        return list(self)[index]
 
     def __iter__(self):
         for n, columns in self.blocks:
@@ -114,14 +113,9 @@ def _csv_cells(values) -> list[str]:
     return [cell(type(v), _fmt_value)(v) for v in values]
 
 
-def write_rows(rows, fmt: str, out: str | None) -> None:
-    """Emit rows, a list of row dicts or a ``_Sweep``, in order as CSV or JSON."""
-    if not rows:
-        raise ValueError("nothing to write")
+def write_rows(rows: _Sweep, fmt: str, out: str | None) -> None:
+    """Emit a sweep's rows in order as CSV or JSON."""
     if fmt == "csv":
-        if not isinstance(rows, _Sweep):
-            rows, dicts = _Sweep(list(rows[0])), rows
-            rows.add(len(dicts), *([r[f] for r in dicts] for f in rows.fields))
         text = _csv_text(rows)
     elif fmt == "json":
         import json  # bound here, not at module level: only JSON output needs it
@@ -142,6 +136,23 @@ def _emit(text: str, out: str | None) -> None:
                 fh.write(text)
         except OSError as exc:  # a usage error, not a failed check: exit 2, not 1
             raise ValueError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse, before any work, an ``--out`` that is a directory or whose directory is missing
+    or not writable; nothing is opened or created here."""
+    if out is None:
+        return
+    folder = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --out {out!r}: {os.strerror(code)}")  # the write's reasons
 
 
 def cmd_optimal(args, thetas: list[float]) -> _Sweep:
@@ -258,7 +269,6 @@ def _verify_checks(n_samples: int, seed: int) -> list[dict]:
     one per check; run here, one after another, where one core is available or threads run
     here (numpy's BLAS threads once it has executed), which a fork must not copy.  The
     reports are the same."""
-    import os
     import pickle
     import signal
     import threading
@@ -394,6 +404,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spins._check_count("seed", getattr(args, "seed", 0), 0)  # only spin-k and verify take one
+        _check_out(args.out)
         if args.command == "verify":
             return cmd_verify(args)
         write_rows(SWEEPS[args.command](args, _sweep_thetas(args)), args.fmt, args.out)

@@ -214,22 +214,15 @@ class HeisenbergGate(Record):
         return even[0::2], odd[1::2], odd[0::2], even[1::2]
 
 
-def heisenberg_unitary(two_j: int, two_k: int, theta: float,
-                       f_override: float | None = None) -> HeisenbergGate:
+def heisenberg_unitary(two_j: int, two_k: int, theta: float) -> HeisenbergGate:
     check_two_j(two_j)
     _check_target_spin(two_k)
     _check_theta(theta)
-    if f_override is not None:
-        angle = float(_check_theta(f_override, "f_override"))
-    elif two_k == 1:
-        angle = f_angle(two_j, theta)
-    else:
-        angle = math.remainder(theta, 2.0 * math.pi)
+    angle = f_angle(two_j, theta) if two_k == 1 else math.remainder(theta, 2.0 * math.pi)
     return HeisenbergGate(two_j=two_j, two_k=two_k, theta=float(theta), angle=angle)
 
 
-def entanglement_fidelity_coefficients(two_j: int, theta: float, f_override: float | None = None
-                                       ) -> tuple[float, float, float]:
+def entanglement_fidelity_coefficients(two_j: int, theta: float) -> tuple[float, float, float]:
     """(a0, a1, a2): the entanglement fidelity from memory |j,m>_g is a0 + a1 m + a2 m^2.
 
     The gate keeps |j,m>|up>, |j,m>|down> with amplitudes u+- = A +- B m, where
@@ -238,13 +231,12 @@ def entanglement_fidelity_coefficients(two_j: int, theta: float, f_override: flo
     """
     check_two_j(two_j)
     _check_theta(theta)
-    f = f_angle(two_j, theta) if f_override is None else _check_theta(f_override, "f_override")
-    return _coefficients(two_j, math.sin(theta), math.cos(theta), f)
+    return _coefficients(two_j, math.sin(theta), math.cos(theta), f_angle(two_j, theta))
 
 
 def _coefficients(two_j: int, sin_t: float, cos_t: float, f: float) -> tuple[float, float, float]:
-    """``entanglement_fidelity_coefficients`` given sin theta and cos theta, for arguments the
-    caller has already checked."""
+    """``entanglement_fidelity_coefficients`` given sin theta and cos theta, at any gate angle
+    f, for arguments the caller has already checked."""
     j = two_j / 2.0
     n = two_j + 1.0
     abs_a_sq = ((j + 1.0) ** 2 + j * j + 2.0 * j * (j + 1.0) * math.cos(f)) / (n * n)
@@ -252,41 +244,33 @@ def _coefficients(two_j: int, sin_t: float, cos_t: float, f: float) -> tuple[flo
             (1.0 - math.cos(f)) * (1.0 - cos_t) / (n * n))
 
 
-def entanglement_fidelity_given_m(two_j: int, two_m: int, theta: float,
-                                  f_override: float | None = None) -> float:
+def entanglement_fidelity_given_m(two_j: int, two_m: int, theta: float) -> float:
     """Exact entanglement fidelity of the gate with memory state |j,m>_g: the
     quadratic of ``entanglement_fidelity_coefficients`` evaluated at m."""
     check_valid_m(two_j, two_m)
-    a0, a1, a2 = entanglement_fidelity_coefficients(two_j, theta, f_override)
+    a0, a1, a2 = entanglement_fidelity_coefficients(two_j, theta)
     m = two_m / 2.0
     return a0 + a1 * m + a2 * m * m
 
 
-def heisenberg_average_fidelity(two_j: int, theta: float,
-                                f_override: float | None = None) -> float:
+def heisenberg_average_fidelity(two_j: int, theta: float) -> float:
     """Average fidelity of the gate with the aligned coherent memory |j,j>."""
-    return average_from_entanglement(
-        entanglement_fidelity_given_m(two_j, two_j, theta, f_override), 2)
+    return average_from_entanglement(entanglement_fidelity_given_m(two_j, two_j, theta), 2)
 
 
-def per_input_fidelity(two_j: int, theta: float, polar, azimuth: float = 0.0):
-    """Exact fidelity for target states at polar/azimuth angles from the axis.
-
-    The memory holds the coherent state |j,j> along z, the rotation axis; the
-    target state is cos(polar/2)|up> + exp(i azimuth) sin(polar/2)|down>.  By
-    covariance, any other axis gives the same value at the same relative angles.
-    A scalar ``polar`` gives a float, an array of them an array: one ``apply`` on all
-    the states, each value with the bits of its own call.
-    """
+def per_input_fidelity(two_j: int, theta: float, polar):
+    """Exact fidelity for target states cos(polar/2)|up> + sin(polar/2)|down>, at polar angles
+    from the axis of the memory's coherent state |j,j> along z, the rotation axis.  By
+    covariance any other axis, and any azimuth about it, gives the same value.  A scalar
+    ``polar`` gives a float, an array of them an array: one ``apply`` on all the states, each
+    value with the bits of its own call."""
     gate = heisenberg_unitary(two_j, 1, theta)
     polars = np.asarray(polar, dtype=float)
     flat = polars.ravel().tolist()
     for p in flat:
         _check_theta(p, "polar")
-    _check_theta(azimuth, "azimuth")
     psi = np.array([[math.cos(p / 2.0) for p in flat], [math.sin(p / 2.0) for p in flat]],
                    dtype=complex).T
-    psi[:, 1] *= np.exp(1j * azimuth)
     target = np.diag(np.exp(-0.5j * theta * np.array([1.0, -1.0]))) @ psi[:, :, None]
     vec = np.zeros((len(flat), gate.dim_total), dtype=complex)
     vec[:, :2] = psi

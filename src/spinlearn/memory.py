@@ -98,14 +98,6 @@ def _fixed_schedule(two_j: int, theta: float):
     return fidelity
 
 
-def fidelity_given_m(two_j: int, two_m: int, theta: float,
-                     f_override: float | None = None) -> float:
-    """Exact average fidelity of the strategy run from memory state |j,m>_g."""
-    _check_theta(theta)
-    fe = heisenberg.entanglement_fidelity_given_m(two_j, two_m, theta, f_override)
-    return average_from_entanglement(fe, 2)
-
-
 def fidelity_given_m_asymptote(two_j: int, two_m: int, theta: float) -> float:
     j = _check_nonzero_j(two_j)
     check_valid_m(two_j, two_m)

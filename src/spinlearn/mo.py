@@ -80,30 +80,9 @@ def optimal_theta_prime(two_j: int, theta: float) -> float:
     return math.atan2(k * math.sin(theta), k * c + 2.0 * c + 2.0 * j + 1.0) % _TWO_PI
 
 
-def mo_fopt_formula(two_j: int, theta: float, theta_prime: float) -> float:
-    """Average MO fidelity at probe m = j, seed n = j, for the given theta', as
-    ``_mo_regimes`` takes it at the optimal theta'."""
-    j = spins._check_nonzero_j(two_j)
-    spins._check_theta(theta)
-    tp = spins._check_theta(theta_prime, "theta_prime")
-    return ((4.0 * j + 4.0 + (2.0 * j + 1.0) * math.cos(theta - tp)) / (3.0 * (2.0 * j + 3.0))
-            + ((2.0 * j + 1.0) * (math.cos(theta) + math.cos(tp)) + math.cos(theta + tp) + 1.0)
-            / (3.0 * (j + 1.0) * (2.0 * j + 3.0)))
-
-
-def anomalous_mo_fidelity(theta: float) -> float:
-    """j = 1 average fidelity of the aligned-orbital strategy: 1/3 + (2/5)sin^2(theta/2)."""
-    return _j1_flip_fidelity(spins._check_theta(theta))
-
-
 # With theta' at its optimum, the covariant and aligned-orbital fidelities
 # cross where 19x^2 - 8x - 11 = 0, x = cos(theta), at x = -11/19.
-_J1_MO_THRESHOLD = math.acos(11.0 / 19.0)
-
-
-def j1_mo_threshold() -> float:
-    """Distance |theta - pi| where the j = 1 MO strategy switches probes."""
-    return _J1_MO_THRESHOLD
+J1_MO_THRESHOLD = math.acos(11.0 / 19.0)
 
 
 def _mo_regimes(two_j: int, problem: int, thetas
@@ -112,7 +91,7 @@ def _mo_regimes(two_j: int, problem: int, thetas
     this spin, one per angle of ``thetas``: (2j, problem) are checked once, each theta is
     checked finite and reduced mod 2 pi."""
     _check_regime_args(two_j, problem)
-    threshold = _J1_MO_THRESHOLD if two_j == 2 and problem == 2 else -1.0  # -1: no window
+    threshold = J1_MO_THRESHOLD if two_j == 2 and problem == 2 else -1.0  # -1: no window
     j = two_j / 2.0
     k, twice_j = 2.0 * j * j + 3.0 * j, 2.0 * j
     four_j_plus_4, twice_j_plus_1 = 4.0 * j + 4.0, 2.0 * j + 1.0
@@ -121,7 +100,7 @@ def _mo_regimes(two_j: int, problem: int, thetas
     regimes, two_ms, fidelities, theta_primes = [], [], [], []
     for theta in thetas:
         theta = float(check_theta(theta)) % _TWO_PI
-        if abs(theta - math.pi) > threshold:  # optimal_theta_prime, then mo_fopt_formula
+        if abs(theta - math.pi) > threshold:  # optimal_theta_prime, then the m = n = j fidelity
             c = cos(theta)
             tp = atan2(k * sin(theta), k * c + 2.0 * c + twice_j + 1.0) % _TWO_PI
             regime, two_m, fidelity = "mo_covariant", two_j, (

@@ -166,7 +166,7 @@ def _heisenberg_samples(strategy: HeisenbergStrategy, theta: float,
                         q_g: np.ndarray | None = None):
     two_j, two_k = strategy.two_j, strategy.two_k
     dp, dk = spins.dim(two_j), spins.dim(two_k)
-    gate = heisenberg.heisenberg_unitary(two_j, two_k, theta, strategy.f_override)
+    gate = heisenberg.heisenberg_unitary(two_j, two_k, theta)
     if two_k == 1:  # whole tiles; a band row holds 2 dp reals, ~32 complex scalars
         channel, tables = None, _band_tables(gate.qubit_bands())
         draws = _draws(rng, n, q_g, dk, 2 * dp + 64, _TILE)

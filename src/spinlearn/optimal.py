@@ -157,22 +157,13 @@ def case_fidelity(case: int, two_j: int, two_m: int, theta: float
     return covariant_fidelity(params, two_j, two_m, theta), params
 
 
-def case1_entanglement_fidelity(two_j: int, two_m: int, theta: float) -> float:
-    """Closed form of the case-1 fidelity, (|A| + |B|)^2 / (2j+1)^2, as ``_regimes`` takes it
-    at m = j; |x + iy| is hypot(x, y), as for complex(x, y)."""
-    check_valid_m(two_j, two_m)
-    spins._check_theta(theta)
-    j, m, c, s = two_j / 2.0, two_m / 2.0, math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return (abs(c * (j + 1.0) + s * m * 1j) + abs(c * j - s * m * 1j)) ** 2 / (2 * j + 1) ** 2
-
-
 def case2_alpha(theta: float) -> float:
     """Weight of the stretched block in the j = 1/2 case-2 mixture, defined in the
-    window |theta - pi| <= delta_half() (theta taken mod 2 pi) where that mixture is optimal."""
+    window |theta - pi| <= DELTA_HALF (theta taken mod 2 pi) where that mixture is optimal."""
     spins._check_theta(theta)
-    if abs(float(theta) % (2.0 * math.pi) - math.pi) > _DELTA_HALF:
+    if abs(float(theta) % (2.0 * math.pi) - math.pi) > DELTA_HALF:
         raise ValueError(f"theta={theta!r} lies outside the j = 1/2 case-2 window "
-                         f"|theta - pi| <= {_DELTA_HALF!r}")
+                         f"|theta - pi| <= {DELTA_HALF!r}")
     c = math.cos(theta)
     return (1.0 + 8.0 * c + 9.0 * c * c) / (3.0 * (1.0 + 2.0 * c) ** 2)
 
@@ -180,25 +171,15 @@ def case2_alpha(theta: float) -> float:
 # The case-2 measurement weight alpha(theta) vanishes there (the case-1/case-2
 # fidelities merge tangentially, so the weight is the transversal root):
 # 9c^2 + 8c + 1 = 0 with c = cos(theta), whose root near pi is c = -(4 + sqrt 7)/9.
-_DELTA_HALF = math.acos((4.0 + math.sqrt(7.0)) / 9.0)
+DELTA_HALF = math.acos((4.0 + math.sqrt(7.0)) / 9.0)
 # Case 1 and case 3 meet where (1 + sqrt(1 + 3c^2))^2 = 5.4 (1 - c^2),
 # c = cos(theta/2), which gives cos(pi - theta) = (1 + 5 sqrt 51)/49.
-_DELTA_ONE = math.acos((1.0 + 5.0 * math.sqrt(51.0)) / 49.0)
-
-
-def delta_half() -> float:
-    """Distance |theta - pi| where the j=1/2 strategy transition occurs."""
-    return _DELTA_HALF
-
-
-def delta_one() -> float:
-    """Distance |theta - pi| where case 3 overtakes case 1 for j = 1."""
-    return _DELTA_ONE
+DELTA_ONE = math.acos((1.0 + 5.0 * math.sqrt(51.0)) / 49.0)
 
 
 def _j1_flip_fidelity(theta: float) -> float:
     """1/3 + (2/5) sin^2(theta/2), the j = 1 measure-and-flip average fidelity: the quantum
-    optimum of problem 2 within delta_one() of pi, the classical one within arccos(11/19)."""
+    optimum of problem 2 within DELTA_ONE of pi, the classical one within arccos(11/19)."""
     return 1.0 / 3.0 + 0.4 * math.sin(theta / 2.0) ** 2
 
 
@@ -209,7 +190,7 @@ def _regimes(two_j: int, problem: int, thetas) -> tuple[list[str], list[int], li
     x = cos(theta), here in y = 1 + 2x, which rounds less; in the j = 1 window case 3 gives
     ``_j1_flip_fidelity``; elsewhere case 1."""
     _check_regime_args(two_j, problem)
-    window = _DELTA_HALF if two_j == 1 else _DELTA_ONE if two_j == 2 and problem == 2 else -1.0
+    window = DELTA_HALF if two_j == 1 else DELTA_ONE if two_j == 2 and problem == 2 else -1.0
     j = two_j / 2.0
     j_plus_1, norm = j + 1.0, (2 * j + 1) ** 2
     check_theta, cos, sin = spins._check_theta, math.cos, math.sin
@@ -324,7 +305,7 @@ def case_choi_channel(strategy: CaseChoiStrategy) -> KrausChannel:
     m = two_m / 2.0
     spins._check_theta(theta)
     angle = heisenberg._f_angle_from_moments(two_j, math.sin(theta), math.cos(theta), m, m * m)
-    gate = heisenberg.heisenberg_unitary(two_j, 1, theta, f_override=angle)
+    gate = heisenberg.HeisenbergGate(two_j=two_j, two_k=1, theta=float(theta), angle=angle)
     g = gate.apply(np.eye(gate.dim_total, dtype=complex)).T
     return KrausChannel(kraus=tuple(g.reshape(dim(two_j), 2, -1)), dim_in=gate.dim_total,
                         dim_out=2)

@@ -232,13 +232,24 @@ def _log_sqrt_binomials(two_j: int) -> np.ndarray:
 
 _LOG_FACTORIALS = [0.0]  # log n! = math.lgamma(n + 1) for n = 0, 1, ..., grown on demand
 _LOG_FACTORIALS_GROWING = threading.Lock()  # held from reading the table's length to extending it
+_LOG_FACTORIALS_MAX = 1 << 16  # bound: a qubit-target gate's tables up to 2j ~ 65,000
 
 
-def _log_factorials(n: int) -> list[float]:
-    """The module table of log k!, k = 0..n at least, each entry ``math.lgamma(k + 1)``
-    computed once; a negative n raises rather than reading the table from its end."""
+class _LgammaLogFactorials:
+    """log k! as ``math.lgamma(k + 1)`` on each read: the table's floats, held nowhere."""
+
+    def __getitem__(self, k: int) -> float:
+        return math.lgamma(k + 1)
+
+
+def _log_factorials(n: int):
+    """log k!, k = 0..n at least, as ``math.lgamma(k + 1)``: the module table, each entry
+    computed once, below ``_LOG_FACTORIALS_MAX``, one lgamma call per read from there on, so
+    memory does not grow with the spins; a negative n raises, not reading the table's end."""
     if n < 0:
         raise InvalidQuantumNumbersError(f"negative factorial argument {n}")
+    if n >= _LOG_FACTORIALS_MAX:
+        return _LgammaLogFactorials()
     with _LOG_FACTORIALS_GROWING:
         _LOG_FACTORIALS.extend(map(math.lgamma, range(len(_LOG_FACTORIALS) + 1, n + 2)))
     return _LOG_FACTORIALS

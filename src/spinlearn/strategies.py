@@ -16,7 +16,6 @@ from ._record import Record, record
 class HeisenbergStrategy(Record):
     two_j: int
     two_k: int = 1
-    f_override: float | None = None
 
 
 @record

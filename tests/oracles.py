@@ -491,6 +491,15 @@ def covariant_choi_build(params: optimal.CovariantChoiParams, two_j: int) -> Cho
     return choi
 
 
+def case1_entanglement_fidelity(two_j: int, two_m: int, theta: float) -> float:
+    """Closed form of the case-1 fidelity, (|A| + |B|)^2 / (2j+1)^2, as ``_regimes`` takes it
+    at m = j; |x + iy| is hypot(x, y), as for complex(x, y)."""
+    spins.check_valid_m(two_j, two_m)
+    spins._check_theta(theta)
+    j, m, c, s = two_j / 2.0, two_m / 2.0, math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return (abs(c * (j + 1.0) + s * m * 1j) + abs(c * j - s * m * 1j)) ** 2 / (2 * j + 1) ** 2
+
+
 def brute_force_optimum(two_j: int, two_m: int, theta: float,
                         grid_resolution: int = 64) -> float:
     """Grid-plus-refinement maximization of the covariant fidelity.
@@ -540,6 +549,17 @@ def brute_force_optimum(two_j: int, two_m: int, theta: float,
         span_p *= 0.5
         span_m *= 0.5
     return float(best)
+
+
+def mo_fopt_formula(two_j: int, theta: float, theta_prime: float) -> float:
+    """Average MO fidelity at probe m = j, seed n = j, for the given theta', as
+    ``_mo_regimes`` takes it at the optimal theta'."""
+    j = spins._check_nonzero_j(two_j)
+    spins._check_theta(theta)
+    tp = spins._check_theta(theta_prime, "theta_prime")
+    return ((4.0 * j + 4.0 + (2.0 * j + 1.0) * math.cos(theta - tp)) / (3.0 * (2.0 * j + 3.0))
+            + ((2.0 * j + 1.0) * (math.cos(theta) + math.cos(tp)) + math.cos(theta + tp) + 1.0)
+            / (3.0 * (j + 1.0) * (2.0 * j + 3.0)))
 
 
 def cos_beta_quantiles_by_bisection(two_j: int, two_m: int, xi_two_n: int,

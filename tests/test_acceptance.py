@@ -46,7 +46,7 @@ def test_criterion_2_realization_equivalence():
     for two_j in range(1, 41):
         for theta in np.linspace(0.0, 2 * math.pi, 50, endpoint=False):
             gap = abs(entanglement_fidelity_given_m(two_j, two_j, float(theta))
-                      - optimal.case1_entanglement_fidelity(two_j, two_j, float(theta)))
+                      - oracles.case1_entanglement_fidelity(two_j, two_j, float(theta)))
             worst = max(worst, gap)
     assert worst < 1e-12
     elapsed = time.monotonic() - start
@@ -67,12 +67,12 @@ def test_criterion_3_asymptotic_rates():
 
 def test_criterion_4_regime_transitions():
     closed = math.acos((4 + math.sqrt(7)) / 9)
-    assert abs(optimal.delta_half() - closed) < 1e-9
-    assert abs(optimal.delta_one() - 0.23 * math.pi) < 0.005 * math.pi
-    assert abs(mo.j1_mo_threshold() - 0.303 * math.pi) < 0.005 * math.pi
-    _report(4, f"delta_1/2={optimal.delta_half()/math.pi:.6f}pi, "
-               f"delta_1={optimal.delta_one()/math.pi:.4f}pi, "
-               f"mo threshold={mo.j1_mo_threshold()/math.pi:.4f}pi")
+    assert abs(optimal.DELTA_HALF - closed) < 1e-9
+    assert abs(optimal.DELTA_ONE - 0.23 * math.pi) < 0.005 * math.pi
+    assert abs(mo.J1_MO_THRESHOLD - 0.303 * math.pi) < 0.005 * math.pi
+    _report(4, f"delta_1/2={optimal.DELTA_HALF/math.pi:.6f}pi, "
+               f"delta_1={optimal.DELTA_ONE/math.pi:.4f}pi, "
+               f"mo threshold={mo.J1_MO_THRESHOLD/math.pi:.4f}pi")
 
 
 def test_criterion_5_zero_advantage_points():

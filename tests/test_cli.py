@@ -294,7 +294,7 @@ def test_recycle_rows_are_the_library_schedule(n_uses):
                 "--n-uses", str(n_uses)]
         args = cli.build_parser().parse_args(argv)
         (theta,) = cli._sweep_thetas(args)
-        rows = cli.cmd_recycle(args, [theta])
+        rows = list(cli.cmd_recycle(args, [theta]))
         assert len(rows) == len(two_js) * n_uses
         for k, two_j in enumerate(two_js):
             fm = mo.mo_average_fidelity(two_j, theta)
@@ -365,6 +365,34 @@ def test_an_unwritable_out_exits_two(argv, tmp_path, capsys):
     assert run_cli([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"error: cannot write --out {str(out)!r}: "
                                        "No such file or directory\n")
+
+
+def _never(*args):
+    raise AssertionError("the command ran before --out was checked")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n-samples", "100000", "--seed", "7"],
+                                  ["benchmark", "--two-j", "3", "--theta-grid", "20000"]],
+                         ids=["verify", "sweep"])
+@pytest.mark.parametrize("missing", [True, False], ids=["missing_dir", "a_dir"])
+def test_an_unwritable_out_exits_two_before_any_work(argv, missing, tmp_path, monkeypatch,
+                                                      capsys):
+    # at the parent all seven checks or the whole sweep ran, and then the write failed
+    monkeypatch.setattr(cli, "_verify_checks", _never)
+    monkeypatch.setitem(cli.SWEEPS, "benchmark", _never)
+    out = str(tmp_path / "missing" / "x" if missing else tmp_path)
+    reason = "No such file or directory" if missing else "Is a directory"
+    assert run_cli([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: cannot write --out {out!r}: {reason}\n"
+
+
+def test_a_writable_out_is_left_alone_when_the_command_fails(tmp_path, capsys):
+    # the early check opens nothing: a usage error found later leaves the file as it was
+    out = tmp_path / "kept.csv"
+    out.write_text("kept\n")
+    assert run_cli(["optimal", "--two-j", "0", "--theta", "1.0", "--out", str(out)]) == 2
+    assert "two_j" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 def test_spin_zero_memory_exits_two(capsys):
@@ -616,8 +644,10 @@ def test_cells_print_alike_in_csv_and_json(tmp_path):
            "np_float": np.float64(2 / 3), "str": "case1", "nan": math.nan, "inf": math.inf,
            "ninf": -math.inf}
     csv_out, json_out = tmp_path / "row.csv", tmp_path / "row.json"
-    cli.write_rows([row], "csv", str(csv_out))
-    cli.write_rows([row], "json", str(json_out))
+    rows = cli._Sweep(list(row))
+    rows.add(1, *row.values())
+    cli.write_rows(rows, "csv", str(csv_out))
+    cli.write_rows(rows, "json", str(json_out))
     assert csv_out.read_text().split("\n")[1] == (
         "true,false,3,7,0.333333333333,0.666666666667,case1,nan,inf,-inf")
     (cells,) = _strict_json(json_out.read_text())
@@ -662,17 +692,22 @@ def test_sweeps_print_the_pinned_bytes(command, problem, capsys):
 
 def test_block_rows_print_as_their_row_dicts(tmp_path):
     # the block writer formats a shared (tuple) grid once and a block's shared value once per
-    # block; the text is the one the rows print as plain dicts, 0.0 and -0.0, True and 1 included
+    # block; the text is the one the rows print as one-row blocks of their own values, 0.0 and
+    # -0.0, True and 1 included
     rows = cli._Sweep(["two_j", "grid", "flag", "value", "label"])
     grid = (0.0, -0.0, 1.0, 2.5)
     rows.add(4, 1, grid, True, [1, True, 0.0, -0.0], "a")
     rows.add(4, -0.0, grid, 1, [np.float64(0.5), math.nan, -math.inf, 7], "b")
     assert len(rows) == 8
-    assert rows[6] == {"two_j": -0.0, "grid": 1.0, "flag": 1, "value": -math.inf, "label": "b"}
+    assert list(rows)[6] == {"two_j": -0.0, "grid": 1.0, "flag": 1, "value": -math.inf,
+                             "label": "b"}
+    single = cli._Sweep(rows.fields)
+    for row in rows:
+        single.add(1, *row.values())
     for fmt in ("csv", "json"):
         blocks, dicts = tmp_path / f"blocks.{fmt}", tmp_path / f"dicts.{fmt}"
         cli.write_rows(rows, fmt, str(blocks))
-        cli.write_rows(list(rows), fmt, str(dicts))
+        cli.write_rows(single, fmt, str(dicts))
         assert blocks.read_text() == dicts.read_text()
     assert (tmp_path / "blocks.csv").read_text().splitlines()[1:] == [
         "1,0,true,1,a", "1,-0,true,true,a", "1,1,true,0,a", "1,2.5,true,-0,a",

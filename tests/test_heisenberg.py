@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import (coupled_basis_vectors, coupling_sectors_by_racah, gate_channel, gate_matrix,
-                     per_input_fidelity_by_point, su2_from_quaternion, worst_case_by_point)
+from oracles import (case1_entanglement_fidelity, coupled_basis_vectors, coupling_sectors_by_racah,
+                     gate_channel, gate_matrix, per_input_fidelity_by_point, su2_from_quaternion,
+                     worst_case_by_point)
 from spinlearn import heisenberg, mo, optimal, spins
 from spinlearn.heisenberg import (
+    HeisenbergGate,
     entanglement_fidelity_given_m,
     f_angle,
     heisenberg_unitary,
@@ -99,9 +101,8 @@ def test_qubit_bands_rebuild_the_dense_gate(two_j):
     # the gate conserves total M: its four bands hold every nonzero entry, with the bits
     # of gate_matrix, whose columns come from the same apply
     i = np.arange(two_j + 1)
-    for theta, f_override in [(0.0, None), (1.0, None), (math.pi, None), (5.0, None),
-                              (1.0, 2.3)]:
-        gate = heisenberg_unitary(two_j, 1, theta, f_override)
+    gates = [heisenberg_unitary(two_j, 1, theta) for theta in (0.0, 1.0, math.pi, 5.0)]
+    for gate in gates + [HeisenbergGate(two_j=two_j, two_k=1, theta=1.0, angle=2.3)]:
         d0, d1, up, lo = gate.qubit_bands()
         dense = np.zeros((gate.dim_total, gate.dim_total), dtype=complex)
         dense[2 * i, 2 * i] = d0
@@ -217,15 +218,15 @@ def test_gate_three_term_expansion_j5():
 def test_closed_form_fidelity_values():
     assert entanglement_fidelity_given_m(7, 7, 0.0) == pytest.approx(1.0, abs=1e-12)
     assert entanglement_fidelity_given_m(3, 3, math.pi) == pytest.approx(0.5625, abs=1e-12)
-    suboptimal = entanglement_fidelity_given_m(4, 4, math.pi, f_override=math.pi / 2)
-    assert suboptimal < 0.64 - 1e-6
+    a0, a1, a2 = heisenberg._coefficients(4, math.sin(math.pi), math.cos(math.pi), math.pi / 2)
+    assert a0 + 2 * a1 + 4 * a2 < 0.64 - 1e-6  # m = j = 2 at the angle pi / 2, not f(pi)
 
 
 @pytest.mark.parametrize("two_j", list(range(1, 41)))
 def test_closed_form_equals_case1_optimum(two_j):
     for theta in np.linspace(0.0, 2 * math.pi, 50, endpoint=False):
         fh = entanglement_fidelity_given_m(two_j, two_j, float(theta))
-        f1 = optimal.case1_entanglement_fidelity(two_j, two_j, float(theta))
+        f1 = case1_entanglement_fidelity(two_j, two_j, float(theta))
         assert abs(fh - f1) < 1e-12
 
 
@@ -234,8 +235,12 @@ def test_f_maximizes_closed_form():
         for theta in (0.7, 2.0, 2.9, 4.5):
             f = f_angle(two_j, theta)
             eps = 1e-5
-            deriv = (entanglement_fidelity_given_m(two_j, two_j, theta, f + eps)
-                     - entanglement_fidelity_given_m(two_j, two_j, theta, f - eps)) / (2 * eps)
+
+            def fidelity(angle, m=two_j / 2):
+                a0, a1, a2 = heisenberg._coefficients(two_j, math.sin(theta), math.cos(theta),
+                                                      angle)
+                return a0 + a1 * m + a2 * m * m
+            deriv = (fidelity(f + eps) - fidelity(f - eps)) / (2 * eps)
             assert abs(deriv) < 1e-6
 
 
@@ -280,7 +285,8 @@ def test_worst_case_below_average():
 
 def test_per_input_fidelity_rotation_invariant(rng):
     # rotate the axis by g: probe U_g|j,j>, input state V_g psi and target
-    # V_g R_z(theta) V_g^dag (V_g psi), with psi at the same angles from the axis
+    # V_g R_z(theta) V_g^dag (V_g psi), with psi at the same angles from the axis; the
+    # value at azimuth 0.3 is the library's, which takes azimuth 0
     two_j, theta, polar, azimuth = 6, 2.2, 0.9, 0.3
     gate = heisenberg_unitary(two_j, 1, theta)
     psi0 = np.array([math.cos(polar / 2), np.exp(1j * azimuth) * math.sin(polar / 2)])
@@ -293,26 +299,27 @@ def test_per_input_fidelity_rotation_invariant(rng):
         target = vg @ v_theta @ vg.conj().T @ psi
         out = gate.apply(np.kron(probe, psi)).reshape(-1, 2)
         rotated = float(np.sum(np.abs(out @ target.conj()) ** 2))
-        assert per_input_fidelity(two_j, theta, polar, azimuth) == pytest.approx(rotated, abs=1e-10)
+        assert per_input_fidelity(two_j, theta, polar) == pytest.approx(rotated, abs=1e-10)
 
 
-@pytest.mark.parametrize("name", ["polar", "azimuth"])
+@pytest.mark.parametrize("name", ["polar"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_per_input_fidelity_names_a_non_finite_angle(name, value):
     # unchecked, a nan returned nan and an infinite polar angle raised a bare
     # "math domain error"
-    angles = {"polar": 0.7, "azimuth": 0.2, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        per_input_fidelity(4, 1.3, **angles)
+        per_input_fidelity(4, 1.3, **{name: value})
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 8, 21])
 def test_per_input_fidelity_independent_of_azimuth(two_j):
+    # the library takes azimuth 0; the point oracle puts the target state at any azimuth
     for theta in (0.3, 1.0, math.pi / 2, math.pi, 4.4):
         for polar in (0.0, 0.4, math.pi / 2, 2.5, math.pi):
-            ref = per_input_fidelity(two_j, theta, polar, 0.0)
+            ref = per_input_fidelity(two_j, theta, polar)
             for azimuth in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)[1:]:
-                assert abs(per_input_fidelity(two_j, theta, polar, azimuth) - ref) <= 1e-9
+                got = per_input_fidelity_by_point(two_j, theta, polar, azimuth)
+                assert abs(got - ref) <= 1e-9
 
 
 _BATCH_THETAS = (0.01, 1.0, math.pi / 2, 2.5, math.pi)
@@ -322,13 +329,10 @@ _BATCH_THETAS = (0.01, 1.0, math.pi / 2, 2.5, math.pi)
 def test_batched_per_input_fidelity_keeps_each_point_bits(two_j):
     # one apply on 60 target states gives each state's own one-vector value, bit for bit
     polars = np.linspace(0.0, math.pi, 60)
-    azimuth = float(np.random.default_rng(two_j).uniform(0.0, 2.0 * math.pi))
     for theta in _BATCH_THETAS:
-        for phi in (0.0, azimuth):
-            got = per_input_fidelity(two_j, theta, polars, phi)
-            assert got.shape == polars.shape
-            assert got.tolist() == [per_input_fidelity_by_point(two_j, theta, p, phi)
-                                    for p in polars]
+        got = per_input_fidelity(two_j, theta, polars)
+        assert got.shape == polars.shape
+        assert got.tolist() == [per_input_fidelity_by_point(two_j, theta, p) for p in polars]
     value = per_input_fidelity(two_j, 1.0, np.float64(0.7))
     assert type(value) is float and value == per_input_fidelity_by_point(two_j, 1.0, 0.7)
     assert per_input_fidelity(two_j, 1.0, polars.reshape(6, 10)).shape == (6, 10)
@@ -492,16 +496,16 @@ def test_spin_k_qubit_consistency(two_j, two_k, theta):
 
 @pytest.mark.parametrize("call", [
     lambda: heisenberg.entanglement_fidelity_given_m(4, 4, math.nan),
-    lambda: heisenberg.entanglement_fidelity_given_m(4, 4, math.nan, f_override=1.0),
+    lambda: heisenberg.entanglement_fidelity_coefficients(4, math.nan),
     lambda: heisenberg.heisenberg_average_fidelity(4, math.inf),
     lambda: heisenberg.f_angle(4, math.nan),
-    lambda: heisenberg.entanglement_fidelity_given_m(4, 2, math.nan, f_override=1.0),
+    lambda: heisenberg.entanglement_fidelity_given_m(4, 2, math.nan),
     lambda: heisenberg.heisenberg_unitary(4, 2, -math.inf),
     lambda: heisenberg.spin_k_fidelity(4, 2, math.nan, "exact"),
     lambda: heisenberg.spin_k_fidelity(4, 2, math.nan, "asymptotic"),
     lambda: heisenberg.spin_k_worst_case_asymptotic(4, 2, math.inf),
     lambda: heisenberg.worst_case_fidelity(4, math.nan),
-], ids=["entanglement_nan", "entanglement_override_nan", "average_inf", "f_angle_nan",
+], ids=["entanglement_nan", "coefficients_nan", "average_inf", "f_angle_nan",
         "given_m_nan", "unitary_inf", "spin_k_exact_nan", "spin_k_asymptotic_nan",
         "spin_k_worst_inf", "worst_case_nan"])
 def test_non_finite_theta_is_named(call):
@@ -509,19 +513,3 @@ def test_non_finite_theta_is_named(call):
     # bare "math domain error"
     with pytest.raises(ValueError, match="^theta must be finite"):
         call()
-
-
-@pytest.mark.parametrize("f_override", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("call", [
-    lambda f: heisenberg_unitary(4, 1, 1.0, f),
-    lambda f: heisenberg_unitary(4, 2, 1.0, f),
-    lambda f: heisenberg.entanglement_fidelity_coefficients(4, 1.0, f),
-    lambda f: heisenberg.entanglement_fidelity_given_m(4, 2, 1.0, f),
-    lambda f: entanglement_fidelity_given_m(4, 4, 1.0, f),
-    lambda f: heisenberg.heisenberg_average_fidelity(4, 1.0, f_override=f),
-], ids=["unitary", "unitary_spin_k", "coefficients", "given_m", "entanglement", "average"])
-def test_non_finite_f_override_is_named(call, f_override):
-    # at the parent the gate came back all-NaN, the closed forms returned nan, and
-    # f_override = inf raised a bare "math domain error"
-    with pytest.raises(ValueError, match="^f_override must be finite"):
-        call(f_override)

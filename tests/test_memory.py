@@ -20,13 +20,12 @@ from oracles import (
     tricomi_weights_by_double_sum,
     uses_before_by_scan,
 )
-from spinlearn import memory, optimal
-from spinlearn.channels import entanglement_fidelity
+from spinlearn import heisenberg, memory, optimal
+from spinlearn.channels import average_from_entanglement, entanglement_fidelity
 from spinlearn.heisenberg import _golden_minimize, f_angle, heisenberg_unitary
 from spinlearn.memory import (
     MemoryDistribution,
     SignedWeights,
-    fidelity_given_m,
     fidelity_given_m_asymptote,
     longevity,
     persistence,
@@ -219,6 +218,12 @@ def test_tricomi_weights_are_signed_not_a_distribution():
 
 # --- per-state fidelity and recycling ---------------------------------------
 
+def fidelity_given_m(two_j, two_m, theta):
+    """The average fidelity of the gate run from memory state |j,m>_g."""
+    fe = heisenberg.entanglement_fidelity_given_m(two_j, two_m, theta)
+    return average_from_entanglement(fe, 2)
+
+
 def test_fidelity_given_m_aligned_equals_optimum():
     for two_j, theta in ((6, 2.0), (20, math.pi)):
         assert fidelity_given_m(two_j, two_j, theta) == pytest.approx(
@@ -237,8 +242,6 @@ def test_fidelity_given_m_matches_generic_channel_route():
         probe[(two_j - two_m) // 2] = 1.0
         v = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
         fe = entanglement_fidelity(gate_channel(gate), probe, v).value
-        from spinlearn.channels import average_from_entanglement
-
         assert fidelity_given_m(two_j, two_m, theta) == pytest.approx(
             average_from_entanglement(fe, 2), abs=1e-12)
 

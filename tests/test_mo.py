@@ -9,22 +9,22 @@ from oracles import (
     channel_choi,
     choi_from_kraus,
     identity_choi,
+    mo_fopt_formula,
     quat_multiply,
     unital_bell_reality_check,
 )
 from spinlearn import channels, mo, spins
 from spinlearn.channels import average_from_entanglement
 from spinlearn.memory import _bisect
+from spinlearn.optimal import _j1_flip_fidelity
 from spinlearn.mo import (
     MOParams,
+    J1_MO_THRESHOLD,
     _povm_outcome_offsets,
-    anomalous_mo_fidelity,
     gamma_weights,
-    j1_mo_threshold,
     mo_average_fidelity,
     mo_element_fidelity,
     mo_fidelity_samples,
-    mo_fopt_formula,
     mo_mc_oracle,
     mo_optimal_fidelity,
     optimal_theta_prime,
@@ -118,14 +118,14 @@ def test_mo_identity_angle_collapses_to_one():
 
 
 def test_j1_threshold_value():
-    assert abs(j1_mo_threshold() - 0.303 * math.pi) < 0.005 * math.pi
+    assert abs(J1_MO_THRESHOLD - 0.303 * math.pi) < 0.005 * math.pi
 
     # the arccosine against a bisection of the crossing it replaced
     def gap(th):
-        return mo_fopt_formula(2, th, optimal_theta_prime(2, th)) - anomalous_mo_fidelity(th)
+        return mo_fopt_formula(2, th, optimal_theta_prime(2, th)) - _j1_flip_fidelity(th)
 
     root = _bisect(gap, 1.8, math.pi - 1e-12, tol=1e-15)
-    assert abs(math.pi - root - j1_mo_threshold()) < 1e-12
+    assert abs(math.pi - root - J1_MO_THRESHOLD) < 1e-12
 
 
 def test_mo_formula_equals_element_route():
@@ -338,9 +338,9 @@ def test_anomalous_strategy_dominates_inside_window_only():
     th_in = math.pi - 0.2
     th_out = math.pi - 0.4 * math.pi
     tp_in = optimal_theta_prime(2, th_in)
-    assert anomalous_mo_fidelity(th_in) > mo_fopt_formula(2, th_in, tp_in)
+    assert _j1_flip_fidelity(th_in) > mo_fopt_formula(2, th_in, tp_in)
     tp_out = optimal_theta_prime(2, th_out)
-    assert anomalous_mo_fidelity(th_out) < mo_fopt_formula(2, th_out, tp_out)
+    assert _j1_flip_fidelity(th_out) < mo_fopt_formula(2, th_out, tp_out)
     # leading-order MO error: 2k(2k+1)(1-cos)/3j = 0.02 at j=200, k=1
     assert spin_k_mo_asymptote(400, 2, math.pi) == pytest.approx(0.98, abs=1e-12)
 
@@ -445,10 +445,11 @@ def test_non_finite_theta_is_rejected_before_sampling():
     lambda theta: gamma_weights(theta, 1.0),
     lambda theta: optimal_theta_prime(4, theta),
     lambda theta: mo_fopt_formula(4, theta, 1.0),
-    anomalous_mo_fidelity,
+    lambda theta: mo_average_fidelity(2, theta, 2),
 ], ids=["gamma_weights", "optimal_theta_prime", "mo_fopt_formula", "anomalous"])
 def test_formula_helpers_name_a_non_finite_theta(call, theta):
-    # at the parent these returned nan or raised a bare "math domain error"
+    # at the parent these returned nan or raised a bare "math domain error"; the j = 1
+    # anomalous fidelity is read through the regime evaluator, which checks theta first
     with pytest.raises(ValueError, match="^theta must be finite"):
         call(theta)
 

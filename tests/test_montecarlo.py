@@ -68,7 +68,7 @@ def test_unot_mixture_values():
     assert est.std_error < 5e-4
     # alpha = 0 reduces to the plain interaction gate
     a = mc_average_fidelity(UNotMixture(alpha=0.0), 2.2, 50000, seed=104)
-    b = optimal.case1_entanglement_fidelity(1, 1, 2.2)
+    b = oracles.case1_entanglement_fidelity(1, 1, 2.2)
     assert a.n_sigma(average_from_entanglement(b, 2)) < 4.0
 
 
@@ -127,7 +127,7 @@ def test_fidelity_reduction_relation_on_random_points(rng):
     for _ in range(20):
         two_j = int(rng.integers(1, 6))
         theta = float(rng.uniform(0.1, 2 * math.pi - 0.1))
-        gate_fe = optimal.case1_entanglement_fidelity(two_j, two_j, theta)
+        gate_fe = oracles.case1_entanglement_fidelity(two_j, two_j, theta)
         est = mc_average_fidelity(HeisenbergStrategy(two_j=two_j), theta, N,
                                   seed=int(rng.integers(0, 2**31)))
         assert est.n_sigma(average_from_entanglement(gate_fe, 2)) < 4.0
@@ -341,12 +341,12 @@ def test_default_sample_blocks_leave_samples_bit_identical():
                          montecarlo._TILE, None)
 
 
-def _joint_vector_reference(monkeypatch, strategy):
+def _joint_vector_reference(monkeypatch):
     """Route the qubit-target Heisenberg sampler through the joint vectors of the exact
     probe states U_g|j,m> and ``HeisenbergGate.apply``, on the same random inputs."""
     def joint_vectors(two_j, two_m, q_g, psi, theta, channel=None, tables=None):
         assert tables is not None and channel is None
-        gate = heisenberg.heisenberg_unitary(two_j, 1, theta, strategy.f_override)
+        gate = heisenberg.heisenberg_unitary(two_j, 1, theta)
         probe = spins.rotated_basis_states_batch(two_j, q_g, two_m)
         joint = np.einsum("np,nk->npk", probe, psi).reshape(len(probe), -1)
         return montecarlo._conditional_fidelity_channel_output(
@@ -359,8 +359,10 @@ def _joint_vector_reference(monkeypatch, strategy):
 @pytest.mark.parametrize("two_j", [1, 2, 3, 20, 101, 400])
 @pytest.mark.parametrize("path", ["heisenberg", "thermal", "fixed_g", "f_override"])
 def test_band_scores_match_joint_vector_scores(monkeypatch, two_j, path):
-    inner = HeisenbergStrategy(two_j=two_j, f_override=0.9 if path == "f_override" else None)
+    inner = HeisenbergStrategy(two_j=two_j)
     strategy = ThermalWrapped(inner, 0.5) if path == "thermal" else inner
+    if path == "f_override":  # both routes build their gate at the angle 0.9, not at f(theta)
+        monkeypatch.setattr(heisenberg, "f_angle", lambda two_j, theta: 0.9)
     n, q_g = 300, _FIXED_Q if path == "fixed_g" else None  # the per_rotation_fidelity path
     for theta in (0.4, math.pi, 4.0):
         def samples():
@@ -368,7 +370,7 @@ def test_band_scores_match_joint_vector_scores(monkeypatch, two_j, path):
                 strategy, theta, np.random.default_rng(8), n, q_g=q_g)))
         bands = samples()
         with monkeypatch.context() as patched:
-            _joint_vector_reference(patched, inner)
+            _joint_vector_reference(patched)
             joint = samples()
         assert np.max(np.abs(bands - joint)) < 1e-14
 
@@ -477,14 +479,6 @@ def test_band_scores_match_exact_phases(two_j):
                     amp += t1 * s0 * lo[i] * probe[i + 1]
                 total += abs(amp) ** 2
             assert abs(expected - float(total)) < 2e-15
-
-
-@pytest.mark.parametrize("f_override", [math.nan, math.inf])
-def test_non_finite_f_override_is_rejected_before_sampling(monkeypatch, f_override):
-    # at the parent: "fidelity nan outside [0, 1]" after every sample was drawn
-    monkeypatch.setattr(montecarlo, "sample_pure_states", None)  # any draw would fail
-    with pytest.raises(ValueError, match="^f_override must be finite"):
-        mc_average_fidelity(HeisenbergStrategy(two_j=4, f_override=f_override), 1.0, 10, seed=0)
 
 
 def test_strategy_validation_errors():

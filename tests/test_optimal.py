@@ -10,10 +10,12 @@ from oracles import (
     apply_channel,
     apply_choi,
     brute_force_optimum,
+    case1_entanglement_fidelity,
     channel_choi,
     choi_from_kraus,
     covariant_choi_build,
     kraus_from_choi,
+    mo_fopt_formula,
     rotation_irrep,
     su2_from_quaternion,
     tp_residuals,
@@ -25,15 +27,14 @@ from spinlearn import channels, mo, optimal, spins
 from spinlearn.channels import KrausChannel, average_from_entanglement, entanglement_fidelity
 from spinlearn.memory import _bisect
 from spinlearn.optimal import (
+    DELTA_HALF,
+    DELTA_ONE,
     CaseNotApplicableError,
     CovariantChoiParams,
-    case1_entanglement_fidelity,
     case2_alpha,
     case_choi_channel,
     case_fidelity,
     covariant_fidelity,
-    delta_half,
-    delta_one,
     discrete_xyz_channel,
     discrete_xyz_projectors,
     optimal_average_fidelity,
@@ -158,6 +159,27 @@ def test_case_choi_channel_is_the_gate_at_f_m_on_an_angle_grid(two_j):
                for theta in np.linspace(0.0, 2.0 * math.pi, 37)) < 1e-13
 
 
+# SHA-256 of each case-1 channel's Kraus operators, stacked as one (2j+1, 2, 2(2j+1)) complex
+# array, measured before the channel built its gate at f_m directly
+_CASE_CHOI_KRAUS_DIGESTS = {
+    (1, 1, 2.2): "56d6b969387073690d25b236d8153b5b0a772b5dba7305ba63f1bcbce29e30af",
+    (4, 2, 1.0): "661c5e5834182a4dcabc4d77c902b3ffdf430022945e479e11d5a6a1ceb40e2f",
+    (9, -3, 2.5): "cbb6a263bba0c61427b9c4517ee345f5e1799029fe7e53622aa9f5a1ca89f95a",
+    (32, 32, math.pi): "cc03e5aea85d3411f0276d339fc2be1341a0d8461cdca5ab7d002c19af7bd36e",
+}
+
+
+@pytest.mark.parametrize("two_j, two_m, theta", list(_CASE_CHOI_KRAUS_DIGESTS))
+def test_case_choi_channel_keeps_its_kraus_bits(two_j, two_m, theta):
+    import hashlib
+
+    channel = case_choi_channel(CaseChoiStrategy(1, two_j, two_m, theta))
+    kraus = np.array(channel.kraus, dtype=complex)
+    assert kraus.shape == (two_j + 1, 2, 2 * (two_j + 1))
+    assert (hashlib.sha256(kraus.tobytes()).hexdigest()
+            == _CASE_CHOI_KRAUS_DIGESTS[two_j, two_m, theta])
+
+
 @pytest.mark.parametrize("two_j", range(13))
 def test_conjugation_operator_is_the_exact_signed_permutation(two_j):
     index, phase = _conjugation_operator(two_j)
@@ -277,8 +299,8 @@ def test_case_applicability_errors():
 
 
 def test_delta_thresholds():
-    assert abs(delta_half() - math.acos((4 + math.sqrt(7)) / 9)) < 1e-15
-    assert abs(delta_one() - 0.23 * math.pi) < 0.005 * math.pi
+    assert abs(DELTA_HALF - math.acos((4 + math.sqrt(7)) / 9)) < 1e-15
+    assert abs(DELTA_ONE - 0.23 * math.pi) < 0.005 * math.pi
 
     # the arccosines against bisections of the gaps they replaced
     def alpha_numerator(th):
@@ -287,9 +309,9 @@ def test_delta_thresholds():
     def case1_minus_case3(th):
         return case1_entanglement_fidelity(2, 2, th) - case_fidelity(3, 2, 0, th)[0]
 
-    assert abs(math.pi - _bisect(alpha_numerator, 2.0, 2.8, tol=1e-15) - delta_half()) < 1e-12
+    assert abs(math.pi - _bisect(alpha_numerator, 2.0, 2.8, tol=1e-15) - DELTA_HALF) < 1e-12
     assert abs(math.pi - _bisect(case1_minus_case3, 2.0, math.pi - 1e-12, tol=1e-15)
-               - delta_one()) < 1e-12
+               - DELTA_ONE) < 1e-12
 
 
 def test_optimal_fidelity_headline_values():
@@ -326,7 +348,7 @@ def test_optimal_fidelity_regimes():
     assert rep.regime == "case1"
     assert isinstance(rep.strategy, HeisenbergStrategy)
     # outside the window for j = 1 problem 2
-    rep = optimal_fidelity(2, math.pi - delta_one() - 0.01, problem=2)
+    rep = optimal_fidelity(2, math.pi - DELTA_ONE - 0.01, problem=2)
     assert rep.regime == "case1"
 
 
@@ -344,7 +366,7 @@ def test_quantum_beats_classical():
         theta = float(rng.uniform(0.05, 2 * math.pi - 0.05))
         fq = optimal_average_fidelity(two_j, theta)
         fm = mo.mo_average_fidelity(two_j, theta)
-        anomaly = (two_j == 2 and abs(theta - math.pi) <= mo.j1_mo_threshold())
+        anomaly = (two_j == 2 and abs(theta - math.pi) <= mo.J1_MO_THRESHOLD)
         j_half_pi = (two_j == 1 and abs(theta - math.pi) < 1e-9)
         if anomaly or j_half_pi:
             assert fq >= fm - 1e-9
@@ -390,8 +412,8 @@ def _flip_exact(theta):
 
 
 @pytest.mark.parametrize("two_j, case, two_m, delta, regime, exact", [
-    (1, 2, 1, delta_half(), "case2_mixture", _case2_exact),
-    (2, 3, 0, delta_one(), "j1_anomalous_problem2", _flip_exact),
+    (1, 2, 1, DELTA_HALF, "case2_mixture", _case2_exact),
+    (2, 3, 0, DELTA_ONE, "j1_anomalous_problem2", _flip_exact),
 ], ids=["j_half_case2", "j1_case3"])
 def test_window_closed_forms_match_the_choi_route(two_j, case, two_m, delta, regime, exact):
     # the dispatcher's closed forms against the covariant Choi route they replaced, and
@@ -421,7 +443,7 @@ def test_quantum_is_never_below_classical(problem):
             gap = (optimal_average_fidelity(two_j, theta, problem)
                    - mo.mo_average_fidelity(two_j, theta, problem))
             assert gap >= 0.0, (two_j, theta)
-            if two_j == 2 and problem == 2 and abs(theta - math.pi) <= delta_one():
+            if two_j == 2 and problem == 2 and abs(theta - math.pi) <= DELTA_ONE:
                 assert gap == 0.0, theta
 
 
@@ -591,9 +613,9 @@ def test_case1_formula_names_invalid_quantum_numbers(two_j, two_m):
         case1_entanglement_fidelity(two_j, two_m, 1.0)
 
 
-@pytest.mark.parametrize("theta", [2 * math.pi / 3, 0.0, 1.3, math.pi - delta_half() - 1e-9,
-                                   math.pi + delta_half() + 1e-9,
-                                   3 * math.pi - delta_half() - 1e-9])
+@pytest.mark.parametrize("theta", [2 * math.pi / 3, 0.0, 1.3, math.pi - DELTA_HALF - 1e-9,
+                                   math.pi + DELTA_HALF + 1e-9,
+                                   3 * math.pi - DELTA_HALF - 1e-9])
 def test_case2_alpha_names_theta_outside_its_window(theta):
     # unchecked, 2 pi / 3 returned -1.27e30 and the window's edges a negative weight
     with pytest.raises(ValueError, match="^theta=.* outside the j = 1/2 case-2 window"):
@@ -603,7 +625,7 @@ def test_case2_alpha_names_theta_outside_its_window(theta):
 def test_case2_alpha_takes_every_angle_the_dispatcher_sends():
     # every theta the j = 1/2 dispatcher reads as the mixture, its edges included,
     # gives a weight in [0, 2/3]
-    edges = [math.pi - delta_half(), math.pi + delta_half()]
+    edges = [math.pi - DELTA_HALF, math.pi + DELTA_HALF]
     for theta in [math.pi, 2.9, 3 * math.pi] + edges + [np.nextafter(t, math.pi) for t in edges]:
         report = optimal_fidelity(1, theta)
         assert report.regime == "case2_mixture"
@@ -623,7 +645,7 @@ def test_regime_evaluators_keep_the_parent_floats():
     import hashlib
 
     thetas = [2.0 * math.pi * k / 4000 for k in range(4000)]
-    for delta in (delta_half(), delta_one(), mo.j1_mo_threshold()):
+    for delta in (DELTA_HALF, DELTA_ONE, mo.J1_MO_THRESHOLD):
         thetas += [math.pi - delta, math.pi + delta]
     thetas += [math.pi, 7.5, -1.0]
     digest = hashlib.sha256()
@@ -648,7 +670,7 @@ def test_grid_evaluators_have_the_formula_helpers_bits(two_j):
     assert all(q == average_from_entanglement(case1_entanglement_fidelity(two_j, two_j, t), 2)
                for t, q in case1)
     assert theta_primes == [mo.optimal_theta_prime(two_j, t) for t in thetas]
-    assert classical == [mo.mo_fopt_formula(two_j, t, tp) for t, tp in zip(thetas, theta_primes)]
+    assert classical == [mo_fopt_formula(two_j, t, tp) for t, tp in zip(thetas, theta_primes)]
 
 
 @pytest.mark.parametrize("two_j, theta, problem, error, message", [

@@ -26,7 +26,7 @@ W5 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
 # fields, so every instance is equal)
 RECORDS = [
     (ExactTarget, ("two_k",), (1,), (3,)),
-    (HeisenbergStrategy, ("two_j", "two_k", "f_override"), (4, 1, None), (4, 1, 0.5)),
+    (HeisenbergStrategy, ("two_j", "two_k"), (4, 1), (4, 3)),
     (CaseChoiStrategy, ("case", "two_j", "two_m", "theta"), (1, 4, 4, 1.0), (1, 4, 2, 1.0)),
     (MOStrategy, ("two_j", "two_m", "xi_two_n", "theta_prime"), (4, 4, 0, 0.5), (4, 4, 2, 0.5)),
     (UNotMixture, ("alpha",), (1.0,), (0.5,)),
@@ -118,8 +118,7 @@ def test_missing_arguments_are_named(cls, fields):
 
 def test_defaults():
     assert ExactTarget() == ExactTarget(1)
-    assert HeisenbergStrategy(6) == HeisenbergStrategy(6, 1, None)
-    assert HeisenbergStrategy(6, f_override=0.3) == HeisenbergStrategy(6, 1, 0.3)
+    assert HeisenbergStrategy(6) == HeisenbergStrategy(6, 1)
     assert FidelityEstimate(0.25) == FidelityEstimate(0.25, 0.0, 0)
     assert FidelityEstimate(0.25, n_samples=7) == FidelityEstimate(0.25, 0.0, 7)
 

@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 import threading
 
@@ -403,6 +404,35 @@ def test_log_factorial_table_grows_whole_under_thread_switches(monkeypatch):
             assert spins._LOG_FACTORIALS == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("args", [
+    (2_000_000, 2, 2_000_000, -2, 4, 0), (2_000_001, 5, 3, -1, 2_000_000, 4),
+    (1, 1, 4_000_000, -4_000_000, 3_999_999, -3_999_999), (20_000_000, 0, 2, 2, 20_000_002, 2),
+])
+def test_cg_beyond_the_table_keeps_the_lgamma_bits(args):
+    # past the table's bound each log-factorial is its own lgamma call: the same floats
+    assert (args[0] + args[2] + args[4]) // 2 + 1 >= spins._LOG_FACTORIALS_MAX
+    assert clebsch_gordan(*args) == clebsch_gordan_by_lgamma(*args) != 0.0
+
+
+_LARGE_SPIN_K = """
+import math, resource
+from spinlearn import heisenberg, spins
+value = heisenberg.spin_k_fidelity(20_000_000, 2, math.pi)
+print(value, len(spins._LOG_FACTORIALS), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_spin_k_at_large_spin_keeps_the_table_bounded():
+    # the table grew to (j1 + j2 + J)/2 + 1 entries and was never freed: 2e7 of them and a
+    # 793 MB peak for this call, about 8 GB at 2j = 2e8
+    proc = subprocess.run([sys.executable, "-c", _LARGE_SPIN_K], capture_output=True,
+                          text=True, check=True, timeout=300)
+    value, entries, peak = proc.stdout.split()
+    assert 0.0 < float(value) <= 1.0
+    assert int(entries) <= spins._LOG_FACTORIALS_MAX
+    assert int(peak) / (2**20 if sys.platform == "darwin" else 1024) < 200.0  # bytes or KiB
 
 
 def test_coupling_theta_zero():
