@@ -14,10 +14,10 @@ sampler they are checked against, live with the tests, in
 ``tests/oracles.py``.  The recycling routines iterate no kernel.  They use the
 moment closure: the fidelity from |j,m> is quadratic in m, and the first two
 moments of m close under the ``exact`` kernel, so each use costs O(1) at any
-j.  Both schedules take the same factor: f = f(theta) on the fixed schedule
-(and so in ``persistence`` and ``longevity``), the re-tuned angle f_t on the
-reoptimized one (it maximizes a sinusoid in closed form).  The fixed schedule's evaluator
-takes an array of uses, or one in ``math``: ``spinlearn recycle`` never executes numpy.
+j.  Both schedules take the same factor: f = f(theta) on the fixed schedule, the re-tuned
+angle f_t on the reoptimized one (it maximizes a sinusoid in closed form).  The fixed
+schedule's evaluator takes an array of uses, or one in ``math``: ``persistence``,
+``longevity`` and ``spinlearn recycle`` never execute numpy.
 (The ``leading`` kernel truncates at m = -j, so its moments do not close;
 the alternating sum gives its n-step distribution, as signed weights: exact
 integers from a three-term recurrence, O(n) steps with O(1) integers alive.)
@@ -28,15 +28,13 @@ advantage threshold bisects on an O(1) function.
 from __future__ import annotations
 
 import math
+import operator
 
 from . import heisenberg, mo
 from ._numpy import np
 from ._record import Record, record
 from .channels import average_from_entanglement
 from .spins import _check_count, _check_nonzero_j, _check_theta, check_valid_m, dim, two_m_values
-
-_SCAN_CHUNK = 256  # about the uses per array when searching or scanning for a crossing
-
 
 @record
 class SignedWeights(Record):
@@ -146,13 +144,12 @@ def _uses_before(two_j: int, theta: float, fails, level: float, cap: int) -> tup
 
     F after s uses is F_inf + B r1^s + C r2^s with r1 = 1 - 2c >= 0, r2 = 1 - 6c and
     B, C >= 0; at 2j = 1, m^2 = 1/4 in every state, so C = 0.  Where r2 >= 0 too (at 2j = 1,
-    or 6c <= 1) F is non-increasing in s (pow's rounding can swap only uses whose F agree
-    to an ulp): nothing fails unless F_inf does, and a search that samples about
-    _SCAN_CHUNK evenly spaced uses of [lo, hi), hi - 1 last, and keeps the gap before the
-    first failing one takes O(log cap) passes.  Its uses are int64: from 2^63 on,
-    r^s <= 2^-1024 for every r < 1, and F is F_inf to rounding.  r2 < 0 only at 2j = 2
-    with c > 1/6, where rho = max(r1, -r2) <= 2/3: a scan from s = 0 stops once
-    (B + C) rho^s < |F_inf - level|.  Both evaluate F on arrays of s, in one way.
+    or 6c <= 1) F is non-increasing in s: nothing fails unless F_inf does, and then some s
+    below 2^63 does (r^s underflows there for every float r < 1).  Doubling s from 1 brackets
+    it and an integer bisection returns a failing use after a passing one (a crossing of this
+    evaluator, where pow's rounding swaps uses whose F agree to an ulp): O(log s) calls.
+    r2 < 0 only at 2j = 2 with c > 1/6, where rho = max(r1, -r2) <= 2/3: a scan from s = 0
+    stops once (B + C) rho^s < |F_inf - level|.
     """
     schedule = _fixed_schedule(two_j, theta)
     f_inf = schedule(math.inf)
@@ -161,24 +158,19 @@ def _uses_before(two_j: int, theta: float, fails, level: float, cap: int) -> tup
     if two_j == 1 or r2 >= 0.0:
         if not fails(f_inf, level):
             return cap, True
-        lo = 0
-        hi = end = min(cap, 2**63 - 1)  # the uses before lo pass, and use hi fails or is the end
+        lo, hi = 0, cap  # the uses before lo pass, and use hi fails or is the cap
         while lo < hi:
-            step = max((hi - 1 - lo) // (_SCAN_CHUNK - 1), 1)
-            s = np.append(np.arange(lo, hi - 1, step), hi - 1)
-            hit = np.flatnonzero(fails(schedule(s), level))
-            if not hit.size:
-                break
-            k = int(hit[0])
-            lo, hi = (int(s[k - 1]) + 1 if k else lo), int(s[k])
-        return (hi, False) if hi < end else (cap, True)
+            mid = min((lo + hi) // 2, 2 * lo + 1)  # doubling first: s stays below 2^64
+            if fails(schedule(mid), level):
+                hi = mid
+            else:
+                lo = mid + 1
+        return hi, hi == cap
     tail, rho = abs(schedule(0) - f_inf), max(r1, -r2)
-    for start in range(0, cap, _SCAN_CHUNK):
-        s = np.arange(start, min(start + _SCAN_CHUNK, cap))
-        hit = np.flatnonzero(fails(schedule(s), level))
-        if hit.size:
-            return start + int(hit[0]), False
-        if tail * rho ** int(s[-1]) < abs(f_inf - level):
+    for s in range(cap):
+        if fails(schedule(s), level):
+            return s, False
+        if tail * rho ** s < abs(f_inf - level):
             break
     return cap, True
 
@@ -197,8 +189,6 @@ def persistence(two_j: int, theta: float, t_max: int | None = None) -> Persisten
     At theta = 0 (mod 2pi) the memory never degrades: the asymptote is inf and
     the default cap is 100 uses."""
     _check_theta(theta)
-    if t_max is not None:
-        _check_count("t_max", t_max, 0)
     benchmark = mo.mo_average_fidelity(two_j, theta)
     one_minus_cos = 1.0 - math.cos(theta)
     if one_minus_cos > 0.0:
@@ -206,8 +196,8 @@ def persistence(two_j: int, theta: float, t_max: int | None = None) -> Persisten
         default_cap = max(int(4 * asymptote) + 10, 100)
     else:
         asymptote, default_cap = math.inf, 100
-    cap = t_max if t_max is not None else default_cap
-    steps, capped = _uses_before(two_j, theta, np.less_equal, benchmark, cap)
+    cap = default_cap if t_max is None else _check_count("t_max", t_max, 0)
+    steps, capped = _uses_before(two_j, theta, operator.le, benchmark, cap)
     return PersistenceReport(steps=steps, asymptote=asymptote, capped=capped)
 
 
@@ -215,12 +205,11 @@ def longevity(two_j: int, theta: float, threshold: float,
               t_max: int | None = None) -> int:
     """Largest number of uses with fidelity still at or above ``threshold``."""
     _check_theta(theta)
-    if t_max is not None:
-        _check_count("t_max", t_max, 0)
     if not (1.0 / 3.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (1/3, 1)")
-    cap = t_max if t_max is not None else int(10 * two_j**2 / max(1.0 - math.cos(theta), 1e-6)) + 10
-    return _uses_before(two_j, theta, np.less, threshold, cap)[0]
+    cap = (int(10 * two_j**2 / max(1.0 - math.cos(theta), 1e-6)) + 10 if t_max is None
+           else _check_count("t_max", t_max, 0))
+    return _uses_before(two_j, theta, operator.lt, threshold, cap)[0]
 
 
 def tricomi_distribution(two_j: int, theta: float, n: int) -> SignedWeights:
@@ -240,11 +229,11 @@ def tricomi_distribution(two_j: int, theta: float, n: int) -> SignedWeights:
     """
     _check_nonzero_j(two_j)
     _check_theta(theta)
-    _check_count("n", n, 0)
+    n = _check_count("n", n, 0)
     p, r = float(1.0 - math.cos(theta)).as_integer_ratio()
     if p == 0 or n == 0:
         return point_mass(two_j, two_j)
-    r *= two_j
+    r *= int(two_j)
     denominator = w = term = r**n
     for i in range(n):  # term = n!/(n-i)! (-p)^i r^(n-i), times (i - n) p / r per step
         term = term * (i - n) * p // r

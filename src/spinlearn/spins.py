@@ -50,9 +50,10 @@ def _check_target_spin(two_k: int) -> float:
     return two_k / 2.0
 
 
-def _check_count(name: str, value: int, low: int) -> None:
+def _check_count(name: str, value: int, low: int) -> int:
     if not _is_integer(value) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _check_theta(theta: float, name: str = "theta") -> float:
@@ -162,7 +163,7 @@ def _real_columns(two_j: int, two_m, cos_half: np.ndarray, sin_half: np.ndarray)
     log space (``_coherent_columns``, O(d), exact at beta = 0 and pi, never overflows; bit
     for bit the scalar call), the others the column of exp(-i beta Jy), beta = 2 atan2,
     from the Jy eigenbasis, one BLAS matmul, O(d^2) per row."""
-    check_two_j(two_j)
+    two_j = check_two_j(two_j)
     two_m_arr = np.asarray(two_m)
     if (two_m_arr.dtype.kind not in "iu" or np.any(np.abs(two_m_arr) > two_j)
             or np.any((two_j - two_m_arr) % 2)):

@@ -1,4 +1,5 @@
 import math
+import operator
 import subprocess
 import sys
 import time
@@ -451,11 +452,11 @@ def test_spin_half_recycling_never_increases_at_any_angle():
 @pytest.mark.parametrize("theta,threshold", [(math.pi, 0.49), (2.5, 0.462)])
 def test_spin_half_scan_stops_once_the_tail_cannot_cross(monkeypatch, theta, threshold):
     # at 2j = 1 the m^2 moment is constant, so rho = |1 - 2c|; with |1 - 6c| in
-    # rho the scan went through all 2,442 chunks of 10^7 uses
+    # rho a scan went through all 10^7 uses
     calls = []
     fixed = memory._fixed_schedule
 
-    def counted(*args):  # counts evaluations of the schedule, one per chunk after F_inf and F_0
+    def counted(*args):  # counts evaluations of the schedule, F_inf's among them
         schedule = fixed(*args)
         return lambda steps: calls.append(steps) or schedule(steps)
     monkeypatch.setattr(memory, "_fixed_schedule", counted)
@@ -475,7 +476,7 @@ print(rep.capped, bool(f[0] > mo.mo_average_fidelity(20000, 1e-3) >= f[1]), rep.
 
 def test_persistence_finds_a_far_crossing_quickly():
     # about 2e10 uses ahead under a cap of 8e10: a scan of 4,096 uses per array did not
-    # return within 20 s; a search over the non-increasing F takes a few passes
+    # return within 20 s; a bisection over the non-increasing F takes about 70 scalar calls
     out = subprocess.run([sys.executable, "-c", _FAR_CROSSING], capture_output=True, text=True,
                          check=True, timeout=10).stdout.split()
     assert out[:2] == ["False", "True"]
@@ -484,11 +485,13 @@ def test_persistence_finds_a_far_crossing_quickly():
 
 
 def test_search_takes_caps_beyond_int64():
-    # persistence's default cap here is 9e19 uses; the search looks at most 2^63 - 1 ahead
+    # persistence's default cap here is 9e19 uses; the bisection doubles s from 1 first, so
+    # it evaluates no use past twice the crossing, even beyond a float's range
     rep = persistence(20000, 3e-8)
     assert (rep.steps, rep.capped) == (0, False) and 4 * rep.asymptote > 2**63
     level = mo_average_fidelity(200, math.pi)
     assert memory._uses_before(200, math.pi, np.less_equal, level, 2**70) == (50, False)
+    assert memory._uses_before(200, math.pi, np.less_equal, level, 2**1100) == (50, False)
     assert memory._uses_before(200, math.pi, np.less, 0.4, 2**70) == (2**70, True)
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 6, 8, 16, 32, 64, 128, 256, 400])
@@ -692,21 +695,41 @@ def test_longevity_never_crossing_returns_cap_quickly():
     assert time.perf_counter() - start < 1.0
 
 
-def test_longevity_above_the_asymptote_evaluates_no_array_of_uses(monkeypatch):
-    # r1, r2 >= 0 and F_inf above the threshold: no use can fail, so no chunk is scanned
-    arrays, schedule = [], memory._fixed_schedule
+# every branch of the search: two bisections, F_inf above the threshold, and the scan at
+# 2j = 2 with 6c > 1, to a failing use and to the tail stop
+_SCALAR_SEARCH = """
+import sys, spinlearn.cli
+from spinlearn import memory
+print(memory.persistence(20000, 1e-3).steps, memory.longevity(400, 0.3, 0.9),
+      memory.longevity(20000, 3.14159, 0.5), memory.longevity(2, 2.5, 0.5),
+      memory.longevity(2, 2.5, 0.4, t_max=10**9), 'numpy._core' in sys.modules)
+"""
 
-    def counting(two_j, theta):
-        fidelity = schedule(two_j, theta)
 
-        def counted(steps):
-            if isinstance(steps, np.ndarray):
-                arrays.append(steps.size)
-            return fidelity(steps)
-        return counted
-    monkeypatch.setattr(memory, "_fixed_schedule", counting)
-    assert longevity(20000, math.pi, 0.5) == 2_000_000_010
-    assert arrays == []
+def test_persistence_and_longevity_never_execute_numpy():
+    # in a fresh interpreter: in process numpy has executed already
+    out = subprocess.run([sys.executable, "-c", _SCALAR_SEARCH], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.split() == ["19579584319", "35823436", "2000000010", "8", "1000000000", "False"]
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 8, 100, 20000, 10**6])
+def test_each_returned_use_is_a_crossing_of_the_scalar_evaluator(two_j):
+    # use s fails and use s - 1 passes, in the evaluator ``spinlearn recycle`` prints. At
+    # (10^6, 0.01) an array search returned 9,007,170,086, which passes here: numpy's SIMD
+    # power and libm's pow differ in the last bit there
+    for theta in (0.01, 0.3, 1.0, math.pi / 2, 2.0, math.pi):
+        schedule = memory._fixed_schedule(two_j, theta)
+        rep = persistence(two_j, theta)
+        runs = [(rep.steps, rep.capped, operator.le, mo_average_fidelity(two_j, theta))]
+        cap = int(10 * two_j**2 / (1.0 - math.cos(theta))) + 10
+        for threshold in (0.5, 0.9):
+            steps = longevity(two_j, theta, threshold)
+            runs.append((steps, steps == cap, operator.lt, threshold))
+        for steps, capped, fails, level in runs:
+            if not capped:
+                assert fails(schedule(steps), level), (theta, level)
+                assert steps == 0 or not fails(schedule(steps - 1), level), (theta, level)
 
 
 @given(spins_upto_200, angles, st.floats(min_value=0.01, max_value=20.0))
@@ -764,9 +787,20 @@ def test_bad_angle_or_count_is_named(call, name):
         call()
 
 
+@pytest.mark.parametrize("two_j,n", [(np.int64(400), 200), (400, np.int64(200))])
+def test_numpy_integers_give_the_python_int_tricomi_weights(two_j, n):
+    # the exact integers were int64 and overflowed: every weight came out nan
+    want = tricomi_distribution(400, 1.0, 200).weights
+    assert np.array_equal(tricomi_distribution(two_j, 1.0, n).weights, want)
+
+
 def test_numpy_integer_counts_are_accepted():
     assert np.array_equal(recycled_fidelity(4, 1.0, np.int64(3)), recycled_fidelity(4, 1.0, 3))
-    assert persistence(4, math.pi, t_max=np.int32(5)) == persistence(4, math.pi, t_max=5)
+    for t_max in (5, 2**31 - 1):
+        rep = persistence(4, math.pi, t_max=np.int32(t_max))
+        assert rep == persistence(4, math.pi, t_max=t_max) and type(rep.steps) is int
+    steps = longevity(4, 0.3, 0.5, t_max=np.int32(2**31 - 1))  # the cap itself
+    assert steps == 2**31 - 1 and type(steps) is int
 
 
 @pytest.mark.parametrize("two_m", [5, -7, 2])

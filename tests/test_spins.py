@@ -481,6 +481,17 @@ def test_numpy_integers_are_spins(two_j):
     assert spins.check_two_j(two_j) == 4 and type(spins.check_two_j(two_j)) is int
 
 
+def test_numpy_integer_spin_gives_the_python_int_columns():
+    # the binomials were stepped in int64, which overflows from 2j = 62 on ("math domain
+    # error"); the table is cleared first, as a Python 400 may have filled it already
+    q = haar_quaternions(np.random.default_rng(7), 4)
+    spins._log_sqrt_binomials.cache_clear()
+    got = spins.wigner_d_omega_columns(np.int64(400), q, 400)
+    spins._log_sqrt_binomials.cache_clear()
+    want = spins.wigner_d_omega_columns(400, q, 400)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("two_j", [4.0, np.float64(4.0), "4", None])
 def test_non_integer_spin_is_named(two_j):
     with pytest.raises(InvalidQuantumNumbersError, match="^two_j must be a non-negative integer"):
