@@ -30,7 +30,7 @@ from ._numpy import np
 from ._record import Record, record
 from .channels import average_from_entanglement
 from .spins import (_check_nonzero_j, _check_target_spin, _check_theta, check_two_j,
-                    check_valid_m, clebsch_gordan, dim, two_m_values)
+                    clebsch_gordan, dim, two_m_values)
 
 
 def f_angle(two_j: int, theta: float) -> float:
@@ -99,9 +99,6 @@ def _block_phases(two_j: int, two_k: int, two_ts: np.ndarray, angle: float) -> n
     return np.exp(-1j * angle * eig / (two_j + 1.0))
 
 
-_PAIR_BLOCK_ELEMENTS = 1 << 15  # per block buffer of the qubit-target gate
-
-
 def _apply_sectors(out: np.ndarray, two_j: int, two_k: int, angle: float, sectors) -> None:
     """Rotate ``out`` in place, one total-M sector at a time: contract the
     sector's amplitudes with its Clebsch-Gordan table g, multiply by the
@@ -136,35 +133,18 @@ def _apply_qubit_sectors(out: np.ndarray, two_j: int, angle: float) -> None:
     of the product index, so all of them are two strided slices.  Each keeps
     the loop's two-stage arithmetic, (a0 g[t,0] + a1 g[t,1]) phase_t and
     then w0 g[0,p] + w1 g[1,p], so the result has the loop's bits; a
-    precombined 2x2 unitary would round differently.  Rows go in blocks of
-    about ``_PAIR_BLOCK_ELEMENTS`` slice elements through three buffers
-    allocated once per call, so the extra memory is bounded whatever the
-    batch; a single vector is one block.
+    precombined 2x2 unitary would round differently.
     """
     stretched, two_ts, g = _qubit_sectors(two_j)
     _apply_sectors(out, two_j, 1, angle, stretched)
     if two_j == 0:
         return
     phases = _block_phases(two_j, 1, two_ts, angle)
-    rows = out.reshape(-1, out.shape[-1])
-    step = max(1, min(len(rows), _PAIR_BLOCK_ELEMENTS // two_j))
-    buffers = np.empty((3, step, two_j), dtype=complex)
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        acc, w0, w1 = buffers[:, :len(block)]
-        a0, a1 = block[:, 1:-1:2], block[:, 2:-1:2]
-        # the phase products write to a separate buffer, because numpy rounds
-        # an in-place complex product of one element differently
-        np.multiply(a0, g[0, 0], out=acc)
-        acc += np.multiply(a1, g[0, 1], out=w0)
-        np.multiply(acc, phases[0], out=w0)
-        np.multiply(a0, g[1, 0], out=acc)
-        acc += np.multiply(a1, g[1, 1], out=w1)
-        np.multiply(acc, phases[1], out=w1)
-        np.multiply(w0, g[0, 0], out=a0)
-        a0 += np.multiply(w1, g[1, 0], out=acc)
-        np.multiply(w0, g[0, 1], out=a1)
-        a1 += np.multiply(w1, g[1, 1], out=acc)
+    a0, a1 = out[..., 1:-1:2], out[..., 2:-1:2]
+    w0 = (a0 * g[0, 0] + a1 * g[0, 1]) * phases[0]
+    w1 = (a0 * g[1, 0] + a1 * g[1, 1]) * phases[1]
+    out[..., 1:-1:2] = w0 * g[0, 0] + w1 * g[1, 0]
+    out[..., 2:-1:2] = w0 * g[0, 1] + w1 * g[1, 1]
 
 
 @record
@@ -184,7 +164,7 @@ class HeisenbergGate(Record):
         """Apply the gate to vectors with the product index on the last axis.
 
         A qubit target takes the slice form ``_apply_qubit_sectors``, a fixed
-        number of numpy calls per block of rows at any j; larger targets
+        number of numpy calls at any j and batch; larger targets
         loop over the total-M sectors in ``_apply_sectors``.  Both contract
         with g, apply the phases and contract with g again, in that order:
         folding the stages into one 2x2 unitary per sector would change the
@@ -215,7 +195,7 @@ class HeisenbergGate(Record):
 
 
 def heisenberg_unitary(two_j: int, two_k: int, theta: float) -> HeisenbergGate:
-    check_two_j(two_j)
+    two_j = check_two_j(two_j)
     _check_target_spin(two_k)
     _check_theta(theta)
     angle = f_angle(two_j, theta) if two_k == 1 else math.remainder(theta, 2.0 * math.pi)
@@ -244,18 +224,12 @@ def _coefficients(two_j: int, sin_t: float, cos_t: float, f: float) -> tuple[flo
             (1.0 - math.cos(f)) * (1.0 - cos_t) / (n * n))
 
 
-def entanglement_fidelity_given_m(two_j: int, two_m: int, theta: float) -> float:
-    """Exact entanglement fidelity of the gate with memory state |j,m>_g: the
-    quadratic of ``entanglement_fidelity_coefficients`` evaluated at m."""
-    check_valid_m(two_j, two_m)
-    a0, a1, a2 = entanglement_fidelity_coefficients(two_j, theta)
-    m = two_m / 2.0
-    return a0 + a1 * m + a2 * m * m
-
-
 def heisenberg_average_fidelity(two_j: int, theta: float) -> float:
-    """Average fidelity of the gate with the aligned coherent memory |j,j>."""
-    return average_from_entanglement(entanglement_fidelity_given_m(two_j, two_j, theta), 2)
+    """Average fidelity of the gate with the aligned coherent memory |j,j>: the quadratic of
+    ``entanglement_fidelity_coefficients`` evaluated at m = j."""
+    a0, a1, a2 = entanglement_fidelity_coefficients(two_j, theta)
+    j = two_j / 2.0
+    return average_from_entanglement(a0 + a1 * j + a2 * j * j, 2)
 
 
 def per_input_fidelity(two_j: int, theta: float, polar):

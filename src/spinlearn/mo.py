@@ -17,10 +17,8 @@ from . import rotations, spins
 from ._numpy import np
 from ._record import Record, record
 from .channels import FidelityEstimate, _blocks, average_from_entanglement
-from .optimal import (_TWO_PI, RegimeReport, _check_regime_args, _j1_flip_fidelity,
-                      _regime_fidelities)
+from .optimal import _TWO_PI, _check_regime_args, _j1_flip_fidelity, _regime_fidelities
 from .spins import check_valid_m, clebsch_gordan
-from .strategies import MOStrategy
 
 
 @record
@@ -70,14 +68,10 @@ def mo_element_fidelity(two_j: int, two_m: int, xi_two_n: int, theta: float,
 
 
 def optimal_theta_prime(two_j: int, theta: float) -> float:
-    """Conditional rotation angle maximizing the covariant MO fidelity at m = j.
-
-    Branch-safe form of arccot[cot(theta) + (2cos(theta)+2j+1)/((2j^2+3j)
-    sin(theta))] + s(theta), as ``_mo_regimes`` takes it.
-    """
-    j = spins._check_nonzero_j(two_j)
-    c, k = math.cos(spins._check_theta(theta)), 2.0 * j * j + 3.0 * j
-    return math.atan2(k * math.sin(theta), k * c + 2.0 * c + 2.0 * j + 1.0) % _TWO_PI
+    """Conditional rotation angle maximizing the covariant MO fidelity at m = j: the theta'
+    that ``_mo_regimes`` computes at theta mod 2 pi, in the branch-safe form of
+    arccot[cot(theta) + (2cos(theta)+2j+1)/((2j^2+3j) sin(theta))] + s(theta)."""
+    return _mo_regimes(two_j, 1, (theta,))[3][0]
 
 
 # With theta' at its optimum, the covariant and aligned-orbital fidelities
@@ -113,21 +107,6 @@ def _mo_regimes(two_j: int, problem: int, thetas
         fidelities.append(fidelity)
         theta_primes.append(tp)
     return regimes, two_ms, _regime_fidelities(fidelities), theta_primes
-
-
-def mo_optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport:
-    """Optimal classical-memory average fidelity, with the j = 1 dispatch.
-
-    For j != 1 both problems share the covariant strategy at probe m = j.
-    For j = 1, problem 2 switches to the m = 0 probe with a fixed pi flip
-    when theta is within the computed threshold of pi.  Needs two_j >= 1 and
-    a finite theta.
-    """
-    (regime,), (two_m,), (fidelity,), (theta_prime,) = _mo_regimes(two_j, problem, (theta,))
-    return RegimeReport(problem=problem, regime=regime, optimal_two_m=two_m,
-                        fidelity=fidelity,
-                        strategy=MOStrategy(two_j=two_j, two_m=two_m, xi_two_n=two_m,
-                                            theta_prime=theta_prime))
 
 
 def mo_average_fidelity(two_j: int, theta: float, problem: int = 2) -> float:

@@ -26,13 +26,7 @@ from ._numpy import np
 from ._record import Record, record
 from .channels import KrausChannel
 from .spins import CouplingCoeffs, check_valid_m, coupling_decomposition, dim
-from .strategies import (
-    CaseChoiStrategy,
-    DiscreteXYZ,
-    HeisenbergStrategy,
-    StrategyDescriptor,
-    UNotMixture,
-)
+from .strategies import CaseChoiStrategy
 
 class CaseNotApplicableError(ValueError):
     """Raised when a stationary case does not exist for the given spin/angle."""
@@ -54,15 +48,6 @@ class CovariantChoiParams(Record):
 def _check_beta(params: CovariantChoiParams, two_j: int) -> None:
     if two_j >= 2 and params.beta is None:
         raise ValueError(f"beta is None, but two_j={two_j} has a spin j-1 block")
-
-
-@record
-class RegimeReport(Record):
-    problem: int
-    regime: str
-    optimal_two_m: int
-    fidelity: float
-    strategy: StrategyDescriptor
 
 
 _TWO_PI = 2.0 * math.pi
@@ -157,18 +142,7 @@ def case_fidelity(case: int, two_j: int, two_m: int, theta: float
     return covariant_fidelity(params, two_j, two_m, theta), params
 
 
-def case2_alpha(theta: float) -> float:
-    """Weight of the stretched block in the j = 1/2 case-2 mixture, defined in the
-    window |theta - pi| <= DELTA_HALF (theta taken mod 2 pi) where that mixture is optimal."""
-    spins._check_theta(theta)
-    if abs(float(theta) % (2.0 * math.pi) - math.pi) > DELTA_HALF:
-        raise ValueError(f"theta={theta!r} lies outside the j = 1/2 case-2 window "
-                         f"|theta - pi| <= {DELTA_HALF!r}")
-    c = math.cos(theta)
-    return (1.0 + 8.0 * c + 9.0 * c * c) / (3.0 * (1.0 + 2.0 * c) ** 2)
-
-
-# The case-2 measurement weight alpha(theta) vanishes there (the case-1/case-2
+# The mixture weight alpha = (1 + 8c + 9c^2) / (3(1 + 2c)^2) vanishes there (the case-1/case-2
 # fidelities merge tangentially, so the weight is the transversal root):
 # 9c^2 + 8c + 1 = 0 with c = cos(theta), whose root near pi is c = -(4 + sqrt 7)/9.
 DELTA_HALF = math.acos((4.0 + math.sqrt(7.0)) / 9.0)
@@ -212,24 +186,6 @@ def _regimes(two_j: int, problem: int, thetas) -> tuple[list[str], list[int], li
     return regimes, two_ms, _regime_fidelities(fidelities)
 
 
-def optimal_fidelity(two_j: int, theta: float, problem: int = 2) -> RegimeReport:
-    """Optimal average fidelity with a quantum memory, with regime dispatch.
-
-    Problem 1 fixes the probe to the aligned coherent state; problem 2 also
-    optimizes the probe.  They differ only for j = 1 near theta = pi.  Needs
-    two_j >= 1 and a finite theta.
-    """
-    (regime,), (two_m,), (fidelity,) = _regimes(two_j, problem, (theta,))
-    if regime == "case2_mixture":
-        strategy = UNotMixture(alpha=case2_alpha(float(theta) % _TWO_PI))
-    elif regime == "j1_anomalous_problem2":
-        strategy = DiscreteXYZ()
-    else:
-        strategy = HeisenbergStrategy(two_j=two_j)
-    return RegimeReport(problem=problem, regime=regime, optimal_two_m=two_m,
-                        fidelity=fidelity, strategy=strategy)
-
-
 def optimal_average_fidelity(two_j: int, theta: float, problem: int = 2) -> float:
     return _regimes(two_j, problem, (theta,))[2][0]
 
@@ -263,28 +219,15 @@ def unot_mixture_channel(alpha: float, theta: float) -> KrausChannel:
     return KrausChannel(kraus=(*g.reshape(2, 2, 4), *no), dim_in=4, dim_out=2)
 
 
-def discrete_xyz_projectors() -> list[tuple[np.ndarray, np.ndarray]]:
-    """(axis, state) pairs for the three-outcome spin-1 measurement.
-
-    Each state is the zero-eigenvalue eigenstate of the spin component along
-    the paired Cartesian axis; the conditional operation is a pi rotation
-    about that axis.
-    """
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    x_state = np.array([inv_sqrt2, 0.0, -inv_sqrt2], dtype=complex)
-    y_state = np.array([inv_sqrt2, 0.0, inv_sqrt2], dtype=complex)
-    z_state = np.array([0.0, 1.0, 0.0], dtype=complex)
-    return [
-        (np.array([1.0, 0.0, 0.0]), x_state),
-        (np.array([0.0, 1.0, 0.0]), y_state),
-        (np.array([0.0, 0.0, 1.0]), z_state),
-    ]
-
-
 def discrete_xyz_channel() -> KrausChannel:
-    """Kraus form of the three-outcome measure-and-flip strategy (j = 1)."""
+    """Kraus form of the three-outcome measure-and-flip strategy (j = 1): outcome n (the axis
+    x, y or z) projects the probe on the zero-eigenvalue eigenstate of the spin component
+    along n, then applies the pi rotation -i n.sigma about n."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    states = np.array([[inv_sqrt2, 0.0, -inv_sqrt2], [inv_sqrt2, 0.0, inv_sqrt2],
+                       [0.0, 1.0, 0.0]], dtype=complex)
     kraus = []
-    for axis, state in discrete_xyz_projectors():
+    for axis, state in zip(np.eye(3), states):
         flip = -1j * np.array([[axis[2], axis[0] - 1j * axis[1]],  # -i n.sigma
                                [axis[0] + 1j * axis[1], -axis[2]]])
         bra = np.kron(state.conj()[None, :], np.eye(2, dtype=complex))

@@ -1,8 +1,8 @@
 """Descriptors naming the concrete learning strategies built elsewhere.
 
-These are inert records; the Monte-Carlo oracle and the regime dispatchers
-use them to say *which* strategy realizes a fidelity, and
-``montecarlo.mc_average_fidelity`` samples each of the six.  ``CaseChoiStrategy``
+These are inert records that say *which* strategy realizes a fidelity:
+``montecarlo.mc_average_fidelity`` samples each of the six, and ``verify``
+builds the strategies of its checks from them.  ``CaseChoiStrategy``
 names the case-1 covariant channel at probe index m, which
 ``optimal.case_choi_channel`` builds from the Heisenberg gate; its ``case`` must be 1.
 """

@@ -491,6 +491,16 @@ def covariant_choi_build(params: optimal.CovariantChoiParams, two_j: int) -> Cho
     return choi
 
 
+def entanglement_fidelity_given_m(two_j: int, two_m: int, theta: float) -> float:
+    """The gate's entanglement fidelity from memory |j,m>_g: the quadratic a0 + a1 m + a2 m^2
+    of ``heisenberg.entanglement_fidelity_coefficients``, as ``heisenberg_average_fidelity``
+    takes it at m = j."""
+    spins.check_valid_m(two_j, two_m)
+    a0, a1, a2 = heisenberg.entanglement_fidelity_coefficients(two_j, theta)
+    m = two_m / 2.0
+    return a0 + a1 * m + a2 * m * m
+
+
 def case1_entanglement_fidelity(two_j: int, two_m: int, theta: float) -> float:
     """Closed form of the case-1 fidelity, (|A| + |B|)^2 / (2j+1)^2, as ``_regimes`` takes it
     at m = j; |x + iy| is hypot(x, y), as for complex(x, y)."""

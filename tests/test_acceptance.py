@@ -11,7 +11,7 @@ import numpy as np
 
 import oracles
 from spinlearn import channels, memory, mo, optimal, spins
-from spinlearn.heisenberg import entanglement_fidelity_given_m, spin_k_fidelity
+from spinlearn.heisenberg import heisenberg_average_fidelity, spin_k_fidelity
 from spinlearn.montecarlo import mc_average_fidelity
 from spinlearn.strategies import HeisenbergStrategy, MOStrategy
 
@@ -45,8 +45,9 @@ def test_criterion_2_realization_equivalence():
     worst = 0.0
     for two_j in range(1, 41):
         for theta in np.linspace(0.0, 2 * math.pi, 50, endpoint=False):
-            gap = abs(entanglement_fidelity_given_m(two_j, two_j, float(theta))
-                      - oracles.case1_entanglement_fidelity(two_j, two_j, float(theta)))
+            fe = oracles.case1_entanglement_fidelity(two_j, two_j, float(theta))
+            gap = abs(heisenberg_average_fidelity(two_j, float(theta))
+                      - channels.average_from_entanglement(fe, 2))
             worst = max(worst, gap)
     assert worst < 1e-12
     elapsed = time.monotonic() - start

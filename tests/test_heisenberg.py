@@ -7,12 +7,11 @@ import pytest
 from scipy.linalg import expm
 
 from oracles import (case1_entanglement_fidelity, coupled_basis_vectors, coupling_sectors_by_racah,
-                     gate_channel, gate_matrix, per_input_fidelity_by_point, su2_from_quaternion,
+                     entanglement_fidelity_given_m, gate_channel, gate_matrix, per_input_fidelity_by_point, su2_from_quaternion,
                      worst_case_by_point)
 from spinlearn import heisenberg, mo, optimal, spins
 from spinlearn.heisenberg import (
     HeisenbergGate,
-    entanglement_fidelity_given_m,
     f_angle,
     heisenberg_unitary,
     interaction_time,
@@ -78,9 +77,8 @@ def test_gate_unitary_and_isotropic():
 
 
 @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 7, 20, 101, 400])
-def test_qubit_slice_path_matches_sector_loop(monkeypatch, two_j):
-    # the slice form keeps the loop's two-stage arithmetic, so the bits agree,
-    # in the default row blocks and one row at a time
+def test_qubit_slice_path_matches_sector_loop(two_j):
+    # the slice form keeps the loop's two-stage arithmetic, so the bits agree
     rng = np.random.default_rng(two_j)
     sectors = heisenberg._coupling_sectors(two_j, 1)
     for theta in (0.0, 0.3, math.pi / 2, math.pi, 2.5, 5.9):
@@ -91,9 +89,6 @@ def test_qubit_slice_path_matches_sector_loop(monkeypatch, two_j):
             loop = vec.copy()
             heisenberg._apply_sectors(loop, two_j, 1, gate.angle, sectors)
             assert np.array_equal(gate.apply(vec), loop)
-            with monkeypatch.context() as patched:
-                patched.setattr(heisenberg, "_PAIR_BLOCK_ELEMENTS", 1)
-                assert np.array_equal(gate.apply(vec), loop)
 
 
 @pytest.mark.parametrize("two_j", [*range(1, 13), 33, 100])
@@ -449,6 +444,15 @@ def test_gate_names_a_bad_spin_when_built(two_j, two_k, name):
         heisenberg_unitary(two_j, two_k, 1.0)
 
 
+def test_a_bool_spin_builds_the_int_spin_gate():
+    # check_two_j accepts True; the gate kept it, and the qubit gate's row buffers raised a
+    # bare "TypeError: an integer is required" from np.empty
+    gate = heisenberg_unitary(True, 1, 1.0)
+    assert type(gate.two_j) is int and gate.two_j == 1
+    assert gate == heisenberg_unitary(1, 1, 1.0)
+    assert worst_case_fidelity(True, 1.0) == worst_case_fidelity(1, 1.0)
+
+
 @pytest.mark.parametrize("two_k", [2, 3, 4])
 def test_spin_k_fidelity_is_symmetric_about_pi(two_k):
     # 2 pi - theta is the inverse of the rotation by theta, up to a phase, and the gate
@@ -495,19 +499,17 @@ def test_spin_k_qubit_consistency(two_j, two_k, theta):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: heisenberg.entanglement_fidelity_given_m(4, 4, math.nan),
+    lambda: heisenberg.spin_k_entanglement_fidelity_exact(4, 2, math.nan),
     lambda: heisenberg.entanglement_fidelity_coefficients(4, math.nan),
     lambda: heisenberg.heisenberg_average_fidelity(4, math.inf),
     lambda: heisenberg.f_angle(4, math.nan),
-    lambda: heisenberg.entanglement_fidelity_given_m(4, 2, math.nan),
     lambda: heisenberg.heisenberg_unitary(4, 2, -math.inf),
     lambda: heisenberg.spin_k_fidelity(4, 2, math.nan, "exact"),
     lambda: heisenberg.spin_k_fidelity(4, 2, math.nan, "asymptotic"),
     lambda: heisenberg.spin_k_worst_case_asymptotic(4, 2, math.inf),
     lambda: heisenberg.worst_case_fidelity(4, math.nan),
-], ids=["entanglement_nan", "coefficients_nan", "average_inf", "f_angle_nan",
-        "given_m_nan", "unitary_inf", "spin_k_exact_nan", "spin_k_asymptotic_nan",
-        "spin_k_worst_inf", "worst_case_nan"])
+], ids=["entanglement_nan", "coefficients_nan", "average_inf", "f_angle_nan", "unitary_inf",
+        "spin_k_exact_nan", "spin_k_asymptotic_nan", "spin_k_worst_inf", "worst_case_nan"])
 def test_non_finite_theta_is_named(call):
     # at the parent these returned nan (worst case: (nan, 0.049)) or raised a
     # bare "math domain error"

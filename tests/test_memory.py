@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     complementary_step,
+    entanglement_fidelity_given_m,
     gate_channel,
     recycling_trajectories,
     step_kernel,
@@ -21,7 +22,7 @@ from oracles import (
     tricomi_weights_by_double_sum,
     uses_before_by_scan,
 )
-from spinlearn import heisenberg, memory, optimal
+from spinlearn import memory, optimal
 from spinlearn.channels import average_from_entanglement, entanglement_fidelity
 from spinlearn.heisenberg import _golden_minimize, f_angle, heisenberg_unitary
 from spinlearn.memory import (
@@ -221,8 +222,7 @@ def test_tricomi_weights_are_signed_not_a_distribution():
 
 def fidelity_given_m(two_j, two_m, theta):
     """The average fidelity of the gate run from memory state |j,m>_g."""
-    fe = heisenberg.entanglement_fidelity_given_m(two_j, two_m, theta)
-    return average_from_entanglement(fe, 2)
+    return average_from_entanglement(entanglement_fidelity_given_m(two_j, two_m, theta), 2)
 
 
 def test_fidelity_given_m_aligned_equals_optimum():

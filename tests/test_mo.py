@@ -26,7 +26,6 @@ from spinlearn.mo import (
     mo_element_fidelity,
     mo_fidelity_samples,
     mo_mc_oracle,
-    mo_optimal_fidelity,
     optimal_theta_prime,
     spin_k_mo_asymptote,
     spin_k_mo_fidelity,
@@ -92,6 +91,15 @@ def test_theta_prime_stationarity():
             assert abs(up - dn) / (2 * eps) < 1e-6
 
 
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 10, 101, 2000])
+def test_optimal_theta_prime_has_the_sweep_bits_at_any_angle(two_j):
+    # theta' is the one the grid evaluator computes, outside [0, 2 pi) too: at the parent
+    # the scalar formula took the unreduced theta, and (4, 7.0) gave 0.49441135558378646
+    # where the sweep gives ...674
+    thetas = [7.0, -0.5, 100.0] + [k * math.pi / 40 for k in range(-160, 161)]
+    assert [optimal_theta_prime(two_j, t) for t in thetas] == mo._mo_regimes(two_j, 1, thetas)[3]
+
+
 def test_gamma_positive_at_optimal_angle():
     # rank-1 weight is non-negative at theta', so the closed form is attained
     for two_j in (1, 3, 8):
@@ -103,13 +111,13 @@ def test_gamma_positive_at_optimal_angle():
 def test_mo_optimal_headline_values():
     assert mo_average_fidelity(3, math.pi) == pytest.approx(29 / 45, abs=1e-12)
     assert mo_average_fidelity(1, math.pi) == pytest.approx(5 / 9, abs=1e-12)
-    rep = mo_optimal_fidelity(2, math.pi, problem=2)
-    assert rep.fidelity == pytest.approx(11 / 15, abs=1e-12)
-    assert rep.optimal_two_m == 0
-    rep1 = mo_optimal_fidelity(2, math.pi, problem=1)
-    assert rep1.fidelity == pytest.approx(
-        mo_fopt_formula(2, math.pi, optimal_theta_prime(2, math.pi)), abs=1e-12)
-    assert rep1.fidelity == pytest.approx(0.6, abs=1e-12)
+    (regime,), (two_m,), (fidelity,), (theta_prime,) = mo._mo_regimes(2, 2, [math.pi])
+    assert (regime, two_m, theta_prime) == ("mo_j1_anomalous", 0, math.pi)
+    assert fidelity == pytest.approx(11 / 15, abs=1e-12)
+    (regime,), (two_m,), (fidelity,), (theta_prime,) = mo._mo_regimes(2, 1, [math.pi])
+    assert (regime, two_m, theta_prime) == ("mo_covariant", 2, optimal_theta_prime(2, math.pi))
+    assert fidelity == pytest.approx(mo_fopt_formula(2, math.pi, theta_prime), abs=1e-12)
+    assert fidelity == pytest.approx(0.6, abs=1e-12)
 
 
 def test_mo_identity_angle_collapses_to_one():
@@ -276,7 +284,7 @@ def test_mo_fidelity_samples_validation():
 def test_spin_zero_memory_rejected_by_benchmark(problem):
     # a spin-0 memory carries no direction: no benchmark to compare with
     with pytest.raises(InvalidQuantumNumbersError, match="two_j=0"):
-        mo_optimal_fidelity(0, math.pi, problem)
+        mo._mo_regimes(0, problem, [math.pi])
     with pytest.raises(InvalidQuantumNumbersError, match="two_j=0"):
         mo_average_fidelity(0, 1.0, problem)
     with pytest.raises(InvalidQuantumNumbersError, match="two_j=0"):
@@ -426,7 +434,7 @@ def test_mo_oracle_memory_is_bounded():
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("call", [mo_average_fidelity, mo_optimal_fidelity])
+@pytest.mark.parametrize("call", [mo_average_fidelity])
 def test_non_finite_theta_is_named(call, theta):
     # at the parent these raised "fidelity nan outside [1/3, 1]", naming no argument
     with pytest.raises(ValueError, match="^theta must be finite"):

@@ -138,7 +138,8 @@ def test_fidelity_reduction_relation_on_random_points(rng):
 def test_fidelity_reduction_for_mixture_channel():
     # exact entanglement fidelity of the explicit channel vs the MC average
     theta = 2.9
-    alpha = optimal.case2_alpha(theta)
+    c = math.cos(theta)  # the j = 1/2 mixture weight, optimal in this window
+    alpha = (1.0 + 8.0 * c + 9.0 * c * c) / (3.0 * (1.0 + 2.0 * c) ** 2)
     ch = oracles.unot_mixture_channel(alpha, theta)
     probe = np.array([1.0, 0.0], dtype=complex)
     v = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])

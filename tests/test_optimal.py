@@ -31,18 +31,22 @@ from spinlearn.optimal import (
     DELTA_ONE,
     CaseNotApplicableError,
     CovariantChoiParams,
-    case2_alpha,
     case_choi_channel,
     case_fidelity,
     covariant_fidelity,
     discrete_xyz_channel,
-    discrete_xyz_projectors,
     optimal_average_fidelity,
-    optimal_fidelity,
 )
 from spinlearn.montecarlo import mc_average_fidelity
 from spinlearn.rotations import haar_quaternions
-from spinlearn.strategies import CaseChoiStrategy, DiscreteXYZ, HeisenbergStrategy, UNotMixture
+from spinlearn.strategies import CaseChoiStrategy, UNotMixture
+
+
+def _case2_alpha(theta):
+    """The stretched-block weight (1 + 8c + 9c^2) / (3(1 + 2c)^2), c = cos(theta), of the
+    j = 1/2 universal-NOT mixture, which is optimal in the window |theta - pi| <= DELTA_HALF."""
+    c = math.cos(theta)
+    return (1.0 + 8.0 * c + 9.0 * c * c) / (3.0 * (1.0 + 2.0 * c) ** 2)
 
 
 def _random_valid_params(rng, two_j):
@@ -178,6 +182,17 @@ def test_case_choi_channel_keeps_its_kraus_bits(two_j, two_m, theta):
     assert kraus.shape == (two_j + 1, 2, 2 * (two_j + 1))
     assert (hashlib.sha256(kraus.tobytes()).hexdigest()
             == _CASE_CHOI_KRAUS_DIGESTS[two_j, two_m, theta])
+
+
+def test_discrete_xyz_channel_keeps_its_kraus_bits():
+    # SHA-256 of the three Kraus operators stacked as one (3, 2, 6) complex array, measured
+    # while the channel read its (axis, state) pairs from a separate projector list
+    import hashlib
+
+    kraus = np.array(discrete_xyz_channel().kraus)
+    assert kraus.shape == (3, 2, 6) and kraus.dtype == complex
+    assert (hashlib.sha256(kraus.tobytes()).hexdigest()
+            == "de9f68cde7b221cd2cf4d0d00ee780996ed1bd58127208b12be63071c05dd5cf")
 
 
 @pytest.mark.parametrize("two_j", range(13))
@@ -316,10 +331,9 @@ def test_delta_thresholds():
 
 def test_optimal_fidelity_headline_values():
     assert optimal_average_fidelity(3, math.pi) == pytest.approx(17 / 24, abs=1e-12)
-    report = optimal_fidelity(2, math.pi, problem=2)
-    assert report.fidelity == pytest.approx(11 / 15, abs=1e-12)
-    assert report.optimal_two_m == 0
-    assert isinstance(report.strategy, DiscreteXYZ)
+    (regime,), (two_m,), (fidelity,) = optimal._regimes(2, 2, [math.pi])
+    assert (regime, two_m) == ("j1_anomalous_problem2", 0)
+    assert fidelity == pytest.approx(11 / 15, abs=1e-12)
     for two_j in (1, 2, 3, 10):
         assert optimal_average_fidelity(two_j, 0.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -328,28 +342,22 @@ def test_optimal_fidelity_headline_values():
 def test_spin_zero_memory_rejected(problem):
     # a spin-0 memory carries no direction (the case-1 formula gave 1/3 < F_MO = 5/9)
     with pytest.raises(spins.InvalidQuantumNumbersError, match="two_j=0"):
-        optimal_fidelity(0, math.pi, problem)
+        optimal._regimes(0, problem, [math.pi])
     with pytest.raises(spins.InvalidQuantumNumbersError, match="two_j=0"):
         optimal_average_fidelity(0, 1.0, problem)
 
 
 def test_optimal_fidelity_regimes():
     # j = 1, problem 1 never leaves the stretched-probe branch
-    rep = optimal_fidelity(2, math.pi, problem=1)
-    assert rep.regime == "case1"
-    assert rep.fidelity == pytest.approx(
+    (regime,), (two_m,), (fidelity,) = optimal._regimes(2, 1, [math.pi])
+    assert (regime, two_m) == ("case1", 2)
+    assert fidelity == pytest.approx(
         average_from_entanglement(case1_entanglement_fidelity(2, 2, math.pi), 2))
-    # j = 1/2 switches to the mixture inside the window
-    rep = optimal_fidelity(1, math.pi, problem=1)
-    assert rep.regime == "case2_mixture"
-    assert isinstance(rep.strategy, UNotMixture)
-    assert rep.strategy.alpha == pytest.approx(2 / 3)
-    rep = optimal_fidelity(1, 0.5, problem=2)
-    assert rep.regime == "case1"
-    assert isinstance(rep.strategy, HeisenbergStrategy)
+    # j = 1/2 switches to the mixture inside the window and keeps case 1 outside it
+    assert optimal._regimes(1, 1, [math.pi])[:2] == (["case2_mixture"], [1])
+    assert optimal._regimes(1, 2, [0.5])[:2] == (["case1"], [1])
     # outside the window for j = 1 problem 2
-    rep = optimal_fidelity(2, math.pi - DELTA_ONE - 0.01, problem=2)
-    assert rep.regime == "case1"
+    assert optimal._regimes(2, 2, [math.pi - DELTA_ONE - 0.01])[:2] == (["case1"], [2])
 
 
 def test_optimal_monotone_in_theta():
@@ -422,15 +430,14 @@ def test_window_closed_forms_match_the_choi_route(two_j, case, two_m, delta, reg
     assert len(thetas) >= 2001
     assert min(thetas) < math.pi < max(thetas)
     with mpmath.workdps(40):
-        for theta in thetas:
-            report = optimal_fidelity(two_j, theta, problem=2)
-            assert report.regime == regime
-            f = report.fidelity
+        regimes, _, fidelities = optimal._regimes(two_j, 2, thetas)
+        for theta, got, f in zip(thetas, regimes, fidelities):
+            assert got == regime
             fe, params = case_fidelity(case, two_j, two_m, theta)
             assert abs(f - average_from_entanglement(fe, 2)) <= 4 * math.ulp(f), theta
             assert abs(mpmath.mpf(f) - exact(theta)) <= 2 * math.ulp(f), theta
             if case == 2:
-                assert params.alpha == pytest.approx(case2_alpha(theta), abs=1e-12)
+                assert params.alpha == pytest.approx(_case2_alpha(theta), abs=1e-12)
 
 
 @pytest.mark.parametrize("problem", [1, 2])
@@ -529,7 +536,7 @@ def test_unot_mixture_channel_is_tp():
 
 
 @pytest.mark.parametrize("alpha, theta", [
-    (0.0, 2.2), (2 / 3, math.pi), *((case2_alpha(theta), theta) for theta in (2.5, 2.9, 3.6))])
+    (0.0, 2.2), (2 / 3, math.pi), *((_case2_alpha(theta), theta) for theta in (2.5, 2.9, 3.6))])
 def test_unot_mixture_channel_matches_the_pauli_transfer_oracle(alpha, theta):
     # the six octahedron axes integrate the universal NOT's degree-3 coherent-state
     # integrand exactly (a spherical 3-design); 2.5, 2.9 and 3.6 lie in the j = 1/2 window
@@ -550,15 +557,18 @@ def test_unot_mixture_fidelity_closed_form():
 
 
 def test_discrete_xyz_completeness_and_channel():
-    projectors = discrete_xyz_projectors()
-    total = sum(np.outer(s, s.conj()) for _, s in projectors)
-    assert np.max(np.abs(total - np.eye(3))) < 1e-15
     ch = discrete_xyz_channel()
     tot = sum(k.conj().T @ k for k in ch.kraus)
     assert np.max(np.abs(tot - np.eye(6))) < 1e-12
-    for kraus, (axis, state) in zip(ch.kraus, projectors):  # the pi rotation -i n.sigma
-        flip = -2j * sum(a * s for a, s in zip(axis, spins.spin_operators(1)))
-        assert np.array_equal(kraus, flip @ np.kron(state.conj()[None, :], np.eye(2)))
+    for kraus, axis in zip(ch.kraus, np.eye(3)):
+        flip = -2j * sum(a * s for a, s in zip(axis, spins.spin_operators(1)))  # -i n.sigma
+        bra = flip.conj().T @ kraus  # <s_n| (x) I, the measurement before the pi rotation
+        state = bra[0, 0::2].conj()
+        assert np.max(np.abs(bra - np.kron(state.conj()[None, :], np.eye(2)))) < 1e-15
+        # s_n is the unit zero-eigenvalue eigenstate of the spin-1 component along n
+        n_dot_j = sum(a * s for a, s in zip(axis, spins.spin_operators(2)))
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-15
+        assert np.max(np.abs(n_dot_j @ state)) < 1e-15
     # the discrete strategy is not covariant pointwise: only its Haar average
     # reproduces the anomalous closed form (checked by the Monte-Carlo oracle);
     # at the aligned rotation the z outcome fires with certainty
@@ -571,10 +581,9 @@ def test_discrete_xyz_completeness_and_channel():
 @pytest.mark.parametrize("theta", [math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     optimal_average_fidelity,
-    optimal_fidelity,
     lambda two_j, theta: case_fidelity(1, two_j, two_j, theta),
     lambda two_j, theta: case_choi_channel(CaseChoiStrategy(1, two_j, two_j, theta)),
-], ids=["average", "report", "case_fidelity", "case_choi_channel"])
+], ids=["average", "case_fidelity", "case_choi_channel"])
 def test_non_finite_theta_is_named(call, theta):
     # at the parent the fidelities raised "fidelity nan outside [1/3, 1]", naming
     # no argument; case 1 at theta = nan returned nan, and its channel the
@@ -586,8 +595,7 @@ def test_non_finite_theta_is_named(call, theta):
 @pytest.mark.parametrize("theta", [math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     lambda theta: case1_entanglement_fidelity(4, 4, theta),
-    case2_alpha,
-], ids=["case1", "case2_alpha"])
+], ids=["case1"])
 def test_formula_helpers_name_a_non_finite_theta(call, theta):
     # at the parent these returned nan
     with pytest.raises(ValueError, match="^theta must be finite"):
@@ -613,24 +621,16 @@ def test_case1_formula_names_invalid_quantum_numbers(two_j, two_m):
         case1_entanglement_fidelity(two_j, two_m, 1.0)
 
 
-@pytest.mark.parametrize("theta", [2 * math.pi / 3, 0.0, 1.3, math.pi - DELTA_HALF - 1e-9,
-                                   math.pi + DELTA_HALF + 1e-9,
-                                   3 * math.pi - DELTA_HALF - 1e-9])
-def test_case2_alpha_names_theta_outside_its_window(theta):
-    # unchecked, 2 pi / 3 returned -1.27e30 and the window's edges a negative weight
-    with pytest.raises(ValueError, match="^theta=.* outside the j = 1/2 case-2 window"):
-        case2_alpha(theta)
-
-
 def test_case2_alpha_takes_every_angle_the_dispatcher_sends():
     # every theta the j = 1/2 dispatcher reads as the mixture, its edges included,
-    # gives a weight in [0, 2/3]
+    # gives a weight in [0, 2/3], the range the mixture's instrument takes
     edges = [math.pi - DELTA_HALF, math.pi + DELTA_HALF]
-    for theta in [math.pi, 2.9, 3 * math.pi] + edges + [np.nextafter(t, math.pi) for t in edges]:
-        report = optimal_fidelity(1, theta)
-        assert report.regime == "case2_mixture"
-        assert 0.0 <= report.strategy.alpha <= 2 / 3
-        assert report.strategy.alpha == case2_alpha(theta)
+    thetas = [math.pi, 2.9, 3 * math.pi] + edges + [np.nextafter(t, math.pi) for t in edges]
+    assert optimal._regimes(1, 2, thetas)[:2] == (["case2_mixture"] * 7, [1] * 7)
+    for theta in thetas:
+        alpha = _case2_alpha(theta)
+        assert 0.0 <= alpha <= 2 / 3
+        assert len(optimal.unot_mixture_channel(alpha, theta).kraus) == 8
 
 
 # SHA-256 of "<F_quantum.hex()> <F_MO.hex()>\n" over the grid below, made with
@@ -660,8 +660,8 @@ def test_regime_evaluators_keep_the_parent_floats():
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 10, 101, 400])
 def test_grid_evaluators_have_the_formula_helpers_bits(two_j):
-    # the evaluators inline case1_entanglement_fidelity at m = j, optimal_theta_prime and
-    # mo_fopt_formula: every case-1 and covariant row has the helpers' bits
+    # the evaluators inline case1_entanglement_fidelity at m = j and mo_fopt_formula: every
+    # case-1 and covariant row has the helpers' bits
     thetas = [2.0 * math.pi * k / 500 for k in range(500)]
     regimes, _, quantum = optimal._regimes(two_j, 1, thetas)
     _, _, classical, theta_primes = mo._mo_regimes(two_j, 1, thetas)

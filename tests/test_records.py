@@ -1,5 +1,5 @@
 """The package's frozen records (``spinlearn._record``): equality, hashing, immutability,
-repr, construction, validation and copying, for each of the library's 16 record classes
+repr, construction, validation and copying, for each of the library's 15 record classes
 and the test oracles' ``ExactTarget``."""
 
 import copy
@@ -13,7 +13,7 @@ from spinlearn.channels import FidelityEstimate, KrausChannel
 from spinlearn.heisenberg import HeisenbergGate
 from spinlearn.memory import MemoryDistribution, PersistenceReport, SignedWeights
 from spinlearn.mo import MOParams
-from spinlearn.optimal import CovariantChoiParams, RegimeReport
+from spinlearn.optimal import CovariantChoiParams
 from spinlearn.spins import CouplingCoeffs
 from spinlearn.strategies import (CaseChoiStrategy, DiscreteXYZ, HeisenbergStrategy,
                                   MOStrategy, StrategyDescriptor, ThermalWrapped,
@@ -42,8 +42,6 @@ RECORDS = [
     (MOParams, ("two_m", "xi_two_n", "theta_prime"), (4, 0, 0.5), (4, 2, 0.5)),
     (CovariantChoiParams, ("alpha", "beta", "m_matrix"), (0.5, None, ((1, 0), (0, 1))),
      (0.5, 0.1, ((1, 0), (0, 1)))),
-    (RegimeReport, ("problem", "regime", "optimal_two_m", "fidelity", "strategy"),
-     (2, "case1", 4, 0.9, HeisenbergStrategy(4)), (2, "case1", 4, 0.91, HeisenbergStrategy(4))),
     (CouplingCoeffs, ("a", "b", "c_plus", "c_minus"), (1j, 0j, 0.5 + 0j, 0.5 - 0j),
      (1j, 0j, 0.5 + 0j, -0.5 + 0j)),
 ]
@@ -53,7 +51,7 @@ REQUIRED = [r[:2] for r in RECORDS if r[0] not in (ExactTarget, DiscreteXYZ)]  #
 
 
 def test_every_record_class_is_listed():
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 16
     assert set(StrategyDescriptor) <= {r[0] for r in RECORDS}
 
 
